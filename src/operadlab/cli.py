@@ -24,6 +24,7 @@ from .audit import (
     framed_tensor_check,
     standard_audit_input,
 )
+from .complexes import WindowBoundary
 from .cosimplicial import (
     HochschildComplex,
     LiftFailure,
@@ -71,6 +72,10 @@ EXIT_WINDOW = 3
 
 class CheckFailure(Exception):
     """A verification failed; the message names the first failing check."""
+
+
+class UsageError(Exception):
+    """The arguments name something that does not exist."""
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -200,14 +205,15 @@ def cmd_hochschild(args) -> int:
 
 
 def _parse_class(HH, text: str):
+    """(k, class) for a spec p,q,k naming the k-th class at (p, q)."""
     try:
         p, q, k = (int(t) for t in text.split(","))
     except ValueError:
-        raise CheckFailure(f"class spec {text!r} is not p,q,k")
+        raise UsageError(f"class spec {text!r} is not p,q,k")
     cs = HH.classes_at(p, q)
-    if k >= len(cs):
-        raise CheckFailure(f"no class #{k} at ({p}, {q}); found {len(cs)}")
-    return cs[k]
+    if not 0 <= k < len(cs):
+        raise UsageError(f"no class #{k} at ({p}, {q}); found {len(cs)}")
+    return k, cs[k]
 
 
 def cmd_bracket(args) -> int:
@@ -215,11 +221,16 @@ def cmd_bracket(args) -> int:
     if M.operad.has_differential():
         raise CheckFailure("bracket of classes requires a zero-differential instance")
     HH = hochschild_homology(M, args.n_max, args.q_max)
-    c1 = _parse_class(HH, args.class_a)
-    c2 = _parse_class(HH, args.class_b)
+    k1, c1 = _parse_class(HH, args.class_a)
+    k2, c2 = _parse_class(HH, args.class_b)
+    if c1.arity + c2.arity < 1:
+        raise UsageError(
+            f"the bracket of arity-{c1.arity} and arity-{c2.arity} classes has "
+            f"arity {c1.arity + c2.arity - 1}: outside the complex"
+        )
     res = bracket_on_classes(M, HH, c1, c2)
     zero = class_is_zero(HH, res)
-    print(f"bracket of ({c1.p},{c1.q})#0 and ({c2.p},{c2.q})#0 on {M.name}:")
+    print(f"bracket of ({c1.p},{c1.q})#{k1} and ({c2.p},{c2.q})#{k2} on {M.name}:")
     print(f"  bidegree ({res.p}, {res.q}), {'zero' if zero else 'nonzero'}")
     print(f"  representative: {element_terms(res.element)}")
     _write_report(
@@ -415,10 +426,9 @@ def _read_config(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"d", "m", "n_max", "q_max", "p_min", "r_max", "trials", "seed"}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``config`` values become the defaults of the
+    arguments they name, so the command line still overrides them."""
     parser = argparse.ArgumentParser(
         prog="operadlab",
         description="Exact-rational workbench for chain operads.",
@@ -477,30 +487,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="aggregated invariant suite")
     p.set_defaults(func=cmd_selftest)
+    for p in (parser, *sub.choices.values()):
+        dests = {action.dest for action in p._actions}
+        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in dests})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
         try:
             config = _read_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for key, value in config.items():
-            if hasattr(args, key) and f"--{key.replace('_', '-')}" not in (argv or sys.argv):
-                setattr(args, key, int(value) if key in _INT_KEYS else value)
+        args = build_parser(config).parse_args(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (LiftFailure,) as exc:
+    except (LiftFailure, WindowBoundary) as exc:
         print(f"window too small: {exc}", file=sys.stderr)
         return EXIT_WINDOW
-    except (KeyError, NoSolution) as exc:
+    except (KeyError, NoSolution, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

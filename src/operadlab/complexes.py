@@ -8,16 +8,16 @@ being reported as a number; asking for it raises :class:`WindowBoundary`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .linalg import (
     NoSolution,
-    QuotientSpace,
     RationalMatrix,
+    Subquotient,
     Vector,
+    assemble,
     is_zero_vec,
     kernel_basis,
     solve_particular,
@@ -30,18 +30,12 @@ class WindowBoundary(Exception):
     """Homology requested at a truncated window edge."""
 
 
-class NotACycle(Exception):
-    pass
+class NotACycle(NoSolution):
+    """A vector that should be a cycle is not one."""
 
 
 class NotABoundary(Exception):
     pass
-
-
-def _label_key(label):
-    # canonical total order on structured labels; tuples compare fine among
-    # themselves, mixed types fall back to a typed repr
-    return (type(label).__name__, repr(label))
 
 
 @dataclass(frozen=True)
@@ -127,6 +121,13 @@ class ChainComplexWindow:
     def d(self, q: int) -> RationalMatrix:
         return self.differential[q]
 
+    def d_columns(self, q: int) -> dict:
+        """label -> sparse column {row: value} of d_q, read in one pass;
+        empty outside the window."""
+        if q not in self.differential:
+            return {}
+        return dict(zip(self.space.labels(q), self.differential[q].columns()))
+
     def dim(self, q: int) -> int:
         return self.space.dim(q)
 
@@ -148,50 +149,6 @@ class ChainComplexWindow:
             self._homology_cache = homology(self)
         return self._homology_cache
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        lo, hi = self.window
-        return {
-            "window": [lo, hi],
-            "complete_below": self.complete_below,
-            "complete_above": self.complete_above,
-            "basis": {str(q): [repr(l) for l in self.space.labels(q)] for q in self.space.degrees()},
-            "differential": {
-                str(q): [[r, c, str(v)] for (r, c), v in sorted(M.entries.items())]
-                for q, M in self.differential.items()
-                if M.entries
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChainComplexWindow":
-        basis = {int(q): tuple(labels) for q, labels in data["basis"].items()}
-        space = GradedSpace(basis)
-        diff = {}
-        for q, triples in data.get("differential", {}).items():
-            q = int(q)
-            n_to = space.dim(q - 1)
-            n_from = space.dim(q)
-            diff[q] = RationalMatrix(
-                n_to, n_from, {(r, c): Fraction(v) for r, c, v in triples}
-            )
-        lo, hi = data["window"]
-        return cls(
-            space,
-            diff,
-            (lo, hi),
-            complete_below=data.get("complete_below", True),
-            complete_above=data.get("complete_above", True),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChainComplexWindow":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass
 class DegreeHomology:
@@ -199,13 +156,19 @@ class DegreeHomology:
     representatives: list  # list of Vectors (cycle chains)
     boundary_basis: list  # list of Vectors spanning the boundary space
     reliable: bool
-    # reduce a cycle to coordinates over (representatives); None if unreliable
-    _reducer: Callable | None = field(default=None, repr=False)
+    # cycles modulo boundaries with the representatives chosen above
+    _quotient: Subquotient = field(repr=False)
 
     def class_coordinates(self, v: Sequence) -> Vector:
-        if self._reducer is None:
+        """Coordinates of the cycle v over the representatives, modulo
+        boundaries.  Raises NotACycle when v is not a cycle and
+        WindowBoundary when the degree is unreliable."""
+        if not self.reliable:
             raise WindowBoundary("homology at this degree is unreliable")
-        return self._reducer(v)
+        try:
+            return self._quotient.coords(v)
+        except NoSolution:
+            raise NotACycle("vector not in cycle space") from None
 
 
 class HomologyResult:
@@ -253,47 +216,22 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
             ]
         else:
             cycles = []  # unknown lowest differential; flagged unreliable
+        boundary_gens = []
         if q + 1 <= hi:
-            dnext = C.d(q + 1)
-            boundary_gens = [dnext.column(c) for c in range(dnext.cols)]
-        else:
-            boundary_gens = []
-        # span boundaries, then pick independent cycle representatives
-        reps: list[Vector] = []
-        seen = QuotientSpace(n, boundary_gens)
-        for z in cycles:
-            if not is_zero_vec(seen.reduce(z)):
-                reps.append(z)
-                seen = QuotientSpace(n, boundary_gens + reps)
-        # reducer: coordinates of a cycle over reps modulo boundaries
-        if reliable:
-            reducer = _make_reducer(n, reps, boundary_gens)
-        else:
-            reducer = None
+            for col in C.d(q + 1).columns():
+                b = zero_vec(n)
+                for r, v in col.items():
+                    b[r] = v
+                boundary_gens.append(b)
+        quotient = Subquotient(n, cycles, boundary_gens)
         out[q] = DegreeHomology(
-            dim=len(reps),
-            representatives=reps,
+            dim=quotient.dim,
+            representatives=quotient.representatives,
             boundary_basis=boundary_gens,
             reliable=reliable,
-            _reducer=reducer,
+            _quotient=quotient,
         )
     return HomologyResult(C, out)
-
-
-def _make_reducer(n: int, reps: list, boundary_gens: list):
-    cols = [vec(r) for r in reps] + [vec(b) for b in boundary_gens]
-    M = RationalMatrix.from_columns(cols, n) if cols else RationalMatrix.zero(n, 0)
-    k = len(reps)
-
-    def reducer(v: Sequence) -> Vector:
-        if not cols:
-            if not is_zero_vec(vec(v)):
-                raise NotACycle("vector not in cycle space")
-            return []
-        x = solve_particular(M, vec(v))
-        return x[:k]
-
-    return reducer
 
 
 def is_boundary_with_witness(C: ChainComplexWindow, q: int, z: Sequence) -> Vector:
@@ -334,35 +272,27 @@ def tensor(C1: ChainComplexWindow, C2: ChainComplexWindow) -> ChainComplexWindow
     if not degrees:
         return ChainComplexWindow(space, {}, (0, 0))
     lo, hi = degrees[0], degrees[-1]
-    index = {q: {l: i for i, l in enumerate(space.labels(q))} for q in range(lo, hi + 1)}
+    # d of each factor where it lands inside that factor's window
+    d1, d2 = (
+        {q: C.d_columns(q) for q in range(C.window[0] + 1, C.window[1] + 1)}
+        for C in (C1, C2)
+    )
+
+    def image(pair):
+        l1, l2 = pair
+        q1, q2 = deg_of[pair]
+        # da (x) b
+        for r, v in d1.get(q1, {}).get(l1, {}).items():
+            yield (C1.space.labels(q1 - 1)[r], l2), v
+        # (-1)^{q1} a (x) db
+        sign = -1 if q1 % 2 else 1
+        for r, v in d2.get(q2, {}).get(l2, {}).items():
+            yield (l1, C2.space.labels(q2 - 1)[r]), sign * v
+
     diff = {}
     for q in range(lo + 1, hi + 1):
-        entries = {}
-        tgt = index.get(q - 1, {})
-        for cidx, (l1, l2) in enumerate(space.labels(q)):
-            q1, q2 = deg_of[(l1, l2)]
-            # da (x) b
-            if q1 - 1 >= C1.window[0] and q1 <= C1.window[1] and C1.dim(q1):
-                d1 = C1.d(q1)
-                c1 = C1.space.index(q1, l1)
-                for r in range(d1.rows):
-                    v = d1[(r, c1)]
-                    if v:
-                        lab = (C1.space.labels(q1 - 1)[r], l2)
-                        ridx = tgt[lab]
-                        entries[(ridx, cidx)] = entries.get((ridx, cidx), Fraction(0)) + v
-            # (-1)^{q1} a (x) db
-            if q2 - 1 >= C2.window[0] and q2 <= C2.window[1] and C2.dim(q2):
-                d2 = C2.d(q2)
-                c2 = C2.space.index(q2, l2)
-                sign = Fraction(-1) if q1 % 2 else Fraction(1)
-                for r in range(d2.rows):
-                    v = d2[(r, c2)]
-                    if v:
-                        lab = (l1, C2.space.labels(q2 - 1)[r])
-                        ridx = tgt[lab]
-                        entries[(ridx, cidx)] = entries.get((ridx, cidx), Fraction(0)) + sign * v
-        diff[q] = RationalMatrix(space.dim(q - 1), space.dim(q), entries)
+        tgt = {l: i for i, l in enumerate(space.labels(q - 1))}
+        diff[q] = assemble(space.labels(q), tgt, image)
     return ChainComplexWindow(
         space,
         diff,

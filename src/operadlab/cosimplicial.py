@@ -14,8 +14,9 @@
 * :func:`ss_pages` computes the spectral sequence of the column
   filtration: E^1 is columnwise homology, d_r has bidegree (-r, r-1),
   and each page is derived exactly from the filtered total complex.
-* :func:`total_complex` is the direct abutment oracle, and
-  :func:`zigzag_dr` the explicit lifting computation behind d_r.
+* :func:`total_complex` is the direct abutment oracle, a thin wrapper
+  over the spectral sequence's total differential ``SpectralSequence.D``;
+  :func:`zigzag_dr` is the explicit lifting computation behind d_r.
 
 Sign convention: the total differential is D = d + (-1)^q delta; the
 cofaces commute with d (they are chain maps), which makes D^2 = 0.
@@ -35,14 +36,14 @@ from .instances import (
 )
 from .linalg import (
     NoSolution,
-    QuotientSpace,
     RationalMatrix,
+    Subquotient,
+    assemble,
     is_zero_vec,
     kernel_basis,
+    rank,
     solve_particular,
     vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 from .operads import Coeffs, OpElement, Operad, TableOperad
@@ -162,23 +163,22 @@ class SemicosimplicialChainComplex:
                 labels = src.space.labels(q)
                 tlabels = tgt.space.labels(q - 1)
                 tindex = {l: k for k, l in enumerate(tlabels)}
+                src_cols = src.d_columns(q)
+                tgt_cols = tgt.d_columns(q)
                 for i in range(n + 2):
-                    for c_idx, label in enumerate(labels):
+                    for label in labels:
                         # d(coface(x))
                         lhs = zero_vec(len(tlabels))
                         for l2, c in self.coface(n, i, label).items():
-                            col_idx = tgt.space.index(q, l2)
-                            dv = tgt.d(q).column(col_idx)
-                            lhs = vec_add(lhs, vec_scale(c, dv))
+                            for r, v in tgt_cols[l2].items():
+                                lhs[r] += c * v
                         # coface(dx)
                         rhs = zero_vec(len(tlabels))
-                        dv = src.d(q).column(c_idx)
-                        for r, v in enumerate(dv):
-                            if v:
-                                for l2, c in self.coface(
-                                    n, i, src.space.labels(q - 1)[r]
-                                ).items():
-                                    rhs[tindex[l2]] += v * c
+                        for r, v in src_cols[label].items():
+                            for l2, c in self.coface(
+                                n, i, src.space.labels(q - 1)[r]
+                            ).items():
+                                rhs[tindex[l2]] += v * c
                         if not is_zero_vec(
                             [a - b for a, b in zip(lhs, rhs, strict=True)]
                         ):
@@ -327,22 +327,14 @@ class HochschildComplex:
         """Vertical differential (n, q) -> (n, q-1) on kept labels."""
         key = (n, q)
         if key not in self._d_cache:
-            src = self.labels(n, q)
-            tgt_index = self._index.get((n, q - 1), {})
             col = self.X.columns[n]
-            entries = {}
-            for c, label in enumerate(src):
-                full_col = col.d(q).column(col.space.index(q, label))
-                for r, v in enumerate(full_col):
-                    if v:
-                        l2 = col.space.labels(q - 1)[r]
-                        if l2 in tgt_index:
-                            entries[(tgt_index[l2], c)] = v
-                        else:
-                            raise AssertionError(
-                                "internal differential left the normalized span"
-                            )
-            self._d_cache[key] = RationalMatrix(len(tgt_index), len(src), entries)
+            full = col.d_columns(q)
+            full_tgt = col.space.labels(q - 1)
+            self._d_cache[key] = assemble(
+                self.labels(n, q),
+                self._index.get((n, q - 1), {}),
+                lambda label: ((full_tgt[r], v) for r, v in full[label].items()),
+            )
         return self._d_cache[key]
 
     def delta_mat(self, n: int, q: int) -> RationalMatrix:
@@ -354,17 +346,11 @@ class HochschildComplex:
                 # out of the stored window: zero map (truncated object)
                 self._delta_cache[key] = RationalMatrix.zero(0, len(src))
                 return self._delta_cache[key]
-            tgt_index = self._index.get((n + 1, q), {})
-            entries = {}
-            for c, label in enumerate(src):
-                for l2, v in self.X.delta_on_label(n, label).items():
-                    if l2 in tgt_index:
-                        entries[(tgt_index[l2], c)] = v
-                    else:
-                        raise AssertionError(
-                            "delta left the normalized span (sign error?)"
-                        )
-            self._delta_cache[key] = RationalMatrix(len(tgt_index), len(src), entries)
+            self._delta_cache[key] = assemble(
+                src,
+                self._index.get((n + 1, q), {}),
+                lambda label: self.X.delta_on_label(n, label).items(),
+            )
         return self._delta_cache[key]
 
     def complex_in_p(self, q: int) -> ChainComplexWindow:
@@ -465,53 +451,8 @@ def hochschild_homology(
 
 
 def total_complex(H: HochschildComplex) -> ChainComplexWindow:
-    """Total complex over t = q - n with D = d + (-1)^q delta.
-
-    Labels are (n, q, label).  The top stored total degrees are flagged
-    unreliable when components above the chain-degree window might be
-    nonzero.
-    """
-    basis: dict = {}
-    for (n, q), labels in sorted(H._labels.items()):
-        for l in labels:
-            basis.setdefault(q - n, []).append((n, q, l))
-    space = GradedSpace({t: tuple(ls) for t, ls in basis.items()})
-    degrees = space.degrees()
-    if not degrees:
-        return ChainComplexWindow(space, {}, (0, 0))
-    lo, hi = degrees[0], degrees[-1]
-    index = {t: {l: i for i, l in enumerate(space.labels(t))} for t in degrees}
-    diff = {}
-    for t in range(lo + 1, hi + 1):
-        entries: dict = {}
-        tgt = index.get(t - 1, {})
-        for cidx, (n, q, l) in enumerate(space.labels(t)):
-            li = H._index[(n, q)][l]
-            dm = H.d_mat(n, q)
-            for r in range(dm.rows):
-                v = dm[(r, li)]
-                if v:
-                    lab = (n, q - 1, H.labels(n, q - 1)[r])
-                    entries[(tgt[lab], cidx)] = (
-                        entries.get((tgt[lab], cidx), Fraction(0)) + v
-                    )
-            sign = Fraction(-1 if q % 2 else 1)
-            dl = H.delta_mat(n, q)
-            for r in range(dl.rows):
-                v = dl[(r, li)]
-                if v:
-                    lab = (n + 1, q, H.labels(n + 1, q)[r])
-                    entries[(tgt[lab], cidx)] = (
-                        entries.get((tgt[lab], cidx), Fraction(0)) + sign * v
-                    )
-        diff[t] = RationalMatrix(space.dim(t - 1), space.dim(t), entries)
-    # completeness above: Tot_{hi+1} components are (n, hi+1+n)
-    complete_above = all(
-        H.vanishes(n, hi + 1 + n) for n in range(H.n_max + 2)
-    )
-    return ChainComplexWindow(
-        space, diff, (lo, hi), complete_below=True, complete_above=complete_above
-    )
+    """Total complex over t = q - n with D = d + (-1)^q delta."""
+    return SpectralSequence(H).total_complex()
 
 
 @dataclass
@@ -563,28 +504,51 @@ class SpectralSequence:
         return len(self._tot_basis.get(t, ()))
 
     def D(self, t: int) -> RationalMatrix:
+        """Total differential Tot_t -> Tot_{t-1}, D = d + (-1)^q delta."""
         if t not in self._D_cache:
             H = self.H
-            src = self._tot_basis.get(t, [])
-            tgt_index = self._tot_index.get(t - 1, {})
-            entries: dict = {}
-            for cidx, (n, q, l) in enumerate(src):
+            columns: dict = {}  # (n, q) -> (d columns, delta columns)
+
+            def image(trip):
+                n, q, l = trip
+                if (n, q) not in columns:
+                    columns[(n, q)] = (
+                        H.d_mat(n, q).columns(), H.delta_mat(n, q).columns()
+                    )
+                d_cols, delta_cols = columns[(n, q)]
                 li = H._index[(n, q)][l]
-                dm = H.d_mat(n, q)
-                for r in range(dm.rows):
-                    v = dm[(r, li)]
-                    if v:
-                        key = (tgt_index[(n, q - 1, H.labels(n, q - 1)[r])], cidx)
-                        entries[key] = entries.get(key, Fraction(0)) + v
-                sign = Fraction(-1 if q % 2 else 1)
-                dl = H.delta_mat(n, q)
-                for r in range(dl.rows):
-                    v = dl[(r, li)]
-                    if v:
-                        key = (tgt_index[(n + 1, q, H.labels(n + 1, q)[r])], cidx)
-                        entries[key] = entries.get(key, Fraction(0)) + sign * v
-            self._D_cache[t] = RationalMatrix(len(tgt_index), len(src), entries)
+                for r, v in d_cols[li].items():
+                    yield (n, q - 1, H.labels(n, q - 1)[r]), v
+                sign = -1 if q % 2 else 1
+                for r, v in delta_cols[li].items():
+                    yield (n + 1, q, H.labels(n + 1, q)[r]), sign * v
+
+            self._D_cache[t] = assemble(
+                self._tot_basis.get(t, []), self._tot_index.get(t - 1, {}), image
+            )
         return self._D_cache[t]
+
+    def total_complex(self) -> ChainComplexWindow:
+        """Tot as a chain complex; labels are (n, q, label).  The top
+        total degree is flagged unreliable when components above the
+        chain-degree window might be nonzero."""
+        H = self.H
+        space = GradedSpace(self._tot_basis)
+        degrees = space.degrees()
+        if not degrees:
+            return ChainComplexWindow(space, {}, (0, 0))
+        lo, hi = degrees[0], degrees[-1]
+        # completeness above: Tot_{hi+1} components are (n, hi+1+n)
+        complete_above = all(
+            H.vanishes(n, hi + 1 + n) for n in range(H.n_max + 2)
+        )
+        return ChainComplexWindow(
+            space,
+            {t: self.D(t) for t in range(lo + 1, hi + 1)},
+            (lo, hi),
+            complete_below=True,
+            complete_above=complete_above,
+        )
 
     def _filtration_indices(self, t: int, p: int) -> list:
         """Indices of Tot_t basis elements lying in F_p (columns n >= -p)."""
@@ -602,13 +566,14 @@ class SpectralSequence:
         Dt = self.D(t)
         tgt = self._tot_basis.get(t - 1, [])
         # constraint rows: output components with p - r < p'' (i.e. n'' < -(p-r))
-        bad_rows = [i for i, (n, q, l) in enumerate(tgt) if -n > p - r]
+        rows = [i for i, (n, q, l) in enumerate(tgt) if -n > p - r]
+        bad_rows = {i: ri for ri, i in enumerate(rows)}
+        columns = Dt.columns()
         entries = {}
-        for ri, row in enumerate(bad_rows):
-            for ci, colidx in enumerate(dom):
-                v = Dt[(row, colidx)]
-                if v:
-                    entries[(ri, ci)] = v
+        for ci, colidx in enumerate(dom):
+            for row, v in columns[colidx].items():
+                if row in bad_rows:
+                    entries[(bad_rows[row], ci)] = v
         A = RationalMatrix(len(bad_rows), len(dom), entries)
         ker = kernel_basis(A)
         out = []
@@ -655,42 +620,29 @@ class SpectralSequence:
         positions = sorted(self.H._labels)
         for r in range(1, r_max + 1):
             entries: dict = {}
-            reducers: dict = {}
+            quotients: dict = {}
             for (n, q) in positions:
                 p, t = -n, q - n
                 Z = self._Z(r, p, t)
                 denom = self._Z(r - 1, p - 1, t)
                 up = self._Z(r - 1, p + r - 1, t + 1)
                 denom = denom + [self._apply_D(t + 1, u) for u in up]
-                quo = QuotientSpace(self.tot_dim(t), denom)
-                reps = []
-                span = denom
-                for z in Z:
-                    if not is_zero_vec(quo.reduce(z)):
-                        reps.append(z)
-                        span = denom + reps
-                        quo = QuotientSpace(self.tot_dim(t), span)
+                quo = Subquotient(self.tot_dim(t), Z, denom)
                 entries[(p, q)] = PageEntry(
-                    p, q, len(reps), reps, self.entry_reliable(p, q, r)
+                    p, q, quo.dim, quo.representatives, self.entry_reliable(p, q, r)
                 )
-                reducers[(p, q)] = _class_reducer(self.tot_dim(t), reps, denom)
+                quotients[(p, q)] = quo
             page = BigradedPage(r, {k: v for k, v in entries.items()})
             # differentials d_r: (p, q) -> (p - r, q + r - 1)
             for (p, q), e in entries.items():
                 if e.dim == 0:
                     continue
-                tp, tq = p - r, q + r - 1
-                tgt = entries.get((tp, tq))
-                cols = []
-                for x in e.representatives:
-                    y = self._apply_D(p + q, x)
-                    if tgt is None or tgt.dim == 0:
-                        if not _in_span(self.tot_dim(p + q - 1),
-                                        reducers.get((tp, tq)), y):
-                            raise AssertionError("d_r image missed the target entry")
-                        continue
-                    cols.append(reducers[(tp, tq)](y))
-                if tgt is not None and tgt.dim and cols:
+                tgt = quotients.get((p - r, q + r - 1))
+                cols = [
+                    _entry_coords(tgt, self._apply_D(p + q, x))
+                    for x in e.representatives
+                ]
+                if tgt is not None and tgt.dim:
                     page.differentials[(p, q)] = RationalMatrix.from_columns(
                         cols, tgt.dim
                     )
@@ -712,35 +664,16 @@ class SpectralSequence:
 
 
 def _rank_or_zero(M) -> int:
-    from .linalg import rank
-
     return rank(M) if M is not None else 0
 
 
-def _class_reducer(N: int, reps: list, denom: list):
-    cols = [vec(r) for r in reps] + [vec(b) for b in denom]
-    M = RationalMatrix.from_columns(cols, N) if cols else RationalMatrix.zero(N, 0)
-    k = len(reps)
-
-    def reducer(v):
-        if not cols:
-            if not is_zero_vec(vec(v)):
-                raise NoSolution("vector outside the entry's cycle space")
-            return []
-        x = solve_particular(M, vec(v))
-        return x[:k]
-
-    return reducer
-
-
-def _in_span(N: int, reducer, v) -> bool:
-    if reducer is None:
-        return is_zero_vec(vec(v))
+def _entry_coords(entry: Subquotient | None, y) -> list:
+    """Class coordinates of the D-image y on its target entry; with no
+    stored position there (None), y must vanish."""
     try:
-        coords = reducer(v)
+        return (entry or Subquotient(len(y), [])).coords(y)
     except NoSolution:
-        return False
-    return is_zero_vec(coords)
+        raise AssertionError("d_r image missed the target entry") from None
 
 
 def ss_pages(H: HochschildComplex, r_max: int) -> list:
@@ -758,7 +691,7 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
     ss = SpectralSequence(H)
     pages = ss.pages(r_max)
     last = pages[-1]
-    tot = total_complex(H)
+    tot = ss.total_complex()
     Ht = tot.homology()
     out = []
     for t in tot.space.degrees():

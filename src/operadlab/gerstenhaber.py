@@ -14,10 +14,10 @@ hosts with both even and odd internal degrees.  The test suite locks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import NotABoundary, is_boundary_with_witness
+from .complexes import WindowBoundary, is_boundary_with_witness
 from .cosimplicial import (
     HochschildClass,
     HochschildHomology,
@@ -30,7 +30,7 @@ from .instances import (
     poisson_operad_small,
     sphere_operad,
 )
-from .operads import AxiomFailure, AxiomReport, Coeffs, OpElement, Operad, TruncationError
+from .operads import AxiomFailure, AxiomReport, OpElement, Operad, TruncationError
 
 
 def shifted_degree(op: Operad, x: OpElement) -> int:
@@ -181,31 +181,37 @@ def bracket_on_classes(
 
     The chain-level bracket of delta-closed normalized representatives is
     delta-closed and normalized; the result is reduced to the canonical
-    representatives of its bidegree.
+    representatives of its bidegree.  Raises WindowBoundary when that
+    bidegree lies outside the computed window.
     """
-    op = M.operad
-    z = bracket(op, c1.element, c2.element)
     n = c1.arity + c2.arity - 1
     q = c1.q + c2.q
     H = HH.complex
+    if not (0 <= n <= H.n_max and q <= H.q_max):
+        raise WindowBoundary(
+            f"the bracket lands at (p, q) = ({-n}, {q}), outside the computed window"
+        )
+    z = bracket(M.operad, c1.element, c2.element)
     labels = H.labels(n, q)
     index = {l: k for k, l in enumerate(labels)}
     v = [Fraction(0)] * len(labels)
     for l, c in z.coeffs:
         v[index[l]] += c
-    hom = HH.homs[q].per_degree[-n]
-    coords = hom.class_coordinates(v)
     rep = [Fraction(0)] * len(labels)
-    for k, c in enumerate(coords):
-        if c != 0:
-            for j, val in enumerate(hom.representatives[k]):
-                rep[j] += c * val
+    if q in HH.homs:  # else no chains at all in degree q
+        hom = HH.homs[q].at(-n)
+        for k, c in enumerate(hom.class_coordinates(v)):
+            if c != 0:
+                for j, val in enumerate(hom.representatives[k]):
+                    rep[j] += c * val
     el = OpElement.make(n, {l: c for l, c in zip(labels, rep) if c != 0})
     return HochschildClass(n, q, rep, el, H.normalized)
 
 
 def class_is_zero(HH: HochschildHomology, c: HochschildClass) -> bool:
-    hom = HH.homs[c.q].per_degree[-c.arity]
+    if c.q not in HH.homs:  # no chains at all in degree q
+        return True
+    hom = HH.homs[c.q].at(-c.arity)
     return all(v == 0 for v in hom.class_coordinates(c.vector))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import ChainComplexWindow, GradedSpace
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, assemble
 
 # A monomial is a sorted tuple of generator indices (square-free).
 Monomial = tuple
@@ -239,17 +239,11 @@ class CobarComplex:
 
     def differential_matrix(self, p: int, q: int) -> RationalMatrix:
         """Matrix of d from bidegree (p, q) to (p-1, q)."""
-        src = self.basis(p, q)
-        tgt = self.basis(p - 1, q)
-        tgt_index = {w: i for i, w in enumerate(tgt)}
-        entries = {}
-        for c, word in enumerate(src):
-            for w, v in self.differential_word(word).items():
-                r = tgt_index.get(w)
-                if r is None:
-                    raise AssertionError("cobar differential left the window")
-                entries[(r, c)] = v
-        return RationalMatrix(len(tgt), len(src), entries)
+        return assemble(
+            self.basis(p, q),
+            {w: i for i, w in enumerate(self.basis(p - 1, q))},
+            lambda word: self.differential_word(word).items(),
+        )
 
     def complex_at_q(self, q: int) -> ChainComplexWindow:
         """The cobar complex at fixed internal degree q, graded by p.

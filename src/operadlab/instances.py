@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .complexes import ChainComplexWindow, GradedSpace
 from .hopf import PrimitiveExteriorHopf
-from .linalg import RationalMatrix, zero_vec
+from .linalg import assemble, zero_vec
 from .operads import (
     ArityOverflow,
     Coeffs,
@@ -358,12 +358,6 @@ class FramedOperad(Operad):
         return {l: c for l, c in out.items() if c != 0}
 
 
-def framed_homology_operad(
-    base: Operad, hopf: PrimitiveExteriorHopf, degree_cap: int | None = None
-) -> FramedOperad:
-    return FramedOperad(base, hopf, degree_cap=degree_cap)
-
-
 # -- witness operads ---------------------------------------------------------
 
 
@@ -423,14 +417,14 @@ def arity_complex(op: Operad, n: int) -> ChainComplexWindow:
     if not degrees:
         return ChainComplexWindow(GradedSpace({}), {}, (0, 0))
     lo, hi = degrees[0], degrees[-1]
-    index = {q: {l: i for i, l in enumerate(space.labels(q))} for q in degrees}
-    diff = {}
-    for q in range(lo + 1, hi + 1):
-        entries = {}
-        for cidx, lab in enumerate(space.labels(q)):
-            for l2, v in op.diff_basis(n, lab).items():
-                entries[(index.get(q - 1, {})[l2], cidx)] = v
-        diff[q] = RationalMatrix(space.dim(q - 1), space.dim(q), entries)
+    diff = {
+        q: assemble(
+            space.labels(q),
+            {l: i for i, l in enumerate(space.labels(q - 1))},
+            lambda lab: op.diff_basis(n, lab).items(),
+        )
+        for q in range(lo + 1, hi + 1)
+    }
     # complete above unless the top degree equals the operad's degree cap
     complete_above = op.degree_cap is None or hi < op.degree_cap
     return ChainComplexWindow(space, diff, (lo, hi), complete_above=complete_above)

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream (homology, kernels, quotients, spectral sequence
-pages) reduces to the four operations in this module.  Matrices are stored
-sparsely as ``(row, col) -> Fraction`` maps; elimination works on sparse
-rows, so the large-but-sparse coboundary matrices stay cheap.
+Everything downstream reduces to this module: ``row_reduce`` with
+``rank``, ``kernel_basis`` and ``solve_particular`` on top of it, the
+:class:`Subquotient` behind homology, spectral-sequence pages and
+quotients, and :func:`assemble`, which builds every matrix from per-label
+images.  Matrices are stored sparsely as ``(row, col) -> Fraction`` maps;
+elimination works on sparse rows, so the large-but-sparse coboundary
+matrices stay cheap.
 
 Pivoting is deterministic (leftmost column, smallest row index) so bases
 are reproducible across runs.
@@ -11,9 +14,10 @@ are reproducible across runs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Vector = list[Fraction]
 
@@ -32,19 +36,6 @@ def vec(entries: Iterable) -> Vector:
 
 def zero_vec(n: int) -> Vector:
     return [Fraction(0)] * n
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return [x + y for x, y in zip(a, b, strict=True)]
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return [x - y for x, y in zip(a, b, strict=True)]
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = _frac(c)
-    return [c * x for x in a]
 
 
 def is_zero_vec(a: Vector) -> bool:
@@ -70,20 +61,6 @@ class RationalMatrix:
         object.__setattr__(self, "entries", clean)
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = _frac(v)
-                if v != 0:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Vector], nrows: int) -> "RationalMatrix":
         entries = {}
         for c, col in enumerate(columns):
@@ -95,30 +72,14 @@ class RationalMatrix:
         return cls(nrows, len(columns), entries)
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, {})
 
-    def __getitem__(self, rc) -> Fraction:
-        return self.entries.get(rc, Fraction(0))
-
-    def row(self, r: int) -> dict:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
-    def to_rows(self) -> list[Vector]:
-        data = [zero_vec(self.cols) for _ in range(self.rows)]
+    def columns(self) -> list[dict]:
+        """Every column as a sparse ``{row: value}`` map, in one pass."""
+        out: list[dict] = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
-            data[r][c] = v
-        return data
-
-    def column(self, c: int) -> Vector:
-        out = zero_vec(self.rows)
-        for (r, cc), v in self.entries.items():
-            if cc == c:
-                out[r] = v
+            out[c][r] = v
         return out
 
     def matvec(self, x: Sequence) -> Vector:
@@ -148,11 +109,6 @@ class RationalMatrix:
                     entries[key] = s
         return RationalMatrix(self.rows, other.cols, entries)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -163,9 +119,6 @@ class RationalMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
 
 def _sparse_rows(M: RationalMatrix) -> list[dict]:
@@ -278,63 +231,140 @@ def solve_particular(M: RationalMatrix, b: Sequence) -> Vector:
     return x
 
 
-def image_basis(M: RationalMatrix) -> list[Vector]:
-    """Basis of the column space, as columns of M at pivot positions."""
-    _, pivots, _ = row_reduce(M.transpose().transpose())
-    return [M.column(c) for c in pivots]
+def assemble(
+    src_labels: Sequence,
+    tgt_index: Mapping,
+    image: Callable[[object], Iterable[tuple[object, object]]],
+) -> RationalMatrix:
+    """Matrix whose column j is ``image(src_labels[j])``.
+
+    ``image`` yields ``(target label, coefficient)`` pairs; pairs hitting
+    the same entry accumulate.  A target label missing from ``tgt_index``
+    (label -> row) raises ValueError: the map left its declared target.
+    """
+    entries: dict = {}
+    for c, label in enumerate(src_labels):
+        for tgt, v in image(label):
+            r = tgt_index.get(tgt)
+            if r is None:
+                raise ValueError(f"image of {label!r} leaves the target basis at {tgt!r}")
+            entries[(r, c)] = entries.get((r, c), 0) + v
+    return RationalMatrix(len(tgt_index), len(src_labels), entries)
+
+
+class Subquotient:
+    """(span(cycles) + span(boundaries)) / span(boundaries), with coordinates.
+
+    One incremental elimination: the boundaries go in first, then each
+    cycle in the given order.  A cycle independent of everything before
+    it becomes a representative.  Every pivot row records its coordinates
+    over the representatives (boundaries count as zero), so ``coords`` is
+    one forward reduction with no new elimination.
+    """
+
+    def __init__(
+        self, ambient_dim: int, cycles: Sequence[Vector], boundaries: Sequence[Vector] = ()
+    ):
+        self.ambient_dim = ambient_dim
+        self.representatives: list = []
+        # leading column -> (row with a 1 there, row's coordinates over the reps)
+        self._pivots: dict[int, tuple[dict, dict]] = {}
+        for b in boundaries:
+            self._insert(b, None)
+        for z in cycles:
+            self._insert(z, z)
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+    def coords(self, v: Sequence) -> Vector:
+        """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
+        v lies outside span(cycles) + span(boundaries)."""
+        lead, coords = self._reduce(self._sparse(v))
+        if lead is not None:
+            raise NoSolution("vector outside span(cycles) + span(boundaries)")
+        return [coords.get(k, Fraction(0)) for k in range(self.dim)]
+
+    def _sparse(self, v: Sequence) -> dict:
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return {i: _frac(x) for i, x in enumerate(v) if x}
+
+    def _reduce(self, w: dict) -> tuple[int | None, dict]:
+        """Eliminate pivots from w in place, leading column first.
+
+        Returns the leading column of the remainder (None when w reduced
+        to zero) and the coordinates of the subtracted pivot rows.
+        """
+        coords: dict = {}
+        heap = list(w)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            f = w.get(c)
+            if f is None:
+                continue
+            pivot = self._pivots.get(c)
+            if pivot is None:
+                return c, coords
+            row, row_coords = pivot
+            for cc, x in row.items():
+                s = w.get(cc, 0) - f * x
+                if s:
+                    if cc not in w:
+                        heapq.heappush(heap, cc)
+                    w[cc] = s
+                else:
+                    w.pop(cc, None)
+            for k, x in row_coords.items():
+                coords[k] = coords.get(k, 0) + f * x
+        return None, coords
+
+    def _insert(self, v: Sequence, rep) -> None:
+        w = self._sparse(v)
+        lead, coords = self._reduce(w)
+        if lead is None:
+            return
+        # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries
+        row_coords = {k: -x for k, x in coords.items()}
+        if rep is not None:
+            row_coords[self.dim] = Fraction(1)
+            self.representatives.append(rep)
+        inv = 1 / w[lead]
+        self._pivots[lead] = (
+            {c: x * inv for c, x in w.items()},
+            {k: x * inv for k, x in row_coords.items()},
+        )
 
 
 class QuotientSpace:
     """Ambient rational space modulo the span of given vectors.
 
-    ``representatives`` complete the subspace to a basis of the ambient
-    space; ``reduce`` returns coordinates with respect to them, vanishing
-    exactly on the subspace span.
+    ``representatives`` are the unit vectors at the columns that are not
+    pivots of the subspace's echelon form, in ascending order; ``reduce``
+    returns coordinates with respect to them, vanishing exactly on the
+    subspace span.  A view over :class:`Subquotient` whose cycles are the
+    unit vectors in descending column order.
     """
 
     def __init__(self, ambient_dim: int, subspace: Sequence[Vector]):
-        for v in subspace:
-            if len(v) != ambient_dim:
-                raise ValueError("subspace vector length mismatch")
-        self.ambient_dim = ambient_dim
-        M = RationalMatrix.from_rows([vec(v) for v in subspace]) if subspace else None
-        if M is None:
-            self._rref_rows: list[dict] = []
-            self._pivots: list[int] = []
-        else:
-            R, pivots, _ = row_reduce(M)
-            self._rref_rows = _sparse_rows(R)[: len(pivots)]
-            self._pivots = pivots
-        pivot_set = set(self._pivots)
-        self.free_columns = [c for c in range(ambient_dim) if c not in pivot_set]
-        self.representatives: list[Vector] = []
-        for c in self.free_columns:
+        units = []
+        for c in reversed(range(ambient_dim)):
             e = zero_vec(ambient_dim)
             e[c] = Fraction(1)
-            self.representatives.append(e)
+            units.append(e)
+        self._sq = Subquotient(ambient_dim, units, subspace)
+        self.ambient_dim = ambient_dim
+        self.representatives: list[Vector] = self._sq.representatives[::-1]
 
     @property
     def dim(self) -> int:
-        return len(self.free_columns)
+        return self._sq.dim
 
     def reduce(self, v: Sequence) -> Vector:
         """Coordinates of v modulo the subspace (over the representatives)."""
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        w = list(v)
-        for i, pc in enumerate(self._pivots):
-            f = w[pc]
-            if f:
-                for c, val in self._rref_rows[i].items():
-                    w[c] -= f * val
-        return [w[c] for c in self.free_columns]
+        return self._sq.coords(v)[::-1]
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vec(self.reduce(v))
-
-
-def quotient_basis(ambient_dim: int, subspace: Sequence[Vector]):
-    """Functional view of QuotientSpace: (representatives, reduce)."""
-    q = QuotientSpace(ambient_dim, subspace)
-    return q.representatives, q.reduce

@@ -24,8 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import ChainComplexWindow
-from .cosimplicial import HochschildComplex, LiftFailure, mcclure_smith, zigzag_dr
+from .cosimplicial import HochschildComplex, mcclure_smith, zigzag_dr
 from .gerstenhaber import bracket
 from .instances import (
     MultiplicativeStructure,

@@ -30,7 +30,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Coeffs = dict  # label -> Fraction
 

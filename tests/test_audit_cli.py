@@ -130,6 +130,29 @@ class TestCLI:
         assert data["d"] == 7
         assert data["forced"][0]["source"] == [-1, 11]
 
+    @pytest.mark.parametrize(
+        "flag", [["--q-max=8"], ["--q-max", "8"]], ids=["equals", "space"]
+    )
+    def test_command_line_overrides_config(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q_max = 4\n")
+        out = tmp_path / "reports"
+        argv = ["--config", str(cfg), "--out", str(out), "hochschild", *flag]
+        assert main(argv) == 0
+        capsys.readouterr()
+        dims = json.loads((out / "hochschild.json").read_text())["dims"]
+        assert "-3,8" in dims  # q = 8 is only computed when --q-max wins
+        assert main(["--config", str(cfg), "--out", str(out), "hochschild"]) == 0
+        dims = json.loads((out / "hochschild.json").read_text())["dims"]
+        assert max(int(k.split(",")[1]) for k in dims) == 4
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_max = five\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "hochschild"])
+        assert exc.value.code == 2
+
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a config line\n")
@@ -140,3 +163,42 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "d2: (-1, 7) -> (-3, 8), rank 1" in out
         assert "pass" in out
+
+
+class TestBracketCommand:
+    WINDOW = ["--instance", "sphere:d=5", "--n-max", "4", "--q-max", "8"]
+
+    def run(self, capsys, *classes):
+        code = main(["bracket", *self.WINDOW, *classes])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_prints_the_requested_class_index(self, capsys):
+        # (-5, 15) is the first position with two classes (framed d=5)
+        code = main([
+            "bracket", "--instance", "framed:d=5", "--n-max", "6", "--q-max", "15",
+            "--class-a=-5,15,1", "--class-b=0,0,0",
+        ])
+        assert code == 0
+        assert "bracket of (-5,15)#1 and (0,0)#0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", ["-1", "1"])
+    def test_class_index_outside_the_position_is_usage_error(self, capsys, k):
+        code, _, err = self.run(capsys, f"--class-a=-2,4,{k}", "--class-b=-2,4,0")
+        assert code == 2
+        assert err.strip() == f"error: no class #{k} at (-2, 4); found 1"
+
+    def test_negative_arity_result_is_usage_error(self, capsys):
+        code, _, err = self.run(capsys, "--class-a=0,0,0", "--class-b=0,0,0")
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "arity -1" in err
+
+    @pytest.mark.parametrize(
+        "classes",
+        [("--class-a=-4,8,0", "--class-b=-4,8,0"),  # arity 7 > n_max
+         ("--class-a=-2,4,0", "--class-b=-3,8,0")],  # q = 12 > q_max
+    )
+    def test_result_beyond_the_window_is_window_error(self, capsys, classes):
+        code, _, err = self.run(capsys, *classes)
+        assert code == 3
+        assert err.startswith("window too small:") and len(err.strip().splitlines()) == 1

@@ -10,10 +10,11 @@ from operadlab.complexes import (
     ChainComplexWindow,
     GradedSpace,
     NotABoundary,
+    NotACycle,
     is_boundary_with_witness,
     tensor,
 )
-from operadlab.linalg import RationalMatrix, is_zero_vec, vec
+from operadlab.linalg import NoSolution, RationalMatrix, is_zero_vec, vec
 
 
 def interval_complex():
@@ -55,6 +56,24 @@ class TestHomology:
                 v = vec([Fraction(rng.randint(-2, 2)) for _ in range(C.dim(q))])
                 b = C.apply_d(q, v)
                 assert is_zero_vec(H.per_degree[q - 1].class_coordinates(b))
+
+    def test_non_cycle_raises_not_a_cycle_in_every_degree(self):
+        # degree 1 of the interval has no classes and no boundaries
+        H = interval_complex().homology()
+        assert H.per_degree[1].dim == 0 and not H.per_degree[1].boundary_basis
+        with pytest.raises(NotACycle):
+            H.per_degree[1].class_coordinates(vec([1]))
+        # degree 1 here has a class (y) and a boundary (z); x is no cycle
+        space = GradedSpace({0: ("a",), 1: ("x", "y", "z"), 2: ("w",)})
+        d1 = RationalMatrix(1, 3, {(0, 0): Fraction(1)})
+        d2 = RationalMatrix(3, 1, {(2, 0): Fraction(1)})
+        h = ChainComplexWindow(space, {1: d1, 2: d2}, (0, 2)).homology().per_degree[1]
+        assert h.dim == 1 and h.boundary_basis
+        assert h.class_coordinates(vec([0, 3, 5])) == vec([3])
+        with pytest.raises(NotACycle):
+            h.class_coordinates(vec([1, 0, 0]))
+        # one type, and still a NoSolution for callers that catch that
+        assert issubclass(NotACycle, NoSolution)
 
 
 class TestBoundaries:
