@@ -49,7 +49,7 @@ from .instances import (
     witness_generator,
     witness_multiplicative,
 )
-from .linalg import NoSolution, row_reduce
+from .linalg import NoSolution, rank
 from .obstruction import (
     ObstructionInput,
     choice_independence,
@@ -125,29 +125,41 @@ def _write_report(args, name: str, payload: dict):
 # -- instance registry -------------------------------------------------------
 
 
+def _check_d(d: int) -> int:
+    if d % 2 == 0 or d < 5:
+        raise UsageError(f"d must be odd and at least 5, got {d}")
+    return d
+
+
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise UsageError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def load_instance(spec: str, n_max: int, q_max: int):
     """Parse names like sphere:d=5, framed:d=5, poisson:d=5,
     witness:m=2, padded-witness:m=2, h1broken-witness:m=2."""
+    family, _, param = spec.partition(":")
+    key, _, value = param.partition("=")
     try:
-        family, _, param = spec.partition(":")
-        key, _, value = param.partition("=")
         value = int(value)
     except ValueError:
-        raise KeyError(spec)
-    if family == "sphere" and key == "d":
-        return sphere_multiplicative(value, n_max, q_max)
-    if family == "framed" and key == "d":
-        return framed_multiplicative(value, n_max, q_max)
-    if family == "poisson" and key == "d":
+        raise UsageError(f"unknown instance {spec!r}") from None
+    if key == "d" and family in ("sphere", "framed", "poisson"):
+        _check_d(value)
+        if family == "sphere":
+            return sphere_multiplicative(value, n_max, q_max)
+        if family == "framed":
+            return framed_multiplicative(value, n_max, q_max)
         return poisson_multiplicative(value)
-    if key == "m":
-        if family == "witness":
-            return witness_multiplicative(value)
-        if family == "padded-witness":
-            return witness_multiplicative(value, padded=True)
-        if family == "h1broken-witness":
-            return witness_multiplicative(value, break_h1=True)
-    raise KeyError(spec)
+    if key == "m" and family in ("witness", "padded-witness", "h1broken-witness"):
+        return witness_multiplicative(
+            _at_least("m", value, 2),
+            padded=family == "padded-witness",
+            break_h1=family == "h1broken-witness",
+        )
+    raise UsageError(f"unknown instance {spec!r}")
 
 
 def _witness_input(M) -> ObstructionInput:
@@ -163,7 +175,7 @@ def _witness_input(M) -> ObstructionInput:
 
 
 def cmd_cobar(args) -> int:
-    hopf = build_so_hopf(args.d, args.variant)
+    hopf = build_so_hopf(_check_d(args.d), args.variant)
     window = BidegreeWindow(p_min=args.p_min, q_max=args.q_max)
     dims, _ = cobar_homology(hopf, window)
     totals: dict = {}
@@ -243,7 +255,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_e2(args) -> int:
-    rep = framed_tensor_check(args.d, args.n_max, args.q_max)
+    rep = framed_tensor_check(_check_d(args.d), args.n_max, args.q_max)
     print(render_grid(rep.framed_dims, f"framed second page, d={args.d}"))
     print("tensor-splitting check:", "pass" if not rep.mismatches else "FAIL")
     print("vanishing-line check:  ", "pass" if not rep.vanishing_violations else "FAIL")
@@ -257,6 +269,7 @@ def cmd_e2(args) -> int:
 
 
 def cmd_ss(args) -> int:
+    _at_least("--r-max", args.r_max, 1)
     M = load_instance(args.instance, args.n_max, args.q_max)
     H = HochschildComplex(mcclure_smith(M, args.n_max), q_max=args.q_max)
     pages = ss_pages(H, args.r_max)
@@ -266,11 +279,11 @@ def cmd_ss(args) -> int:
         print(render_grid(dims, f"page {page.r} of {M.name}"))
         nonzero = []
         for (p, q), mat in page.differentials.items():
-            rank = len(row_reduce(mat)[1])
-            if rank:
+            rk = rank(mat)
+            if rk:
                 nonzero.append(
                     {"r": page.r, "source": [p, q],
-                     "target": [p - page.r, q + page.r - 1], "rank": rank}
+                     "target": [p - page.r, q + page.r - 1], "rank": rk}
                 )
         for item in nonzero:
             print(f"  d{item['r']}: {tuple(item['source'])} -> "
@@ -290,6 +303,7 @@ def cmd_ss(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    _at_least("--trials", args.trials, 0)
     M = load_instance(args.instance, args.n_max, args.q_max)
     if not M.operad.has_differential():
         res = formality_baseline(M, args.m)
@@ -336,7 +350,7 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    inp = standard_audit_input(args.d)
+    inp = standard_audit_input(_check_d(args.d))
     try:
         forced = convergence_audit(inp)
     except InconclusiveAudit as exc:
@@ -510,7 +524,7 @@ def main(argv=None) -> int:
     except (LiftFailure, WindowBoundary) as exc:
         print(f"window too small: {exc}", file=sys.stderr)
         return EXIT_WINDOW
-    except (KeyError, NoSolution, UsageError) as exc:
+    except (NoSolution, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

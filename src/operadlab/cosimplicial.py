@@ -305,6 +305,13 @@ class HochschildComplex:
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
         self._delta_cache: dict = {}
         self._d_cache: dict = {}
+        self._ss: SpectralSequence | None = None
+
+    def spectral_sequence(self) -> "SpectralSequence":
+        """The column-filtration spectral sequence, built once."""
+        if self._ss is None:
+            self._ss = SpectralSequence(self)
+        return self._ss
 
     def labels(self, n: int, q: int):
         return self._labels.get((n, q), ())
@@ -452,7 +459,7 @@ def hochschild_homology(
 
 def total_complex(H: HochschildComplex) -> ChainComplexWindow:
     """Total complex over t = q - n with D = d + (-1)^q delta."""
-    return SpectralSequence(H).total_complex()
+    return H.spectral_sequence().total_complex()
 
 
 @dataclass
@@ -499,6 +506,7 @@ class SpectralSequence:
             for t, b in self._tot_basis.items()
         }
         self._D_cache: dict = {}
+        self._pages_cache: dict = {}  # r_max -> pages
 
     def tot_dim(self, t: int) -> int:
         return len(self._tot_basis.get(t, ()))
@@ -615,6 +623,12 @@ class SpectralSequence:
         return True
 
     def pages(self, r_max: int) -> list:
+        """Pages 1..r_max, computed once per r_max."""
+        if r_max not in self._pages_cache:
+            self._pages_cache[r_max] = self._pages(r_max)
+        return self._pages_cache[r_max]
+
+    def _pages(self, r_max: int) -> list:
         out = []
         ts = sorted(self._tot_basis)
         positions = sorted(self.H._labels)
@@ -678,7 +692,7 @@ def _entry_coords(entry: Subquotient | None, y) -> list:
 
 def ss_pages(H: HochschildComplex, r_max: int) -> list:
     """Bousfield-Kan style pages of the double complex's column filtration."""
-    return SpectralSequence(H).pages(r_max)
+    return H.spectral_sequence().pages(r_max)
 
 
 def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
@@ -688,7 +702,7 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
     """
     if r_max is None:
         r_max = H.n_max + 2
-    ss = SpectralSequence(H)
+    ss = H.spectral_sequence()
     pages = ss.pages(r_max)
     last = pages[-1]
     tot = ss.total_complex()

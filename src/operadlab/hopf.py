@@ -224,15 +224,16 @@ class CobarComplex:
     def differential_word(self, word) -> dict:
         """Cobar differential of a single word: dict word -> coefficient.
 
-        Slot j of the word is replaced by its reduced diagonal with the
-        sign (-1)^{(sum of degrees of slots < j) + j} (slots counted from
-        zero); the convention is validated by the d^2 = 0 suite.
+        Slot j of the word is replaced by each split l (x) r of its reduced
+        diagonal with the sign (-1)^{(sum of degrees of slots < j) + j + |l|}
+        (slots counted from zero); |l| is the Koszul sign of the left
+        factor.  The convention is validated by the d^2 = 0 suite.
         """
         out: dict = {}
         for j, letter in enumerate(word):
             presum = sum(self.hopf.degree(m) for m in word[:j])
-            sign = Fraction(-1 if (presum + j) % 2 else 1)
             for (l, r), c in self.hopf.reduced_coproduct(letter).items():
+                sign = -1 if (presum + j + self.hopf.degree(l)) % 2 else 1
                 new = word[:j] + (l, r) + word[j + 1 :]
                 out[new] = out.get(new, Fraction(0)) + sign * c
         return {w: c for w, c in out.items() if c != 0}

@@ -410,7 +410,18 @@ def witness_generator(op: FreeChainOperad, name: str) -> OpElement:
 
 
 def arity_complex(op: Operad, n: int) -> ChainComplexWindow:
-    """The chain complex of O(n) over its populated degree range."""
+    """The chain complex of O(n) over its populated degree range.
+
+    Built once per operad and arity, so its homology is computed once
+    too; operads are not mutated after first use.
+    """
+    cache = vars(op).setdefault("_arity_complexes", {})
+    if n not in cache:
+        cache[n] = _arity_complex(op, n)
+    return cache[n]
+
+
+def _arity_complex(op: Operad, n: int) -> ChainComplexWindow:
     by_deg = op.basis_by_degree(n)
     space = GradedSpace({q: tuple(ls) for q, ls in by_deg.items()})
     degrees = space.degrees()

@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream reduces to this module: ``row_reduce`` with
-``rank``, ``kernel_basis`` and ``solve_particular`` on top of it, the
-:class:`Subquotient` behind homology, spectral-sequence pages and
-quotients, and :func:`assemble`, which builds every matrix from per-label
-images.  Matrices are stored sparsely as ``(row, col) -> Fraction`` maps;
-elimination works on sparse rows, so the large-but-sparse coboundary
-matrices stay cheap.
+Everything downstream reduces to one elimination, the incremental sparse
+forward reduction of :class:`Subquotient`.  It is behind homology,
+spectral-sequence pages and quotients, and ``row_reduce`` is that
+reduction on a matrix's columns: ``rank``, ``kernel_basis`` and
+``solve_particular`` read their answers off its pivot columns and the
+recorded coordinates of the dependent columns.  :func:`assemble` builds
+every matrix from per-label images.  Matrices are stored sparsely as
+``(row, col) -> Fraction`` maps and vectors are reduced as sparse maps,
+so the large-but-sparse coboundary matrices stay cheap.
 
-Pivoting is deterministic (leftmost column, smallest row index) so bases
-are reproducible across runs.
+Pivoting is deterministic (vectors in the given order, each reduced at
+its smallest nonzero index), so bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -121,113 +123,46 @@ class RationalMatrix:
         )
 
 
-def _sparse_rows(M: RationalMatrix) -> list[dict]:
-    rows: list[dict] = [dict() for _ in range(M.rows)]
-    for (r, c), v in M.entries.items():
-        rows[r][c] = v
-    return rows
+def row_reduce(M: RationalMatrix) -> "Subquotient":
+    """The echelon form of M: its columns fed, in order, into a
+    :class:`Subquotient` with no boundaries.
 
-
-def row_reduce(M: RationalMatrix) -> tuple[RationalMatrix, list[int], RationalMatrix]:
-    """Reduced row-echelon form.
-
-    Returns ``(R, pivots, T)`` with ``T @ M == R`` and ``pivots`` the pivot
-    columns in increasing order.
+    ``pivot_columns`` are the reduced row-echelon pivot columns, and
+    ``dependent[f]`` holds the coordinates of column f over them, which
+    are the echelon entries ``R[i, f]``.
     """
-    work = _sparse_rows(M)
-    # transform rows, augmented identity
-    trans: list[dict] = [{r: Fraction(1)} for r in range(M.rows)]
-    pivots: list[int] = []
-    pivot_row_of: list[int] = []  # parallel to pivots
-    next_row = 0
-    for col in range(M.cols):
-        # find pivot: smallest row index >= next_row with nonzero entry in col
-        pr = None
-        for r in range(next_row, M.rows):
-            if work[r].get(col, 0) != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        if pr != next_row:
-            work[next_row], work[pr] = work[pr], work[next_row]
-            trans[next_row], trans[pr] = trans[pr], trans[next_row]
-        # normalize
-        inv = Fraction(1) / work[next_row][col]
-        if inv != 1:
-            work[next_row] = {c: v * inv for c, v in work[next_row].items()}
-            trans[next_row] = {c: v * inv for c, v in trans[next_row].items()}
-        prow, trow = work[next_row], trans[next_row]
-        # eliminate everywhere else
-        for r in range(M.rows):
-            if r == next_row:
-                continue
-            f = work[r].get(col)
-            if not f:
-                continue
-            wr, tr = work[r], trans[r]
-            for c, v in prow.items():
-                s = wr.get(c, Fraction(0)) - f * v
-                if s == 0:
-                    wr.pop(c, None)
-                else:
-                    wr[c] = s
-            for c, v in trow.items():
-                s = tr.get(c, Fraction(0)) - f * v
-                if s == 0:
-                    tr.pop(c, None)
-                else:
-                    tr[c] = s
-        pivots.append(col)
-        pivot_row_of.append(next_row)
-        next_row += 1
-        if next_row == M.rows:
-            break
-    R = RationalMatrix(
-        M.rows, M.cols, {(r, c): v for r, row in enumerate(work) for c, v in row.items()}
-    )
-    T = RationalMatrix(
-        M.rows, M.rows, {(r, c): v for r, row in enumerate(trans) for c, v in row.items()}
-    )
-    return R, pivots, T
+    return Subquotient(M.rows, M.columns())
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(row_reduce(M)[1])
+    return row_reduce(M).dim
 
 
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
-    """Basis of ker M, one vector per free column (deterministic)."""
-    R, pivots, _ = row_reduce(M)
-    pivot_set = set(pivots)
-    rows = _sparse_rows(R)
+    """Basis of ker M, one vector e_f - sum_i R[i, f] e_{p_i} per free
+    column f (deterministic)."""
+    E = row_reduce(M)
     basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
-            continue
+    for free, coords in E.dependent.items():
         v = zero_vec(M.cols)
         v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            coeff = rows[i].get(free)
-            if coeff:
-                v[pc] = -coeff
+        for k, c in coords.items():
+            v[E.pivot_columns[k]] = -c
         basis.append(v)
     return basis
 
 
 def solve_particular(M: RationalMatrix, b: Sequence) -> Vector:
-    """One solution of M x = b; raises NoSolution if b is not in the image."""
-    if len(b) != M.rows:
-        raise ValueError("rhs length mismatch")
-    R, pivots, T = row_reduce(M)
-    tb = T.matvec(vec(b))
-    # rows beyond the pivot rows of R must have zero rhs
-    for r in range(len(pivots), M.rows):
-        if tb[r] != 0:
-            raise NoSolution("target not in the image")
+    """The solution of M x = b supported on the pivot columns; raises
+    NoSolution if b is not in the image."""
+    E = row_reduce(M)
+    try:
+        coords = E.coords(b)
+    except NoSolution:
+        raise NoSolution("target not in the image") from None
     x = zero_vec(M.cols)
-    for i, pc in enumerate(pivots):
-        x[pc] = tb[i]
+    for pc, c in zip(E.pivot_columns, coords):
+        x[pc] = c
     return x
 
 
@@ -257,28 +192,37 @@ class Subquotient:
 
     One incremental elimination: the boundaries go in first, then each
     cycle in the given order.  A cycle independent of everything before
-    it becomes a representative.  Every pivot row records its coordinates
-    over the representatives (boundaries count as zero), so ``coords`` is
-    one forward reduction with no new elimination.
+    it becomes a representative, and its index goes to ``pivot_columns``;
+    a dependent cycle keeps its coordinates over the representatives in
+    ``dependent`` (cycle index -> sparse coordinates).  Every pivot row
+    records its coordinates over the representatives (boundaries count as
+    zero), so ``coords`` is one forward reduction with no new elimination.
+    Vectors are dense sequences or sparse ``{index: value}`` maps.
     """
 
     def __init__(
-        self, ambient_dim: int, cycles: Sequence[Vector], boundaries: Sequence[Vector] = ()
+        self, ambient_dim: int, cycles: Sequence, boundaries: Sequence = ()
     ):
         self.ambient_dim = ambient_dim
         self.representatives: list = []
+        self.pivot_columns: list[int] = []
+        self.dependent: dict[int, dict] = {}
         # leading column -> (row with a 1 there, row's coordinates over the reps)
         self._pivots: dict[int, tuple[dict, dict]] = {}
         for b in boundaries:
             self._insert(b, None)
-        for z in cycles:
-            self._insert(z, z)
+        for i, z in enumerate(cycles):
+            coords = self._insert(z, z)
+            if coords is None:
+                self.pivot_columns.append(i)
+            else:
+                self.dependent[i] = coords
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def coords(self, v: Sequence) -> Vector:
+    def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
         v lies outside span(cycles) + span(boundaries)."""
         lead, coords = self._reduce(self._sparse(v))
@@ -286,7 +230,9 @@ class Subquotient:
             raise NoSolution("vector outside span(cycles) + span(boundaries)")
         return [coords.get(k, Fraction(0)) for k in range(self.dim)]
 
-    def _sparse(self, v: Sequence) -> dict:
+    def _sparse(self, v) -> dict:
+        if isinstance(v, dict):
+            return dict(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         return {i: _frac(x) for i, x in enumerate(v) if x}
@@ -321,11 +267,13 @@ class Subquotient:
                 coords[k] = coords.get(k, 0) + f * x
         return None, coords
 
-    def _insert(self, v: Sequence, rep) -> None:
+    def _insert(self, v, rep) -> dict | None:
+        """Add v to the echelon; returns its coordinates when it is
+        dependent, None when it became a pivot row."""
         w = self._sparse(v)
         lead, coords = self._reduce(w)
         if lead is None:
-            return
+            return coords
         # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries
         row_coords = {k: -x for k, x in coords.items()}
         if rep is not None:
@@ -336,6 +284,7 @@ class Subquotient:
             {c: x * inv for c, x in w.items()},
             {k: x * inv for k, x in row_coords.items()},
         )
+        return None
 
 
 class QuotientSpace:

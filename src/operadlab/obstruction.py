@@ -152,9 +152,11 @@ def _quotient_reduce(inp: ObstructionInput, z: OpElement):
     is taken on homology coordinates.
     """
     op, q = inp.operad, 4 * inp.m
-    hom3 = arity_complex(op, 3).homology().per_degree[q]
-    if not hom3.reliable:
-        raise ValueError("homology of O(3) unreliable at the obstruction degree")
+    C3 = arity_complex(op, 3)
+    if q > C3.window[1] and C3.complete_above:
+        return [], 0  # O(3) has no chains in degree q
+    # WindowBoundary when the O(3) window cannot certify degree q
+    hom3 = C3.homology().at(q)
     if hom3.dim == 0:
         return [], 0
     hom2 = arity_complex(op, 2).homology().per_degree.get(q)

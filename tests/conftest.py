@@ -1,4 +1,9 @@
-"""Shared helpers: randomized small chain complexes with known homology.
+"""Shared helpers: a dense elimination oracle and randomized small chain
+complexes with known homology.
+
+:func:`rref` is plain dense Fraction Gauss-Jordan, written for the tests
+only; it shares no code with the sparse incremental elimination in
+``operadlab.linalg``.
 
 A complex is assembled from elementary pieces — an identity two-term
 complex contributes nothing to homology, a lone generator contributes
@@ -13,25 +18,44 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from operadlab.complexes import ChainComplexWindow, GradedSpace
 from operadlab.linalg import RationalMatrix
 
 
+def rref(rows: list, ncols: int) -> tuple[list, list]:
+    """Reduced row-echelon form of dense rows: (pivot rows, pivot columns)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots: list = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                g = a[i][c]
+                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+# mostly-zero entries make dependent and repeated vectors common
+sparse_entries = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
 def dense_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse of a small dense matrix (test-side oracle)."""
+    """Inverse of a small invertible dense matrix: the right half of the
+    reduced echelon form of [A | I]."""
     n = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return [r[n:] for r in a]
+    augmented = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    return [r[n:] for r in rref(augmented, n)[0]]
 
 
 def random_invertible(n: int, rng: random.Random):

@@ -202,3 +202,28 @@ class TestBracketCommand:
         code, _, err = self.run(capsys, *classes)
         assert code == 3
         assert err.startswith("window too small:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["audit", "--d", "4"], 2),
+        (["cobar", "--d", "6"], 2),
+        (["e2", "--d", "3"], 2),
+        (["hochschild", "--instance", "sphere:d=4"], 2),
+        (["hochschild", "--instance", "sphere:d=five"], 2),
+        (["ss", "--instance", "witness:m=1"], 2),
+        (["ss", "--r-max", "0"], 2),
+        (["obstruction", "--trials", "-1"], 2),
+        # the obstruction degree 8 lies beyond the O(3) window (q <= 4)
+        (["obstruction", "--instance", "sphere:d=5", "--n-max", "9", "--q-max", "4"], 3),
+        # letters with three generators are in these windows
+        (["cobar", "--d", "7", "--variant", "fixing-subgroup"], 0),
+        (["cobar", "--d", "7", "--q-max", "24"], 0),
+    ],
+)
+def test_input_ends_in_its_exit_code_without_traceback(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == (code != 0)

@@ -108,3 +108,14 @@ class TestCobarHomology:
     def test_fixing_subgroup_d5_is_two_polynomial_generators(self):
         dims = cobar_homology_total_dims(build_so_hopf(5, "fixing-subgroup"), 8)
         assert dims == {0: 1, 2: 2, 4: 3, 6: 4, 8: 5}
+
+    @pytest.mark.parametrize("variant", ["full", "fixing-subgroup"])
+    def test_total_dims_d7_are_polynomial(self, variant):
+        # letters with three generators (b1 b2 e at q=15) enter the window,
+        # so the Koszul sign of each split's left factor matters
+        hopf = build_so_hopf(7, variant)
+        gens = [(-1, deg) for deg in hopf.gen_degrees]
+        expected: dict = {}
+        for (p, q), dim in free_commutative_bigraded(gens, 16).items():
+            expected[p + q] = expected.get(p + q, 0) + dim
+        assert cobar_homology_total_dims(hopf, 16) == expected

@@ -1,18 +1,24 @@
-"""Exact sparse linear algebra: reduction, kernels, solving, quotients."""
+"""Exact sparse linear algebra: reduction, kernels, solving, quotients.
 
-import random
+The readouts of the one elimination (``rank``, ``row_reduce``,
+``kernel_basis``, ``solve_particular``) are compared exactly with the
+dense Gauss-Jordan oracle ``conftest.rref``.
+"""
+
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref, sparse_entries
 from operadlab.linalg import (
     NoSolution,
     QuotientSpace,
     RationalMatrix,
     is_zero_vec,
     kernel_basis,
+    rank,
     row_reduce,
     solve_particular,
     vec,
@@ -43,24 +49,23 @@ small_matrices = st.integers(1, 4).flatmap(
 class TestRowReduce:
     def test_known_rank(self):
         M = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        R, pivots, T = row_reduce(M)
-        assert len(pivots) == 2
+        assert rank(M) == 2
+        assert row_reduce(M).pivot_columns == [0, 1]
 
     def test_identity_full_rank(self):
         M = mat([[1, 0], [0, 1]])
-        _, pivots, _ = row_reduce(M)
-        assert pivots == [0, 1]
+        assert row_reduce(M).pivot_columns == [0, 1]
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
-    def test_transform_reproduces_reduction(self, rows):
+    def test_echelon_is_the_dense_rref(self, rows):
         M = mat(rows)
-        R, pivots, T = row_reduce(M)
-        assert T.matmul(M).entries == R.entries
-        # row-echelon: each pivot column has a single unit entry
-        for r, c in enumerate(pivots):
-            col = [R.entries.get((i, c), Fraction(0)) for i in range(R.rows)]
-            assert col[r] == 1 and all(v == 0 for i, v in enumerate(col) if i != r)
+        R, pivots = rref(rows, M.cols)
+        E = row_reduce(M)
+        assert E.pivot_columns == pivots
+        # a dependent column's coordinates are its entries of the RREF
+        for f, coords in E.dependent.items():
+            assert [coords.get(i, 0) for i in range(len(pivots))] == [r[f] for r in R]
 
 
 class TestKernel:
@@ -77,8 +82,7 @@ class TestKernel:
     def test_kernel_vectors_annihilate(self, rows):
         M = mat(rows)
         basis = kernel_basis(M)
-        _, pivots, _ = row_reduce(M)
-        assert len(basis) == M.cols - len(pivots)
+        assert len(basis) == M.cols - rank(M)
         for v in basis:
             assert is_zero_vec(M.matvec(v))
 
@@ -128,4 +132,57 @@ class TestQuotient:
 
 def test_deterministic_pivoting():
     M = mat([[0, 1, 1], [1, 1, 0]])
-    assert row_reduce(M)[1] == row_reduce(mat([[0, 1, 1], [1, 1, 0]]))[1]
+    again = mat([[0, 1, 1], [1, 1, 0]])
+    assert row_reduce(M).pivot_columns == row_reduce(again).pivot_columns
+
+
+# -- readouts against the dense oracle ---------------------------------------
+
+
+@st.composite
+def sparse_problems(draw):
+    """Dense rows of a sparse rational matrix, a right-hand side and
+    integer coefficients for an image vector."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    row = st.lists(sparse_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    b = draw(st.lists(sparse_entries, min_size=nrows, max_size=nrows))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
+    return rows, b, coeffs
+
+
+@given(sparse_problems())
+@settings(max_examples=150, deadline=None)
+def test_rank_pivots_and_kernel_equal_the_oracle(problem):
+    rows, _, _ = problem
+    M = mat(rows)
+    R, pivots = rref(rows, M.cols)
+    assert rank(M) == len(pivots)
+    assert row_reduce(M).pivot_columns == pivots
+    expected = []
+    for f in range(M.cols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(j == f)) for j in range(M.cols)]
+        for r, pc in zip(R, pivots):
+            v[pc] = -r[f]
+        expected.append(v)
+    assert kernel_basis(M) == expected
+
+
+@given(sparse_problems())
+@settings(max_examples=150, deadline=None)
+def test_solve_particular_equals_the_oracle(problem):
+    rows, b, coeffs = problem
+    M = mat(rows)
+    for rhs in (vec(b), M.matvec(coeffs)):
+        augmented = [r + [x] for r, x in zip(rows, rhs)]
+        R, pivots = rref(augmented, M.cols + 1)
+        if M.cols in pivots:  # b is not in the image
+            with pytest.raises(NoSolution):
+                solve_particular(M, rhs)
+            continue
+        x = [Fraction(0)] * M.cols
+        for r, pc in zip(R, pivots):
+            x[pc] = r[M.cols]
+        assert solve_particular(M, rhs) == x

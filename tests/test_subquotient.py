@@ -1,9 +1,5 @@
-"""Subquotient and QuotientSpace against a dense Gauss-Jordan oracle.
-
-The oracle below is plain dense Fraction elimination, written for the
-tests only; it shares no code with the sparse incremental elimination in
-``operadlab.linalg``.
-"""
+"""Subquotient and QuotientSpace against the dense Gauss-Jordan oracle
+``conftest.rref``."""
 
 from fractions import Fraction
 
@@ -11,26 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref, sparse_entries
 from operadlab.linalg import NoSolution, QuotientSpace, Subquotient
-
-
-def rref(rows: list, ncols: int) -> tuple[list, list]:
-    """Reduced row-echelon form of dense rows: (pivot rows, pivot columns)."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots: list = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a[: len(pivots)], pivots
 
 
 def in_span(v: list, vectors: list) -> bool:
@@ -58,20 +36,13 @@ def free_column_reduce(v: list, subspace: list) -> tuple[list, list]:
     return [w[c] for c in free], free
 
 
-# mostly-zero entries make dependent and repeated vectors common
-entries = st.one_of(
-    st.sampled_from([0, 0, 0, 1, -1]),
-    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
-)
-
-
 @st.composite
 def problems(draw):
     n = draw(st.integers(1, 5))
-    vectors = st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5)
+    vectors = st.lists(st.lists(sparse_entries, min_size=n, max_size=n), max_size=5)
     cycles, boundaries = draw(vectors), draw(vectors)
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=10, max_size=10))
-    probe = draw(st.lists(entries, min_size=n, max_size=n))
+    probe = draw(st.lists(sparse_entries, min_size=n, max_size=n))
     return n, cycles, boundaries, coeffs, probe
 
 
