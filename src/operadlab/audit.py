@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .complexes import totals_by_degree
 from .hopf import BidegreeWindow, build_so_hopf, cobar_homology
+
+# the last page on which the audit looks for a forced differential
+PAGE_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -95,29 +99,26 @@ def _monomials(gens, t_max: int):
     return list(rec(0, t_max))
 
 
-def e2_table(inp: AuditInput) -> dict:
-    """Bigraded dimensions (p, q) -> dim of the free algebra, t <= t_max."""
+def _e2_positions(inp: AuditInput) -> tuple[dict, set]:
+    """The free algebra's bigraded dimensions (p, q) -> dim for t <= t_max,
+    and the bidegrees whose every monomial is a product of permanent
+    generators: the whole position survives and is off-limits to the
+    enumeration."""
     gens = inp.e2_generators
     table: dict = {}
+    mortal = set()
     for exps in _monomials(gens, inp.t_max):
         p = sum(e * g.p for e, g in zip(exps, gens))
         q = sum(e * g.q for e, g in zip(exps, gens))
         table[(p, q)] = table.get((p, q), 0) + 1
-    return table
+        if not all(g.permanent for e, g in zip(exps, gens) if e):
+            mortal.add((p, q))
+    return table, set(table) - mortal
 
 
-def _permanent_positions(inp: AuditInput) -> set:
-    """Bidegrees whose every monomial is a product of permanent
-    generators: the whole position survives and is off-limits to the
-    enumeration."""
-    gens = inp.e2_generators
-    perm: dict = {}
-    for exps in _monomials(gens, inp.t_max):
-        p = sum(e * g.p for e, g in zip(exps, gens))
-        q = sum(e * g.q for e, g in zip(exps, gens))
-        all_perm = all(g.permanent for e, g in zip(exps, gens) if e)
-        perm[(p, q)] = perm.get((p, q), True) and all_perm
-    return {pos for pos, flag in perm.items() if flag}
+def e2_table(inp: AuditInput) -> dict:
+    """Bigraded dimensions (p, q) -> dim of the free algebra, t <= t_max."""
+    return _e2_positions(inp)[0]
 
 
 def abutment_dims(inp: AuditInput) -> dict:
@@ -132,22 +133,18 @@ def abutment_dims(inp: AuditInput) -> dict:
 
 
 def e2_total_dims(inp: AuditInput) -> dict:
-    out: dict = {}
-    for (p, q), d in e2_table(inp).items():
-        out[p + q] = out.get(p + q, 0) + d
-    return out
+    return totals_by_degree(e2_table(inp))
 
 
-def convergence_audit(inp: AuditInput, r_max: int = 10) -> list[ForcedDifferential]:
+def convergence_audit(inp: AuditInput) -> list[ForcedDifferential]:
     """Forced differentials resolving the lowest-degree surplus.
 
     Empty list when the second-page totals already match the abutment;
     ``InconclusiveAudit`` when the enumeration leaves several options.
     """
     inp.validate()
-    table = e2_table(inp)
-    perm = _permanent_positions(inp)
-    totals = e2_total_dims(inp)
+    table, perm = _e2_positions(inp)
+    totals = totals_by_degree(table)
     abut = abutment_dims(inp)
     surplus_ts = sorted(
         t for t in totals if totals[t] > abut.get(t, 0) and t <= inp.t_max
@@ -162,7 +159,7 @@ def convergence_audit(inp: AuditInput, r_max: int = 10) -> list[ForcedDifferenti
     ]
     candidates = []
     for (p, q) in dying:
-        for r in range(2, r_max + 1):
+        for r in range(2, PAGE_MAX + 1):
             src = (p + r, q - r + 1)
             if src[0] <= 0 and table.get(src, 0) > 0 and src not in perm:
                 candidates.append(

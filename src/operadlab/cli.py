@@ -24,7 +24,7 @@ from .audit import (
     framed_tensor_check,
     standard_audit_input,
 )
-from .complexes import WindowBoundary
+from .complexes import WindowBoundary, totals_by_degree
 from .cosimplicial import (
     HochschildComplex,
     LiftFailure,
@@ -137,6 +137,11 @@ def _at_least(name: str, value: int, low: int) -> int:
     return value
 
 
+def _check_window(args) -> None:
+    _at_least("--n-max", args.n_max, 0)
+    _at_least("--q-max", args.q_max, 0)
+
+
 def load_instance(spec: str, n_max: int, q_max: int):
     """Parse names like sphere:d=5, framed:d=5, poisson:d=5,
     witness:m=2, padded-witness:m=2, h1broken-witness:m=2."""
@@ -178,11 +183,9 @@ def cmd_cobar(args) -> int:
     hopf = build_so_hopf(_check_d(args.d), args.variant)
     window = BidegreeWindow(p_min=args.p_min, q_max=args.q_max)
     dims, _ = cobar_homology(hopf, window)
-    totals: dict = {}
-    for (p, q), dim in dims.items():
-        totals[p + q] = totals.get(p + q, 0) + dim
+    totals = totals_by_degree(dims)
     print(render_grid(dims, f"cobar homology, d={args.d} ({args.variant})"))
-    print("totals by p+q:", dict(sorted(totals.items())))
+    print("totals by p+q:", totals)
     _write_report(
         args,
         "cobar",
@@ -194,6 +197,7 @@ def cmd_cobar(args) -> int:
 
 
 def cmd_hochschild(args) -> int:
+    _check_window(args)
     M = load_instance(args.instance, args.n_max, args.q_max)
     if M.operad.has_differential():
         raise CheckFailure(
@@ -229,6 +233,7 @@ def _parse_class(HH, text: str):
 
 
 def cmd_bracket(args) -> int:
+    _check_window(args)
     M = load_instance(args.instance, args.n_max, args.q_max)
     if M.operad.has_differential():
         raise CheckFailure("bracket of classes requires a zero-differential instance")
@@ -255,6 +260,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_e2(args) -> int:
+    _check_window(args)
     rep = framed_tensor_check(_check_d(args.d), args.n_max, args.q_max)
     print(render_grid(rep.framed_dims, f"framed second page, d={args.d}"))
     print("tensor-splitting check:", "pass" if not rep.mismatches else "FAIL")
@@ -270,6 +276,7 @@ def cmd_e2(args) -> int:
 
 def cmd_ss(args) -> int:
     _at_least("--r-max", args.r_max, 1)
+    _check_window(args)
     M = load_instance(args.instance, args.n_max, args.q_max)
     H = HochschildComplex(mcclure_smith(M, args.n_max), q_max=args.q_max)
     pages = ss_pages(H, args.r_max)
@@ -365,7 +372,7 @@ def cmd_audit(args) -> int:
     for f in forced:
         print(f"  page {f.r}: {f.source} -> {f.target}")
         print(f"    {f.reason}")
-    print("second-page totals:", dict(sorted(e2_total_dims(inp).items())))
+    print("second-page totals:", e2_total_dims(inp))
     print("abutment totals:   ", dict(sorted(abutment_dims(inp).items())))
     _write_report(args, "audit",
                   {"d": args.d, "forced": [f.__dict__ for f in forced]})

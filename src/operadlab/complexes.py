@@ -63,11 +63,14 @@ class GradedSpace:
     def labels(self, q: int):
         return self.basis.get(q, ())
 
-    def index(self, q: int, label) -> int:
-        return self.basis[q].index(label)
 
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
+def totals_by_degree(dims: dict, t_max: int | None = None) -> dict:
+    """Sum a (p, q) -> dim table by total degree p + q, up to t_max."""
+    out: dict = {}
+    for (p, q), d in dims.items():
+        if t_max is None or p + q <= t_max:
+            out[p + q] = out.get(p + q, 0) + d
+    return dict(sorted(out.items()))
 
 
 class ChainComplexWindow:
@@ -86,7 +89,6 @@ class ChainComplexWindow:
         window: tuple[int, int] | None = None,
         complete_below: bool = True,
         complete_above: bool = True,
-        check: bool = True,
     ):
         self.space = space
         degrees = space.degrees()
@@ -107,8 +109,7 @@ class ChainComplexWindow:
             if (M.rows, M.cols) != (n_to, n_from):
                 raise ValueError(f"differential at degree {q} has wrong shape")
             self.differential[q] = M
-        if check:
-            self._check_dd()
+        self._check_dd()
         self._homology_cache: HomologyResult | None = None
 
     def _check_dd(self):
@@ -200,12 +201,6 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
     out = {}
     for q in range(lo, hi + 1):
         n = C.dim(q)
-        reliable = True
-        # incoming boundaries need d_{q+1}; outgoing cycles need d_q
-        if q + 1 > hi and not C.complete_above:
-            reliable = False
-        if q == lo and not C.complete_below:
-            reliable = False
         if q > lo:
             cycles = kernel_basis(C.d(q))
         elif C.complete_below:
@@ -228,7 +223,7 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
             dim=quotient.dim,
             representatives=quotient.representatives,
             boundary_basis=boundary_gens,
-            reliable=reliable,
+            reliable=C.reliable(q),
             _quotient=quotient,
         )
     return HomologyResult(C, out)

@@ -26,14 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .complexes import ChainComplexWindow, GradedSpace
-from .instances import (
-    FramedOperad,
-    MultiplicativeStructure,
-    SphereOperad,
-    arity_complex,
-)
+from .complexes import ChainComplexWindow, GradedSpace, totals_by_degree
+from .instances import MultiplicativeStructure, arity_complex
 from .linalg import (
     NoSolution,
     RationalMatrix,
@@ -46,7 +42,7 @@ from .linalg import (
     vec,
     zero_vec,
 )
-from .operads import Coeffs, OpElement, Operad, TableOperad
+from .operads import Coeffs, OpElement, vector_to_chain
 
 
 class LiftFailure(Exception):
@@ -54,24 +50,23 @@ class LiftFailure(Exception):
 
 
 class SemicosimplicialChainComplex:
-    """Columns X^n with cofaces d^i: X^n -> X^{n+1}, 0 <= i <= n+1.
+    """Columns X^n of a host operad with cofaces d^i: X^n -> X^{n+1},
+    0 <= i <= n+1.
 
     ``coface(n, i, label) -> Coeffs`` gives the coface on a basis label of
     column n; ``codegeneracy(n, i, label) -> Coeffs`` (optional) gives
-    s^i: X^{n+1} -> X^n for 0 <= i <= n.  ``vanishes(n, q)`` reports that
-    the (normalized) column n is known to be zero in chain degree q for
-    indices outside the stored range.
+    s^i: X^{n+1} -> X^n for 0 <= i <= n.  Outside the stored range the
+    host's ``column_vanishes(n, q)`` certifies zero columns.
     """
 
-    def __init__(self, columns, coface, codegeneracy=None, vanishes=None, name=""):
+    def __init__(self, host, columns, coface, codegeneracy=None):
+        self.host = host
         self.columns = dict(columns)
         self.n_max = max(self.columns)
         if sorted(self.columns) != list(range(self.n_max + 1)):
             raise ValueError("columns must be indexed 0..n_max")
         self.coface = coface
         self.codegeneracy = codegeneracy
-        self._vanishes = vanishes or (lambda n, q: False)
-        self.name = name
 
     def vanishes(self, n: int, q: int) -> bool:
         if 0 <= n <= self.n_max:
@@ -81,7 +76,7 @@ class SemicosimplicialChainComplex:
                 return col.space.dim(q) == 0
         if n < 0 or q < 0:
             return True
-        return self._vanishes(n, q)
+        return self.host.column_vanishes(n, q)
 
     def delta_on_label(self, n: int, label) -> Coeffs:
         """Alternating coface sum delta = sum_i (-1)^i d^i on one label."""
@@ -106,6 +101,7 @@ class SemicosimplicialChainComplex:
     def check_coface_identities(self, q_max: int | None = None) -> list:
         """d^j d^i = d^i d^{j-1} for i < j, on every stored basis label."""
         failures = []
+        face = self.coface
         for n in range(self.n_max - 1):
             col = self.columns[n]
             for q in col.space.degrees():
@@ -114,19 +110,10 @@ class SemicosimplicialChainComplex:
                 for label in col.space.labels(q):
                     for j in range(n + 3):
                         for i in range(j):
-                            lhs: Coeffs = {}
-                            for l2, c in self.coface(n, i, label).items():
-                                for l3, c2 in self.coface(n + 1, j, l2).items():
-                                    lhs[l3] = lhs.get(l3, Fraction(0)) + c * c2
-                            rhs: Coeffs = {}
-                            for l2, c in self.coface(n, j - 1, label).items():
-                                for l3, c2 in self.coface(n + 1, i, l2).items():
-                                    rhs[l3] = rhs.get(l3, Fraction(0)) + c * c2
-                            diff = {
-                                l: lhs.get(l, Fraction(0)) - rhs.get(l, Fraction(0))
-                                for l in set(lhs) | set(rhs)
-                            }
-                            if any(v != 0 for v in diff.values()):
+                            if _differ(
+                                _then(partial(face, n, i), partial(face, n + 1, j), label),
+                                _then(partial(face, n, j - 1), partial(face, n + 1, i), label),
+                            ):
                                 failures.append(("coface", n, i, j, label))
         return failures
 
@@ -135,6 +122,7 @@ class SemicosimplicialChainComplex:
         if self.codegeneracy is None:
             return []
         failures = []
+        face, degen = self.coface, self.codegeneracy
         for n in range(self.n_max):
             col = self.columns[n]
             for q in col.space.degrees():
@@ -143,12 +131,8 @@ class SemicosimplicialChainComplex:
                 for label in col.space.labels(q):
                     for j in range(n + 1):
                         for i in (j, j + 1):
-                            acc: Coeffs = {}
-                            for l2, c in self.coface(n, i, label).items():
-                                for l3, c2 in self.codegeneracy(n, j, l2).items():
-                                    acc[l3] = acc.get(l3, Fraction(0)) + c * c2
-                            acc[label] = acc.get(label, Fraction(0)) - 1
-                            if any(v != 0 for v in acc.values()):
+                            acc = _then(partial(face, n, i), partial(degen, n, j), label)
+                            if _differ(acc, {label: 1}):
                                 failures.append(("codegeneracy", n, i, j, label))
         return failures
 
@@ -160,30 +144,32 @@ class SemicosimplicialChainComplex:
             for q in src.space.degrees():
                 if q - 1 < src.window[0]:
                     continue
-                labels = src.space.labels(q)
-                tlabels = tgt.space.labels(q - 1)
-                tindex = {l: k for k, l in enumerate(tlabels)}
-                src_cols = src.d_columns(q)
-                tgt_cols = tgt.d_columns(q)
+                d_src, d_tgt = _label_map(src, q), _label_map(tgt, q)
                 for i in range(n + 2):
-                    for label in labels:
-                        # d(coface(x))
-                        lhs = zero_vec(len(tlabels))
-                        for l2, c in self.coface(n, i, label).items():
-                            for r, v in tgt_cols[l2].items():
-                                lhs[r] += c * v
-                        # coface(dx)
-                        rhs = zero_vec(len(tlabels))
-                        for r, v in src_cols[label].items():
-                            for l2, c in self.coface(
-                                n, i, src.space.labels(q - 1)[r]
-                            ).items():
-                                rhs[tindex[l2]] += v * c
-                        if not is_zero_vec(
-                            [a - b for a, b in zip(lhs, rhs, strict=True)]
-                        ):
+                    face = partial(self.coface, n, i)
+                    for label in src.space.labels(q):
+                        if _differ(_then(face, d_tgt, label), _then(d_src, face, label)):
                             failures.append(("chain-map", n, i, q, label))
         return failures
+
+
+def _then(f, g, label) -> Coeffs:
+    """(g after f)(label) for label maps returning Coeffs."""
+    out: Coeffs = {}
+    for l2, c in f(label).items():
+        for l3, c2 in g(l2).items():
+            out[l3] = out.get(l3, Fraction(0)) + c * c2
+    return out
+
+
+def _differ(a: Coeffs, b: Coeffs) -> bool:
+    return any(a.get(l, 0) != b.get(l, 0) for l in a.keys() | b.keys())
+
+
+def _label_map(C: ChainComplexWindow, q: int):
+    """d_q of C as a label map."""
+    cols, tgt = C.d_columns(q), C.space.labels(q - 1)
+    return lambda label: {tgt[r]: v for r, v in cols[label].items()}
 
 
 def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
@@ -215,48 +201,7 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
             x = OpElement.basis(n + 1, label)
             return op.compose(x, i + 1, M.point).as_dict()
 
-    return SemicosimplicialChainComplex(
-        columns,
-        coface,
-        codegeneracy=codegeneracy,
-        vanishes=_host_vanishes(op),
-        name=M.name,
-    )
-
-
-def _host_vanishes(op: Operad):
-    """Vanishing predicate for column data outside the stored window.
-
-    Sphere and framed instances are windows into untruncated operads, so
-    only the normalized coverage line q >= n (d-1) / 2 certifies zeros
-    beyond the arity cap.  Table and free hosts are the truncated objects
-    themselves: their columns genuinely vanish past the truncation, and a
-    degree cap bounds chain degrees.
-    """
-    truncated_host = not isinstance(op, (SphereOperad, FramedOperad))
-
-    def f(n: int, q: int) -> bool:
-        if truncated_host and n > op.max_arity:
-            return True
-        if truncated_host and op.degree_cap is not None and q > op.degree_cap:
-            return True
-        if isinstance(op, SphereOperad) and 2 * q < n * (op.d - 1):
-            return True  # normalized columns only; raw checks stay in-window
-        if isinstance(op, FramedOperad):
-            per_slot = min(op.base.d - 1, 2 * min(op.hopf.gen_degrees))
-            if 2 * q < n * per_slot:
-                return True
-        if isinstance(op, TableOperad):
-            top = max(
-                (q2 for nn in range(op.max_arity + 1)
-                 for q2 in op.basis_by_degree(nn)),
-                default=0,
-            )
-            if q > top:
-                return True
-        return False
-
-    return f
+    return SemicosimplicialChainComplex(op, columns, coface, codegeneracy=codegeneracy)
 
 
 def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpElement:
@@ -409,12 +354,7 @@ class HochschildHomology:
         self.classes = classes
 
     def total_dims(self, t_max: int | None = None) -> dict:
-        out: dict = {}
-        for (p, q), d in self.dims.items():
-            t = p + q
-            if t_max is None or t <= t_max:
-                out[t] = out.get(t, 0) + d
-        return {t: d for t, d in sorted(out.items()) if d}
+        return totals_by_degree(self.dims, t_max)
 
     def classes_at(self, p: int, q: int) -> list:
         return [c for c in self.classes if c.p == p and c.q == q]
@@ -445,11 +385,8 @@ def hochschild_homology(
             if h.dim:
                 dims[(p, q)] = h.dim
             n = -p
-            labels = H.labels(n, q)
             for rep in h.representatives:
-                el = OpElement.make(
-                    n, {l: c for l, c in zip(labels, rep) if c != 0}
-                )
+                el = vector_to_chain(n, H.labels(n, q), rep)
                 classes.append(HochschildClass(n, q, rep, el, H.normalized))
     return HochschildHomology(H, homs, dims, classes)
 
@@ -593,9 +530,6 @@ class SpectralSequence:
             out.append(v)
         return out
 
-    def _apply_D(self, t: int, v):
-        return self.D(t).matvec(v)
-
     def entry_reliable(self, p: int, q: int, r: int) -> bool:
         """Conservative check that the truncation cannot change E_r(p,q).
 
@@ -640,7 +574,7 @@ class SpectralSequence:
                 Z = self._Z(r, p, t)
                 denom = self._Z(r - 1, p - 1, t)
                 up = self._Z(r - 1, p + r - 1, t + 1)
-                denom = denom + [self._apply_D(t + 1, u) for u in up]
+                denom = denom + [self.D(t + 1).matvec(u) for u in up]
                 quo = Subquotient(self.tot_dim(t), Z, denom)
                 entries[(p, q)] = PageEntry(
                     p, q, quo.dim, quo.representatives, self.entry_reliable(p, q, r)
@@ -653,7 +587,7 @@ class SpectralSequence:
                     continue
                 tgt = quotients.get((p - r, q + r - 1))
                 cols = [
-                    _entry_coords(tgt, self._apply_D(p + q, x))
+                    _entry_coords(tgt, self.D(p + q).matvec(x))
                     for x in e.representatives
                 ]
                 if tgt is not None and tgt.dim:

@@ -30,7 +30,14 @@ from .instances import (
     poisson_operad_small,
     sphere_operad,
 )
-from .operads import AxiomFailure, AxiomReport, OpElement, Operad, TruncationError
+from .operads import (
+    AxiomReport,
+    OpElement,
+    Operad,
+    TruncationError,
+    chain_to_vector,
+    vector_to_chain,
+)
 
 
 def shifted_degree(op: Operad, x: OpElement) -> int:
@@ -64,24 +71,20 @@ def bracket(op: Operad, x: OpElement, y: OpElement) -> OpElement:
 # -- exhaustive checks -------------------------------------------------------
 
 
+def _sign(op: Operad, x: OpElement, y: OpElement) -> int:
+    """(-1)^{s_x s_y}; a ValueError for an element without a shifted degree."""
+    return (-1) ** ((shifted_degree(op, x) * shifted_degree(op, y)) % 2)
+
+
 def check_antisymmetry(op: Operad, elems) -> AxiomReport:
     """{x,y} + (-1)^{s_x s_y} {y,x} = 0."""
     report = AxiomReport()
     for x in elems:
         for y in elems:
-            try:
-                sx, sy = shifted_degree(op, x), shifted_degree(op, y)
-                lhs = bracket(op, x, y) + bracket(op, y, x).scale(
-                    (-1) ** ((sx * sy) % 2)
-                )
-            except TruncationError:
-                report.skipped += 1
-                continue
-            report.checked += 1
-            if not lhs.is_zero():
-                report.failures.append(
-                    AxiomFailure("antisymmetry", (x.coeffs, y.coeffs))
-                )
+            sign = _sign(op, x, y)
+            report.record("antisymmetry", (x.coeffs, y.coeffs), lambda: (
+                bracket(op, x, y) + bracket(op, y, x).scale(sign)
+            ))
     return report
 
 
@@ -89,41 +92,27 @@ def check_jacobi(op: Operad, triples) -> AxiomReport:
     """(-1)^{s_x s_z} {x,{y,z}} + cyclic = 0 on the given triples."""
     report = AxiomReport()
     for x, y, z in triples:
-        try:
-            sx = shifted_degree(op, x)
-            sy = shifted_degree(op, y)
-            sz = shifted_degree(op, z)
-            t1 = bracket(op, x, bracket(op, y, z)).scale((-1) ** ((sx * sz) % 2))
-            t2 = bracket(op, y, bracket(op, z, x)).scale((-1) ** ((sy * sx) % 2))
-            t3 = bracket(op, z, bracket(op, x, y)).scale((-1) ** ((sz * sy) % 2))
-        except TruncationError:
-            report.skipped += 1
-            continue
-        report.checked += 1
-        if not (t1 + t2 + t3).is_zero():
-            report.failures.append(
-                AxiomFailure("jacobi", (x.coeffs, y.coeffs, z.coeffs))
-            )
+        s1, s2, s3 = _sign(op, x, z), _sign(op, y, x), _sign(op, z, y)
+        report.record("jacobi", (x.coeffs, y.coeffs, z.coeffs), lambda: (
+            bracket(op, x, bracket(op, y, z)).scale(s1)
+            + bracket(op, y, bracket(op, z, x)).scale(s2)
+            + bracket(op, z, bracket(op, x, y)).scale(s3)
+        ))
     return report
 
 
 def check_pre_lie(op: Operad, triples) -> AxiomReport:
     """Circle associator graded-symmetric in the last two arguments."""
     report = AxiomReport()
+
+    def associator(x, y, z):
+        return circle(op, circle(op, x, y), z) - circle(op, x, circle(op, y, z))
+
     for x, y, z in triples:
-        try:
-            sy = shifted_degree(op, y)
-            sz = shifted_degree(op, z)
-            a1 = circle(op, circle(op, x, y), z) - circle(op, x, circle(op, y, z))
-            a2 = circle(op, circle(op, x, z), y) - circle(op, x, circle(op, z, y))
-        except TruncationError:
-            report.skipped += 1
-            continue
-        report.checked += 1
-        if not (a1 - a2.scale((-1) ** ((sy * sz) % 2))).is_zero():
-            report.failures.append(
-                AxiomFailure("pre-lie", (x.coeffs, y.coeffs, z.coeffs))
-            )
+        sign = _sign(op, y, z)
+        report.record("pre-lie", (x.coeffs, y.coeffs, z.coeffs), lambda: (
+            associator(x, y, z) - associator(x, z, y).scale(sign)
+        ))
     return report
 
 
@@ -131,15 +120,9 @@ def check_delta_compat(M: MultiplicativeStructure, elems) -> AxiomReport:
     """delta_nu(x) = {nu, x} exactly, for every sampled element."""
     report = AxiomReport()
     for x in elems:
-        try:
-            lhs = hochschild_differential(M, x)
-            rhs = bracket(M.operad, M.mult, x)
-        except TruncationError:
-            report.skipped += 1
-            continue
-        report.checked += 1
-        if not (lhs - rhs).is_zero():
-            report.failures.append(AxiomFailure("delta-compat", (x.coeffs,)))
+        report.record("delta-compat", (x.coeffs,), lambda: (
+            hochschild_differential(M, x) - bracket(M.operad, M.mult, x)
+        ))
     return report
 
 
@@ -148,23 +131,21 @@ def check_bracket_derivation(op: Operad, pairs) -> AxiomReport:
 
     The bracket is not expected to be a (anti)derivation for the internal
     differential; this check reports where the property fails instead of
-    assuming either outcome.
+    assuming either outcome.  A pair without shifted degrees is skipped.
     """
     report = AxiomReport()
-    for x, y in pairs:
+    d = op.differential
+
+    def residual(x, y):
         try:
-            sx = shifted_degree(op, x)
-            lhs = op.differential(bracket(op, x, y))
-            dx, dy = op.differential(x), op.differential(y)
-            rhs = bracket(op, dx, y) + bracket(op, x, dy).scale(
-                (-1) ** ((sx + 1) % 2)
-            )
-        except (TruncationError, ValueError):
-            report.skipped += 1
-            continue
-        report.checked += 1
-        if not (lhs - rhs).is_zero():
-            report.failures.append(AxiomFailure("derivation", (x.coeffs, y.coeffs)))
+            sign = (-1) ** ((shifted_degree(op, x) + 1) % 2)
+            rhs = bracket(op, d(x), y) + bracket(op, x, d(y)).scale(sign)
+            return d(bracket(op, x, y)) - rhs
+        except ValueError as exc:
+            raise TruncationError(exc) from exc
+
+    for x, y in pairs:
+        report.record("derivation", (x.coeffs, y.coeffs), lambda: residual(x, y))
     return report
 
 
@@ -191,12 +172,8 @@ def bracket_on_classes(
         raise WindowBoundary(
             f"the bracket lands at (p, q) = ({-n}, {q}), outside the computed window"
         )
-    z = bracket(M.operad, c1.element, c2.element)
     labels = H.labels(n, q)
-    index = {l: k for k, l in enumerate(labels)}
-    v = [Fraction(0)] * len(labels)
-    for l, c in z.coeffs:
-        v[index[l]] += c
+    v = chain_to_vector(bracket(M.operad, c1.element, c2.element), labels)
     rep = [Fraction(0)] * len(labels)
     if q in HH.homs:  # else no chains at all in degree q
         hom = HH.homs[q].at(-n)
@@ -204,8 +181,7 @@ def bracket_on_classes(
             if c != 0:
                 for j, val in enumerate(hom.representatives[k]):
                     rep[j] += c * val
-    el = OpElement.make(n, {l: c for l, c in zip(labels, rep) if c != 0})
-    return HochschildClass(n, q, rep, el, H.normalized)
+    return HochschildClass(n, q, rep, vector_to_chain(n, labels, rep), H.normalized)
 
 
 def class_is_zero(HH: HochschildHomology, c: HochschildClass) -> bool:

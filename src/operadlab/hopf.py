@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ChainComplexWindow, GradedSpace
+from .complexes import ChainComplexWindow, GradedSpace, totals_by_degree
 from .linalg import RationalMatrix, assemble
 
 # A monomial is a sorted tuple of generator indices (square-free).
@@ -60,7 +60,6 @@ class PrimitiveExteriorHopf:
             raise ValueError("duplicate generator names")
         self.generators = list(generators)
         self.gen_degrees = [d for _, d in generators]
-        self.gen_names = [n for n, _ in generators]
         self.monomials: list[Monomial] = [
             tuple(c)
             for k in range(len(generators) + 1)
@@ -73,19 +72,6 @@ class PrimitiveExteriorHopf:
 
     def degree(self, mon: Monomial) -> int:
         return sum(self.gen_degrees[i] for i in mon)
-
-    def dims_by_degree(self) -> dict:
-        dims: dict = {}
-        for mon in self.monomials:
-            q = self.degree(mon)
-            dims[q] = dims.get(q, 0) + 1
-        return dims
-
-    def total_dim(self) -> int:
-        return len(self.monomials)
-
-    def name(self, mon: Monomial) -> str:
-        return "1" if not mon else "".join(self.gen_names[i] for i in mon)
 
     def product(self, a: Monomial, b: Monomial) -> tuple[Fraction, Monomial] | None:
         res = _merge_sign(a, b)
@@ -302,9 +288,4 @@ def cobar_homology_total_dims(hopf: PrimitiveExteriorHopf, total_max: int) -> di
     kmax = total_max // (mind - 1) + 1
     window = BidegreeWindow(p_min=-kmax, q_max=total_max + kmax)
     dims, _ = cobar_homology(hopf, window)
-    out: dict = {}
-    for (p, q), dim in dims.items():
-        t = p + q
-        if t <= total_max:
-            out[t] = out.get(t, 0) + dim
-    return out
+    return totals_by_degree(dims, total_max)

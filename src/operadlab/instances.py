@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .complexes import ChainComplexWindow, GradedSpace
 from .hopf import PrimitiveExteriorHopf
-from .linalg import assemble, zero_vec
+from .linalg import assemble
 from .operads import (
     ArityOverflow,
     Coeffs,
@@ -34,7 +34,9 @@ from .operads import (
     Operad,
     TableOperad,
     TruncationError,
+    chain_to_vector,
     parse_free_operad,
+    vector_to_chain,
 )
 
 
@@ -85,10 +87,11 @@ class SphereOperad(Operad):
     def unit_label(self):
         return ()
 
-    @property
-    def point_label(self):
-        # the arity-0 point (empty pair set)
-        return ()
+    def column_vanishes(self, n: int, q: int) -> bool:
+        """A window into the untruncated operad: only the coverage line
+        certifies zeros, since a normalized label covers all n vertices
+        with pairs of degree d - 1."""
+        return 2 * q < n * (self.d - 1)
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
@@ -171,13 +174,11 @@ def sphere_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = N
     )
 
 
-def framed_multiplicative(
-    d: int, max_arity: int = 4, degree_cap: int | None = None, variant: str = "full"
-):
+def framed_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = None):
     from .hopf import build_so_hopf
 
     base = sphere_operad(d, max_arity, degree_cap)
-    hopf = build_so_hopf(d, variant)
+    hopf = build_so_hopf(d)
     op = FramedOperad(base, hopf, degree_cap=degree_cap)
     mult = OpElement.basis(2, ((), (hopf.unit, hopf.unit)))
     point = OpElement.basis(0, ((), ()))
@@ -317,6 +318,12 @@ class FramedOperad(Operad):
             return None
         return (self.base.unit_label, (self.hopf.unit,))
 
+    def column_vanishes(self, n: int, q: int) -> bool:
+        """A window into the untruncated operad: a normalized slot carries
+        a sphere pair or a nonempty Hopf monomial."""
+        per_slot = min(self.base.d - 1, 2 * min(self.hopf.gen_degrees))
+        return 2 * q < n * per_slot
+
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
@@ -361,12 +368,7 @@ class FramedOperad(Operad):
 # -- witness operads ---------------------------------------------------------
 
 
-def witness_operad(
-    m: int = 2,
-    padded: bool = False,
-    break_h1: bool = False,
-    max_arity: int = 3,
-) -> FreeChainOperad:
+def witness_operad(m: int = 2, padded: bool = False, break_h1: bool = False) -> FreeChainOperad:
     """Finite chain testbed for the obstruction pipeline.
 
     Generators: associative nu (arity 2, degree 0), cycle g (arity 1,
@@ -396,7 +398,7 @@ def witness_operad(
     return parse_free_operad(
         "\n".join(lines),
         associative="nu",
-        max_arity=max_arity,
+        max_arity=3,
         degree_cap=8 * m + 2,
     )
 
@@ -442,17 +444,11 @@ def _arity_complex(op: Operad, n: int) -> ChainComplexWindow:
 
 
 def element_to_vector(op: Operad, x: OpElement, q: int):
-    labels = op.arity_degree_basis(x.arity, q)
-    idx = {l: i for i, l in enumerate(labels)}
-    v = zero_vec(len(labels))
-    for l, c in x.coeffs:
-        v[idx[l]] += c
-    return v
+    return chain_to_vector(x, op.arity_degree_basis(x.arity, q))
 
 
 def vector_to_element(op: Operad, n: int, q: int, v) -> OpElement:
-    labels = op.arity_degree_basis(n, q)
-    return OpElement.make(n, {l: Fraction(c) for l, c in zip(labels, v) if c != 0})
+    return vector_to_chain(n, op.arity_degree_basis(n, q), v)
 
 
 def homology_operad(op: Operad) -> TableOperad:

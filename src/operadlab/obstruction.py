@@ -33,7 +33,7 @@ from .instances import (
     vector_to_element,
 )
 from .linalg import NoSolution, QuotientSpace, kernel_basis, solve_particular
-from .operads import OpElement, Operad
+from .operads import OpElement, Operad, chain_to_vector, vector_to_chain
 
 
 @dataclass(frozen=True)
@@ -327,18 +327,11 @@ def compare_with_d2(inp: ObstructionInput, result: ObstructionResult | None = No
         result = run_pipeline(inp)
     if not result.xi.is_zero():
         raise ValueError("comparison requires a strictly associative nu (xi = 0)")
-    op, q = inp.operad, 4 * inp.m - 1
+    q = 4 * inp.m - 1
     H = HochschildComplex(mcclure_smith(inp.M, n_max=3), q_max=4 * inp.m + 1)
-    labels = H.labels(1, q)
-    index = {l: k for k, l in enumerate(labels)}
-    z = [Fraction(0)] * len(labels)
-    for l, c in inp.g.coeffs:
-        z[index[l]] += c
+    z = chain_to_vector(inp.g, H.labels(1, q))
     d2_vec, _lifts = zigzag_dr(H, 1, q, z, 2)
-    d2_el = OpElement.make(
-        3, {l: c for l, c in zip(H.labels(3, q + 1), d2_vec) if c != 0}
-    )
-    d2_coords, _ = _quotient_reduce(inp, d2_el)
+    d2_coords, _ = _quotient_reduce(inp, vector_to_chain(3, H.labels(3, q + 1), d2_vec))
     equal = list(d2_coords) == list(result.class_coords)
     both_zero = all(c == 0 for c in d2_coords) and not result.nonzero
     return D2Report(

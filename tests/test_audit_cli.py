@@ -220,6 +220,11 @@ class TestBracketCommand:
         # letters with three generators are in these windows
         (["cobar", "--d", "7", "--variant", "fixing-subgroup"], 0),
         (["cobar", "--d", "7", "--q-max", "24"], 0),
+        # a window below 0 is a usage error, not a traceback or an empty table
+        *(([*cmd, flag, "-1"], 2)
+          for cmd in (["hochschild"], ["e2"], ["ss"],
+                      ["bracket", "--class-a=-2,4,0", "--class-b=-2,4,0"])
+          for flag in ("--n-max", "--q-max")),
     ],
 )
 def test_input_ends_in_its_exit_code_without_traceback(capsys, argv, code):

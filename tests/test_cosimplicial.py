@@ -16,9 +16,12 @@ from operadlab.cosimplicial import (
     zigzag_dr,
 )
 from operadlab.instances import (
+    framed_multiplicative,
+    poisson_operad_small,
     sphere_multiplicative,
     witness_generator,
     witness_multiplicative,
+    witness_operad,
 )
 from operadlab.operads import OpElement
 
@@ -50,6 +53,33 @@ class TestSemicosimplicialIdentities:
         for q in range(0, 9):
             C = H.complex_in_p(q)
             C.homology()  # constructor and homology assert d^2 = 0
+
+
+@pytest.mark.parametrize("build", [sphere_multiplicative, framed_multiplicative])
+def test_certified_zero_columns_are_empty_in_a_larger_window(build):
+    """Every position a small window certifies as zero, from its stored
+    range or from the host's vanishing line past it, has no normalized
+    labels when a larger window computes it."""
+    small = HochschildComplex(mcclure_smith(build(5, 3, 8), 3), q_max=8)
+    large = HochschildComplex(mcclure_smith(build(5, 5, 12), 5), q_max=12)
+    zeros = [(n, q) for n in range(6) for q in range(13) if small.vanishes(n, q)]
+    assert [pos for pos in zeros if large.dim(*pos)] == []
+    # past the small window the certified zeros are the line 2q < 4n
+    past = {(n, q) for n, q in zeros if n > 3 or q > 8}
+    assert past == {(n, q) for n in (4, 5) for q in range(13) if 2 * q < 4 * n}
+    assert any(large.dim(n, q) for n in (4, 5) for q in range(13))
+
+
+@pytest.mark.parametrize(
+    "op,top", [(witness_operad(2), 18), (poisson_operad_small(5), 8)], ids=["free", "table"]
+)
+def test_truncated_host_vanishes_past_its_caps(op, top):
+    """A truncated host is the object itself: its columns vanish above the
+    arity cap and above the degree cap (free) or top degree (table)."""
+    grid = [(n, q) for n in range(6) for q in range(top + 3)]
+    zeros = {pos for pos in grid if op.column_vanishes(*pos)}
+    assert zeros == {(n, q) for n, q in grid if n > 3 or q > top}
+    assert all(op.dim(n, q) == 0 for n, q in zeros)
 
 
 class TestHochschildHomology:
