@@ -180,6 +180,9 @@ def _witness_input(M) -> ObstructionInput:
 
 
 def cmd_cobar(args) -> int:
+    _at_least("--q-max", args.q_max, 0)
+    if args.p_min > 0:
+        raise UsageError(f"--p-min must be at most 0, got {args.p_min}")
     hopf = build_so_hopf(_check_d(args.d), args.variant)
     window = BidegreeWindow(p_min=args.p_min, q_max=args.q_max)
     dims, _ = cobar_homology(hopf, window)
@@ -310,6 +313,7 @@ def cmd_ss(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    _check_window(args)
     _at_least("--trials", args.trials, 0)
     M = load_instance(args.instance, args.n_max, args.q_max)
     if not M.operad.has_differential():

@@ -211,14 +211,14 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
             ]
         else:
             cycles = []  # unknown lowest differential; flagged unreliable
+        boundary_cols = C.d(q + 1).columns() if q + 1 <= hi else []
         boundary_gens = []
-        if q + 1 <= hi:
-            for col in C.d(q + 1).columns():
-                b = zero_vec(n)
-                for r, v in col.items():
-                    b[r] = v
-                boundary_gens.append(b)
-        quotient = Subquotient(n, cycles, boundary_gens)
+        for col in boundary_cols:
+            b = zero_vec(n)
+            for r, v in col.items():
+                b[r] = v
+            boundary_gens.append(b)
+        quotient = Subquotient(n, cycles, boundary_cols)
         out[q] = DegreeHomology(
             dim=quotient.dim,
             representatives=quotient.representatives,

@@ -82,9 +82,13 @@ class SemicosimplicialChainComplex:
         """Alternating coface sum delta = sum_i (-1)^i d^i on one label."""
         out: Coeffs = {}
         for i in range(n + 2):
-            sign = Fraction(-1 if i % 2 else 1)
             for l2, c in self.coface(n, i, label).items():
-                out[l2] = out.get(l2, Fraction(0)) + sign * c
+                if i % 2:
+                    c = -c
+                if l2 in out:
+                    out[l2] += c
+                else:
+                    out[l2] = c
         return {l: c for l, c in out.items() if c != 0}
 
     def is_normal_label(self, n: int, label) -> bool:
@@ -187,19 +191,22 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
         raise ValueError("n_max exceeds the operad's arity truncation")
     columns = {n: arity_complex(op, n) for n in range(n_max + 1)}
 
+    mult = M.mult.coeffs
+
     def coface(n, i, label) -> Coeffs:
-        x = OpElement.basis(n, label)
+        x = ((label, 1),)
         if i == 0:
-            return op.compose(M.mult, 2, x).as_dict()
+            return op.compose_terms(2, mult, 2, n, x)
         if i == n + 1:
-            return op.compose(M.mult, 1, x).as_dict()
-        return op.compose(x, i, M.mult).as_dict()
+            return op.compose_terms(2, mult, 1, n, x)
+        return op.compose_terms(n, x, i, 2, mult)
 
     codegeneracy = None
     if M.point is not None:
+        point = M.point.coeffs
+
         def codegeneracy(n, i, label) -> Coeffs:
-            x = OpElement.basis(n + 1, label)
-            return op.compose(x, i + 1, M.point).as_dict()
+            return op.compose_terms(n + 1, ((label, 1),), i + 1, 0, point)
 
     return SemicosimplicialChainComplex(op, columns, coface, codegeneracy=codegeneracy)
 

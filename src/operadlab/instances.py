@@ -40,6 +40,9 @@ from .operads import (
 )
 
 
+_ONE = Fraction(1)
+
+
 def _pairs(n: int):
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
@@ -96,7 +99,7 @@ class SphereOperad(Operad):
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
-        return {lab: Fraction(1) for lab in self.compose_pairsets(m, xl, i, n, yl)}
+        return {lab: _ONE for lab in self.compose_pairsets(m, xl, i, n, yl)}
 
     def compose_pairsets(self, m: int, xl, i: int, n: int, yl) -> list:
         """All result pair-sets of (x o_i y) for basis pair-sets.

@@ -10,6 +10,12 @@ every matrix from per-label images.  Matrices are stored sparsely as
 ``(row, col) -> Fraction`` maps and vectors are reduced as sparse maps,
 so the large-but-sparse coboundary matrices stay cheap.
 
+Inside the elimination a value is a plain ``int`` whenever it is
+integral; a ``Fraction`` appears only where a non-unit pivot divides.
+Structure constants are mostly +-1, so nearly all of the arithmetic is
+on ints.  Everything handed out (coordinates, kernel and solution
+vectors, matrix entries) is a ``Fraction``.
+
 Pivoting is deterministic (vectors in the given order, each reduced at
 its smallest nonzero index), so bases are reproducible across runs.
 """
@@ -30,6 +36,20 @@ class NoSolution(Exception):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if isinstance(x, int):
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(x, p):
+    """x / p as an int when integral; a unit p divides by multiplying,
+    and no int is ever divided by an int with ``/``."""
+    return _exact(x * p if p == 1 or p == -1 else Fraction(x) / p)
 
 
 def vec(entries: Iterable) -> Vector:
@@ -147,7 +167,7 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
         v = zero_vec(M.cols)
         v[free] = Fraction(1)
         for k, c in coords.items():
-            v[E.pivot_columns[k]] = -c
+            v[E.pivot_columns[k]] = -_frac(c)
         basis.append(v)
     return basis
 
@@ -183,7 +203,10 @@ def assemble(
             r = tgt_index.get(tgt)
             if r is None:
                 raise ValueError(f"image of {label!r} leaves the target basis at {tgt!r}")
-            entries[(r, c)] = entries.get((r, c), 0) + v
+            if (r, c) in entries:
+                entries[(r, c)] += v
+            else:
+                entries[(r, c)] = v
     return RationalMatrix(len(tgt_index), len(src_labels), entries)
 
 
@@ -197,7 +220,9 @@ class Subquotient:
     ``dependent`` (cycle index -> sparse coordinates).  Every pivot row
     records its coordinates over the representatives (boundaries count as
     zero), so ``coords`` is one forward reduction with no new elimination.
-    Vectors are dense sequences or sparse ``{index: value}`` maps.
+    Vectors are dense sequences or sparse ``{index: value}`` maps.  Pivot
+    rows and the ``dependent`` coordinates hold ints where integral;
+    ``coords`` hands out Fractions.
     """
 
     def __init__(
@@ -216,7 +241,7 @@ class Subquotient:
             if coords is None:
                 self.pivot_columns.append(i)
             else:
-                self.dependent[i] = coords
+                self.dependent[i] = {k: _exact(x) for k, x in coords.items()}
 
     @property
     def dim(self) -> int:
@@ -228,14 +253,14 @@ class Subquotient:
         lead, coords = self._reduce(self._sparse(v))
         if lead is not None:
             raise NoSolution("vector outside span(cycles) + span(boundaries)")
-        return [coords.get(k, Fraction(0)) for k in range(self.dim)]
+        return [_frac(coords.get(k, 0)) for k in range(self.dim)]
 
     def _sparse(self, v) -> dict:
         if isinstance(v, dict):
-            return dict(v)
+            return {i: _exact(x) for i, x in v.items() if x}
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        return {i: _frac(x) for i, x in enumerate(v) if x}
+        return {i: _exact(x) for i, x in enumerate(v) if x}
 
     def _reduce(self, w: dict) -> tuple[int | None, dict]:
         """Eliminate pivots from w in place, leading column first.
@@ -274,16 +299,14 @@ class Subquotient:
         lead, coords = self._reduce(w)
         if lead is None:
             return coords
-        # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries
-        row_coords = {k: -x for k, x in coords.items()}
+        # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries;
+        # the row is w / w[lead] and its coordinates (rep - coords) / w[lead]
+        p = w[lead]
+        row_coords = {k: _div(-x, p) for k, x in coords.items()}
         if rep is not None:
-            row_coords[self.dim] = Fraction(1)
+            row_coords[self.dim] = _div(1, p)
             self.representatives.append(rep)
-        inv = 1 / w[lead]
-        self._pivots[lead] = (
-            {c: x * inv for c, x in w.items()},
-            {k: x * inv for k, x in row_coords.items()},
-        )
+        self._pivots[lead] = ({c: _div(x, p) for c, x in w.items()}, row_coords)
         return None
 
 

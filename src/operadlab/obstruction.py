@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .complexes import WindowBoundary
 from .cosimplicial import HochschildComplex, mcclure_smith, zigzag_dr
 from .gerstenhaber import bracket
 from .instances import (
@@ -348,8 +349,11 @@ def compare_with_d2(inp: ObstructionInput, result: ObstructionResult | None = No
 def formality_baseline(M: MultiplicativeStructure, m: int = 2) -> ObstructionResult:
     """Zero-differential host: h = xi = 0 is admissible and the class is
     zero.  The quotient machinery still runs for real (the target space
-    may be nonzero)."""
+    may be nonzero).  omega lives in O(3), so a host truncated below
+    arity 3 raises WindowBoundary."""
     if M.operad.has_differential():
         raise ValueError("baseline applies to zero-differential hosts")
+    if M.operad.max_arity < 3:
+        raise WindowBoundary(f"omega lies in arity 3, beyond the arity cap {M.operad.max_arity}")
     inp = ObstructionInput(M, OpElement.zero(1), m)
     return omega(inp, OpElement.zero(2), OpElement.zero(3))

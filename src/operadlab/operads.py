@@ -152,18 +152,31 @@ class Operad:
         return degs.pop()
 
     def compose(self, x: OpElement, i: int, y: OpElement) -> OpElement:
-        m, n = x.arity, y.arity
+        return OpElement.make(
+            x.arity + y.arity - 1, self.compose_terms(x.arity, x.coeffs, i, y.arity, y.coeffs)
+        )
+
+    def compose_terms(self, m: int, xs, i: int, n: int, ys) -> Coeffs:
+        """x o_i y for x = sum xc xl in O(m) and y = sum yc yl in O(n),
+        given as ``(label, coefficient)`` pairs: the bilinear extension of
+        ``compose_basis``, with no zero terms."""
         if not (1 <= i <= m):
             raise ValueError(f"slot {i} out of range for arity {m}")
-        res_arity = m + n - 1
-        if res_arity > self.max_arity:
-            raise ArityOverflow(f"arity {res_arity} exceeds cap {self.max_arity}")
+        if m + n - 1 > self.max_arity:
+            raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         out: Coeffs = {}
-        for xl, xc in x.coeffs:
-            for yl, yc in y.coeffs:
+        for xl, xc in xs:
+            for yl, yc in ys:
+                # unit coefficients (every label-level call) skip the products
+                k = yc if xc == 1 else xc if yc == 1 else xc * yc
                 for l, c in self.compose_basis(m, xl, i, n, yl).items():
-                    out[l] = out.get(l, Fraction(0)) + xc * yc * c
-        return OpElement.make(res_arity, out)
+                    if k != 1:
+                        c = k * c
+                    if l in out:
+                        out[l] += c
+                    else:
+                        out[l] = c
+        return {l: c for l, c in out.items() if c}
 
     def differential(self, x: OpElement) -> OpElement:
         out: Coeffs = {}

@@ -225,6 +225,18 @@ class TestBracketCommand:
           for cmd in (["hochschild"], ["e2"], ["ss"],
                       ["bracket", "--class-a=-2,4,0", "--class-b=-2,4,0"])
           for flag in ("--n-max", "--q-max")),
+        *((["obstruction", "--instance", inst, flag, "-1"], 2)
+          for inst in ("sphere:d=5", "witness:m=2")
+          for flag in ("--n-max", "--q-max")),
+        # omega lies in arity 3: a sphere or framed host capped below it
+        (["obstruction", "--instance", "sphere:d=5", "--n-max", "2"], 3),
+        (["obstruction", "--instance", "framed:d=5", "--n-max", "2"], 3),
+        # the witness and poisson hosts have a fixed arity 3 and ignore --n-max
+        (["obstruction", "--instance", "witness:m=2", "--n-max", "2"], 0),
+        (["obstruction", "--instance", "poisson:d=5", "--n-max", "2"], 0),
+        (["cobar", "--q-max", "-1"], 2),
+        (["cobar", "--p-min", "3"], 2),
+        (["cobar", "--p-min", "0", "--q-max", "0"], 0),
     ],
 )
 def test_input_ends_in_its_exit_code_without_traceback(capsys, argv, code):

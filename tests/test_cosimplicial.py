@@ -17,13 +17,14 @@ from operadlab.cosimplicial import (
 )
 from operadlab.instances import (
     framed_multiplicative,
+    poisson_multiplicative,
     poisson_operad_small,
     sphere_multiplicative,
     witness_generator,
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.operads import OpElement
+from operadlab.operads import ArityOverflow, OpElement
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,64 @@ class TestSemicosimplicialIdentities:
         for q in range(0, 9):
             C = H.complex_in_p(q)
             C.homology()  # constructor and homology assert d^2 = 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sphere_multiplicative(5, 4, 8),
+        lambda: framed_multiplicative(5, 4, 8),
+        lambda: poisson_multiplicative(5),
+        lambda: witness_multiplicative(2),
+    ],
+    ids=["sphere", "framed", "poisson", "witness"],
+)
+def test_label_maps_equal_composition_of_elements(build):
+    """Cofaces and codegeneracies computed per label equal the element
+    compositions they stand for, on every label with n <= 3, q <= 8; a
+    result past the arity cap raises ArityOverflow on both paths."""
+    M = build()
+    op, mult, point = M.operad, M.mult, M.point
+    X = mcclure_smith(M, min(3, op.max_arity))
+    assert (X.codegeneracy is None) == (point is None)
+
+    def labels(n):
+        return [l for q, ls in op.basis_by_degree(n).items() if q <= 8 for l in ls]
+
+    def faces(n, i, x):
+        if i == 0:
+            return op.compose(mult, 2, x)
+        if i == n + 1:
+            return op.compose(mult, 1, x)
+        return op.compose(x, i, mult)
+
+    checked = 0
+    for n in range(min(3, op.max_arity) + 1):
+        for label in labels(n):
+            x = OpElement.basis(n, label)
+            for i in range(n + 2):
+                if n + 1 > op.max_arity:
+                    with pytest.raises(ArityOverflow):
+                        X.coface(n, i, label)
+                    with pytest.raises(ArityOverflow):
+                        faces(n, i, x)
+                    continue
+                got = X.coface(n, i, label)
+                assert got == faces(n, i, x).as_dict()
+                assert all(type(c) is Fraction for c in got.values())
+                checked += 1
+            if point is not None and n >= 1:
+                for i in range(n):
+                    got = X.codegeneracy(n - 1, i, label)
+                    assert got == op.compose(x, i + 1, point).as_dict()
+                    checked += 1
+    assert checked
+    top = op.max_arity
+    for label in labels(top)[:5]:
+        with pytest.raises(ArityOverflow):
+            X.coface(top, 1, label)
+        with pytest.raises(ArityOverflow):
+            faces(top, 1, OpElement.basis(top, label))
 
 
 @pytest.mark.parametrize("build", [sphere_multiplicative, framed_multiplicative])

@@ -186,3 +186,47 @@ def test_solve_particular_equals_the_oracle(problem):
         for r, pc in zip(R, pivots):
             x[pc] = r[M.cols]
         assert solve_particular(M, rhs) == x
+
+
+def _stored_values(sq):
+    """Every value the elimination keeps: pivot rows, their coordinates
+    and the dependent coordinates."""
+    for row, row_coords in sq._pivots.values():
+        yield from row.values()
+        yield from row_coords.values()
+    for coords in sq.dependent.values():
+        yield from coords.values()
+
+
+def _all_fractions(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+def test_integer_rows_inside_fractions_at_the_boundary():
+    """An integer matrix with unit pivots is eliminated on ints only,
+    and every readout is still made of Fractions."""
+    rows = [[1, 2, 0, 3], [0, 1, -1, 2], [1, 3, -1, 5]]
+    M = mat(rows)
+    E = row_reduce(M)
+    assert E.pivot_columns == [0, 1]
+    values = list(_stored_values(E))
+    assert values and all(type(x) is int for x in values)
+    assert _all_fractions(M.entries.values())
+    assert _all_fractions(E.coords([1, 1, 2]))
+    kernel = kernel_basis(M)
+    assert len(kernel) == 2 and all(_all_fractions(v) for v in kernel)
+    x = solve_particular(M, [1, 1, 2])
+    assert _all_fractions(x) and M.matvec(x) == [1, 1, 2]
+    assert _all_fractions(M.matvec([1, 0, 2, -1]))
+    Q = QuotientSpace(3, [[1, 0, 1], [2, 1, 3]])
+    assert all(type(Q.reduce(v)[0]) is Fraction for v in ([1, 0, 0], [0, 0, 1], [5, 2, 7]))
+    assert all(_all_fractions(r) for r in Q.representatives)
+
+
+def test_a_fraction_appears_only_where_a_non_unit_pivot_divides():
+    E = row_reduce(mat([[2, 1, 4]]))
+    row, row_coords = E._pivots[0]
+    assert row == {0: 1} and type(row[0]) is int
+    assert row_coords == {0: Fraction(1, 2)}
+    assert E.dependent == {1: {0: Fraction(1, 2)}, 2: {0: 2}}
+    assert type(E.dependent[2][0]) is int
