@@ -167,6 +167,18 @@ def load_instance(spec: str, n_max: int, q_max: int):
     raise UsageError(f"unknown instance {spec!r}")
 
 
+def _column_instance(args):
+    """The instance of a command that builds columns 0..--n-max: a host
+    with a fixed arity cap (poisson, witness) has no columns past it."""
+    _check_window(args)
+    M = load_instance(args.instance, args.n_max, args.q_max)
+    if args.n_max > M.operad.max_arity:
+        raise UsageError(
+            f"--n-max {args.n_max} exceeds the arity cap {M.operad.max_arity} of {M.name}"
+        )
+    return M
+
+
 def _witness_input(M) -> ObstructionInput:
     op = M.operad
     if "g" not in getattr(op, "generators", {}):
@@ -200,8 +212,7 @@ def cmd_cobar(args) -> int:
 
 
 def cmd_hochschild(args) -> int:
-    _check_window(args)
-    M = load_instance(args.instance, args.n_max, args.q_max)
+    M = _column_instance(args)
     if M.operad.has_differential():
         raise CheckFailure(
             "hochschild tables require a zero-differential instance; "
@@ -236,8 +247,7 @@ def _parse_class(HH, text: str):
 
 
 def cmd_bracket(args) -> int:
-    _check_window(args)
-    M = load_instance(args.instance, args.n_max, args.q_max)
+    M = _column_instance(args)
     if M.operad.has_differential():
         raise CheckFailure("bracket of classes requires a zero-differential instance")
     HH = hochschild_homology(M, args.n_max, args.q_max)
@@ -279,8 +289,7 @@ def cmd_e2(args) -> int:
 
 def cmd_ss(args) -> int:
     _at_least("--r-max", args.r_max, 1)
-    _check_window(args)
-    M = load_instance(args.instance, args.n_max, args.q_max)
+    M = _column_instance(args)
     H = HochschildComplex(mcclure_smith(M, args.n_max), q_max=args.q_max)
     pages = ss_pages(H, args.r_max)
     payload = {"instance": M.name, "pages": []}

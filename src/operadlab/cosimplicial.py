@@ -231,9 +231,11 @@ class HochschildComplex:
     Positions (n, q) with vertical differential d (q -> q-1, from the
     host) and horizontal differential delta (n -> n+1).  When the
     underlying object has codegeneracies and ``normalized`` is set, each
-    column is restricted to the normalized labels; delta preserves that
-    span (asserted during matrix construction) even though individual
-    cofaces do not.
+    column is restricted to the normalized labels: the host's
+    ``normalized_basis`` proposes them, in basis order, and the
+    codegeneracies confirm each one, so an over-inclusive host still gives
+    exact columns.  delta preserves that span (asserted during matrix
+    construction) even though individual cofaces do not.
     """
 
     def __init__(self, X: SemicosimplicialChainComplex, q_max: int, normalized=True):
@@ -247,11 +249,13 @@ class HochschildComplex:
             for q in col.space.degrees():
                 if q > q_max:
                     continue
-                labels = col.space.labels(q)
                 if self.normalized:
                     labels = tuple(
-                        l for l in labels if X.is_normal_label(n, l)
+                        l for l in X.host.normalized_basis(n, q)
+                        if X.is_normal_label(n, l)
                     )
+                else:
+                    labels = col.space.labels(q)
                 if labels:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}

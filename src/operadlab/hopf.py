@@ -65,13 +65,16 @@ class PrimitiveExteriorHopf:
             for k in range(len(generators) + 1)
             for c in itertools.combinations(range(len(generators)), k)
         ]
+        self._degree = {
+            mon: sum(self.gen_degrees[i] for i in mon) for mon in self.monomials
+        }
 
     @property
     def unit(self) -> Monomial:
         return ()
 
     def degree(self, mon: Monomial) -> int:
-        return sum(self.gen_degrees[i] for i in mon)
+        return self._degree[mon]
 
     def product(self, a: Monomial, b: Monomial) -> tuple[Fraction, Monomial] | None:
         res = _merge_sign(a, b)

@@ -47,6 +47,11 @@ def _pairs(n: int):
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
+def _vertices(pairs) -> set:
+    """The vertices a pair-set label touches."""
+    return {v for p in pairs for v in p}
+
+
 class SphereOperad(Operad):
     """Homology operad of products of (d-1)-spheres, one per index pair.
 
@@ -96,6 +101,13 @@ class SphereOperad(Operad):
         with pairs of degree d - 1."""
         return 2 * q < n * (self.d - 1)
 
+    def normalized_basis(self, n: int, q: int):
+        """The pair-sets covering all n vertices: forgetting an uncovered
+        vertex keeps the label, forgetting a covered one kills it."""
+        return tuple(
+            l for l in self.arity_degree_basis(n, q) if len(_vertices(l)) == n
+        )
+
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
@@ -111,14 +123,6 @@ class SphereOperad(Operad):
         sets never collide, so every term has coefficient one.
         """
         block = range(i, i + n)  # result indices occupied by y
-
-        def collapse(c: int) -> int:
-            if c < i:
-                return c
-            if c < i + n:
-                return i
-            return c - n + 1
-
         # y-pairs shift into the block
         shifted = [tuple(sorted((a + i - 1, b + i - 1))) for (a, b) in yl]
         # each x-pair distributes over its preimages under collapse
@@ -327,11 +331,22 @@ class FramedOperad(Operad):
         per_slot = min(self.base.d - 1, 2 * min(self.hopf.gen_degrees))
         return 2 * q < n * per_slot
 
+    def normalized_basis(self, n: int, q: int):
+        """The labels whose every slot is on a sphere pair or carries a
+        nonempty Hopf monomial; the point kills exactly those slots."""
+        return tuple(
+            (bl, word) for bl, word in self.arity_degree_basis(n, q)
+            if len(_vertices(bl).union(k for k, w in enumerate(word, 1) if w)) == n
+        )
+
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         (bx, gs), (by, hs) = xl, yl
-        base_terms = self.base.compose_basis(m, bx, i, n, by)
+        base_terms = [
+            (bl, bc, self.base.degree(m + n - 1, bl))
+            for bl, bc in self.base.compose_basis(m, bx, i, n, by).items()
+        ]
         deg = self.hopf.degree
         gi = gs[i - 1]
         tail_deg = sum(deg(g) for g in gs[i:])  # factors g_{i+1}..g_m
@@ -359,8 +374,9 @@ class FramedOperad(Operad):
             if not ok:
                 continue
             new_word = gs[: i - 1] + tuple(word) + gs[i:]
-            for bl, bc in base_terms.items():
-                q = self.base.degree(m + n - 1, bl) + sum(deg(w) for w in new_word)
+            qh = sum(deg(w) for w in new_word)
+            for bl, bc, qb in base_terms:
+                q = qb + qh
                 if self.degree_cap is not None and q > self.degree_cap:
                     continue
                 lab = (bl, new_word)

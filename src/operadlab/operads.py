@@ -205,6 +205,13 @@ class Operad:
     def dim(self, n: int, q: int) -> int:
         return len(self.arity_degree_basis(n, q))
 
+    def normalized_basis(self, n: int, q: int):
+        """A subsequence of ``arity_degree_basis(n, q)``, in basis order,
+        holding every label that all codegeneracies kill.  Hosts that know
+        which labels a codegeneracy keeps drop them here; the default
+        drops none."""
+        return self.arity_degree_basis(n, q)
+
     def column_vanishes(self, n: int, q: int) -> bool:
         """Whether the normalized column n is zero in chain degree q past
         a window.  A truncated host is the object itself: nothing lives

@@ -24,7 +24,7 @@ from operadlab.instances import (
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.operads import ArityOverflow, OpElement
+from operadlab.operads import ArityOverflow, OpElement, Operad
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,32 @@ def test_certified_zero_columns_are_empty_in_a_larger_window(build):
     past = {(n, q) for n, q in zeros if n > 3 or q > 8}
     assert past == {(n, q) for n in (4, 5) for q in range(13) if 2 * q < 4 * n}
     assert any(large.dim(n, q) for n in (4, 5) for q in range(13))
+
+
+@pytest.mark.parametrize(
+    "build,d,n_max,q_max",
+    [(sphere_multiplicative, 5, 8, 16),
+     (framed_multiplicative, 5, 6, 16),
+     (framed_multiplicative, 7, 5, 14)],
+    ids=["sphere-d5", "framed-d5", "framed-d7"],
+)
+def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
+    """The host's normalized labels, confirmed by the codegeneracies, are
+    the generic filter over the whole basis, label for label and in
+    order; and the host proposes no label the filter drops."""
+    X = mcclure_smith(build(d, n_max, q_max), n_max)
+    op = X.host
+    checked = 0
+    for n in range(n_max + 1):
+        for q in sorted(op.basis_by_degree(n)):
+            if q > q_max:
+                continue
+            kept = [l for l in Operad.normalized_basis(op, n, q) if X.is_normal_label(n, l)]
+            hook = op.normalized_basis(n, q)
+            assert [l for l in hook if X.is_normal_label(n, l)] == kept, (n, q)
+            assert len(hook) == len(kept), (n, q)
+            checked += bool(kept)
+    assert checked > n_max
 
 
 @pytest.mark.parametrize(
