@@ -8,7 +8,8 @@
   indexed by arity n (filtration degree p = -n), internal chain degree q,
   vertical differential from the host, horizontal differential the
   alternating coface sum delta.  With codegeneracies the columns are
-  restricted to the normalized (all-codegeneracies-vanish) labels.
+  restricted to the normalized (all-codegeneracies-vanish) labels, read
+  from the host's ``normalized_basis`` and confirmed label by label.
 * :func:`hochschild_homology` computes the bigraded homology for
   zero-differential hosts, with representatives.
 * :func:`ss_pages` computes the spectral sequence of the column
@@ -182,7 +183,9 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
     Cofaces on x of arity n: d^0 = mult composed below slot 2 of the
     multiplication (mult o2 x), d^i = x o_i mult for 1 <= i <= n, and
     d^{n+1} = mult o1 x.  Codegeneracies s^i = (- o_{i+1} point) when the
-    structure has an arity-0 point.
+    structure has an arity-0 point.  The columns are the host's raw
+    arity complexes; ``HochschildComplex`` restricts them to normalized
+    labels.  ``n_max`` may not exceed the host's arity cap.
     """
     op = M.operad
     if n_max is None:

@@ -234,15 +234,15 @@ class TestBracketCommand:
         # the witness and poisson hosts have a fixed arity 3 and ignore --n-max
         (["obstruction", "--instance", "witness:m=2", "--n-max", "2"], 0),
         (["obstruction", "--instance", "poisson:d=5", "--n-max", "2"], 0),
+        (["cobar", "--q-max", "-1"], 2),
+        (["cobar", "--p-min", "3"], 2),
+        (["cobar", "--p-min", "0", "--q-max", "0"], 0),
         # commands that build columns 0..--n-max stop at a fixed arity cap
         (["hochschild", "--instance", "poisson:d=5"], 2),
         (["ss", "--instance", "poisson:d=5", "--n-max", "4"], 2),
         (["ss", "--instance", "witness:m=2", "--n-max", "5"], 2),
         (["bracket", "--instance", "poisson:d=5",
           "--class-a=0,0,0", "--class-b=0,0,0"], 2),
-        (["cobar", "--q-max", "-1"], 2),
-        (["cobar", "--p-min", "3"], 2),
-        (["cobar", "--p-min", "0", "--q-max", "0"], 0),
     ],
 )
 def test_input_ends_in_its_exit_code_without_traceback(capsys, argv, code):
