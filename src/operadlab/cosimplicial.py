@@ -7,9 +7,10 @@
 * :class:`HochschildComplex` is the resulting double complex — columns
   indexed by arity n (filtration degree p = -n), internal chain degree q,
   vertical differential from the host, horizontal differential the
-  alternating coface sum delta.  With codegeneracies the columns are
-  restricted to the normalized (all-codegeneracies-vanish) labels, read
-  from the host's ``normalized_basis`` and confirmed label by label.
+  alternating coface sum delta.  Each column is read from the host's
+  arity-n basis; with codegeneracies it is restricted to the normalized
+  (all-codegeneracies-vanish) labels, read from the host's
+  ``normalized_basis`` and confirmed label by label.
 * :func:`hochschild_homology` computes the bigraded homology for
   zero-differential hosts, with representatives.
 * :func:`ss_pages` computes the spectral sequence of the column
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 
 from .complexes import ChainComplexWindow, GradedSpace, totals_by_degree
-from .instances import MultiplicativeStructure, arity_complex
+from .instances import MultiplicativeStructure
 from .linalg import (
     NoSolution,
     RationalMatrix,
@@ -51,33 +52,27 @@ class LiftFailure(Exception):
 
 
 class SemicosimplicialChainComplex:
-    """Columns X^n of a host operad with cofaces d^i: X^n -> X^{n+1},
-    0 <= i <= n+1.
+    """Columns X^n = host(n), 0 <= n <= n_max, with cofaces
+    d^i: X^n -> X^{n+1}, 0 <= i <= n+1.
 
     ``coface(n, i, label) -> Coeffs`` gives the coface on a basis label of
     column n; ``codegeneracy(n, i, label) -> Coeffs`` (optional) gives
-    s^i: X^{n+1} -> X^n for 0 <= i <= n.  Outside the stored range the
-    host's ``column_vanishes(n, q)`` certifies zero columns.
+    s^i: X^{n+1} -> X^n for 0 <= i <= n.  The host owns each column's
+    basis and differential.
     """
 
-    def __init__(self, host, columns, coface, codegeneracy=None):
+    def __init__(self, host, n_max: int, coface, codegeneracy=None):
         self.host = host
-        self.columns = dict(columns)
-        self.n_max = max(self.columns)
-        if sorted(self.columns) != list(range(self.n_max + 1)):
-            raise ValueError("columns must be indexed 0..n_max")
+        self.n_max = n_max
         self.coface = coface
         self.codegeneracy = codegeneracy
 
-    def vanishes(self, n: int, q: int) -> bool:
-        if 0 <= n <= self.n_max:
-            col = self.columns[n]
-            lo, hi = col.window
-            if lo <= q <= hi:
-                return col.space.dim(q) == 0
-        if n < 0 or q < 0:
-            return True
-        return self.host.column_vanishes(n, q)
+    def _basis(self, n: int, q_max: int | None):
+        """(q, label) over the host's arity-n basis, degrees up to q_max."""
+        for q, labels in sorted(self.host.basis_by_degree(n).items()):
+            if q_max is None or q <= q_max:
+                for label in labels:
+                    yield q, label
 
     def delta_on_label(self, n: int, label) -> Coeffs:
         """Alternating coface sum delta = sum_i (-1)^i d^i on one label."""
@@ -108,18 +103,14 @@ class SemicosimplicialChainComplex:
         failures = []
         face = self.coface
         for n in range(self.n_max - 1):
-            col = self.columns[n]
-            for q in col.space.degrees():
-                if q_max is not None and q > q_max:
-                    continue
-                for label in col.space.labels(q):
-                    for j in range(n + 3):
-                        for i in range(j):
-                            if _differ(
-                                _then(partial(face, n, i), partial(face, n + 1, j), label),
-                                _then(partial(face, n, j - 1), partial(face, n + 1, i), label),
-                            ):
-                                failures.append(("coface", n, i, j, label))
+            for _, label in self._basis(n, q_max):
+                for j in range(n + 3):
+                    for i in range(j):
+                        if _differ(
+                            _then(partial(face, n, i), partial(face, n + 1, j), label),
+                            _then(partial(face, n, j - 1), partial(face, n + 1, i), label),
+                        ):
+                            failures.append(("coface", n, i, j, label))
         return failures
 
     def check_codegeneracy_identities(self, q_max: int | None = None) -> list:
@@ -129,32 +120,25 @@ class SemicosimplicialChainComplex:
         failures = []
         face, degen = self.coface, self.codegeneracy
         for n in range(self.n_max):
-            col = self.columns[n]
-            for q in col.space.degrees():
-                if q_max is not None and q > q_max:
-                    continue
-                for label in col.space.labels(q):
-                    for j in range(n + 1):
-                        for i in (j, j + 1):
-                            acc = _then(partial(face, n, i), partial(degen, n, j), label)
-                            if _differ(acc, {label: 1}):
-                                failures.append(("codegeneracy", n, i, j, label))
+            for _, label in self._basis(n, q_max):
+                for j in range(n + 1):
+                    for i in (j, j + 1):
+                        acc = _then(partial(face, n, i), partial(degen, n, j), label)
+                        if _differ(acc, {label: 1}):
+                            failures.append(("codegeneracy", n, i, j, label))
         return failures
 
     def check_cofaces_chain_maps(self) -> list:
         """Each coface commutes with the internal differential."""
         failures = []
         for n in range(self.n_max):
-            src, tgt = self.columns[n], self.columns[n + 1]
-            for q in src.space.degrees():
-                if q - 1 < src.window[0]:
-                    continue
-                d_src, d_tgt = _label_map(src, q), _label_map(tgt, q)
+            d_src = partial(self.host.diff_basis, n)
+            d_tgt = partial(self.host.diff_basis, n + 1)
+            for q, label in self._basis(n, None):
                 for i in range(n + 2):
                     face = partial(self.coface, n, i)
-                    for label in src.space.labels(q):
-                        if _differ(_then(face, d_tgt, label), _then(d_src, face, label)):
-                            failures.append(("chain-map", n, i, q, label))
+                    if _differ(_then(face, d_tgt, label), _then(d_src, face, label)):
+                        failures.append(("chain-map", n, i, q, label))
         return failures
 
 
@@ -171,28 +155,21 @@ def _differ(a: Coeffs, b: Coeffs) -> bool:
     return any(a.get(l, 0) != b.get(l, 0) for l in a.keys() | b.keys())
 
 
-def _label_map(C: ChainComplexWindow, q: int):
-    """d_q of C as a label map."""
-    cols, tgt = C.d_columns(q), C.space.labels(q - 1)
-    return lambda label: {tgt[r]: v for r, v in cols[label].items()}
-
-
 def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
     """Semicosimplicial chain complex of a multiplicative operad.
 
     Cofaces on x of arity n: d^0 = mult composed below slot 2 of the
     multiplication (mult o2 x), d^i = x o_i mult for 1 <= i <= n, and
     d^{n+1} = mult o1 x.  Codegeneracies s^i = (- o_{i+1} point) when the
-    structure has an arity-0 point.  The columns are the host's raw
-    arity complexes; ``HochschildComplex`` restricts them to normalized
-    labels.  ``n_max`` may not exceed the host's arity cap.
+    structure has an arity-0 point.  The columns are the host's arities
+    0..n_max; ``HochschildComplex`` reads their labels and restricts them
+    to the normalized ones.  ``n_max`` may not exceed the host's arity cap.
     """
     op = M.operad
     if n_max is None:
         n_max = op.max_arity
-    if n_max > op.max_arity:
-        raise ValueError("n_max exceeds the operad's arity truncation")
-    columns = {n: arity_complex(op, n) for n in range(n_max + 1)}
+    if not 0 <= n_max <= op.max_arity:
+        raise ValueError("n_max lies outside 0..the operad's arity truncation")
 
     mult = M.mult.coeffs
 
@@ -211,7 +188,7 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
         def codegeneracy(n, i, label) -> Coeffs:
             return op.compose_terms(n + 1, ((label, 1),), i + 1, 0, point)
 
-    return SemicosimplicialChainComplex(op, columns, coface, codegeneracy=codegeneracy)
+    return SemicosimplicialChainComplex(op, n_max, coface, codegeneracy=codegeneracy)
 
 
 def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpElement:
@@ -231,10 +208,11 @@ def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpEleme
 class HochschildComplex:
     """Bigraded double complex of a semicosimplicial chain complex.
 
-    Positions (n, q) with vertical differential d (q -> q-1, from the
-    host) and horizontal differential delta (n -> n+1).  When the
-    underlying object has codegeneracies and ``normalized`` is set, each
-    column is restricted to the normalized labels: the host's
+    Positions (n, q) with vertical differential d (q -> q-1, the host's
+    ``diff_basis`` on the kept labels) and horizontal differential delta
+    (n -> n+1).  When the underlying object has codegeneracies and
+    ``normalized`` is set, each column is restricted to the normalized
+    labels of the host's arity-n basis: the host's
     ``normalized_basis`` proposes them, in basis order, and the
     codegeneracies confirm each one, so an over-inclusive host still gives
     exact columns.  delta preserves that span (asserted during matrix
@@ -248,8 +226,8 @@ class HochschildComplex:
         self.normalized = normalized and X.codegeneracy is not None
         self._labels: dict = {}
         self._index: dict = {}
-        for n, col in X.columns.items():
-            for q in col.space.degrees():
+        for n in range(self.n_max + 1):
+            for q, raw in sorted(X.host.basis_by_degree(n).items()):
                 if q > q_max:
                     continue
                 if self.normalized:
@@ -258,7 +236,7 @@ class HochschildComplex:
                         if X.is_normal_label(n, l)
                     )
                 else:
-                    labels = col.space.labels(q)
+                    labels = tuple(raw)
                 if labels:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
@@ -282,25 +260,35 @@ class HochschildComplex:
         return sorted(self._labels)
 
     def vanishes(self, n: int, q: int) -> bool:
-        """Zero beyond the stored window (truncation/cap/coverage)."""
+        """Whether position (n, q) is certified zero.  In the stored range
+        that means no kept labels; past q_max, inside the host's populated
+        degree range of arity n (an empty arity counts as degree 0), that
+        the host has no labels; past that, the host's ``column_vanishes``."""
         if (n, q) in self._labels:
             return False
-        if 0 <= n <= self.n_max and 0 <= q <= self.q_max:
-            return True  # stored range, no labels survived
-        return self.X.vanishes(n, q)
+        if n < 0 or q < 0 or (n <= self.n_max and q <= self.q_max):
+            return True
+        host = self.X.host
+        if n <= self.n_max:
+            degrees = [d for d, labels in host.basis_by_degree(n).items() if labels] or [0]
+            if min(degrees) <= q <= max(degrees):
+                return not host.arity_degree_basis(n, q)
+        return host.column_vanishes(n, q)
 
     def d_mat(self, n: int, q: int) -> RationalMatrix:
-        """Vertical differential (n, q) -> (n, q-1) on kept labels."""
+        """Vertical differential (n, q) -> (n, q-1) on kept labels.  Raises
+        ValueError when it does not compose to zero with d one degree
+        below."""
         key = (n, q)
         if key not in self._d_cache:
-            col = self.X.columns[n]
-            full = col.d_columns(q)
-            full_tgt = col.space.labels(q - 1)
-            self._d_cache[key] = assemble(
+            d = assemble(
                 self.labels(n, q),
                 self._index.get((n, q - 1), {}),
-                lambda label: ((full_tgt[r], v) for r, v in full[label].items()),
+                lambda label: self.X.host.diff_basis(n, label).items(),
             )
+            if (n, q - 1) in self._labels and not self.d_mat(n, q - 1).matmul(d).is_zero():
+                raise ValueError(f"d ∘ d != 0 in column {n} from degree {q}")
+            self._d_cache[key] = d
         return self._d_cache[key]
 
     def delta_mat(self, n: int, q: int) -> RationalMatrix:
@@ -354,10 +342,6 @@ class HochschildClass:
     @property
     def p(self) -> int:
         return -self.arity
-
-    @property
-    def total_degree(self) -> int:
-        return self.q - self.arity
 
 
 class HochschildHomology:

@@ -169,9 +169,6 @@ class BidegreeWindow:
     p_min: int  # most negative cosimplicial degree (inclusive)
     q_max: int  # largest internal degree (inclusive)
 
-    def contains(self, p: int, q: int) -> bool:
-        return p >= self.p_min and q <= self.q_max
-
 
 class CobarComplex:
     """Tensor words in the reduced coalgebra with the cobar differential."""
@@ -203,9 +200,6 @@ class CobarComplex:
 
     def basis(self, p: int, q: int) -> list:
         return self._words_by_bidegree.get((p, q), [])
-
-    def bigraded_dims(self) -> dict:
-        return {k: len(v) for k, v in sorted(self._words_by_bidegree.items()) if v}
 
     def word_degree(self, word) -> int:
         return sum(self.hopf.degree(m) for m in word)

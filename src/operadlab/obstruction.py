@@ -81,8 +81,7 @@ class ObstructionResult:
 def _solve_primitive(op: Operad, n: int, q: int, rhs: OpElement) -> OpElement:
     """One x in O(n)_q with d x = rhs (rhs in degree q-1); NoSolution if none."""
     C = arity_complex(op, n)
-    lo, hi = C.window
-    if not (lo <= q <= hi) or C.dim(q) == 0:
+    if C.dim(q) == 0:
         if rhs.is_zero():
             return OpElement.zero(n)
         raise NoSolution(f"no chains in arity {n} degree {q}")
@@ -94,8 +93,7 @@ def _solve_primitive(op: Operad, n: int, q: int, rhs: OpElement) -> OpElement:
 def _cycle_basis(op: Operad, n: int, q: int) -> list[OpElement]:
     """Basis of the d-cycles in O(n)_q as elements."""
     C = arity_complex(op, n)
-    lo, hi = C.window
-    if not (lo <= q <= hi) or C.dim(q) == 0:
+    if C.dim(q) == 0:
         return []
     return [vector_to_element(op, n, q, v) for v in kernel_basis(C.d(q))]
 
@@ -290,10 +288,9 @@ def g_dependence_experiment(
     base = run_pipeline(inp)
     q = 4 * inp.m - 1
     C = arity_complex(op, 1)
-    lo, hi = C.window
     moved = []
     for _ in range(trials):
-        if lo <= q + 1 <= hi and C.dim(q + 1):
+        if C.dim(q + 1):
             v = [Fraction(rng.randint(-2, 2)) for _ in range(C.dim(q + 1))]
             db = vector_to_element(op, 1, q, C.apply_d(q + 1, v))
         else:

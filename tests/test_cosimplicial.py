@@ -16,6 +16,8 @@ from operadlab.cosimplicial import (
     zigzag_dr,
 )
 from operadlab.instances import (
+    MultiplicativeStructure,
+    arity_complex,
     framed_multiplicative,
     poisson_multiplicative,
     poisson_operad_small,
@@ -24,7 +26,8 @@ from operadlab.instances import (
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.operads import ArityOverflow, OpElement, Operad
+from operadlab.linalg import RationalMatrix
+from operadlab.operads import ArityOverflow, OpElement, Operad, parse_free_operad
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,83 @@ def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
             assert len(hook) == len(kept), (n, q)
             checked += bool(kept)
     assert checked > n_max
+
+
+def _raw_vanishes(H, n, q):
+    """Independent oracle: the vanishing rule read off the host's raw
+    arity complexes (stored range, then each raw column's populated
+    window, then the host's line past it)."""
+    if H.dim(n, q):
+        return False
+    if 0 <= n <= H.n_max:
+        if 0 <= q <= H.q_max:
+            return True
+        C = arity_complex(H.X.host, n)
+        lo, hi = C.window
+        if lo <= q <= hi:
+            return C.dim(q) == 0
+    if n < 0 or q < 0:
+        return True
+    return H.X.host.column_vanishes(n, q)
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+@pytest.mark.parametrize(
+    "build,n_max,q_max",
+    [(lambda: sphere_multiplicative(5, 5, 12), 5, 12),
+     (lambda: sphere_multiplicative(5, 5, 16), 5, 12),
+     (lambda: framed_multiplicative(5, 4, 8), 4, 8),
+     (lambda: framed_multiplicative(7, 3, 12), 3, 12),
+     (lambda: poisson_multiplicative(5), 3, 4),
+     (lambda: witness_multiplicative(2), 3, 10),
+     (lambda: witness_multiplicative(3, padded=True), 3, 13)],
+    ids=["sphere-d5", "sphere-d5-cap-past-q", "framed-d5", "framed-d7",
+         "poisson", "witness", "padded-witness"],
+)
+def test_columns_agree_with_the_raw_arity_complexes(build, n_max, q_max, normalized):
+    """Every stored column, its vertical differential and the vanishing
+    rule equal what the host's raw arity complexes give: labels by the
+    generic codegeneracy filter over the raw basis, d as the raw d_q
+    restricted to the kept labels."""
+    H = HochschildComplex(mcclure_smith(build(), n_max), q_max, normalized=normalized)
+    X, op = H.X, H.X.host
+    stored = set()
+    for n in range(n_max + 1):
+        C = arity_complex(op, n)
+        for q in C.space.degrees():
+            if q > q_max:
+                continue
+            kept = tuple(
+                l for l in C.space.labels(q) if not H.normalized or X.is_normal_label(n, l)
+            )
+            assert H.labels(n, q) == kept, (n, q)
+            if not kept:
+                continue
+            stored.add((n, q))
+            kept_at = {l: k for k, l in enumerate(kept)}
+            rows = {l: r for r, l in enumerate(H.labels(n, q - 1))}
+            raw_src, raw_tgt = C.space.labels(q), C.space.labels(q - 1)
+            entries = {
+                (rows[raw_tgt[r]], kept_at[raw_src[c]]): v
+                for (r, c), v in C.d(q).entries.items() if raw_src[c] in kept_at
+            }
+            assert H.d_mat(n, q) == RationalMatrix(len(rows), len(kept), entries), (n, q)
+    assert set(H.positions()) == stored
+    grid = [(n, q) for n in range(-2, n_max + 4) for q in range(-2, 30)]
+    assert [pos for pos in grid if H.vanishes(*pos) != _raw_vanishes(H, *pos)] == []
+
+
+def test_differential_that_does_not_square_to_zero_is_refused():
+    """A host whose d does not square to zero stops the computation with
+    ValueError instead of giving pages."""
+    op = parse_free_operad(
+        "nu:2:0\na:1:1\nb:1:2\nc:1:3\nd c = b\nd b = a",
+        associative="nu",
+        degree_cap=6,
+    )
+    M = MultiplicativeStructure(op, witness_generator(op, "nu"))
+    with pytest.raises(ValueError, match="d ∘ d != 0"):
+        ss_pages(HochschildComplex(mcclure_smith(M), q_max=6), 3)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,10 @@ CASES = {
     ],
     "e2": ["e2", "--d", "5", "--n-max", "5", "--q-max", "12"],
     "ss": ["ss", "--instance", "padded-witness:m=2"],
+    "ss_sphere": [
+        "ss", "--instance", "sphere:d=5", "--n-max", "5", "--q-max", "12",
+        "--r-max", "4",
+    ],
     "obstruction": ["obstruction", "--instance", "padded-witness:m=3"],
 }
 
