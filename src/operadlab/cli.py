@@ -114,10 +114,8 @@ def render_grid(dims: dict, title: str) -> str:
 
 
 def _write_report(args, name: str, payload: dict):
-    if getattr(args, "out", None):
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(
+    if args.out:
+        (pathlib.Path(args.out) / f"{name}.json").write_text(
             json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
         )
 
@@ -323,6 +321,7 @@ def cmd_ss(args) -> int:
 
 def cmd_obstruction(args) -> int:
     _check_window(args)
+    _at_least("--m", args.m, 1)
     _at_least("--trials", args.trials, 0)
     M = load_instance(args.instance, args.n_max, args.q_max)
     if not M.operad.has_differential():
@@ -529,13 +528,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.config:
-        try:
-            config = _read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        args = build_parser(config).parse_args(argv)
+    try:
+        if args.config:
+            args = build_parser(_read_config(args.config)).parse_args(argv)
+        # before any work, so a bad --out fails first rather than last
+        if args.out:
+            pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except CheckFailure as exc:

@@ -9,7 +9,6 @@ being reported as a number; asking for it raises :class:`WindowBoundary`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .linalg import (
@@ -155,7 +154,6 @@ class ChainComplexWindow:
 class DegreeHomology:
     dim: int
     representatives: list  # list of Vectors (cycle chains)
-    boundary_basis: list  # list of Vectors spanning the boundary space
     reliable: bool
     # cycles modulo boundaries with the representatives chosen above
     _quotient: Subquotient = field(repr=False)
@@ -196,36 +194,30 @@ class HomologyResult:
 
 
 def homology(C: ChainComplexWindow) -> HomologyResult:
-    """Kernel-mod-image homology with explicit representative cycles."""
+    """Kernel-mod-image homology with explicit representative cycles.
+
+    Each d_q is reduced once, without coordinates: its echelon rows span
+    the boundaries of degree q - 1 and count rank d_q.  Only a degree with
+    homology asks for its kernel basis; elsewhere the boundaries alone give
+    the same quotient, since d o d = 0 is checked at construction.
+    """
     lo, hi = C.window
     out = {}
+    image: list = []  # d_lo is the zero map out of the window
     for q in range(lo, hi + 1):
         n = C.dim(q)
-        if q > lo:
-            cycles = kernel_basis(C.d(q))
-        elif C.complete_below:
-            # nothing below the window: every chain is a cycle
-            cycles = [
-                [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                for j in range(n)
-            ]
-        else:
-            cycles = []  # unknown lowest differential; flagged unreliable
-        boundary_cols = C.d(q + 1).columns() if q + 1 <= hi else []
-        boundary_gens = []
-        for col in boundary_cols:
-            b = zero_vec(n)
-            for r, v in col.items():
-                b[r] = v
-            boundary_gens.append(b)
-        quotient = Subquotient(n, cycles, boundary_cols)
+        boundaries = Subquotient(n, (), C.d(q + 1).columns()).rows() if q < hi else []
+        # an open lower edge has an unknown differential: no cycles there
+        n_cycles = n - len(image) if q > lo or C.complete_below else 0
+        cycles = kernel_basis(C.d(q)) if n_cycles > len(boundaries) else []
+        quotient = Subquotient(n, cycles, boundaries)
         out[q] = DegreeHomology(
             dim=quotient.dim,
             representatives=quotient.representatives,
-            boundary_basis=boundary_gens,
             reliable=C.reliable(q),
             _quotient=quotient,
         )
+        image = boundaries
     return HomologyResult(C, out)
 
 

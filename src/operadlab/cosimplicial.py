@@ -192,14 +192,14 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
 
 
 def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpElement:
-    """delta(x) = sum_{i=0}^{n+1} (-1)^i d^i(x), an element of O(n+1)."""
-    op = M.operad
-    n = x.arity
-    out = op.compose(M.mult, 2, x)
-    for i in range(1, n + 1):
-        out = out + op.compose(x, i, M.mult).scale((-1) ** i)
-    out = out + op.compose(M.mult, 1, x).scale((-1) ** (n + 1))
-    return out
+    """delta(x) = sum_{i=0}^{n+1} (-1)^i d^i(x), an element of O(n+1): the
+    linear extension of ``delta_on_label``, the coboundary of the complex."""
+    delta = partial(mcclure_smith(M).delta_on_label, x.arity)
+    out: Coeffs = {}
+    for l, c in x.coeffs:
+        for l2, c2 in delta(l).items():
+            out[l2] = out.get(l2, Fraction(0)) + c * c2
+    return OpElement.make(x.arity + 1, out)
 
 
 # -- the double complex ------------------------------------------------------

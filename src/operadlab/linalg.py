@@ -247,6 +247,10 @@ class Subquotient:
     def dim(self) -> int:
         return len(self.representatives)
 
+    def rows(self) -> list[dict]:
+        """The pivot rows in insertion order, an echelon basis of the span."""
+        return [row for row, _ in self._pivots.values()]
+
     def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
         v lies outside span(cycles) + span(boundaries)."""

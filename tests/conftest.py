@@ -21,7 +21,7 @@ import pytest
 from hypothesis import strategies as st
 
 from operadlab.complexes import ChainComplexWindow, GradedSpace
-from operadlab.linalg import RationalMatrix
+from operadlab.linalg import RationalMatrix, Subquotient, kernel_basis
 
 
 def rref(rows: list, ncols: int) -> tuple[list, list]:
@@ -130,6 +130,27 @@ def random_complex(rng: random.Random, max_deg: int = 4):
     C = ChainComplexWindow(space, differential, (0, max_deg))
     expected = {q: free.get(q, 0) for q in range(max_deg + 1)}
     return C, expected
+
+
+def reference_homology(C: ChainComplexWindow) -> dict:
+    """degree -> Subquotient of cycles modulo boundaries, computed the
+    plain way: the kernel basis of d_q at every degree (the dense identity
+    at a complete lower edge, nothing at an open one) modulo the raw
+    columns of d_{q+1}.  An oracle for ``homology``, which reduces each
+    differential only once."""
+    lo, hi = C.window
+    out = {}
+    for q in range(lo, hi + 1):
+        n = C.dim(q)
+        if q > lo:
+            cycles = kernel_basis(C.d(q))
+        elif C.complete_below:
+            cycles = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        else:
+            cycles = []
+        boundaries = C.d(q + 1).columns() if q < hi else []
+        out[q] = Subquotient(n, cycles, boundaries)
+    return out
 
 
 @pytest.fixture

@@ -158,6 +158,21 @@ class TestCLI:
         cfg.write_text("not a config line\n")
         assert main(["--config", str(cfg), "audit"]) == 2
 
+    @pytest.mark.parametrize("how", ["flag", "flag-below", "config"])
+    def test_unusable_out_exits_before_any_work(self, tmp_path, capsys, how):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "x" if how == "flag-below" else taken
+        argv = ["--out", str(out), "hochschild"]
+        if how == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"out = {taken}\n")
+            argv = ["--config", str(cfg), "hochschild"]
+        assert main(argv) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""  # no table was computed
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_ss_command_shows_forced_differential(self, capsys):
         assert main(["ss", "--instance", "witness:m=2"]) == 0
         out = capsys.readouterr().out
@@ -243,6 +258,9 @@ class TestBracketCommand:
         (["ss", "--instance", "witness:m=2", "--n-max", "5"], 2),
         (["bracket", "--instance", "poisson:d=5",
           "--class-a=0,0,0", "--class-b=0,0,0"], 2),
+        # the obstruction degree 4m - 1 needs m >= 1
+        (["obstruction", "--instance", "sphere:d=5", "--m", "-1"], 2),
+        (["obstruction", "--instance", "sphere:d=5", "--m", "0"], 2),
     ],
 )
 def test_input_ends_in_its_exit_code_without_traceback(capsys, argv, code):

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_complex
+from conftest import random_complex, reference_homology
+from operadlab import complexes
 from operadlab.complexes import (
     ChainComplexWindow,
     GradedSpace,
     NotABoundary,
     NotACycle,
+    WindowBoundary,
     is_boundary_with_witness,
     tensor,
 )
-from operadlab.linalg import NoSolution, RationalMatrix, is_zero_vec, vec
+from operadlab.linalg import NoSolution, RationalMatrix, is_zero_vec, kernel_basis, vec
 
 
 def interval_complex():
@@ -60,7 +62,8 @@ class TestHomology:
     def test_non_cycle_raises_not_a_cycle_in_every_degree(self):
         # degree 1 of the interval has no classes and no boundaries
         H = interval_complex().homology()
-        assert H.per_degree[1].dim == 0 and not H.per_degree[1].boundary_basis
+        assert H.per_degree[1].dim == 0
+        assert H.per_degree[1].class_coordinates(vec([0])) == []
         with pytest.raises(NotACycle):
             H.per_degree[1].class_coordinates(vec([1]))
         # degree 1 here has a class (y) and a boundary (z); x is no cycle
@@ -68,12 +71,70 @@ class TestHomology:
         d1 = RationalMatrix(1, 3, {(0, 0): Fraction(1)})
         d2 = RationalMatrix(3, 1, {(2, 0): Fraction(1)})
         h = ChainComplexWindow(space, {1: d1, 2: d2}, (0, 2)).homology().per_degree[1]
-        assert h.dim == 1 and h.boundary_basis
+        assert h.dim == 1 and h.class_coordinates(vec([0, 0, 1])) == vec([0])
         assert h.class_coordinates(vec([0, 3, 5])) == vec([3])
         with pytest.raises(NotACycle):
             h.class_coordinates(vec([1, 0, 0]))
         # one type, and still a NoSolution for callers that catch that
         assert issubclass(NotACycle, NoSolution)
+
+
+    def test_matches_the_reference_algorithm(self, rng):
+        for _ in range(60):
+            C, _ = random_complex(rng)
+            # the same differentials, and the same with one edge declared open
+            for edge in ({}, {"complete_below": False}, {"complete_above": False}):
+                C_edge = ChainComplexWindow(C.space, C.differential, C.window, **edge)
+                assert_matches_reference(C_edge, rng)
+
+    def test_kernel_basis_only_where_homology_survives(self, rng, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return kernel_basis(M)
+
+        monkeypatch.setattr(complexes, "kernel_basis", counting)
+        for _ in range(40):
+            C, _ = random_complex(rng)
+            calls.clear()
+            H = C.homology()
+            assert len(calls) == sum(1 for h in H.per_degree.values() if h.dim)
+
+
+def assert_matches_reference(C, rng):
+    """Equal dims, representatives (exact Fractions), class coordinates of
+    random cycles and NotACycle on the same non-cycles as
+    ``reference_homology``."""
+    def random_vec(n):
+        return vec([rng.randint(-2, 2) for _ in range(n)])
+
+    H, ref = C.homology(), reference_homology(C)
+    lo, hi = C.window
+    assert H.degrees() == sorted(ref)
+    for q, sq in ref.items():
+        h, n = H.per_degree[q], C.dim(q)
+        assert h.dim == sq.dim
+        assert h.representatives == sq.representatives
+        assert all(type(x) is Fraction for r in h.representatives for x in r)
+        if not C.reliable(q):
+            with pytest.raises(WindowBoundary):
+                h.class_coordinates(random_vec(n))
+            continue
+        kernel = kernel_basis(C.d(q))
+        for _ in range(3):
+            # a random cycle plus, below the top, a random boundary
+            z = RationalMatrix.from_columns(kernel, n).matvec(random_vec(len(kernel)))
+            if q < hi:
+                b = C.apply_d(q + 1, random_vec(C.dim(q + 1)))
+                z = [x + y for x, y in zip(z, b)]
+            assert h.class_coordinates(z) == sq.coords(z)
+            v = random_vec(n)
+            if q > lo and not is_zero_vec(C.apply_d(q, v)):
+                with pytest.raises(NotACycle):
+                    h.class_coordinates(v)
+                with pytest.raises(NoSolution):
+                    sq.coords(v)
 
 
 class TestBoundaries:
