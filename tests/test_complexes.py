@@ -78,7 +78,6 @@ class TestHomology:
         # one type, and still a NoSolution for callers that catch that
         assert issubclass(NotACycle, NoSolution)
 
-
     def test_matches_the_reference_algorithm(self, rng):
         for _ in range(60):
             C, _ = random_complex(rng)
