@@ -287,6 +287,11 @@ class FramedOperad(Operad):
     reordering the odd Hopf symbols.  The base operad must have even
     degrees throughout (true for the sphere operad with odd d), so base
     symbols never contribute signs.
+
+    A composite is the base composite tensored with a Hopf factor that
+    reads only the Hopf words, so each Hopf factor is computed once per
+    key.  Hopf words are built slot by slot and dropped as soon as their
+    degree leaves room for no base label under the degree cap.
     """
 
     def __init__(self, base: Operad, hopf: PrimitiveExteriorHopf, degree_cap: int | None = None):
@@ -297,23 +302,29 @@ class FramedOperad(Operad):
         self.max_arity = base.max_arity
         self.degree_cap = degree_cap
         self._basis_cache: dict = {}
+        self._hopf_cache: dict = {}
 
     def basis_by_degree(self, n: int) -> dict:
-        key = n
-        if key not in self._basis_cache:
+        if n not in self._basis_cache:
             by_deg: dict = {}
             base_by_deg = self.base.basis_by_degree(n)
-            mons = self.hopf.monomials
+            cap = self.degree_cap
+            room = None if cap is None or not base_by_deg else cap - min(base_by_deg)
+            mons = [(m, self.hopf.degree(m)) for m in self.hopf.monomials]
+            words = [((), 0)]  # (word, degree), in itertools.product order
+            for _ in range(n):
+                words = [
+                    (w + (m,), qw + qm) for w, qw in words for m, qm in mons
+                    if room is None or qw + qm <= room
+                ]
             for qb, labels in base_by_deg.items():
-                for word in itertools.product(mons, repeat=n):
-                    qh = sum(self.hopf.degree(m) for m in word)
+                for word, qh in words:
                     q = qb + qh
-                    if self.degree_cap is not None and q > self.degree_cap:
+                    if cap is not None and q > cap:
                         continue
-                    for bl in labels:
-                        by_deg.setdefault(q, []).append((bl, word))
-            self._basis_cache[key] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
-        return self._basis_cache[key]
+                    by_deg.setdefault(q, []).extend((bl, word) for bl in labels)
+            self._basis_cache[n] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
+        return self._basis_cache[n]
 
     def degree(self, n: int, label) -> int:
         bl, word = label
@@ -343,45 +354,51 @@ class FramedOperad(Operad):
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         (bx, gs), (by, hs) = xl, yl
+        hopf_terms = self._hopf_factor(gs, i, n, hs)
+        if not hopf_terms:
+            return {}
+        cap = self.degree_cap
         base_terms = [
             (bl, bc, self.base.degree(m + n - 1, bl))
             for bl, bc in self.base.compose_basis(m, bx, i, n, by).items()
+            if bc
         ]
-        deg = self.hopf.degree
-        gi = gs[i - 1]
-        tail_deg = sum(deg(g) for g in gs[i:])  # factors g_{i+1}..g_m
-        out: Coeffs = {}
-        for split, c0 in self.hopf.iterated_coproduct(gi, n).items():
-            coeff = c0
-            word = []
-            ok = True
-            # remaining degree of not-yet-consumed split components
-            split_deg_after = [0] * (n + 1)
-            for j in range(n - 1, -1, -1):
-                split_deg_after[j] = split_deg_after[j + 1] + deg(split[j])
-            for j in range(n):
-                # h_j moves left past split components j+1..n and the gs tail
-                hj = hs[j]
-                if deg(hj) % 2 and (split_deg_after[j + 1] + tail_deg) % 2:
-                    coeff = -coeff
-                prod = self.hopf.product(split[j], hj)
-                if prod is None:
-                    ok = False
-                    break
-                s, mon = prod
-                coeff *= s
-                word.append(mon)
-            if not ok:
-                continue
-            new_word = gs[: i - 1] + tuple(word) + gs[i:]
-            qh = sum(deg(w) for w in new_word)
-            for bl, bc, qb in base_terms:
-                q = qb + qh
-                if self.degree_cap is not None and q > self.degree_cap:
-                    continue
-                lab = (bl, new_word)
-                out[lab] = out.get(lab, Fraction(0)) + coeff * bc
-        return {l: c for l, c in out.items() if c != 0}
+        return {
+            (bl, word): c * bc
+            for word, qh, c in hopf_terms
+            for bl, bc, qb in base_terms
+            if cap is None or qb + qh <= cap
+        }
+
+    def _hopf_factor(self, gs, i: int, n: int, hs) -> tuple:
+        """The Hopf part of ``(bx, gs) o_i (by, hs)`` as ``(word, degree,
+        coefficient)`` terms, summed per word; cached per key."""
+        key = (gs, i, n, hs)
+        if key not in self._hopf_cache:
+            deg = self.hopf.degree
+            tail_deg = sum(deg(g) for g in gs[i:])  # factors g_{i+1}..g_m
+            out: dict = {}
+            for split, coeff in self.hopf.iterated_coproduct(gs[i - 1], n).items():
+                word = []
+                # degree of the not-yet-consumed split components and the gs tail
+                after = sum(deg(s) for s in split) + tail_deg
+                for s, hj in zip(split, hs):
+                    after -= deg(s)
+                    # h_j moves left past split components j+1..n and the gs tail
+                    if deg(hj) % 2 and after % 2:
+                        coeff = -coeff
+                    prod = self.hopf.product(s, hj)
+                    if prod is None:
+                        break
+                    coeff *= prod[0]
+                    word.append(prod[1])
+                else:
+                    new_word = gs[: i - 1] + tuple(word) + gs[i:]
+                    out[new_word] = out.get(new_word, 0) + coeff
+            self._hopf_cache[key] = tuple(
+                (w, sum(deg(m) for m in w), c) for w, c in out.items() if c != 0
+            )
+        return self._hopf_cache[key]
 
 
 # -- witness operads ---------------------------------------------------------

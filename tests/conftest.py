@@ -153,6 +153,50 @@ def reference_homology(C: ChainComplexWindow) -> dict:
     return out
 
 
+def reference_framed_compose(op, m: int, xl, i: int, n: int, yl) -> dict:
+    """``FramedOperad.compose_basis`` computed the plain way, per split of
+    the iterated diagonal and per call: the base composite, then for each
+    split the Koszul signs, the products with the inserted word and the
+    degree cap.  An oracle for the host, which computes each Hopf factor
+    once and reuses it across base labels and calls."""
+    (bx, gs), (by, hs) = xl, yl
+    hopf, deg = op.hopf, op.hopf.degree
+    base_terms = [
+        (bl, bc, op.base.degree(m + n - 1, bl))
+        for bl, bc in op.base.compose_basis(m, bx, i, n, by).items()
+    ]
+    tail_deg = sum(deg(g) for g in gs[i:])
+    out: dict = {}
+    for split, c0 in hopf.iterated_coproduct(gs[i - 1], n).items():
+        coeff = c0
+        word = []
+        ok = True
+        split_deg_after = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            split_deg_after[j] = split_deg_after[j + 1] + deg(split[j])
+        for j in range(n):
+            hj = hs[j]
+            if deg(hj) % 2 and (split_deg_after[j + 1] + tail_deg) % 2:
+                coeff = -coeff
+            prod = hopf.product(split[j], hj)
+            if prod is None:
+                ok = False
+                break
+            s, mon = prod
+            coeff *= s
+            word.append(mon)
+        if not ok:
+            continue
+        new_word = gs[: i - 1] + tuple(word) + gs[i:]
+        qh = sum(deg(w) for w in new_word)
+        for bl, bc, qb in base_terms:
+            if op.degree_cap is not None and qb + qh > op.degree_cap:
+                continue
+            lab = (bl, new_word)
+            out[lab] = out.get(lab, Fraction(0)) + coeff * bc
+    return {l: c for l, c in out.items() if c != 0}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

@@ -18,6 +18,8 @@ from operadlab.audit import (
     standard_audit_input,
 )
 from operadlab.cli import main
+from operadlab.cosimplicial import hochschild_homology
+from operadlab.instances import framed_multiplicative
 
 
 class TestAudit:
@@ -69,6 +71,37 @@ class TestAudit:
         assert table[(-1, 7)] == 1  # top loop class
         assert e2_total_dims(inp)[5] == 1
         assert abutment_dims(inp)[5] == 0 or 5 not in abutment_dims(inp)
+
+
+class TestComputedSecondPage:
+    @pytest.mark.parametrize(
+        "d,n_max,q_max,t_star,nonzero",
+        [(7, 6, 20, 9, 21), (9, 6, 19, 13, 26)],
+        ids=["d7", "d9"],
+    )
+    def test_model_is_the_computed_framed_page(self, d, n_max, q_max, t_star, nonzero):
+        """The audit's posited second page equals the computed framed
+        Hochschild homology at every reliable position, and the window
+        certifies every position of total degree p + q <= t*, the lowest
+        surplus degree of the audit's forced differential."""
+        HH = hochschild_homology(framed_multiplicative(d, n_max, q_max), n_max, q_max)
+        model = e2_table(standard_audit_input(d, t_max=q_max))
+        reliable = {
+            (p, q) for q, hom in HH.homs.items()
+            for p, h in hom.per_degree.items() if h.reliable
+        }
+        assert {pos: HH.dims.get(pos, 0) for pos in reliable} == {
+            pos: model.get(pos, 0) for pos in reliable
+        }
+        assert (len(reliable), len(HH.dims)) == (112, nonzero)
+        (forced,) = convergence_audit(standard_audit_input(d))
+        assert sum(forced.target) == t_star
+        # past arity t*, q - n <= t* lies below the vanishing line 2q < 4n
+        uncertified = [
+            (-n, q) for n in range(t_star + 1) for q in range(n + t_star + 1)
+            if (-n, q) not in reliable and not HH.complex.vanishes(n, q)
+        ]
+        assert uncertified == []
 
 
 class TestTensorCheck:

@@ -136,8 +136,9 @@ def test_certified_zero_columns_are_empty_in_a_larger_window(build):
     "build,d,n_max,q_max",
     [(sphere_multiplicative, 5, 8, 16),
      (framed_multiplicative, 5, 6, 16),
-     (framed_multiplicative, 7, 5, 14)],
-    ids=["sphere-d5", "framed-d5", "framed-d7"],
+     (framed_multiplicative, 7, 5, 14),
+     (framed_multiplicative, 9, 6, 19)],
+    ids=["sphere-d5", "framed-d5", "framed-d7", "framed-d9"],
 )
 def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
     """The host's normalized labels, confirmed by the codegeneracies, are

@@ -4,8 +4,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import reference_framed_compose
 
+from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
+    FramedOperad,
     apply_inclusion,
     arity_complex,
     element_to_vector,
@@ -123,6 +126,61 @@ class TestFramed:
         # 1, b1, b2; the top product b1 b2 exceeds the degree cap
         assert sorted(by_deg) == [0, 3, 7]
         assert sum(len(v) for v in by_deg.values()) == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: framed_multiplicative(5, 4, 16).operad,
+         lambda: FramedOperad(
+             sphere_operad(7, 4, 12), build_so_hopf(7, "fixing-subgroup"), degree_cap=12
+         )],
+        ids=["framed-d5", "framed-d7-fixing-subgroup"],
+    )
+    def test_compose_matches_the_per_split_formula(self, build):
+        """Every composite x o_i y with x in arity <= 3 and y in arity 0..2
+        equals the per-split formula, with Fraction coefficients; a caller
+        mutating a returned dict leaves the next call unchanged."""
+        op = build()
+
+        def labels(n):
+            return [l for ls in op.basis_by_degree(n).values() for l in ls]
+
+        calls = nonempty = hopf_y = 0
+        for m in (1, 2, 3):
+            for xl in labels(m):
+                for i in range(1, m + 1):
+                    for n in (0, 1, 2):
+                        for yl in labels(n):
+                            got = op.compose_basis(m, xl, i, n, yl)
+                            want = reference_framed_compose(op, m, xl, i, n, yl)
+                            assert got == want, (m, xl, i, n, yl)
+                            assert all(type(c) is Fraction for c in got.values())
+                            calls += 1
+                            nonempty += bool(got)
+                            hopf_y += bool(got) and any(yl[1])
+                            if got:
+                                got.clear()
+                                assert op.compose_basis(m, xl, i, n, yl) == want
+        assert calls > 5_000 and nonempty > 1_000 and hopf_y > 100
+
+    @pytest.mark.parametrize(
+        "d,n_max,cap", [(5, 4, 16), (7, 4, 20), (9, 4, 19), (5, 3, None)],
+        ids=["d5", "d7", "d9", "d5-uncapped"],
+    )
+    def test_words_are_the_capped_product(self, d, n_max, cap):
+        """The cap-pruned words give the labels of the full word product
+        filtered by the cap: the same tuples in the same order, degree by
+        degree and in the same degree order."""
+        op = FramedOperad(sphere_operad(d, n_max, cap), build_so_hopf(d), degree_cap=cap)
+        deg = op.hopf.degree
+        for n in range(n_max + 1):
+            want: dict = {}
+            for qb, base_labels in op.base.basis_by_degree(n).items():
+                for word in itertools.product(op.hopf.monomials, repeat=n):
+                    q = qb + sum(deg(w) for w in word)
+                    if cap is None or q <= cap:
+                        want.setdefault(q, []).extend((bl, word) for bl in base_labels)
+            want = {q: tuple(sorted(ls)) for q, ls in want.items()}
+            assert list(op.basis_by_degree(n).items()) == list(want.items()), n
 
 
 class TestWitness:
