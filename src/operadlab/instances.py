@@ -29,12 +29,12 @@ from .operads import (
     ArityOverflow,
     Coeffs,
     FreeChainOperad,
-    LEAF,
     OpElement,
     Operad,
     TableOperad,
     TruncationError,
     chain_to_vector,
+    generator_element as witness_generator,
     parse_free_operad,
     vector_to_chain,
 )
@@ -437,11 +437,6 @@ def witness_operad(m: int = 2, padded: bool = False, break_h1: bool = False) -> 
         max_arity=3,
         degree_cap=8 * m + 2,
     )
-
-
-def witness_generator(op: FreeChainOperad, name: str) -> OpElement:
-    ar, _ = op.generators[name]
-    return OpElement.basis(ar, (name,) + (LEAF,) * ar)
 
 
 # -- homology operad ---------------------------------------------------------

@@ -439,16 +439,6 @@ def tree_arity(tree) -> int:
     return sum(tree_arity(c) for c in tree[1:])
 
 
-def tree_generators(tree) -> list:
-    """Generator names in preorder."""
-    if tree == LEAF:
-        return []
-    out = [tree[0]]
-    for c in tree[1:]:
-        out.extend(tree_generators(c))
-    return out
-
-
 class FreeChainOperad(Operad):
     """Free operad on graded generators, with optional strict associativity.
 
@@ -476,7 +466,15 @@ class FreeChainOperad(Operad):
             ar, dg = self.generators[associative]
             if (ar, dg) != (2, 0):
                 raise ValueError("associative generator must be binary of degree 0")
+        for name, (ar, dg) in self.generators.items():
+            if ar == 0:
+                raise ValueError("arity-0 generators unsupported in free backend")
+            if ar == 1 and dg <= 0:
+                raise ValueError(
+                    f"unary generator {name} of degree {dg} makes the basis infinite"
+                )
         self._basis_cache: dict = {}
+        self._layers: list = [[]]  # _layers[k]: (tree, degree) pairs with k leaves
 
     # -- basic tree data -------------------------------------------------
 
@@ -484,7 +482,9 @@ class FreeChainOperad(Operad):
         return self.generators[name][1]
 
     def tree_degree(self, tree) -> int:
-        return sum(self.gen_degree(g) for g in tree_generators(tree))
+        if tree == LEAF:
+            return 0
+        return self.gen_degree(tree[0]) + sum(self.tree_degree(c) for c in tree[1:])
 
     def degree(self, n: int, label) -> int:
         return self.tree_degree(label)
@@ -493,34 +493,20 @@ class FreeChainOperad(Operad):
     def unit_label(self):
         return LEAF
 
-    def is_normal(self, tree) -> bool:
-        if tree == LEAF:
-            return True
-        if (
-            self.associative is not None
-            and tree[0] == self.associative
-            and tree[2] != LEAF
-            and tree[2][0] == self.associative
-        ):
-            return False
-        return all(self.is_normal(c) for c in tree[1:])
+    def _right_nested(self, tree) -> bool:
+        """Whether the root is nu(a, nu(b, c)), the shape the rewrite removes."""
+        nu = self.associative
+        return tree[0] == nu and tree[2] != LEAF and tree[2][0] == nu
 
     def normalize_tree(self, tree):
         """Left-comb normal form.  The rewrite moves only the degree-0
         associative generator, so no Koszul signs arise."""
         if tree == LEAF:
             return tree
-        children = tuple(self.normalize_tree(c) for c in tree[1:])
-        tree = (tree[0],) + children
-        if (
-            self.associative is not None
-            and tree[0] == self.associative
-            and tree[2] != LEAF
-            and tree[2][0] == self.associative
-        ):
-            a = tree[1]
-            b, c = tree[2][1], tree[2][2]
+        tree = (tree[0],) + tuple(self.normalize_tree(c) for c in tree[1:])
+        if self._right_nested(tree):
             nu = self.associative
+            a, (_, b, c) = tree[1], tree[2]
             return self.normalize_tree((nu, (nu, a, b), c))
         return tree
 
@@ -528,175 +514,113 @@ class FreeChainOperad(Operad):
 
     def basis_by_degree(self, n: int) -> dict:
         if n not in self._basis_cache:
-            trees = sorted(self._enumerate(n), key=lambda t: (self.tree_degree(t), repr(t)))
             by_deg: dict = {}
-            for t in trees:
-                by_deg.setdefault(self.tree_degree(t), []).append(t)
+            for t, q in sorted(self._enumerate(n), key=lambda tq: (tq[1], repr(tq[0]))):
+                by_deg.setdefault(q, []).append(t)
             self._basis_cache[n] = {q: tuple(ts) for q, ts in by_deg.items()}
         return self._basis_cache[n]
 
-    def _enumerate(self, n: int) -> set:
-        """All normal-form trees with n leaves and degree within cap.
+    def _enumerate(self, n: int) -> list:
+        """(tree, degree) pairs of the normal-form trees with n leaves and
+        degree within the cap.
 
-        Arity-0 generators are not supported in the free backend; every
-        subtree carries at least one leaf, and the degree cap terminates
-        unary towers.
+        Layers are built by leaf count.  A vertex of arity >= 2 takes its
+        children from the finished layers with fewer leaves; the layer is
+        then closed under the unary generators, whose positive degrees and
+        the cap end every unary tower.  Children are already normal, so
+        only the root can break the left-comb form, and each tree is built
+        exactly once, its degree summed from its children's.
         """
-        if n > self.max_arity or n < 1:
-            return set()
-        for name, (ar, dg) in self.generators.items():
-            if ar == 0:
-                raise ValueError("arity-0 generators unsupported in free backend")
-            if ar == 1 and dg == 0:
-                raise ValueError("degree-0 unary generator makes the basis infinite")
-        # fixpoint iteration: every vertex added either raises the degree
-        # or (for the degree-0 binary generator) the leaf count, both
-        # capped, so this terminates
-        by_leaves: dict = {k: set() for k in range(1, self.max_arity + 1)}
-        by_leaves[1].add(LEAF)
-        changed = True
-        while changed:
-            changed = False
-            for name, (ar, _) in self.generators.items():
-                for leaves in range(ar, self.max_arity + 1):
-                    for split in _compositions(leaves, ar):
-                        for kids in itertools.product(*(by_leaves[s] for s in split)):
-                            t = (name,) + kids
-                            if self.tree_degree(t) > self.degree_cap:
-                                continue
-                            if self.is_normal(t) and t not in by_leaves[leaves]:
-                                by_leaves[leaves].add(t)
-                                changed = True
-        return by_leaves[n]
+        layers = self._layers
+        while len(layers) <= min(n, self.max_arity):
+            k = len(layers)
+            layer = [(LEAF, 0)] if k == 1 else []
+            for name, (ar, dg) in self.generators.items():
+                if ar < 2:
+                    continue
+                for split in _compositions(k, ar):
+                    for kids in itertools.product(*(layers[s] for s in split)):
+                        t = (name,) + tuple(c for c, _ in kids)
+                        q = dg + sum(d for _, d in kids)
+                        if q <= self.degree_cap and not self._right_nested(t):
+                            layer.append((t, q))
+            for t, q in layer:  # the layer grows while it is read
+                for name, (ar, dg) in self.generators.items():
+                    if ar == 1 and q + dg <= self.degree_cap:
+                        layer.append(((name, t), q + dg))
+            layers.append(layer)
+        return layers[n] if 1 <= n <= self.max_arity else []
 
     # -- composition and differential ------------------------------------
 
-    def _graft_sign(self, xtree, i: int, ydeg: int) -> int:
-        """Koszul sign for grafting a degree-ydeg element at leaf i."""
-        if ydeg % 2 == 0:
-            return 1
-        after = self._degrees_after_leaf(xtree, i)
-        return -1 if after % 2 else 1
-
-    def _degrees_after_leaf(self, tree, i: int) -> int:
-        """Sum of generator degrees occurring after leaf i in preorder."""
-        total = {"leaf_count": 0, "after": 0, "seen": False}
+    def _graft(self, tree, i: int, sub):
+        """Replace leaf i (1-based, left to right) of tree by sub.  Returns
+        the new tree and the degree sum of the generators of tree after
+        leaf i in preorder, which fixes the Koszul sign of the graft."""
+        seen = after = 0
 
         def walk(t):
+            nonlocal seen, after
             if t == LEAF:
-                total["leaf_count"] += 1
-                if total["leaf_count"] == i:
-                    total["seen"] = True
-                return
-            if total["seen"]:
-                total["after"] += self.gen_degree(t[0])
-            for c in t[1:]:
-                walk(c)
+                seen += 1
+                return sub if seen == i else t
+            if seen >= i:
+                after += self.gen_degree(t[0])
+            return (t[0],) + tuple(walk(c) for c in t[1:])
 
-        walk(tree)
-        return total["after"]
-
-    def _graft(self, xtree, i: int, ytree):
-        """Replace leaf i (1-based, left to right) of xtree by ytree."""
-        counter = {"n": 0}
-
-        def rec(t):
-            if t == LEAF:
-                counter["n"] += 1
-                if counter["n"] == i:
-                    return ytree
-                return t
-            return (t[0],) + tuple(rec(c) for c in t[1:])
-
-        return rec(xtree)
+        return walk(tree), after
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
-        q = self.tree_degree(xl) + self.tree_degree(yl)
+        ydeg = self.tree_degree(yl)
+        q = self.tree_degree(xl) + ydeg
         if q > self.degree_cap:
             raise DegreeOverflow(f"degree {q} exceeds cap {self.degree_cap}")
-        sign = self._graft_sign(xl, i, self.tree_degree(yl))
-        tree = self.normalize_tree(self._graft(xl, i, yl))
-        return {tree: Fraction(sign)}
+        tree, after = self._graft(xl, i, yl)
+        return {self.normalize_tree(tree): Fraction(-1 if ydeg * after % 2 else 1)}
 
     def diff_basis(self, n: int, label) -> Coeffs:
         out: Coeffs = {}
-        self._diff_tree(label, out)
+        for t, c in self._leibniz(label, 0)[0]:
+            t = self.normalize_tree(t)
+            out[t] = out.get(t, 0) + c
         return {l: c for l, c in out.items() if c != 0}
 
     def has_differential(self) -> bool:
         return any(not v.is_zero() for v in self.diff_rules.values())
 
-    def _diff_tree(self, root, out):
-        """Leibniz differential: replace one vertex at a time, with the
-        sign (-1)^{sum of degrees of generators before it in preorder}."""
-        # iterative preorder walk over vertices of root
-        vertices = []
-
-        def collect(t, addr):
-            if t == LEAF:
-                return
-            vertices.append((addr, t[0]))
-            for ci, c in enumerate(t[1:]):
-                collect(c, addr + (ci,))
-
-        collect(root, ())
-        pre = 0
-        for addr, gname in vertices:
-            rule = self.diff_rules.get(gname)
-            if rule is not None and not rule.is_zero():
-                sign = -1 if pre % 2 else 1
-                for repl_tree, coeff in rule.coeffs:
-                    new = self._substitute_vertex(root, addr, repl_tree)
-                    for t2, c2 in new.items():
-                        out[t2] = out.get(t2, Fraction(0)) + Fraction(sign) * coeff * c2
-            pre += self.gen_degree(gname)
-
-    def _substitute_vertex(self, root, addr, repl_tree) -> Coeffs:
-        """Replace the vertex at addr by repl_tree (same arity), grafting
-        the original children into its leaves right-to-left."""
-
-        def rec(t, a):
-            if not a:
-                children = t[1:]
-                # graft children into repl_tree's leaves left to right
-                # (slot positions shift as earlier children add leaves),
-                # accumulating Koszul signs
-                acc = {repl_tree: Fraction(1)}
-                pos = 1
-                for child in children:
-                    cdeg = self.tree_degree(child)
-                    nxt: Coeffs = {}
-                    for tt, cc in acc.items():
-                        s = self._graft_sign(tt, pos, cdeg)
-                        g = self._graft(tt, pos, child)
-                        nxt[g] = nxt.get(g, Fraction(0)) + cc * s
-                    acc = nxt
-                    pos += tree_arity(child)
-                return acc
-            ci = a[0]
-            sub = rec(t[1 + ci], a[1:])
-            out: Coeffs = {}
-            for st, sc in sub.items():
-                new = (t[0],) + t[1 : 1 + ci] + (st,) + t[2 + ci :]
-                out[new] = out.get(new, Fraction(0)) + sc
-            return out
-
-        raw = rec(root, addr)
-        out: Coeffs = {}
-        for t, c in raw.items():
-            nt = self.normalize_tree(t)
-            out[nt] = out.get(nt, Fraction(0)) + c
-        return out
+    def _leibniz(self, tree, pre: int):
+        """(terms, degree) of a subtree whose preorder predecessors have
+        degree sum ``pre``.  The terms are (tree, coefficient) pairs, not
+        yet normalized: each replaces one vertex v by its rule, with sign
+        (-1)^(degrees before v in preorder), the children of v grafted
+        into the rule's leaves left to right."""
+        if tree == LEAF:
+            return [], 0
+        name, kids = tree[0], tree[1:]
+        below, degree = [], self.gen_degree(name)
+        kid_degrees = []
+        for j, kid in enumerate(kids):
+            terms, kd = self._leibniz(kid, pre + degree)
+            below += [(tree[: j + 1] + (t,) + tree[j + 2 :], c) for t, c in terms]
+            degree += kd
+            kid_degrees.append(kd)
+        own = []
+        rule = self.diff_rules.get(name)
+        for t, c in rule.coeffs if rule is not None else ():
+            c = -c if pre % 2 else c
+            pos = 1
+            for kid, kd in zip(kids, kid_degrees):
+                t, after = self._graft(t, pos, kid)
+                c = -c if kd * after % 2 else c
+                pos += tree_arity(kid)
+            own.append((t, c))
+        return own + below, degree
 
 
 def _compositions(total: int, parts: int):
-    """Ways to write total as an ordered sum of `parts` positive integers."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """Ways to write total as an ordered sum of `parts` >= 1 positive integers."""
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -753,10 +677,10 @@ def parse_free_operad(
     return op
 
 
-def _gen_element(op: FreeChainOperad, name: str) -> OpElement:
+def generator_element(op: FreeChainOperad, name: str) -> OpElement:
+    """The basis element of a generator: one vertex over its leaves."""
     ar, _ = op.generators[name]
-    tree = (name,) + (LEAF,) * ar
-    return OpElement.basis(ar, tree)
+    return OpElement.basis(ar, (name,) + (LEAF,) * ar)
 
 
 def _parse_expression(op: FreeChainOperad, expr: str) -> OpElement:
@@ -780,13 +704,13 @@ def _parse_expression(op: FreeChainOperad, expr: str) -> OpElement:
         tokens = raw.split()
         if len(tokens) % 2 != 1:
             raise ValueError(f"malformed term: {raw!r}")
-        elem = _gen_element(op, tokens[0])
+        elem = generator_element(op, tokens[0])
         for k in range(1, len(tokens), 2):
             slot_tok, gen_tok = tokens[k], tokens[k + 1]
             sm = re.match(r"^o(\d+)$", slot_tok)
             if not sm:
                 raise ValueError(f"expected composition token, got {slot_tok!r}")
-            elem = op.compose(elem, int(sm.group(1)), _gen_element(op, gen_tok))
+            elem = op.compose(elem, int(sm.group(1)), generator_element(op, gen_tok))
         term = elem.scale(coeff)
         result = term if result is None else result + term
     if result is None:

@@ -14,6 +14,7 @@ independently of the package's own linear algebra.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -194,6 +195,159 @@ def reference_framed_compose(op, m: int, xl, i: int, n: int, yl) -> dict:
                 continue
             lab = (bl, new_word)
             out[lab] = out.get(lab, Fraction(0)) + coeff * bc
+    return {l: c for l, c in out.items() if c != 0}
+
+
+# -- free operad oracles: the tree walks the free backend replaced -------------
+#
+# A fixpoint enumeration that recomputes every tree's degree on each pass,
+# and per-leaf sign and graft walks that substitute one vertex at a time.
+# Oracles for ``FreeChainOperad``, which builds its basis by leaf count
+# and walks each tree once per graft and once per differential.
+
+
+def _ref_generators(tree) -> list:
+    """Generator names in preorder."""
+    if tree == ():
+        return []
+    out = [tree[0]]
+    for c in tree[1:]:
+        out.extend(_ref_generators(c))
+    return out
+
+
+def _ref_degree(op, tree) -> int:
+    return sum(op.generators[g][1] for g in _ref_generators(tree))
+
+
+def _ref_leaves(tree) -> int:
+    return 1 if tree == () else sum(_ref_leaves(c) for c in tree[1:])
+
+
+def _ref_nested(op, tree) -> bool:
+    nu = op.associative
+    return nu is not None and tree[0] == nu and tree[2] != () and tree[2][0] == nu
+
+
+def _ref_is_normal(op, tree) -> bool:
+    if tree == ():
+        return True
+    return not _ref_nested(op, tree) and all(_ref_is_normal(op, c) for c in tree[1:])
+
+
+def _ref_normalize(op, tree):
+    if tree == ():
+        return tree
+    tree = (tree[0],) + tuple(_ref_normalize(op, c) for c in tree[1:])
+    if _ref_nested(op, tree):
+        nu = op.associative
+        return _ref_normalize(op, (nu, (nu, tree[1], tree[2][1]), tree[2][2]))
+    return tree
+
+
+def _ref_splits(total: int, parts: int):
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _ref_splits(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_free_basis(op, n: int) -> dict:
+    """``basis_by_degree`` of a free host by fixpoint iteration: add every
+    normal tree within the caps until a pass adds nothing."""
+    by_leaves = {k: set() for k in range(1, op.max_arity + 1)}
+    by_leaves[1].add(())
+    changed = True
+    while changed:
+        changed = False
+        for name, (ar, _) in op.generators.items():
+            for leaves in range(ar, op.max_arity + 1):
+                for split in _ref_splits(leaves, ar):
+                    for kids in itertools.product(*(by_leaves[s] for s in split)):
+                        t = (name,) + kids
+                        if _ref_degree(op, t) > op.degree_cap:
+                            continue
+                        if _ref_is_normal(op, t) and t not in by_leaves[leaves]:
+                            by_leaves[leaves].add(t)
+                            changed = True
+    by_deg: dict = {}
+    for t in sorted(by_leaves.get(n, ()), key=lambda t: (_ref_degree(op, t), repr(t))):
+        by_deg.setdefault(_ref_degree(op, t), []).append(t)
+    return {q: tuple(ts) for q, ts in by_deg.items()}
+
+
+def _ref_sign_and_graft(op, xtree, i: int, ytree):
+    """(Koszul sign, tree) of grafting ytree at leaf i of xtree, from two
+    separate walks: the degrees after leaf i, then the replacement."""
+    count = after = 0
+
+    def degrees_after(t):
+        nonlocal count, after
+        if t == ():
+            count += 1
+            return
+        if count >= i:
+            after += op.generators[t[0]][1]
+        for c in t[1:]:
+            degrees_after(c)
+
+    degrees_after(xtree)
+    sign = -1 if _ref_degree(op, ytree) % 2 and after % 2 else 1
+    count = 0
+
+    def graft(t):
+        nonlocal count
+        if t == ():
+            count += 1
+            return ytree if count == i else t
+        return (t[0],) + tuple(graft(c) for c in t[1:])
+
+    return sign, graft(xtree)
+
+
+def reference_free_compose(op, xl, i: int, yl) -> dict:
+    """``compose_basis`` of a free host below its caps."""
+    sign, tree = _ref_sign_and_graft(op, xl, i, yl)
+    return {_ref_normalize(op, tree): Fraction(sign)}
+
+
+def reference_free_diff(op, label) -> dict:
+    """``diff_basis`` of a free host: list the vertices with their
+    addresses in preorder, then substitute each vertex's rule at its
+    address, grafting the children into the rule term one at a time."""
+    vertices = []
+
+    def collect(t, addr):
+        if t != ():
+            vertices.append((addr, t[0]))
+            for ci, c in enumerate(t[1:]):
+                collect(c, addr + (ci,))
+
+    def substitute(t, addr, repl):
+        if addr:
+            ci = addr[0]
+            sign, sub = substitute(t[1 + ci], addr[1:], repl)
+            return sign, t[: 1 + ci] + (sub,) + t[2 + ci :]
+        sign, pos = 1, 1
+        for child in t[1:]:
+            s, repl = _ref_sign_and_graft(op, repl, pos, child)
+            sign *= s
+            pos += _ref_leaves(child)
+        return sign, repl
+
+    collect(label, ())
+    out: dict = {}
+    pre = 0
+    for addr, name in vertices:
+        rule = op.diff_rules.get(name)
+        for repl, coeff in rule.coeffs if rule is not None else ():
+            sign, tree = substitute(label, addr, repl)
+            tree = _ref_normalize(op, tree)
+            out[tree] = out.get(tree, 0) + (-1) ** pre * sign * coeff
+        pre += op.generators[name][1]
     return {l: c for l, c in out.items() if c != 0}
 
 

@@ -36,6 +36,7 @@ CASES = {
         "--r-max", "4",
     ],
     "obstruction": ["obstruction", "--instance", "padded-witness:m=3"],
+    "obstruction_h1broken": ["obstruction", "--instance", "h1broken-witness:m=2"],
 }
 
 

@@ -1,13 +1,16 @@
 """Operad interface, free chain operads on trees, axiom checkers."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
+from conftest import reference_free_basis, reference_free_compose, reference_free_diff
 from operadlab.instances import poisson_operad_small, witness_operad
 from operadlab.operads import (
     LEAF,
+    DegreeOverflow,
     OpElement,
     check_d_squared,
     check_leibniz,
@@ -60,6 +63,81 @@ class TestFreeOperad:
             assert check_operad_axioms(op, samples=400).ok
             assert check_d_squared(op).ok
             assert check_leibniz(op).ok
+
+
+_WITNESS_VARIANTS = {"": {}, "padded-": {"padded": True}, "h1broken-": {"break_h1": True}}
+
+FREE_HOSTS = {
+    f"{tag}witness:m={m}": (lambda m=m, kw=kw: witness_operad(m, **kw))
+    for m in (2, 3)
+    for tag, kw in _WITNESS_VARIANTS.items()
+}
+FREE_HOSTS["nonassociative-c"] = lambda: parse_free_operad(
+    "nu:2:0\nc:3:1\nd c = nu o2 nu - nu o1 nu\n", max_arity=3, degree_cap=8
+)
+FREE_HOSTS["odd-binary"] = lambda: parse_free_operad(
+    "x:2:-1\ng:1:2", max_arity=4, degree_cap=5
+)
+FREE_HOSTS["four-generators"] = lambda: parse_free_operad(
+    "nu:2:0\na:1:1\nb:1:2\nc:1:3\nd c = b\nd b = a", associative="nu", degree_cap=4
+)
+
+
+@pytest.mark.parametrize("host", sorted(FREE_HOSTS))
+class TestFreeOperadOracles:
+    """The free backend against the fixpoint enumeration and the
+    per-vertex substitution it replaced (``conftest``)."""
+
+    def test_basis_matches_fixpoint(self, host):
+        op = FREE_HOSTS[host]()
+        for n in range(op.max_arity + 2):
+            assert list(op.basis_by_degree(n).items()) == list(
+                reference_free_basis(op, n).items()
+            )
+
+    def test_compose_matches_per_leaf_walks(self, host):
+        op = FREE_HOSTS[host]()
+        cap = op.max_arity
+        for m in range(1, cap + 1):
+            for n in range(1, cap + 2 - m):
+                for xl in (l for ls in op.basis_by_degree(m).values() for l in ls):
+                    for yl in (l for ls in op.basis_by_degree(n).values() for l in ls):
+                        over = op.degree(m, xl) + op.degree(n, yl) > op.degree_cap
+                        for i in range(1, m + 1):
+                            if over:
+                                with pytest.raises(DegreeOverflow):
+                                    op.compose_basis(m, xl, i, n, yl)
+                            else:
+                                assert op.compose_basis(m, xl, i, n, yl) == (
+                                    reference_free_compose(op, xl, i, yl)
+                                )
+
+    def test_differential_matches_vertex_substitution(self, host):
+        op = FREE_HOSTS[host]()
+        for n in range(1, op.max_arity + 1):
+            for label in (l for ls in op.basis_by_degree(n).values() for l in ls):
+                assert op.diff_basis(n, label) == reference_free_diff(op, label)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_unary_generator_of_non_positive_degree_is_refused(degree):
+    """Such a generator gives unary towers of ever lower degree, so the
+    basis is infinite; an alarm turns a hanging enumeration into a
+    failure."""
+
+    def hang(signum, frame):
+        raise TimeoutError("basis enumeration did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="unary"):
+            parse_free_operad(
+                f"nu:2:0\ng:1:{degree}", associative="nu", degree_cap=6
+            ).basis_by_degree(1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTableOperad:
