@@ -289,6 +289,8 @@ def cmd_ss(args) -> int:
     _at_least("--r-max", args.r_max, 1)
     M = _column_instance(args)
     H = HochschildComplex(mcclure_smith(M, args.n_max), q_max=args.q_max)
+    # first: its pages up to n_max + 1 also serve the requested ones
+    comparison = einfty_vs_total(H, args.r_max)
     pages = ss_pages(H, args.r_max)
     payload = {"instance": M.name, "pages": []}
     for page in pages:
@@ -309,7 +311,6 @@ def cmd_ss(args) -> int:
             {"r": page.r, "dims": {f"{p},{q}": v for (p, q), v in dims.items()},
              "differentials": nonzero}
         )
-    comparison = einfty_vs_total(H, args.r_max)
     bad = [row for row in comparison if row[1] != row[2]]
     print("stable page vs total homology:", "pass" if not bad else f"FAIL {bad}")
     payload["einfty_vs_total"] = comparison

@@ -38,7 +38,6 @@ from .linalg import (
     Subquotient,
     assemble,
     is_zero_vec,
-    kernel_basis,
     rank,
     solve_particular,
     vec,
@@ -441,7 +440,7 @@ class SpectralSequence:
             for t, b in self._tot_basis.items()
         }
         self._D_cache: dict = {}
-        self._pages_cache: dict = {}  # r_max -> pages
+        self._pages_done: list = []  # pages 1..r of the longest computation
 
     def tot_dim(self, t: int) -> int:
         return len(self._tot_basis.get(t, ()))
@@ -493,40 +492,10 @@ class SpectralSequence:
             complete_above=complete_above,
         )
 
-    def _filtration_indices(self, t: int, p: int) -> list:
-        """Indices of Tot_t basis elements lying in F_p (columns n >= -p)."""
-        return [
-            i for i, (n, q, l) in enumerate(self._tot_basis.get(t, []))
-            if -n <= p
-        ]
-
-    def _Z(self, r: int, p: int, t: int) -> list:
-        """Basis of Z_r = {x in F_p (+) Tot_t : D x in F_{p-r}}."""
-        basis_t = self._tot_basis.get(t, [])
-        dom = self._filtration_indices(t, p)
-        if not dom:
-            return []
-        Dt = self.D(t)
-        tgt = self._tot_basis.get(t - 1, [])
-        # constraint rows: output components with p - r < p'' (i.e. n'' < -(p-r))
-        rows = [i for i, (n, q, l) in enumerate(tgt) if -n > p - r]
-        bad_rows = {i: ri for ri, i in enumerate(rows)}
-        columns = Dt.columns()
-        entries = {}
-        for ci, colidx in enumerate(dom):
-            for row, v in columns[colidx].items():
-                if row in bad_rows:
-                    entries[(bad_rows[row], ci)] = v
-        A = RationalMatrix(len(bad_rows), len(dom), entries)
-        ker = kernel_basis(A)
-        out = []
-        N = len(basis_t)
-        for k in ker:
-            v = zero_vec(N)
-            for ci, colidx in enumerate(dom):
-                v[colidx] = k[ci]
-            out.append(v)
-        return out
+    def _before(self, t: int, n: int) -> int:
+        """Number of Tot_t basis elements in columns below n; Tot_t is
+        ordered by column, so F_p is the suffix from ``_before(t, -p)``."""
+        return sum(self.H.dim(m, t + m) for m in range(n))
 
     def entry_reliable(self, p: int, q: int, r: int) -> bool:
         """Conservative check that the truncation cannot change E_r(p,q).
@@ -555,71 +524,115 @@ class SpectralSequence:
         return True
 
     def pages(self, r_max: int) -> list:
-        """Pages 1..r_max, computed once per r_max."""
-        if r_max not in self._pages_cache:
-            self._pages_cache[r_max] = self._pages(r_max)
-        return self._pages_cache[r_max]
+        """Pages 1..r_max; the longest list computed serves every shorter
+        request."""
+        if len(self._pages_done) < r_max:
+            self._pages_done = self._pages(r_max)
+        return self._pages_done[:r_max]
 
     def _pages(self, r_max: int) -> list:
-        out = []
-        ts = sorted(self._tot_basis)
-        positions = sorted(self.H._labels)
-        for r in range(1, r_max + 1):
-            entries: dict = {}
-            quotients: dict = {}
-            for (n, q) in positions:
-                p, t = -n, q - n
-                Z = self._Z(r, p, t)
-                denom = self._Z(r - 1, p - 1, t)
-                up = self._Z(r - 1, p + r - 1, t + 1)
-                denom = denom + [self.D(t + 1).matvec(u) for u in up]
-                quo = Subquotient(self.tot_dim(t), Z, denom)
-                entries[(p, q)] = PageEntry(
-                    p, q, quo.dim, quo.representatives, self.entry_reliable(p, q, r)
-                )
-                quotients[(p, q)] = quo
-            page = BigradedPage(r, {k: v for k, v in entries.items()})
-            # differentials d_r: (p, q) -> (p - r, q + r - 1)
-            for (p, q), e in entries.items():
-                if e.dim == 0:
-                    continue
-                tgt = quotients.get((p - r, q + r - 1))
-                cols = [
-                    _entry_coords(tgt, self.D(p + q).matvec(x))
-                    for x in e.representatives
+        """Z_r(p, t) depends on p only through the first column -p of F_p
+        and on r only through the row bound r - p of its constraint, both
+        clamped to 0..n_max+1; each Z and each quotient is eliminated once
+        per call, on sparse ``{index: value}`` vectors."""
+        cap = self.H.n_max + 1
+        columns: dict = {}  # t -> sparse columns of D(t), ints where integral
+        Zs: dict = {}  # (t, first column, row bound) -> sparse basis of Z
+        quotients: dict = {}  # triple of Z keys -> (Subquotient, dense reps)
+
+        def D_columns(t: int) -> list:
+            if t not in columns:
+                columns[t] = [
+                    {i: v.numerator if v.denominator == 1 else v for i, v in col.items()}
+                    for col in self.D(t).columns()
                 ]
-                if tgt is not None and tgt.dim:
-                    page.differentials[(p, q)] = RationalMatrix.from_columns(
-                        cols, tgt.dim
-                    )
+            return columns[t]
+
+        def apply_D(t: int, x: dict) -> dict:
+            cols, y = D_columns(t), {}
+            for j, c in x.items():
+                for i, v in cols[j].items():
+                    y[i] = y.get(i, 0) + c * v
+            return {i: v for i, v in y.items() if v}
+
+        def Z(r: int, p: int, t: int) -> tuple:
+            """Key of Z_r = {x in F_p (+) Tot_t : D x in F_{p-r}}: the
+            kernel of D from F_p to the columns below r - p."""
+            key = (t, min(max(-p, 0), cap), min(max(r - p, 0), cap))
+            if key not in Zs:
+                lo, rows = self._before(t, key[1]), self._before(t - 1, key[2])
+                E = Subquotient(
+                    rows, [{i: v for i, v in c.items() if i < rows} for c in D_columns(t)[lo:]]
+                )
+                Zs[key] = [
+                    {lo + f: 1, **{lo + E.pivot_columns[k]: -c for k, c in cs.items()}}
+                    for f, cs in E.dependent.items()
+                ]
+            return key
+
+        out = []
+        for r in range(1, r_max + 1):
+            page = BigradedPage(r, {})
+            at: dict = {}  # (p, q) -> (quotient key, Subquotient)
+            for (n, q) in sorted(self.H._labels):
+                p, t = -n, q - n
+                key = (Z(r, p, t), Z(r - 1, p - 1, t), Z(r - 1, p + r - 1, t + 1))
+                if key not in quotients:
+                    dim_t = self.tot_dim(t)
+                    up = [apply_D(t + 1, u) for u in Zs[key[2]]]
+                    quo = Subquotient(dim_t, Zs[key[0]], Zs[key[1]] + up)
+                    quotients[key] = quo, [_dense(x, dim_t) for x in quo.representatives]
+                quo, reps = quotients[key]
+                at[(p, q)] = key, quo
+                page.entries[(p, q)] = PageEntry(
+                    p, q, quo.dim, reps, self.entry_reliable(p, q, r)
+                )
+            # differentials d_r: (p, q) -> (p - r, q + r - 1)
+            for (p, q), (_, quo) in at.items():
+                if quo.dim:
+                    images = [apply_D(p + q, x) for x in quo.representatives]
+                    d_r = _entry_coords(at.get((p - r, q + r - 1), (None, None))[1], images)
+                    if d_r is not None:
+                        page.differentials[(p, q)] = d_r
             out.append(page)
+            # the next page reuses only this page's work: its Z_r become the
+            # next denominators, and past n_max + 1 every key repeats
+            quotients = {key: quotients[key] for key, _ in at.values()}
+            Zs = {z: Zs[z] for key in quotients for z in key}
         # consistency: each page is the homology of the previous one
         for a, b in zip(out, out[1:]):
+            ranks = {pq: rank(m) for pq, m in a.differentials.items()}
             for (p, q), e in b.entries.items():
-                ea = a.entries.get((p, q))
-                dim_a = ea.dim if ea else 0
-                dout = a.differentials.get((p, q))
-                rk_out = _rank_or_zero(dout)
-                din = a.differentials.get((p + a.r, q - a.r + 1))
-                rk_in = _rank_or_zero(din)
-                if e.dim != dim_a - rk_out - rk_in:
+                rk_in = ranks.get((p + a.r, q - a.r + 1), 0)
+                if e.dim != a.dim(p, q) - ranks.get((p, q), 0) - rk_in:
                     raise AssertionError(
                         f"page recursion mismatch at r={b.r}, (p,q)=({p},{q})"
                     )
         return out
 
 
-def _rank_or_zero(M) -> int:
-    return rank(M) if M is not None else 0
+def _dense(x: dict, dim: int) -> list:
+    """A sparse vector as a dense Fraction list of length dim."""
+    v = zero_vec(dim)
+    for i, c in x.items():
+        v[i] = Fraction(c)
+    return v
 
 
-def _entry_coords(entry: Subquotient | None, y) -> list:
-    """Class coordinates of the D-image y on its target entry; with no
-    stored position there (None), y must vanish."""
+def _entry_coords(entry: Subquotient | None, images: list) -> RationalMatrix | None:
+    """d_r in class coordinates: column j holds the coordinates of the
+    D-image ``images[j]`` on the target entry; None when that entry has no
+    classes.  With no stored position there (None), every image vanishes."""
     try:
-        return (entry or Subquotient(len(y), [])).coords(y)
+        if entry is None and any(images):
+            raise NoSolution
+        cols = [entry.sparse_coords(y) for y in images] if entry is not None else []
     except NoSolution:
         raise AssertionError("d_r image missed the target entry") from None
+    if entry is None or not entry.dim:
+        return None
+    entries = {(k, j): c for j, col in enumerate(cols) for k, c in col.items()}
+    return RationalMatrix(entry.dim, len(cols), entries)
 
 
 def ss_pages(H: HochschildComplex, r_max: int) -> list:
@@ -630,13 +643,13 @@ def ss_pages(H: HochschildComplex, r_max: int) -> list:
 def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
     """Oracle: summed stable-page dims against total-complex homology.
 
-    Returns a list of (t, einfty_sum, total_dim) over reliable degrees.
+    Every d_r with r > n_max leaves columns 0..n_max, so page n_max + 1 is
+    E_infinity of the stored double complex; the page compared is
+    max(r_max, n_max + 1), n_max + 2 by default.  Returns a list of
+    (t, einfty_sum, total_dim) over reliable degrees.
     """
-    if r_max is None:
-        r_max = H.n_max + 2
     ss = H.spectral_sequence()
-    pages = ss.pages(r_max)
-    last = pages[-1]
+    last = ss.pages(H.n_max + 2 if r_max is None else max(r_max, H.n_max + 1))[-1]
     tot = ss.total_complex()
     Ht = tot.homology()
     out = []
@@ -646,7 +659,6 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
         ent = [e for (p, q), e in last.entries.items() if p + q == t]
         if any(not e.reliable for e in ent):
             continue
-        # stable only if no differentials can still move these entries
         out.append((t, sum(e.dim for e in ent), Ht.per_degree[t].dim))
     return out
 

@@ -254,10 +254,15 @@ class Subquotient:
     def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
         v lies outside span(cycles) + span(boundaries)."""
+        coords = self.sparse_coords(v)
+        return [_frac(coords.get(k, 0)) for k in range(self.dim)]
+
+    def sparse_coords(self, v) -> dict:
+        """``coords`` as a ``{k: c}`` map with no zeros, ints where integral."""
         lead, coords = self._reduce(self._sparse(v))
         if lead is not None:
             raise NoSolution("vector outside span(cycles) + span(boundaries)")
-        return [_frac(coords.get(k, 0)) for k in range(self.dim)]
+        return {k: c for k, c in coords.items() if c}
 
     def _sparse(self, v) -> dict:
         if isinstance(v, dict):

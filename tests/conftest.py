@@ -22,7 +22,7 @@ import pytest
 from hypothesis import strategies as st
 
 from operadlab.complexes import ChainComplexWindow, GradedSpace
-from operadlab.linalg import RationalMatrix, Subquotient, kernel_basis
+from operadlab.linalg import NoSolution, RationalMatrix, Subquotient, kernel_basis
 
 
 def rref(rows: list, ncols: int) -> tuple[list, list]:
@@ -152,6 +152,65 @@ def reference_homology(C: ChainComplexWindow) -> dict:
         boundaries = C.d(q + 1).columns() if q < hi else []
         out[q] = Subquotient(n, cycles, boundaries)
     return out
+
+
+def reference_pages(H, r_max: int) -> list:
+    """Pages 1..r_max of the column-filtration spectral sequence, computed
+    the plain way: every Z_r is a dense kernel basis padded to all of
+    Tot_t, recomputed for each page and position, and d_r is read off
+    dense class coordinates.  An oracle for ``SpectralSequence.pages``,
+    which eliminates each Z_r and each quotient once on sparse vectors."""
+    from operadlab.cosimplicial import BigradedPage, PageEntry
+
+    ss = H.spectral_sequence()
+    basis = ss._tot_basis
+
+    def Z(r, p, t):
+        dom = [i for i, (n, _, _) in enumerate(basis.get(t, [])) if -n <= p]
+        if not dom:
+            return []
+        rows = [i for i, (n, _, _) in enumerate(basis.get(t - 1, [])) if -n > p - r]
+        bad = {i: ri for ri, i in enumerate(rows)}
+        columns = ss.D(t).columns()
+        entries = {
+            (bad[row], ci): v
+            for ci, c in enumerate(dom) for row, v in columns[c].items() if row in bad
+        }
+        out = []
+        for k in kernel_basis(RationalMatrix(len(bad), len(dom), entries)):
+            v = [Fraction(0)] * ss.tot_dim(t)
+            for ci, c in enumerate(dom):
+                v[c] = k[ci]
+            out.append(v)
+        return out
+
+    pages = []
+    for r in range(1, r_max + 1):
+        quotients = {}
+        page = BigradedPage(r, {})
+        for n, q in sorted(H._labels):
+            p, t = -n, q - n
+            up = [ss.D(t + 1).matvec(u) for u in Z(r - 1, p + r - 1, t + 1)]
+            quo = Subquotient(ss.tot_dim(t), Z(r, p, t), Z(r - 1, p - 1, t) + up)
+            quotients[(p, q)] = quo
+            page.entries[(p, q)] = PageEntry(
+                p, q, quo.dim, quo.representatives, ss.entry_reliable(p, q, r)
+            )
+        for (p, q), e in page.entries.items():
+            if not e.dim:
+                continue
+            tgt = quotients.get((p - r, q + r - 1))
+            cols = []
+            for x in e.representatives:
+                y = ss.D(p + q).matvec(x)
+                try:
+                    cols.append((tgt or Subquotient(len(y), [])).coords(y))
+                except NoSolution:
+                    raise AssertionError("d_r image missed the target entry") from None
+            if tgt is not None and tgt.dim:
+                page.differentials[(p, q)] = RationalMatrix.from_columns(cols, tgt.dim)
+        pages.append(page)
+    return pages
 
 
 def reference_framed_compose(op, m: int, xl, i: int, n: int, yl) -> dict:

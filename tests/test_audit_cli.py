@@ -212,6 +212,24 @@ class TestCLI:
         assert "d2: (-1, 7) -> (-3, 8), rank 1" in out
         assert "pass" in out
 
+    @pytest.mark.parametrize(
+        "window",
+        [["sphere:d=5", "--n-max", "5", "--q-max", "12"], ["padded-witness:m=2"]],
+        ids=["sphere", "padded-witness"],
+    )
+    def test_ss_with_a_short_page_bound_compares_the_stable_page(
+        self, tmp_path, capsys, window
+    ):
+        """The E-infinity check reads page n_max + 1 whatever --r-max is, so
+        a page bound below it still passes with the same comparison."""
+        rows = {}
+        for r in ("1", "4"):
+            out = tmp_path / r
+            assert main(["--out", str(out), "ss", "--instance", *window, "--r-max", r]) == 0
+            rows[r] = json.loads((out / "ss.json").read_text())["einfty_vs_total"]
+        assert "FAIL" not in capsys.readouterr().out
+        assert rows["1"] == rows["4"] and rows["1"]
+
 
 class TestBracketCommand:
     WINDOW = ["--instance", "sphere:d=5", "--n-max", "4", "--q-max", "8"]

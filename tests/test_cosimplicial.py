@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import reference_pages
 
 from operadlab.cosimplicial import (
     HochschildComplex,
@@ -26,7 +27,7 @@ from operadlab.instances import (
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.linalg import RationalMatrix
+from operadlab.linalg import RationalMatrix, Subquotient
 from operadlab.operads import ArityOverflow, OpElement, Operad, parse_free_operad
 
 
@@ -296,6 +297,70 @@ class TestSpectralSequence:
         H = HochschildComplex(mcclure_smith(sphere5, 4), q_max=8)
         for t, stable, total in einfty_vs_total(H):
             assert stable == total
+
+    @pytest.mark.parametrize(
+        "make,n_max,q_max,r_max",
+        [
+            (lambda: witness_multiplicative(2), None, 10, 4),
+            (lambda: witness_multiplicative(3, padded=True), 3, 26, 6),
+            (lambda: sphere_multiplicative(5, 5, 12), 5, 12, 4),
+            (lambda: framed_multiplicative(5, 4, 10), 4, 10, 4),
+        ],
+        ids=["witness", "padded-witness", "sphere", "framed"],
+    )
+    def test_pages_match_the_dense_oracle(self, make, n_max, q_max, r_max):
+        """Every entry (dim, representatives, reliability) and every d_r
+        matrix equals the dense per-page computation."""
+        M = make()
+        pages = ss_pages(HochschildComplex(mcclure_smith(M, n_max), q_max=q_max), r_max)
+        want = reference_pages(HochschildComplex(mcclure_smith(M, n_max), q_max=q_max), r_max)
+        assert [p.r for p in pages] == [p.r for p in want] == list(range(1, r_max + 1))
+        for got, ref in zip(pages, want):
+            assert got.entries.keys() == ref.entries.keys()
+            for pq, e in got.entries.items():
+                f = ref.entries[pq]
+                assert (e.dim, e.representatives, e.reliable) == (
+                    f.dim, f.representatives, f.reliable
+                ), (got.r, pq)
+            assert got.differentials == ref.differentials, got.r
+
+    @pytest.mark.parametrize(
+        "make,n_max,q_max",
+        [
+            (lambda: witness_multiplicative(3, padded=True), 3, 26),
+            (lambda: sphere_multiplicative(5, 5, 12), 5, 12),
+        ],
+        ids=["padded-witness", "sphere"],
+    )
+    def test_pages_past_the_arity_window_repeat_without_new_work(
+        self, make, n_max, q_max, monkeypatch
+    ):
+        """Every d_r with r > n_max leaves the columns, so each page past
+        n_max + 1 equals page n_max + 1 and carries no differential; those
+        pages build no quotient of their own."""
+        built = []
+        init = Subquotient.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Subquotient, "__init__", counting)
+        M = make()
+
+        def run(r_max):
+            built.clear()
+            H = HochschildComplex(mcclure_smith(M, n_max), q_max=q_max)
+            return ss_pages(H, r_max), len(built)
+
+        short, n_short = run(n_max + 2)
+        pages, n_long = run(40)
+        assert n_long <= n_short
+        stable = short[n_max]
+        assert stable.r == n_max + 1 and pages[: n_max + 2] == short
+        for page in pages[n_max + 1:]:
+            assert page.differentials == {}
+            assert page.entries == stable.entries, page.r
 
     def test_zigzag_reproduces_coboundary_of_primitive(self, witness2):
         op = witness2.operad
