@@ -74,17 +74,17 @@ class SemicosimplicialChainComplex:
                     yield q, label
 
     def delta_on_label(self, n: int, label) -> Coeffs:
-        """Alternating coface sum delta = sum_i (-1)^i d^i on one label."""
-        out: Coeffs = {}
+        """Alternating coface sum delta = sum_i (-1)^i d^i on one label,
+        summed on ints wherever a coefficient is integral."""
+        out: dict = {}
         for i in range(n + 2):
             for l2, c in self.coface(n, i, label).items():
+                if c.denominator == 1:
+                    c = c.numerator
                 if i % 2:
                     c = -c
-                if l2 in out:
-                    out[l2] += c
-                else:
-                    out[l2] = c
-        return {l: c for l, c in out.items() if c != 0}
+                out[l2] = out.get(l2, 0) + c
+        return {l: Fraction(c) for l, c in out.items() if c}
 
     def is_normal_label(self, n: int, label) -> bool:
         """True when every codegeneracy kills the label (n >= 1)."""
@@ -504,24 +504,27 @@ class SpectralSequence:
         computation lies in the stored window — Tot_{t+1} components down
         the filtration, the d_{r'} source and target columns for r' < r.
         """
+        return self._window_reliable(p, q) and all(
+            self._dr_reliable(p, q, rp) for rp in range(1, r)
+        )
+
+    def _window_reliable(self, p: int, q: int) -> bool:
+        """The Tot_t and Tot_{t+1} components past q_max vanish, t = p + q."""
         H = self.H
-        t = p + q
-        for n in range(H.n_max + 2):
-            qq = t + 1 + n
-            if qq > H.q_max and not H.vanishes(n, qq):
-                return False
-            qq = t + n
-            if qq > H.q_max and not H.vanishes(n, qq):
-                return False
-        for rp in range(1, r):
-            # incoming d_rp source at (p + rp, q - rp + 1), outgoing target
-            n_src = -(p + rp)
-            if n_src > H.n_max and not H.vanishes(n_src, q - rp + 1):
-                return False
-            n_tgt = -p + rp
-            if n_tgt > H.n_max and not H.vanishes(n_tgt, q + rp - 1):
-                return False
-        return True
+        return all(
+            qq <= H.q_max or H.vanishes(n, qq)
+            for n in range(H.n_max + 2)
+            for qq in (p + q + 1 + n, p + q + n)
+        )
+
+    def _dr_reliable(self, p: int, q: int, rp: int) -> bool:
+        """The incoming d_rp source at (p + rp, q - rp + 1) and the outgoing
+        target vanish where they leave the stored columns."""
+        H = self.H
+        n_src, n_tgt = -(p + rp), -p + rp
+        return (n_src <= H.n_max or H.vanishes(n_src, q - rp + 1)) and (
+            n_tgt <= H.n_max or H.vanishes(n_tgt, q + rp - 1)
+        )
 
     def pages(self, r_max: int) -> list:
         """Pages 1..r_max; the longest list computed serves every shorter
@@ -584,9 +587,11 @@ class SpectralSequence:
                     quotients[key] = quo, [_dense(x, dim_t) for x in quo.representatives]
                 quo, reps = quotients[key]
                 at[(p, q)] = key, quo
-                page.entries[(p, q)] = PageEntry(
-                    p, q, quo.dim, reps, self.entry_reliable(p, q, r)
+                # entry_reliable(p, q, r): the last page's flag and one more d_r
+                ok = self._window_reliable(p, q) if r == 1 else (
+                    out[-1].entries[(p, q)].reliable and self._dr_reliable(p, q, r - 1)
                 )
+                page.entries[(p, q)] = PageEntry(p, q, quo.dim, reps, ok)
             # differentials d_r: (p, q) -> (p - r, q + r - 1)
             for (p, q), (_, quo) in at.items():
                 if quo.dim:

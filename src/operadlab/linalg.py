@@ -16,15 +16,20 @@ Structure constants are mostly +-1, so nearly all of the arithmetic is
 on ints.  Everything handed out (coordinates, kernel and solution
 vectors, matrix entries) is a ``Fraction``.
 
-Pivoting is deterministic (vectors in the given order, each reduced at
-its smallest nonzero index), so bases are reproducible across runs.
+Pivoting is deterministic: vectors go in the given order, and each
+remainder's pivot is a unit entry where it has one, at the coordinate that
+the fewest input vectors touch (Markowitz), smallest index on ties.  Only
+the stored rows depend on that choice; every readout depends on the
+insertion order and the spans alone, so bases are reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 Vector = list[Fraction]
@@ -115,21 +120,20 @@ class RationalMatrix:
         return out
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The product, summed on ints wherever the entries are integral."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         by_row: list[dict] = [dict() for _ in range(other.rows)]
         for (r, c), v in other.entries.items():
-            by_row[r][c] = v
+            by_row[r][c] = _exact(v)
         entries: dict = {}
         for (r, k), v in self.entries.items():
-            for c, w in by_row[k].items():
-                key = (r, c)
-                s = entries.get(key, Fraction(0)) + v * w
-                if s == 0:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        return RationalMatrix(self.rows, other.cols, entries)
+            row = by_row[k]
+            if row:
+                v = _exact(v)
+                for c, w in row.items():
+                    entries[(r, c)] = entries.get((r, c), 0) + v * w
+        return RationalMatrix(self.rows, other.cols, {k: v for k, v in entries.items() if v})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -222,7 +226,9 @@ class Subquotient:
     zero), so ``coords`` is one forward reduction with no new elimination.
     Vectors are dense sequences or sparse ``{index: value}`` maps.  Pivot
     rows and the ``dependent`` coordinates hold ints where integral;
-    ``coords`` hands out Fractions.
+    ``coords`` hands out Fractions.  A vector is reduced against the pivot
+    rows in insertion order; each row is zero at every earlier row's pivot,
+    so the remainder is zero at all pivots.
     """
 
     def __init__(
@@ -232,24 +238,29 @@ class Subquotient:
         self.representatives: list = []
         self.pivot_columns: list[int] = []
         self.dependent: dict[int, dict] = {}
-        # leading column -> (row with a 1 there, row's coordinates over the reps)
-        self._pivots: dict[int, tuple[dict, dict]] = {}
-        for b in boundaries:
-            self._insert(b, None)
-        for i, z in enumerate(cycles):
-            coords = self._insert(z, z)
+        # (pivot column, row with a 1 there, row's coordinates over the reps)
+        # in insertion order, and each pivot column's place in that list
+        self._rows: list[tuple[int, dict, dict]] = []
+        self._rank: dict[int, int] = {}
+        bs = [self._sparse(b) for b in boundaries]
+        zs = [self._sparse(z) for z in cycles]
+        count = Counter(chain.from_iterable(bs + zs))
+        for w in bs:
+            self._insert(w, None, count)
+        for i, (z, w) in enumerate(zip(cycles, zs)):
+            coords = self._insert(w, z, count)
             if coords is None:
                 self.pivot_columns.append(i)
             else:
-                self.dependent[i] = {k: _exact(x) for k, x in coords.items()}
+                self.dependent[i] = {k: _exact(x) for k, x in coords.items() if x}
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
     def rows(self) -> list[dict]:
-        """The pivot rows in insertion order, an echelon basis of the span."""
-        return [row for row, _ in self._pivots.values()]
+        """The pivot rows in insertion order, a basis of the span."""
+        return [row for _, row, _ in self._rows]
 
     def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
@@ -259,10 +270,11 @@ class Subquotient:
 
     def sparse_coords(self, v) -> dict:
         """``coords`` as a ``{k: c}`` map with no zeros, ints where integral."""
-        lead, coords = self._reduce(self._sparse(v))
-        if lead is not None:
+        w = self._sparse(v)
+        coords = self._reduce(w)
+        if w:
             raise NoSolution("vector outside span(cycles) + span(boundaries)")
-        return {k: c for k, c in coords.items() if c}
+        return {k: _exact(c) for k, c in coords.items() if c}
 
     def _sparse(self, v) -> dict:
         if isinstance(v, dict):
@@ -271,43 +283,42 @@ class Subquotient:
             raise ValueError("vector length mismatch")
         return {i: _exact(x) for i, x in enumerate(v) if x}
 
-    def _reduce(self, w: dict) -> tuple[int | None, dict]:
-        """Eliminate pivots from w in place, leading column first.
-
-        Returns the leading column of the remainder (None when w reduced
-        to zero) and the coordinates of the subtracted pivot rows.
-        """
+    def _reduce(self, w: dict) -> dict:
+        """Subtract pivot rows from w in place, in insertion order, until w
+        is zero at every pivot; returns the coordinates of the rows taken."""
         coords: dict = {}
-        heap = list(w)
+        rows, rank = self._rows, self._rank
+        heap = [rank[c] for c in w if c in rank]
         heapq.heapify(heap)
         while heap:
-            c = heapq.heappop(heap)
-            f = w.get(c)
-            if f is None:
+            lead, row, row_coords = rows[heapq.heappop(heap)]
+            f = w.get(lead)
+            if f is None:  # a repeated entry, or cancelled on the way
                 continue
-            pivot = self._pivots.get(c)
-            if pivot is None:
-                return c, coords
-            row, row_coords = pivot
-            for cc, x in row.items():
-                s = w.get(cc, 0) - f * x
-                if s:
-                    if cc not in w:
-                        heapq.heappush(heap, cc)
-                    w[cc] = s
+            for c, x in row.items():
+                v = w.get(c)
+                if v is None:
+                    w[c] = -f * x
+                    k = rank.get(c)
+                    if k is not None:
+                        heapq.heappush(heap, k)
                 else:
-                    w.pop(cc, None)
+                    v -= f * x
+                    if v:
+                        w[c] = v
+                    else:
+                        del w[c]
             for k, x in row_coords.items():
                 coords[k] = coords.get(k, 0) + f * x
-        return None, coords
+        return coords
 
-    def _insert(self, v, rep) -> dict | None:
-        """Add v to the echelon; returns its coordinates when it is
-        dependent, None when it became a pivot row."""
-        w = self._sparse(v)
-        lead, coords = self._reduce(w)
-        if lead is None:
+    def _insert(self, w: dict, rep, count: Counter) -> dict | None:
+        """Add the sparse vector w to the echelon; returns its coordinates
+        when it is dependent, None when it became a pivot row."""
+        coords = self._reduce(w)
+        if not w:
             return coords
+        lead = min(w, key=lambda c: (abs(w[c]) != 1, count[c], c))
         # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries;
         # the row is w / w[lead] and its coordinates (rep - coords) / w[lead]
         p = w[lead]
@@ -315,7 +326,9 @@ class Subquotient:
         if rep is not None:
             row_coords[self.dim] = _div(1, p)
             self.representatives.append(rep)
-        self._pivots[lead] = ({c: _div(x, p) for c, x in w.items()}, row_coords)
+        row = w if p == 1 else {c: _div(x, p) for c, x in w.items()}
+        self._rank[lead] = len(self._rows)
+        self._rows.append((lead, row, row_coords))
         return None
 
 
@@ -323,10 +336,11 @@ class QuotientSpace:
     """Ambient rational space modulo the span of given vectors.
 
     ``representatives`` are the unit vectors at the columns that are not
-    pivots of the subspace's echelon form, in ascending order; ``reduce``
-    returns coordinates with respect to them, vanishing exactly on the
-    subspace span.  A view over :class:`Subquotient` whose cycles are the
-    unit vectors in descending column order.
+    pivot columns of the subspace's reduced row-echelon form, in ascending
+    order; ``reduce`` returns coordinates with respect to them, vanishing
+    exactly on the subspace span.  A view over :class:`Subquotient` whose
+    cycles are the unit vectors in descending column order, so neither
+    depends on which pivots the elimination picks.
     """
 
     def __init__(self, ambient_dim: int, subspace: Sequence[Vector]):

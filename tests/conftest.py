@@ -14,6 +14,7 @@ independently of the package's own linear algebra.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -22,7 +23,14 @@ import pytest
 from hypothesis import strategies as st
 
 from operadlab.complexes import ChainComplexWindow, GradedSpace
-from operadlab.linalg import NoSolution, RationalMatrix, Subquotient, kernel_basis
+from operadlab.linalg import (
+    NoSolution,
+    RationalMatrix,
+    Subquotient,
+    _div,
+    _exact,
+    kernel_basis,
+)
 
 
 def rref(rows: list, ncols: int) -> tuple[list, list]:
@@ -49,6 +57,87 @@ sparse_entries = st.one_of(
     st.sampled_from([0, 0, 0, 1, -1]),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
 )
+
+
+class SmallestIndexSubquotient:
+    """The elimination ``Subquotient`` replaced, kept as an oracle: each
+    vector is reduced only until its smallest remaining index is not a
+    pivot, and that index becomes its pivot.  ``Subquotient`` picks pivots
+    by unit value and sparsity instead; every readout must agree."""
+
+    def __init__(self, ambient_dim: int, cycles, boundaries=()):
+        self.ambient_dim = ambient_dim
+        self.representatives: list = []
+        self.pivot_columns: list = []
+        self.dependent: dict = {}
+        self._pivots: dict = {}  # leading column -> (row, row's rep coordinates)
+        for b in boundaries:
+            self._insert(b, None)
+        for i, z in enumerate(cycles):
+            coords = self._insert(z, z)
+            if coords is None:
+                self.pivot_columns.append(i)
+            else:
+                self.dependent[i] = {k: _exact(x) for k, x in coords.items()}
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+    def rows(self) -> list:
+        return [row for row, _ in self._pivots.values()]
+
+    def coords(self, v) -> list:
+        coords = self.sparse_coords(v)
+        return [Fraction(coords.get(k, 0)) for k in range(self.dim)]
+
+    def sparse_coords(self, v) -> dict:
+        lead, coords = self._reduce(self._sparse(v))
+        if lead is not None:
+            raise NoSolution("vector outside span(cycles) + span(boundaries)")
+        return {k: c for k, c in coords.items() if c}
+
+    def _sparse(self, v) -> dict:
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        return {i: _exact(x) for i, x in items if x}
+
+    def _reduce(self, w: dict):
+        coords: dict = {}
+        heap = list(w)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            f = w.get(c)
+            if f is None:
+                continue
+            pivot = self._pivots.get(c)
+            if pivot is None:
+                return c, coords
+            row, row_coords = pivot
+            for cc, x in row.items():
+                s = w.get(cc, 0) - f * x
+                if s:
+                    if cc not in w:
+                        heapq.heappush(heap, cc)
+                    w[cc] = s
+                else:
+                    w.pop(cc, None)
+            for k, x in row_coords.items():
+                coords[k] = coords.get(k, 0) + f * x
+        return None, coords
+
+    def _insert(self, v, rep):
+        w = self._sparse(v)
+        lead, coords = self._reduce(w)
+        if lead is None:
+            return coords
+        p = w[lead]
+        row_coords = {k: _div(-x, p) for k, x in coords.items()}
+        if rep is not None:
+            row_coords[self.dim] = _div(1, p)
+            self.representatives.append(rep)
+        self._pivots[lead] = ({c: _div(x, p) for c, x in w.items()}, row_coords)
+        return None
 
 
 def dense_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -192,3 +192,17 @@ def test_reliability_flags():
         space, {1: RationalMatrix.zero(1, 1)}, (0, 1), complete_above=False
     )
     assert truncated.reliable(0) and not truncated.reliable(1)
+
+
+def test_dd_checked_through_fractional_entries():
+    """d1 d2 has integer parts 1 - 1 = 0 and a fractional part 1/2, so the
+    check must see the Fractions; halves that cancel pass."""
+    space = GradedSpace({0: ("a",), 1: ("e", "f"), 2: ("s",)})
+    d1 = RationalMatrix(1, 2, {(0, 0): Fraction(1), (0, 1): Fraction(1)})
+    bad = RationalMatrix(2, 1, {(0, 0): Fraction(3, 2), (1, 0): Fraction(-1)})
+    with pytest.raises(ValueError, match="d ∘ d != 0"):
+        ChainComplexWindow(space, {1: d1, 2: bad}, (0, 2))
+    good = RationalMatrix(2, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 2)})
+    assert ChainComplexWindow(space, {1: d1, 2: good}, (0, 2)).homology().dims() == {
+        0: 0, 1: 0, 2: 0
+    }

@@ -266,6 +266,27 @@ class TestHochschildHomology:
         for c in HH.classes:
             assert hochschild_differential(sphere5, c.element).is_zero()
 
+    @pytest.mark.parametrize(
+        "make,n_max,q_max,complete",
+        [
+            (lambda: sphere_multiplicative(5, 8, 16), 8, 16, 5),
+            (lambda: framed_multiplicative(5, 6, 16), 6, 16, 11),
+        ],
+        ids=["sphere", "framed"],
+    )
+    def test_euler_characteristic_of_complete_rows(self, make, n_max, q_max, complete):
+        """On a q-row whose p-degrees are all reliable, sum (-1)^p dim H
+        equals sum (-1)^n dim C(n, q): an oracle that needs no elimination."""
+        HH = hochschild_homology(make(), n_max, q_max)
+        rows = 0
+        for q, hom in HH.homs.items():
+            if not all(h.reliable for h in hom.per_degree.values()):
+                continue
+            rows += 1
+            chi = sum((-1) ** n * HH.complex.dim(n, q) for n in range(n_max + 1))
+            assert sum((-1) ** p * h.dim for p, h in hom.per_degree.items()) == chi, q
+        assert rows == complete
+
     def test_normalized_vs_unnormalized_agree(self):
         M = sphere_multiplicative(5, 3, 8)
         a = hochschild_homology(M, 3, 8, normalized=True)
@@ -361,6 +382,31 @@ class TestSpectralSequence:
         for page in pages[n_max + 1:]:
             assert page.differentials == {}
             assert page.entries == stable.entries, page.r
+
+    @pytest.mark.parametrize(
+        "make,n_max,q_max,flips",
+        [
+            (lambda: witness_multiplicative(3, padded=True), 3, 26, False),
+            (lambda: sphere_multiplicative(5, 5, 12), 5, 12, False),
+            (lambda: witness_multiplicative(3, padded=True), 2, 26, True),
+            (lambda: sphere_multiplicative(5, 3, 16), 3, 16, True),
+        ],
+        ids=["padded-witness", "sphere", "padded-witness-n2", "sphere-n3"],
+    )
+    def test_page_flags_carried_across_pages_equal_entry_reliable(
+        self, make, n_max, q_max, flips
+    ):
+        """Each page extends the previous page's flag by one d_r check; the
+        result is ``entry_reliable`` at every entry of pages 1..40.  In the
+        narrower windows some flag turns false at a later page."""
+        H = HochschildComplex(mcclure_smith(make(), n_max), q_max=q_max)
+        ss = H.spectral_sequence()
+        flags = {
+            (page.r, pq): e.reliable for page in ss.pages(40) for pq, e in page.entries.items()
+        }
+        assert flags == {(r, pq): ss.entry_reliable(*pq, r) for r, pq in flags}
+        turned = {pq for (r, pq), ok in flags.items() if flags[(1, pq)] != ok}
+        assert bool(turned) == flips
 
     def test_zigzag_reproduces_coboundary_of_primitive(self, witness2):
         op = witness2.operad

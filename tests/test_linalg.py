@@ -191,7 +191,7 @@ def test_solve_particular_equals_the_oracle(problem):
 def _stored_values(sq):
     """Every value the elimination keeps: pivot rows, their coordinates
     and the dependent coordinates."""
-    for row, row_coords in sq._pivots.values():
+    for _, row, row_coords in sq._rows:
         yield from row.values()
         yield from row_coords.values()
     for coords in sq.dependent.values():
@@ -225,8 +225,49 @@ def test_integer_rows_inside_fractions_at_the_boundary():
 
 def test_a_fraction_appears_only_where_a_non_unit_pivot_divides():
     E = row_reduce(mat([[2, 1, 4]]))
-    row, row_coords = E._pivots[0]
+    lead, row, row_coords = E._rows[0]
+    assert lead == 0
     assert row == {0: 1} and type(row[0]) is int
     assert row_coords == {0: Fraction(1, 2)}
     assert E.dependent == {1: {0: Fraction(1, 2)}, 2: {0: 2}}
     assert type(E.dependent[2][0]) is int
+
+
+# -- products, summed on ints -------------------------------------------------
+
+
+@st.composite
+def products(draw):
+    """Two composable matrices with sparse, non-unit and fractional entries."""
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.one_of(sparse_entries, st.sampled_from([2, -3]))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+    return a, b
+
+
+def dense_product(a, b):
+    return [
+        [sum((Fraction(a[i][m]) * b[m][j] for m in range(len(b))), Fraction(0))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@given(products())
+@settings(max_examples=150, deadline=None)
+def test_matmul_equals_the_dense_product(problem):
+    a, b = problem
+    A = mat(a)
+    # kernel columns of A after b's own, so that some entries cancel to zero
+    kernel = kernel_basis(A)
+    b = [row + [v[m] for v in kernel] for m, row in enumerate(b)]
+    P = A.matmul(mat(b))
+    want = dense_product(a, b)
+    assert (P.rows, P.cols) == (len(a), len(b[0]))
+    assert P.entries == {
+        (i, j): v for i, row in enumerate(want) for j, v in enumerate(row) if v
+    }
+    assert all(v != 0 and type(v) is Fraction for v in P.entries.values())
+    # the kernel columns cancel exactly
+    assert not any(j >= len(b[0]) - len(kernel) for _, j in P.entries)

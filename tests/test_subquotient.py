@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref, sparse_entries
+from conftest import SmallestIndexSubquotient, rref, sparse_entries
 from operadlab.linalg import NoSolution, QuotientSpace, Subquotient
 
 
@@ -97,3 +97,83 @@ def test_quotient_space_is_the_free_column_reduction(problem):
         [Fraction(int(i == c)) for i in range(n)] for c in free
     ]
     assert Q.contains(probe) == all(x == 0 for x in coords)
+
+
+# -- the pivot rule against the smallest-index elimination ---------------------
+
+# non-unit integers as well, so that unit pivots are not always available
+mixed_entries = st.one_of(sparse_entries, st.sampled_from([2, -2, 3]))
+
+
+def dense(v, n: int) -> list:
+    if isinstance(v, dict):
+        return [Fraction(v.get(i, 0)) for i in range(n)]
+    return [Fraction(x) for x in v]
+
+
+@st.composite
+def mixed_problems(draw):
+    """Cycles and boundaries, each a dense list or a sparse map, and probes
+    inside and outside their span."""
+    n = draw(st.integers(1, 7))
+
+    def vectors(max_size):
+        vector = st.lists(mixed_entries, min_size=n, max_size=n)
+        out = []
+        for v in draw(st.lists(vector, max_size=max_size)):
+            out.append({i: x for i, x in enumerate(v) if x} if draw(st.booleans()) else v)
+        return out
+
+    cycles, boundaries = vectors(7), vectors(5)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=12, max_size=12))
+    spanned = combination(coeffs, [dense(v, n) for v in cycles + boundaries], n)
+    probes = [spanned, draw(st.lists(mixed_entries, min_size=n, max_size=n))]
+    return n, cycles, boundaries, probes
+
+
+@given(mixed_problems())
+@settings(max_examples=200, deadline=None)
+def test_pivot_choice_changes_no_readout(problem):
+    n, cycles, boundaries, probes = problem
+    sq = Subquotient(n, cycles, boundaries)
+    ref = SmallestIndexSubquotient(n, cycles, boundaries)
+    assert sq.pivot_columns == ref.pivot_columns
+    assert len(sq.representatives) == len(ref.representatives)
+    assert all(a is b for a, b in zip(sq.representatives, ref.representatives))
+    assert sq.dependent == {
+        i: {k: c for k, c in cs.items() if c} for i, cs in ref.dependent.items()
+    }
+    # the rows differ, their span does not
+    assert rref([dense(r, n) for r in sq.rows()], n) == rref(
+        [dense(r, n) for r in ref.rows()], n
+    )
+    for v in probes:
+        try:
+            want = ref.sparse_coords(v)
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                sq.sparse_coords(v)
+            with pytest.raises(NoSolution):
+                sq.coords(v)
+            continue
+        got = sq.sparse_coords(v)
+        assert got == want
+        assert all(type(c) is int or c.denominator != 1 for c in got.values())
+        assert sq.coords(v) == ref.coords(v)
+
+
+def test_pivot_is_a_unit_at_the_least_touched_coordinate():
+    """A unit beats a non-unit, fewer touching inputs beat more, and the
+    smallest index breaks ties."""
+    cases = [
+        ([[2, 1, 0]], [1], [0]),  # the only unit
+        ([[Fraction(1, 2), 0, -1]], [2], [0]),
+        ([[1, 1, 0], [0, 1, 1]], [0, 2], [0, 1]),  # 1 is touched twice
+        ([[2, 1, 1], [0, 1, 0], [0, 1, 0]], [2, 1], [0, 1]),  # unit first
+        ([[0, 1, 1]], [1], [1]),  # a tie: the smallest index
+        ([[3, 2, 0]], [0], [0]),  # no unit
+    ]
+    for vectors, leads, smallest in cases:
+        sq = Subquotient(3, (), vectors)
+        assert [lead for lead, _, _ in sq._rows] == leads
+        assert list(SmallestIndexSubquotient(3, (), vectors)._pivots) == smallest
