@@ -132,7 +132,7 @@ def mixed_problems(draw):
 
 
 @given(mixed_problems())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_pivot_choice_changes_no_readout(problem):
     n, cycles, boundaries, probes = problem
     sq = Subquotient(n, cycles, boundaries)
