@@ -521,7 +521,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="aggregated invariant suite")
     p.set_defaults(func=cmd_selftest)
-    for p in (parser, *sub.choices.values()):
+    # a key may serve any command, but one that names no option is a typo
+    parsers = (parser, *sub.choices.values())
+    options = {a.dest for p in parsers for a in p._actions if a.option_strings}
+    unknown = sorted(set(config or {}) - options)
+    if unknown:
+        raise ValueError(f"config key {unknown[0].replace('_', '-')!r} names no option")
+    for p in parsers:
         dests = {action.dest for action in p._actions}
         p.set_defaults(**{k: v for k, v in (config or {}).items() if k in dests})
     return parser

@@ -240,6 +240,25 @@ def is_boundary_with_witness(C: ChainComplexWindow, q: int, z: Sequence) -> Vect
         raise NotABoundary("cycle is not a boundary") from None
 
 
+def complex_from_rule(
+    basis: dict, image, complete_below: bool = True, complete_above: bool = True
+) -> ChainComplexWindow:
+    """The complex on a ``degree -> labels`` basis over its populated
+    window, d sending a label of degree q to the ``(label, coefficient)``
+    pairs of ``image(q, label)`` in degree q - 1; d o d = 0 is checked on
+    construction.  An empty basis gives the zero complex at degree 0."""
+    space = GradedSpace(basis)
+    degrees = space.degrees()
+    if not degrees:
+        return ChainComplexWindow(space, {}, (0, 0))
+    lo, hi = degrees[0], degrees[-1]
+    diff = {}
+    for q in range(lo + 1, hi + 1):
+        tgt = {l: i for i, l in enumerate(space.labels(q - 1))}
+        diff[q] = assemble(space.labels(q), tgt, lambda label: image(q, label))
+    return ChainComplexWindow(space, diff, (lo, hi), complete_below, complete_above)
+
+
 def tensor(C1: ChainComplexWindow, C2: ChainComplexWindow) -> ChainComplexWindow:
     """Tensor product complex with the signed Leibniz differential.
 
@@ -254,18 +273,13 @@ def tensor(C1: ChainComplexWindow, C2: ChainComplexWindow) -> ChainComplexWindow
                 for l2 in C2.space.labels(q2):
                     basis.setdefault(q, []).append((l1, l2))
                     deg_of[(l1, l2)] = (q1, q2)
-    space = GradedSpace({q: tuple(ls) for q, ls in basis.items()})
-    degrees = space.degrees()
-    if not degrees:
-        return ChainComplexWindow(space, {}, (0, 0))
-    lo, hi = degrees[0], degrees[-1]
     # d of each factor where it lands inside that factor's window
     d1, d2 = (
         {q: C.d_columns(q) for q in range(C.window[0] + 1, C.window[1] + 1)}
         for C in (C1, C2)
     )
 
-    def image(pair):
+    def image(q, pair):
         l1, l2 = pair
         q1, q2 = deg_of[pair]
         # da (x) b
@@ -276,14 +290,9 @@ def tensor(C1: ChainComplexWindow, C2: ChainComplexWindow) -> ChainComplexWindow
         for r, v in d2.get(q2, {}).get(l2, {}).items():
             yield (l1, C2.space.labels(q2 - 1)[r]), sign * v
 
-    diff = {}
-    for q in range(lo + 1, hi + 1):
-        tgt = {l: i for i, l in enumerate(space.labels(q - 1))}
-        diff[q] = assemble(space.labels(q), tgt, image)
-    return ChainComplexWindow(
-        space,
-        diff,
-        (lo, hi),
+    return complex_from_rule(
+        basis,
+        image,
         complete_below=C1.complete_below and C2.complete_below,
         complete_above=C1.complete_above and C2.complete_above,
     )

@@ -16,9 +16,9 @@
 * :func:`ss_pages` computes the spectral sequence of the column
   filtration: E^1 is columnwise homology, d_r has bidegree (-r, r-1),
   and each page is derived exactly from the filtered total complex.
-* :func:`total_complex` is the direct abutment oracle, a thin wrapper
-  over the spectral sequence's total differential ``SpectralSequence.D``;
-  :func:`zigzag_dr` is the explicit lifting computation behind d_r.
+* :func:`total_complex` is the direct abutment oracle, the spectral
+  sequence's one total complex, whose differentials ``SpectralSequence.D``
+  reads; :func:`zigzag_dr` is the explicit lifting computation behind d_r.
 
 Sign convention: the total differential is D = d + (-1)^q delta; the
 cofaces commute with d (they are chain maps), which makes D^2 = 0.
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
-from .complexes import ChainComplexWindow, GradedSpace, totals_by_degree
-from .instances import MultiplicativeStructure
+from .complexes import ChainComplexWindow, GradedSpace, complex_from_rule, totals_by_degree
+from .instances import MultiplicativeStructure, arity_complex
 from .linalg import (
     NoSolution,
     RationalMatrix,
@@ -207,8 +207,8 @@ def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpEleme
 class HochschildComplex:
     """Bigraded double complex of a semicosimplicial chain complex.
 
-    Positions (n, q) with vertical differential d (q -> q-1, the host's
-    ``diff_basis`` on the kept labels) and horizontal differential delta
+    Positions (n, q) with vertical differential d (q -> q-1, read off
+    column n's chain complex) and horizontal differential delta
     (n -> n+1).  When the underlying object has codegeneracies and
     ``normalized`` is set, each column is restricted to the normalized
     labels of the host's arity-n basis: the host's
@@ -240,7 +240,7 @@ class HochschildComplex:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
         self._delta_cache: dict = {}
-        self._d_cache: dict = {}
+        self._columns: dict = {}  # n -> column n's chain complex under d
         self._ss: SpectralSequence | None = None
 
     def spectral_sequence(self) -> "SpectralSequence":
@@ -275,20 +275,21 @@ class HochschildComplex:
         return host.column_vanishes(n, q)
 
     def d_mat(self, n: int, q: int) -> RationalMatrix:
-        """Vertical differential (n, q) -> (n, q-1) on kept labels.  Raises
-        ValueError when it does not compose to zero with d one degree
-        below."""
-        key = (n, q)
-        if key not in self._d_cache:
-            d = assemble(
-                self.labels(n, q),
-                self._index.get((n, q - 1), {}),
-                lambda label: self.X.host.diff_basis(n, label).items(),
-            )
-            if (n, q - 1) in self._labels and not self.d_mat(n, q - 1).matmul(d).is_zero():
-                raise ValueError(f"d ∘ d != 0 in column {n} from degree {q}")
-            self._d_cache[key] = d
-        return self._d_cache[key]
+        """Vertical differential (n, q) -> (n, q-1) on kept labels, read off
+        column n's complex, which is built on first use and checked for
+        d o d = 0: the host's arity complex when unnormalized, else the kept
+        labels under the host's ``diff_basis`` (the column stops at q_max,
+        so its top is open).  The zero map where nothing is kept."""
+        if n not in self._columns:
+            host = self.X.host
+            self._columns[n] = complex_from_rule(
+                {q: labels for (m, q), labels in self._labels.items() if m == n},
+                lambda q, label: host.diff_basis(n, label).items(),
+                complete_above=False,
+            ) if self.normalized else arity_complex(host, n)
+        if (n, q) in self._labels:
+            return self._columns[n].d(q)
+        return RationalMatrix.zero(self.dim(n, q - 1), 0)
 
     def delta_mat(self, n: int, q: int) -> RationalMatrix:
         """Horizontal differential (n, q) -> (n+1, q) on kept labels."""
@@ -431,33 +432,39 @@ class SpectralSequence:
 
     def __init__(self, H: HochschildComplex):
         self.H = H
-        self._tot_basis: dict = {}  # t -> ordered list of (n, q, label)
-        for (n, q), labels in sorted(H._labels.items()):
-            for l in labels:
-                self._tot_basis.setdefault(q - n, []).append((n, q, l))
-        self._tot_index = {
-            t: {trip: i for i, trip in enumerate(b)}
-            for t, b in self._tot_basis.items()
-        }
-        self._D_cache: dict = {}
+        self._tot: ChainComplexWindow | None = None
         self._pages_done: list = []  # pages 1..r of the longest computation
 
     def tot_dim(self, t: int) -> int:
-        return len(self._tot_basis.get(t, ()))
+        return self.total_complex().dim(t)
 
     def D(self, t: int) -> RationalMatrix:
-        """Total differential Tot_t -> Tot_{t-1}, D = d + (-1)^q delta."""
-        if t not in self._D_cache:
-            H = self.H
-            columns: dict = {}  # (n, q) -> (d columns, delta columns)
+        """Total differential Tot_t -> Tot_{t-1}, D = d + (-1)^q delta; the
+        zero map out of an empty Tot_t."""
+        tot = self.total_complex()
+        if t in tot.differential:
+            return tot.d(t)
+        return RationalMatrix.zero(tot.dim(t - 1), 0)
 
-            def image(trip):
+    def total_complex(self) -> ChainComplexWindow:
+        """Tot as a chain complex, built and checked once; labels are
+        (n, q, label), ordered by column.  The top total degree is flagged
+        unreliable when components above the chain-degree window might be
+        nonzero."""
+        if self._tot is None:
+            H = self.H
+            basis: dict = {}  # t -> (n, q, label) in column order
+            for (n, q), labels in sorted(H._labels.items()):
+                basis.setdefault(q - n, []).extend((n, q, l) for l in labels)
+
+            # the labels of one position are adjacent in its Tot_t
+            @lru_cache(maxsize=1)
+            def columns(n: int, q: int) -> tuple:
+                return H.d_mat(n, q).columns(), H.delta_mat(n, q).columns()
+
+            def image(t, trip):
                 n, q, l = trip
-                if (n, q) not in columns:
-                    columns[(n, q)] = (
-                        H.d_mat(n, q).columns(), H.delta_mat(n, q).columns()
-                    )
-                d_cols, delta_cols = columns[(n, q)]
+                d_cols, delta_cols = columns(n, q)
                 li = H._index[(n, q)][l]
                 for r, v in d_cols[li].items():
                     yield (n, q - 1, H.labels(n, q - 1)[r]), v
@@ -465,32 +472,14 @@ class SpectralSequence:
                 for r, v in delta_cols[li].items():
                     yield (n + 1, q, H.labels(n + 1, q)[r]), sign * v
 
-            self._D_cache[t] = assemble(
-                self._tot_basis.get(t, []), self._tot_index.get(t - 1, {}), image
+            # completeness above: Tot_{hi+1} components are (n, hi+1+n)
+            hi = max(basis, default=0)
+            self._tot = complex_from_rule(
+                basis,
+                image,
+                complete_above=all(H.vanishes(n, hi + 1 + n) for n in range(H.n_max + 2)),
             )
-        return self._D_cache[t]
-
-    def total_complex(self) -> ChainComplexWindow:
-        """Tot as a chain complex; labels are (n, q, label).  The top
-        total degree is flagged unreliable when components above the
-        chain-degree window might be nonzero."""
-        H = self.H
-        space = GradedSpace(self._tot_basis)
-        degrees = space.degrees()
-        if not degrees:
-            return ChainComplexWindow(space, {}, (0, 0))
-        lo, hi = degrees[0], degrees[-1]
-        # completeness above: Tot_{hi+1} components are (n, hi+1+n)
-        complete_above = all(
-            H.vanishes(n, hi + 1 + n) for n in range(H.n_max + 2)
-        )
-        return ChainComplexWindow(
-            space,
-            {t: self.D(t) for t in range(lo + 1, hi + 1)},
-            (lo, hi),
-            complete_below=True,
-            complete_above=complete_above,
-        )
+        return self._tot
 
     def _before(self, t: int, n: int) -> int:
         """Number of Tot_t basis elements in columns below n; Tot_t is

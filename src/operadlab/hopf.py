@@ -15,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ChainComplexWindow, GradedSpace, totals_by_degree
-from .linalg import RationalMatrix, assemble
+from .complexes import ChainComplexWindow, complex_from_rule, totals_by_degree
 
 # A monomial is a sorted tuple of generator indices (square-free).
 Monomial = tuple
@@ -221,39 +220,19 @@ class CobarComplex:
                 out[new] = out.get(new, Fraction(0)) + sign * c
         return {w: c for w, c in out.items() if c != 0}
 
-    def differential_matrix(self, p: int, q: int) -> RationalMatrix:
-        """Matrix of d from bidegree (p, q) to (p-1, q)."""
-        return assemble(
-            self.basis(p, q),
-            {w: i for i, w in enumerate(self.basis(p - 1, q))},
-            lambda word: self.differential_word(word).items(),
-        )
-
     def complex_at_q(self, q: int) -> ChainComplexWindow:
         """The cobar complex at fixed internal degree q, graded by p.
 
         Word length is bounded by q, so the complex is complete in p
         whenever the window allows all lengths up to q / (minimum letter
-        degree); otherwise the low-p edge is flagged.
+        degree); otherwise the low-p edge is flagged: d also exits the
+        lowest kept p, and that map is zero only when no longer words exist.
         """
         max_len_needed = q // self.min_letter_degree if q else 0
-        complete = -self.window.p_min >= max_len_needed
-        degrees = {}
-        for (p, qq), words in self._words_by_bidegree.items():
-            if qq == q:
-                degrees[p] = tuple(words)
-        if q == 0:
-            degrees = {0: ((),)}
-        space = GradedSpace(degrees)
-        if not degrees:
-            return ChainComplexWindow(space, {}, (0, 0))
-        lo = min(degrees)
-        hi = max(degrees)
-        diff = {p: self.differential_matrix(p, q) for p in range(lo + 1, hi + 1)}
-        # d also exits the lowest kept p; completeness below means that
-        # map is genuinely zero-target only when no longer words exist
-        return ChainComplexWindow(
-            space, diff, (lo, hi), complete_below=complete, complete_above=True
+        return complex_from_rule(
+            {p: words for (p, qq), words in self._words_by_bidegree.items() if qq == q},
+            lambda p, word: self.differential_word(word).items(),
+            complete_below=-self.window.p_min >= max_len_needed,
         )
 
 

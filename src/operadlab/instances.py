@@ -22,9 +22,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ChainComplexWindow, GradedSpace
+from .complexes import ChainComplexWindow, complex_from_rule
 from .hopf import PrimitiveExteriorHopf
-from .linalg import assemble
 from .operads import (
     ArityOverflow,
     Coeffs,
@@ -79,13 +78,11 @@ class SphereOperad(Operad):
                 k_max = len(all_pairs)
                 if self.degree_cap is not None:
                     k_max = min(k_max, self.degree_cap // (self.d - 1))
-                by_deg: dict = {}
-                for k in range(k_max + 1):
-                    labels = [
-                        tuple(sorted(c)) for c in itertools.combinations(all_pairs, k)
-                    ]
-                    by_deg[k * (self.d - 1)] = tuple(sorted(labels))
-                self._basis_cache[n] = by_deg
+                # combinations of the sorted pairs come sorted, in sorted order
+                self._basis_cache[n] = {
+                    k * (self.d - 1): tuple(itertools.combinations(all_pairs, k))
+                    for k in range(k_max + 1)
+                }
         return self._basis_cache[n]
 
     def degree(self, n: int, label) -> int:
@@ -456,22 +453,13 @@ def arity_complex(op: Operad, n: int) -> ChainComplexWindow:
 
 def _arity_complex(op: Operad, n: int) -> ChainComplexWindow:
     by_deg = op.basis_by_degree(n)
-    space = GradedSpace({q: tuple(ls) for q, ls in by_deg.items()})
-    degrees = space.degrees()
-    if not degrees:
-        return ChainComplexWindow(GradedSpace({}), {}, (0, 0))
-    lo, hi = degrees[0], degrees[-1]
-    diff = {
-        q: assemble(
-            space.labels(q),
-            {l: i for i, l in enumerate(space.labels(q - 1))},
-            lambda lab: op.diff_basis(n, lab).items(),
-        )
-        for q in range(lo + 1, hi + 1)
-    }
     # complete above unless the top degree equals the operad's degree cap
-    complete_above = op.degree_cap is None or hi < op.degree_cap
-    return ChainComplexWindow(space, diff, (lo, hi), complete_above=complete_above)
+    top = max((q for q, labels in by_deg.items() if labels), default=0)
+    return complex_from_rule(
+        by_deg,
+        lambda q, label: op.diff_basis(n, label).items(),
+        complete_above=op.degree_cap is None or top < op.degree_cap,
+    )
 
 
 def element_to_vector(op: Operad, x: OpElement, q: int):

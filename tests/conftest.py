@@ -252,7 +252,7 @@ def reference_pages(H, r_max: int) -> list:
     from operadlab.cosimplicial import BigradedPage, PageEntry
 
     ss = H.spectral_sequence()
-    basis = ss._tot_basis
+    basis = ss.total_complex().space.basis
 
     def Z(r, p, t):
         dom = [i for i, (n, _, _) in enumerate(basis.get(t, [])) if -n <= p]

@@ -191,6 +191,18 @@ class TestCLI:
         cfg.write_text("not a config line\n")
         assert main(["--config", str(cfg), "audit"]) == 2
 
+    @pytest.mark.parametrize("key", ["n-maxx", "command"])
+    def test_config_key_naming_no_option_is_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        assert main(["--config", str(cfg), "hochschild"]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""  # no table on the default window
+        assert err.splitlines() == [f"error: config key '{key}' names no option"]
+        # a key of another command is accepted, so one file serves several
+        cfg.write_text("d = 7\n")
+        assert main(["--config", str(cfg), "hochschild", "--n-max", "3", "--q-max", "4"]) == 0
+
     @pytest.mark.parametrize("how", ["flag", "flag-below", "config"])
     def test_unusable_out_exits_before_any_work(self, tmp_path, capsys, how):
         taken = tmp_path / "taken"

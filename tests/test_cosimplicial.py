@@ -224,6 +224,14 @@ def test_columns_agree_with_the_raw_arity_complexes(build, n_max, q_max, normali
     assert [pos for pos in grid if H.vanishes(*pos) != _raw_vanishes(H, *pos)] == []
 
 
+def test_column_complexes_are_built_on_first_use():
+    """A column's vertical differential is assembled on the first d_mat
+    call for that column; homology of a zero-differential host reads none."""
+    H = hochschild_homology(sphere_multiplicative(5, 5, 12), 5, 12).complex
+    assert H._columns == {}
+    assert H.d_mat(3, 8).is_zero() and list(H._columns) == [3]
+
+
 def test_differential_that_does_not_square_to_zero_is_refused():
     """A host whose d does not square to zero stops the computation with
     ValueError instead of giving pages."""

@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from operadlab import obstruction
+from operadlab.cosimplicial import HochschildComplex, mcclure_smith, ss_pages
 from operadlab.instances import (
     MultiplicativeStructure,
+    arity_complex,
+    element_to_vector,
     framed_multiplicative,
+    homology_operad,
     poisson_multiplicative,
     sphere_multiplicative,
     witness_generator,
@@ -83,6 +88,28 @@ class TestPipeline:
         rep = compare_with_d2(inp)
         assert rep.equal
 
+    def test_pages_and_pipeline_share_one_vertical_differential(self, monkeypatch):
+        """A witness host has no codegeneracies, so each Hochschild column
+        is the host's arity complex: the pages, the pipeline and the page-2
+        comparison read one d per arity, not copies of it."""
+        inp = witness_input(3, padded=True)
+        op = inp.operad
+        H = HochschildComplex(mcclure_smith(inp.M, 3), q_max=26)
+        ss_pages(H, 4)
+        compared, zigzag_dr = [], obstruction.zigzag_dr
+
+        def recording_zigzag(H2, *args):
+            compared.append(H2)
+            return zigzag_dr(H2, *args)
+
+        monkeypatch.setattr(obstruction, "zigzag_dr", recording_zigzag)
+        assert compare_with_d2(inp).equal
+        for K in (H, *compared):
+            assert K.positions()
+            for n, q in K.positions():
+                assert K.d_mat(n, q) is arity_complex(op, n).d(q), (n, q)
+        assert len(compared) == 1 and compared[0] is not H
+
 
 class TestChoiceIndependence:
     def test_padded_variant_ten_trials(self):
@@ -123,6 +150,23 @@ class TestFormalityBaseline:
         res = formality_baseline(factory(), m)
         assert not res.nonzero
         assert res.quotient_dim > 0  # the quotient machinery really ran
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+    def test_formal_model_against_the_chain_operad(self, m, padded):
+        """The contrast in miniature: with the class of nu as multiplication
+        the homology operad, a formal model, has a zero class, while the
+        chain operad itself has a nonzero class in a quotient of the same
+        dimension."""
+        M = witness_multiplicative(m, padded=padded)
+        op = M.operad
+        H0 = arity_complex(op, 2).homology().at(0)
+        coords = H0.class_coordinates(element_to_vector(op, M.mult, 0))
+        nu = OpElement.make(2, {("H", 2, 0, k): c for k, c in enumerate(coords) if c})
+        formal = formality_baseline(MultiplicativeStructure(homology_operad(op), nu), m)
+        chain = run_pipeline(witness_input(m, padded=padded))
+        assert not formal.nonzero and chain.nonzero
+        assert formal.quotient_dim == chain.quotient_dim == (4 if padded else 1)
 
     def test_rejects_differential_hosts(self):
         with pytest.raises(ValueError):
