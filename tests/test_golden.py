@@ -19,6 +19,10 @@ from operadlab.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = {
+    "cobar": [
+        "cobar", "--d", "7", "--variant", "fixing-subgroup", "--p-min", "-4",
+        "--q-max", "24",
+    ],
     "hochschild_sphere": [
         "hochschild", "--instance", "sphere:d=5", "--n-max", "6", "--q-max", "12",
     ],
