@@ -21,31 +21,15 @@ from .complexes import ChainComplexWindow, complex_from_rule, totals_by_degree
 Monomial = tuple
 
 
-def _merge_sign(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
-    """Multiply square-free monomials in odd generators.
+def koszul_sign(seq) -> int:
+    """(-1) to the number of inversions of ``seq``.
 
-    Returns (sign, merged) or None when a generator repeats.  All
-    generators are odd, so the Koszul sign is the parity of the merge
-    inversions.
+    For odd symbols listed with the keys of their target places, this is
+    the Koszul sign of moving them into sorted order: every sign of the
+    exterior Hopf structure and of the framing is one such count.
     """
-    if set(a) & set(b):
-        return None
-    sign = 1
-    merged = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-            # b[j] moved past the remaining len(a)-i odd generators
-            if (len(a) - i) % 2:
-                sign = -sign
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 class PrimitiveExteriorHopf:
@@ -76,35 +60,14 @@ class PrimitiveExteriorHopf:
         return self._degree[mon]
 
     def product(self, a: Monomial, b: Monomial) -> tuple[Fraction, Monomial] | None:
-        res = _merge_sign(a, b)
-        if res is None:
+        """(sign, a*b), or None when a generator repeats."""
+        if set(a) & set(b):
             return None
-        s, mon = res
-        return Fraction(s), mon
-
-    def counit(self, mon: Monomial) -> Fraction:
-        return Fraction(1) if not mon else Fraction(0)
+        return Fraction(koszul_sign(a + b)), tuple(sorted(a + b))
 
     def coproduct(self, mon: Monomial) -> dict:
-        """Full diagonal: dict (left, right) -> coefficient.
-
-        Primitivity of the generators forces the shuffle formula; the sign
-        of a split is the parity of the unshuffle permutation (all odd).
-        """
-        out: dict = {}
-        elems = list(mon)
-        n = len(elems)
-        for left_idx in _subsets(n):
-            left = tuple(elems[i] for i in left_idx)
-            right = tuple(e for i, e in enumerate(elems) if i not in left_idx)
-            # inversions: pairs (i in right-part, j in left-part) with i < j
-            inv = 0
-            left_set = set(left_idx)
-            for i in range(n):
-                if i not in left_set:
-                    inv += sum(1 for j in range(i + 1, n) if j in left_set)
-            out[(left, right)] = Fraction(-1 if inv % 2 else 1)
-        return out
+        """Full diagonal: dict (left, right) -> coefficient."""
+        return self.iterated_coproduct(mon, 2)
 
     def reduced_coproduct(self, mon: Monomial) -> dict:
         return {
@@ -116,25 +79,16 @@ class PrimitiveExteriorHopf:
     def iterated_coproduct(self, mon: Monomial, n: int) -> dict:
         """n-fold diagonal: dict (mon_1, ..., mon_n) -> coefficient.
 
-        n = 0 gives the counit (empty tuple key), n = 1 the identity.
+        Primitive generators give one term per assignment of mon's
+        generators to the n factors, signed by the Koszul sign of that
+        assignment.  n = 0 gives the counit (empty tuple key), n = 1 the
+        identity.
         """
-        if n == 0:
-            return {(): self.counit(mon)} if not mon else {}
-        table: dict = {(mon,): Fraction(1)}
-        for _ in range(n - 1):
-            new: dict = {}
-            for word, coeff in table.items():
-                head, last = word[:-1], word[-1]
-                for (l, r), c in self.coproduct(last).items():
-                    key = head + (l, r)
-                    new[key] = new.get(key, Fraction(0)) + coeff * c
-            table = new
-        return {k: v for k, v in table.items() if v != 0}
-
-
-def _subsets(n: int):
-    for k in range(n + 1):
-        yield from itertools.combinations(range(n), k)
+        return {
+            tuple(tuple(g for g, a in zip(mon, factors) if a == j) for j in range(n)):
+            Fraction(koszul_sign(factors))
+            for factors in itertools.product(range(n), repeat=len(mon))
+        }
 
 
 def build_so_hopf(d: int, variant: str = "full") -> PrimitiveExteriorHopf:

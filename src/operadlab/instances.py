@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import ChainComplexWindow, complex_from_rule
-from .hopf import PrimitiveExteriorHopf
+from .hopf import PrimitiveExteriorHopf, build_so_hopf, koszul_sign
 from .operads import (
     ArityOverflow,
     Coeffs,
@@ -179,8 +179,6 @@ def sphere_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = N
 
 
 def framed_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = None):
-    from .hopf import build_so_hopf
-
     base = sphere_operad(d, max_arity, degree_cap)
     hopf = build_so_hopf(d)
     op = FramedOperad(base, hopf, degree_cap=degree_cap)
@@ -369,29 +367,27 @@ class FramedOperad(Operad):
 
     def _hopf_factor(self, gs, i: int, n: int, hs) -> tuple:
         """The Hopf part of ``(bx, gs) o_i (by, hs)`` as ``(word, degree,
-        coefficient)`` terms, summed per word; cached per key."""
+        coefficient)`` terms, summed per word; cached per key.
+
+        The sign of a split is the Koszul sign of moving each odd generator
+        from its place in x (x) y, slot i split by the diagonal, to its
+        place in the composite: split and inserted generators are keyed by
+        (factor j, generator index), the g_{i+1}..g_m tail after every
+        factor.  The prefix g_1..g_{i-1} never moves.
+        """
         key = (gs, i, n, hs)
         if key not in self._hopf_cache:
-            deg = self.hopf.degree
-            tail_deg = sum(deg(g) for g in gs[i:])  # factors g_{i+1}..g_m
+            tail = [(n + k, g) for k, mon in enumerate(gs[i:]) for g in mon]
+            inserted = [(j, g) for j, h in enumerate(hs) for g in h]
             out: dict = {}
             for split, coeff in self.hopf.iterated_coproduct(gs[i - 1], n).items():
-                word = []
-                # degree of the not-yet-consumed split components and the gs tail
-                after = sum(deg(s) for s in split) + tail_deg
-                for s, hj in zip(split, hs):
-                    after -= deg(s)
-                    # h_j moves left past split components j+1..n and the gs tail
-                    if deg(hj) % 2 and after % 2:
-                        coeff = -coeff
-                    prod = self.hopf.product(s, hj)
-                    if prod is None:
-                        break
-                    coeff *= prod[0]
-                    word.append(prod[1])
-                else:
-                    new_word = gs[: i - 1] + tuple(word) + gs[i:]
-                    out[new_word] = out.get(new_word, 0) + coeff
+                keys = [(j, g) for j, s in enumerate(split) for g in s] + tail + inserted
+                if len(set(keys)) < len(keys):  # a generator repeats in a factor
+                    continue
+                word = tuple(tuple(sorted(s + h)) for s, h in zip(split, hs))
+                new_word = gs[: i - 1] + word + gs[i:]
+                out[new_word] = out.get(new_word, 0) + coeff * koszul_sign(keys)
+            deg = self.hopf.degree
             self._hopf_cache[key] = tuple(
                 (w, sum(deg(m) for m in w), c) for w, c in out.items() if c != 0
             )

@@ -138,14 +138,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
 
 def row_reduce(M: RationalMatrix) -> "Subquotient":
     """The echelon form of M: its columns fed, in order, into a

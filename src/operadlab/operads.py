@@ -648,32 +648,36 @@ def parse_free_operad(
     differential assignments ``d name = nu o2 g + nu o1 g - g o1 nu``.
     Composition chains associate to the left.
     """
-    gen_lines = []
+    generators: dict = {}
     diff_lines = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if _DIFF_RE.match(line):
-            diff_lines.append(line)
-        elif _GEN_RE.match(line):
-            gen_lines.append(line)
+        if m := _DIFF_RE.match(line):
+            diff_lines.append((line, m.group(1), m.group(2)))
+        elif m := _GEN_RE.match(line):
+            if m.group(1) in generators:
+                raise ValueError(f"generator declared twice: {line!r}")
+            generators[m.group(1)] = (int(m.group(2)), int(m.group(3)))
         else:
             raise ValueError(f"cannot parse line: {line!r}")
-    generators = {}
-    for line in gen_lines:
-        m = _GEN_RE.match(line)
-        name, ar, dg = m.group(1), int(m.group(2)), int(m.group(3))
-        generators[name] = (ar, dg)
     op = FreeChainOperad(
         generators, {}, associative=associative, max_arity=max_arity, degree_cap=degree_cap
     )
-    diff_rules = {}
-    for line in diff_lines:
-        m = _DIFF_RE.match(line)
-        name, expr = m.group(1), m.group(2)
-        diff_rules[name] = _parse_expression(op, expr)
-    op.diff_rules = diff_rules
+    for line, name, expr in diff_lines:
+        if name not in generators:
+            raise ValueError(f"rule for an undeclared generator: {line!r}")
+        if name in op.diff_rules:
+            raise ValueError(f"second rule for {name}: {line!r}")
+        ar, dg = generators[name]
+        rule = _parse_expression(op, expr)
+        degrees = {op.degree(rule.arity, l) for l in rule.support()}
+        if degrees and (rule.arity, degrees) != (ar, {dg - 1}):
+            raise ValueError(
+                f"d {name} must have arity {ar} and degree {dg - 1}: {line!r}"
+            )
+        op.diff_rules[name] = rule
     return op
 
 
@@ -684,7 +688,7 @@ def generator_element(op: FreeChainOperad, name: str) -> OpElement:
 
 
 def _parse_expression(op: FreeChainOperad, expr: str) -> OpElement:
-    terms = re.split(r"(?=[+-])", expr.replace(" ", " "))
+    terms = re.split(r"(?=[+-])", expr)
     result: OpElement | None = None
     for raw in terms:
         raw = raw.strip()

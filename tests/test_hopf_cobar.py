@@ -67,6 +67,79 @@ class TestHopfStructure:
             PrimitiveExteriorHopf([("bad", 2)])
 
 
+def _times(H, x: dict, y: dict) -> dict:
+    """Product of two combinations of monomials."""
+    out: dict = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            res = H.product(a, b)
+            if res is not None:
+                out[res[1]] = out.get(res[1], 0) + ca * cb * res[0]
+    return {k: v for k, v in out.items() if v}
+
+
+def _repeated_coproduct(H, mon, n: int) -> dict:
+    """The n-fold diagonal by splitting the last factor again and again;
+    n = 0 is the counit."""
+    if n == 0:
+        return {(): Fraction(1)} if not mon else {}
+    table: dict = {(mon,): Fraction(1)}
+    for _ in range(n - 1):
+        new: dict = {}
+        for word, c in table.items():
+            for (l, r), c2 in H.coproduct(word[-1]).items():
+                key = word[:-1] + (l, r)
+                new[key] = new.get(key, 0) + c * c2
+        table = new
+    return {k: v for k, v in table.items() if v}
+
+
+@pytest.mark.parametrize("variant", ["full", "fixing-subgroup"])
+@pytest.mark.parametrize("d", [5, 7, 9])
+class TestHopfLaws:
+    """The laws that fix an exterior Hopf algebra on primitive odd
+    generators, independent of how its signs are computed."""
+
+    def test_product_associative_and_graded_commutative(self, d, variant):
+        H = build_so_hopf(d, variant)
+        for a, b in itertools.product(H.monomials, repeat=2):
+            ab, ba = _times(H, {a: 1}, {b: 1}), _times(H, {b: 1}, {a: 1})
+            sign = (-1) ** (H.degree(a) * H.degree(b))
+            assert ba == {k: sign * v for k, v in ab.items()}
+            for c in H.monomials:
+                assert _times(H, ab, {c: 1}) == _times(H, {a: 1}, _times(H, {b: 1}, {c: 1}))
+
+    def test_generators_in_increasing_order_multiply_with_plus_one(self, d, variant):
+        H = build_so_hopf(d, variant)
+        for a, b in itertools.product(H.monomials, repeat=2):
+            if not a or not b or a[-1] < b[0]:
+                assert H.product(a, b) == (1, a + b)
+
+    def test_coproduct_is_an_algebra_map(self, d, variant):
+        H = build_so_hopf(d, variant)
+        for g in range(len(H.generators)):
+            assert H.coproduct((g,)) == {((g,), ()): 1, ((), (g,)): 1}
+        for a, b in itertools.product(H.monomials, repeat=2):
+            res = H.product(a, b)
+            lhs = {} if res is None else {
+                k: res[0] * v for k, v in H.coproduct(res[1]).items()
+            }
+            rhs: dict = {}
+            for (a1, a2), ca in H.coproduct(a).items():
+                for (b1, b2), cb in H.coproduct(b).items():
+                    sign = (-1) ** (H.degree(a2) * H.degree(b1))
+                    for l, cl in _times(H, {a1: 1}, {b1: 1}).items():
+                        for r, cr in _times(H, {a2: 1}, {b2: 1}).items():
+                            rhs[(l, r)] = rhs.get((l, r), 0) + sign * ca * cb * cl * cr
+            assert lhs == {k: v for k, v in rhs.items() if v}
+
+    def test_iterated_coproduct_is_repeated_splitting(self, d, variant):
+        H = build_so_hopf(d, variant)
+        for mon in H.monomials:
+            for n in range(5):
+                assert H.iterated_coproduct(mon, n) == _repeated_coproduct(H, mon, n)
+
+
 class TestCobarComplex:
     def test_differential_squares_to_zero(self):
         cb = CobarComplex(build_so_hopf(5, "full"), BidegreeWindow(-4, 14))

@@ -136,19 +136,20 @@ class TestFramed:
         ids=["framed-d5", "framed-d7-fixing-subgroup"],
     )
     def test_compose_matches_the_per_split_formula(self, build):
-        """Every composite x o_i y with x in arity <= 3 and y in arity 0..2
-        equals the per-split formula, with Fraction coefficients; a caller
-        mutating a returned dict leaves the next call unchanged."""
+        """Every composite x o_i y with x in arity <= 3 and y in arity 0..3
+        (under the arity cap) equals the per-split formula, with Fraction
+        coefficients; a caller mutating a returned dict leaves the next
+        call unchanged.  Arity 3 puts slot i through a three-way diagonal."""
         op = build()
 
         def labels(n):
             return [l for ls in op.basis_by_degree(n).values() for l in ls]
 
-        calls = nonempty = hopf_y = 0
+        calls = nonempty = hopf_y = three_way = 0
         for m in (1, 2, 3):
             for xl in labels(m):
                 for i in range(1, m + 1):
-                    for n in (0, 1, 2):
+                    for n in range(min(3, op.max_arity + 1 - m) + 1):
                         for yl in labels(n):
                             got = op.compose_basis(m, xl, i, n, yl)
                             want = reference_framed_compose(op, m, xl, i, n, yl)
@@ -157,10 +158,11 @@ class TestFramed:
                             calls += 1
                             nonempty += bool(got)
                             hopf_y += bool(got) and any(yl[1])
+                            three_way += bool(got) and n == 3 and len(xl[1][i - 1]) > 1
                             if got:
                                 got.clear()
                                 assert op.compose_basis(m, xl, i, n, yl) == want
-        assert calls > 5_000 and nonempty > 1_000 and hopf_y > 100
+        assert calls > 5_000 and nonempty > 1_000 and hopf_y > 100 and three_way > 10
 
     @pytest.mark.parametrize(
         "d,n_max,cap", [(5, 4, 16), (7, 4, 20), (9, 4, 19), (5, 3, None)],

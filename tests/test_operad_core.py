@@ -1,6 +1,7 @@
 """Operad interface, free chain operads on trees, axiom checkers."""
 
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -56,6 +57,21 @@ class TestFreeOperad:
         left = op.compose(nu, 1, nu)
         right = op.compose(nu, 2, nu)
         assert (left - right).is_zero()  # strictly associative
+
+    @pytest.mark.parametrize(
+        "text,bad_line",
+        [
+            ("nu:2:0\nd hh = nu o1 nu", "d hh = nu o1 nu"),
+            ("nu:2:0\ng:1:3\nd g = nu", "d g = nu"),
+            ("c:2:4\nh:2:4\nd h = c", "d h = c"),
+            ("nu:2:0\ng:1:3\ng:1:5", "g:1:5"),
+            ("nu:2:0\nc:2:1\nd c = nu\nd c = 2 * nu", "d c = 2 * nu"),
+        ],
+        ids=["undeclared", "arity", "degree", "declared-twice", "second-rule"],
+    )
+    def test_malformed_presentation_names_its_line(self, text, bad_line):
+        with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
+            parse_free_operad(text, degree_cap=8)
 
     def test_axioms_d_squared_leibniz(self):
         for padded in (False, True):
