@@ -56,15 +56,17 @@ class SemicosimplicialChainComplex:
 
     ``coface(n, i, label) -> Coeffs`` gives the coface on a basis label of
     column n; ``codegeneracy(n, i, label) -> Coeffs`` (optional) gives
-    s^i: X^{n+1} -> X^n for 0 <= i <= n.  The host owns each column's
-    basis and differential.
+    s^i: X^{n+1} -> X^n for 0 <= i <= n.  ``normal_delta(n, label)``
+    (optional) gives delta on a normalized label restricted to the
+    normalized labels.  The host owns each column's basis and differential.
     """
 
-    def __init__(self, host, n_max: int, coface, codegeneracy=None):
+    def __init__(self, host, n_max: int, coface, codegeneracy=None, normal_delta=None):
         self.host = host
         self.n_max = n_max
         self.coface = coface
         self.codegeneracy = codegeneracy
+        self.normal_delta = normal_delta
 
     def _basis(self, n: int, q_max: int | None):
         """(q, label) over the host's arity-n basis, degrees up to q_max."""
@@ -162,7 +164,8 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
     d^{n+1} = mult o1 x.  Codegeneracies s^i = (- o_{i+1} point) when the
     structure has an arity-0 point.  The columns are the host's arities
     0..n_max; ``HochschildComplex`` reads their labels and restricts them
-    to the normalized ones.  ``n_max`` may not exceed the host's arity cap.
+    to the normalized ones, where the host's ``normal_delta`` gives delta
+    if mult is its ``mu()``.  ``n_max`` may not exceed the arity cap.
     """
     op = M.operad
     if n_max is None:
@@ -180,14 +183,16 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
             return op.compose_terms(2, mult, 1, n, x)
         return op.compose_terms(n, x, i, 2, mult)
 
-    codegeneracy = None
+    codegeneracy = normal_delta = None
     if M.point is not None:
         point = M.point.coeffs
 
         def codegeneracy(n, i, label) -> Coeffs:
             return op.compose_terms(n + 1, ((label, 1),), i + 1, 0, point)
 
-    return SemicosimplicialChainComplex(op, n_max, coface, codegeneracy=codegeneracy)
+        if op.normal_delta is not None and M.mult == op.mu():
+            normal_delta = op.normal_delta
+    return SemicosimplicialChainComplex(op, n_max, coface, codegeneracy, normal_delta)
 
 
 def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpElement:
@@ -214,8 +219,9 @@ class HochschildComplex:
     labels of the host's arity-n basis: the host's
     ``normalized_basis`` proposes them, in basis order, and the
     codegeneracies confirm each one, so an over-inclusive host still gives
-    exact columns.  delta preserves that span (asserted during matrix
-    construction) even though individual cofaces do not.
+    exact columns.  delta preserves that span even though individual
+    cofaces do not; the host's ``normal_delta``, when there is one, builds
+    only its terms on normalized labels.  ``assemble`` refuses any other.
     """
 
     def __init__(self, X: SemicosimplicialChainComplex, q_max: int, normalized=True):
@@ -300,10 +306,11 @@ class HochschildComplex:
                 # out of the stored window: zero map (truncated object)
                 self._delta_cache[key] = RationalMatrix.zero(0, len(src))
                 return self._delta_cache[key]
+            rule = (self.normalized and self.X.normal_delta) or self.X.delta_on_label
             self._delta_cache[key] = assemble(
                 src,
                 self._index.get((n + 1, q), {}),
-                lambda label: self.X.delta_on_label(n, label).items(),
+                lambda label: rule(n, label).items(),
             )
         return self._delta_cache[key]
 

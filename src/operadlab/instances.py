@@ -51,6 +51,21 @@ def _vertices(pairs) -> set:
     return {v for p in pairs for v in p}
 
 
+def _inner_coface(pairs, i: int) -> list:
+    """The terms of ``pairs o_i mu`` as ``compose_pairsets`` gives them: each
+    pair touching i goes to i or to i+1, in product order, so the first term
+    sends every such pair to i and the last every one to i+1."""
+    fixed, moves = [], []
+    for a, b in pairs:
+        if a == i:
+            moves.append(((i, b + 1), (i + 1, b + 1)))
+        elif b == i:
+            moves.append(((a, i), (a, i + 1)))
+        else:
+            fixed.append((a + (a > i), b + (b > i)))
+    return [tuple(sorted((*fixed, *to))) for to in itertools.product(*moves)]
+
+
 class SphereOperad(Operad):
     """Homology operad of products of (d-1)-spheres, one per index pair.
 
@@ -138,6 +153,17 @@ class SphereOperad(Operad):
             out.append(tuple(sorted(set(shifted) | set(combo))))
         return out
 
+    def normal_delta(self, n: int, label) -> Coeffs:
+        """delta of ``mu()`` on a label covering all n vertices, restricted to
+        the labels covering all n+1 (the rest cancels): outer cofaces add no
+        term, coface i only those whose two or more pairs at i reach i and i+1."""
+        out: dict = {}
+        ends = [v for p in label for v in p]
+        for i in sorted({v for v in ends if ends.count(v) > 1}):
+            for l in _inner_coface(label, i)[1:-1]:
+                out[l] = out.get(l, 0) + (-1) ** i
+        return {l: Fraction(c) for l, c in out.items() if c}
+
     def mu(self) -> OpElement:
         return OpElement.basis(2, ())
 
@@ -182,9 +208,8 @@ def framed_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = N
     base = sphere_operad(d, max_arity, degree_cap)
     hopf = build_so_hopf(d)
     op = FramedOperad(base, hopf, degree_cap=degree_cap)
-    mult = OpElement.basis(2, ((), (hopf.unit, hopf.unit)))
     point = OpElement.basis(0, ((), ()))
-    return MultiplicativeStructure(op, mult, point=point, name=f"framed(sphere:d={d})")
+    return MultiplicativeStructure(op, op.mu(), point=point, name=f"framed(sphere:d={d})")
 
 
 def poisson_multiplicative(d: int):
@@ -344,6 +369,27 @@ class FramedOperad(Operad):
             (bl, word) for bl, word in self.arity_degree_basis(n, q)
             if len(_vertices(bl).union(k for k, w in enumerate(word, 1) if w)) == n
         )
+
+    def normal_delta(self, n: int, label) -> Coeffs:
+        """delta of ``mu()`` on a normalized label, restricted to the
+        normalized labels, as on the sphere: slot i or i+1 of a term counts
+        as covered when a pair reaches it or its Hopf factor is nonempty.
+        The base terms of coface i are built once and each Hopf split of
+        slot i takes the slice of them that covers its bare slots."""
+        bl, gs = label
+        units = (self.hopf.unit,) * 2
+        out: dict = {}
+        for i in range(1, n + 1):
+            bases = _inner_coface(bl, i)
+            for word, _, c in self._hopf_factor(gs, i, 2, units):
+                c = (-1) ** i * (c.numerator if c.denominator == 1 else c)
+                # a bare slot i drops the last base term, a bare i+1 the first
+                for b in bases[not word[i]:len(bases) - (not word[i - 1])]:
+                    out[(b, word)] = out.get((b, word), 0) + c
+        return {l: Fraction(c) for l, c in out.items() if c}
+
+    def mu(self) -> OpElement:
+        return OpElement.basis(2, ((), (self.hopf.unit,) * 2))
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:

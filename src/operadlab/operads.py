@@ -120,6 +120,8 @@ class Operad:
 
     max_arity: int
     degree_cap: int | None = None
+    # (n, label) -> Coeffs: delta of mu() on normalized labels, if known
+    normal_delta = None
 
     def basis_by_degree(self, n: int) -> dict:
         """degree -> tuple of labels, within the truncation."""
@@ -671,7 +673,12 @@ def parse_free_operad(
         if name in op.diff_rules:
             raise ValueError(f"second rule for {name}: {line!r}")
         ar, dg = generators[name]
-        rule = _parse_expression(op, expr)
+        try:
+            rule = _parse_expression(op, expr)
+        except KeyError as e:
+            raise ValueError(f"undeclared generator {e}: {line!r}") from None
+        except (ValueError, TruncationError) as e:
+            raise ValueError(f"{e}: {line!r}") from None
         degrees = {op.degree(rule.arity, l) for l in rule.support()}
         if degrees and (rule.arity, degrees) != (ar, {dg - 1}):
             raise ValueError(

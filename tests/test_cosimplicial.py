@@ -27,7 +27,7 @@ from operadlab.instances import (
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.linalg import RationalMatrix, Subquotient
+from operadlab.linalg import RationalMatrix, Subquotient, assemble
 from operadlab.operads import ArityOverflow, OpElement, Operad, parse_free_operad
 
 
@@ -158,6 +158,59 @@ def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
             assert len(hook) == len(kept), (n, q)
             checked += bool(kept)
     assert checked > n_max
+
+
+@pytest.mark.parametrize(
+    "build,d,n_max,q_max",
+    [(sphere_multiplicative, 5, 7, 16),
+     (sphere_multiplicative, 7, 6, 18),
+     (framed_multiplicative, 5, 5, 14),
+     (framed_multiplicative, 7, 5, 14)],
+    ids=["sphere-d5", "sphere-d7", "framed-d5", "framed-d7"],
+)
+def test_normal_delta_is_the_alternating_coface_sum(build, d, n_max, q_max):
+    """The host's delta, which builds only the terms covering every vertex,
+    equals the alternating coface sum on every kept label, so the dropped
+    terms cancel; and each delta_mat is the matrix of the generic rule."""
+    X = mcclure_smith(build(d, n_max, q_max), n_max)
+    H = HochschildComplex(X, q_max)
+    assert H.normalized and X.normal_delta is not None
+    for n, q in H.positions():
+        if n == n_max:
+            continue
+        for label in H.labels(n, q):
+            assert X.normal_delta(n, label) == X.delta_on_label(n, label), (n, label)
+        target = {l: k for k, l in enumerate(H.labels(n + 1, q))}
+        generic = assemble(H.labels(n, q), target, lambda l: X.delta_on_label(n, l).items())
+        assert H.delta_mat(n, q) == generic, (n, q)
+
+
+def _generic_delta_calls(H) -> int:
+    """delta_on_label calls made by every delta_mat of H, failing if the
+    host's rule runs instead."""
+    calls = []
+    generic = H.X.delta_on_label
+    H.X.delta_on_label = lambda n, l: calls.append(n) or generic(n, l)
+
+    def refuse(n, label):
+        raise AssertionError("the host's delta ran")
+
+    H.X.normal_delta = refuse
+    for n, q in H.positions():
+        H.delta_mat(n, q)
+    return len(calls)
+
+
+def test_generic_delta_where_the_host_rule_does_not_apply():
+    """Unnormalized columns and the witness host (no point) take the
+    alternating coface sum; so does a multiplication other than mu()."""
+    sphere = sphere_multiplicative(5, 4, 8)
+    scaled = MultiplicativeStructure(sphere.operad, sphere.mult.scale(2), sphere.point)
+    assert mcclure_smith(scaled).normal_delta is None
+    assert mcclure_smith(witness_multiplicative(2)).normal_delta is None
+    unnormalized = HochschildComplex(mcclure_smith(sphere, 4), 8, normalized=False)
+    assert _generic_delta_calls(unnormalized) > 0
+    assert _generic_delta_calls(HochschildComplex(mcclure_smith(witness_multiplicative(2)), 10)) > 0
 
 
 def _raw_vanishes(H, n, q):

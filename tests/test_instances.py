@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from conftest import reference_framed_compose
@@ -78,6 +79,18 @@ class TestSphereComposition:
 
     def test_axioms(self):
         assert check_operad_axioms(self.S, samples=500).ok
+
+    def test_normalized_label_counts(self):
+        """Inclusion-exclusion over the vertices left bare: the pair-sets of
+        k pairs covering all n vertices number
+        sum_j (-1)^j C(n, j) C(C(n - j, 2), k)."""
+        S = sphere_operad(5, max_arity=8, degree_cap=20)
+        for n in range(9):
+            for k in range(6):
+                expected = sum(
+                    (-1) ** j * comb(n, j) * comb(comb(n - j, 2), k) for j in range(n + 1)
+                )
+                assert len(S.normalized_basis(n, 4 * k)) == expected, (n, k)
 
 
 class TestPoisson:

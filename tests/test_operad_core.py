@@ -66,8 +66,18 @@ class TestFreeOperad:
             ("c:2:4\nh:2:4\nd h = c", "d h = c"),
             ("nu:2:0\ng:1:3\ng:1:5", "g:1:5"),
             ("nu:2:0\nc:2:1\nd c = nu\nd c = 2 * nu", "d c = 2 * nu"),
+            ("nu:2:0\nh:2:1\nd h = nu o1 zz", "d h = nu o1 zz"),
+            ("nu:2:0\nh:2:1\nd h =", "d h ="),
+            ("nu:2:0\nh:2:1\nd h = 2 nu o1 nu", "d h = 2 nu o1 nu"),
+            ("nu:2:0\nh:2:1\nd h = nu o9 nu", "d h = nu o9 nu"),
+            ("nu:2:0\nh:2:1\nd h = nu x1 nu", "d h = nu x1 nu"),
+            ("nu:2:0\nh:2:1\nd h = nu o1 nu o1 nu o1 nu", "d h = nu o1 nu o1 nu o1 nu"),
         ],
-        ids=["undeclared", "arity", "degree", "declared-twice", "second-rule"],
+        ids=[
+            "undeclared", "arity", "degree", "declared-twice", "second-rule",
+            "body-unknown-generator", "body-empty", "body-malformed-term",
+            "body-slot-out-of-range", "body-bad-composition-token", "body-arity-overflow",
+        ],
     )
     def test_malformed_presentation_names_its_line(self, text, bad_line):
         with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
