@@ -212,7 +212,7 @@ def cmd_cobar(args) -> int:
 def cmd_hochschild(args) -> int:
     M = _column_instance(args)
     if M.operad.has_differential():
-        raise CheckFailure(
+        raise UsageError(
             "hochschild tables require a zero-differential instance; "
             f"{M.name} carries a differential (use `ss` instead)"
         )
@@ -247,7 +247,7 @@ def _parse_class(HH, text: str):
 def cmd_bracket(args) -> int:
     M = _column_instance(args)
     if M.operad.has_differential():
-        raise CheckFailure("bracket of classes requires a zero-differential instance")
+        raise UsageError("bracket of classes requires a zero-differential instance")
     HH = hochschild_homology(M, args.n_max, args.q_max)
     k1, c1 = _parse_class(HH, args.class_a)
     k2, c2 = _parse_class(HH, args.class_b)

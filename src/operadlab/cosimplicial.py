@@ -8,9 +8,11 @@
   indexed by arity n (filtration degree p = -n), internal chain degree q,
   vertical differential from the host, horizontal differential the
   alternating coface sum delta.  Each column is read from the host's
-  arity-n basis; with codegeneracies it is restricted to the normalized
-  (all-codegeneracies-vanish) labels, read from the host's
-  ``normalized_basis`` and confirmed label by label.
+  arity-n basis, degree by degree over the host's ``degrees``; with
+  codegeneracies it holds only the normalized (all-codegeneracies-vanish)
+  labels, which the host's ``normalized_basis`` proposes and the
+  codegeneracies confirm label by label.  The sphere and framed hosts
+  build them from their covering rule and never list the raw basis.
 * :func:`hochschild_homology` computes the bigraded homology for
   zero-differential hosts, with representatives.
 * :func:`ss_pages` computes the spectral sequence of the column
@@ -219,7 +221,9 @@ class HochschildComplex:
     labels of the host's arity-n basis: the host's
     ``normalized_basis`` proposes them, in basis order, and the
     codegeneracies confirm each one, so an over-inclusive host still gives
-    exact columns.  delta preserves that span even though individual
+    exact columns.  The degrees come from the host's ``degrees``, so a
+    host that builds its normalized labels directly never lists its raw
+    basis here.  delta preserves that span even though individual
     cofaces do not; the host's ``normal_delta``, when there is one, builds
     only its terms on normalized labels.  ``assemble`` refuses any other.
     """
@@ -231,17 +235,14 @@ class HochschildComplex:
         self.normalized = normalized and X.codegeneracy is not None
         self._labels: dict = {}
         self._index: dict = {}
-        for n in range(self.n_max + 1):
-            for q, raw in sorted(X.host.basis_by_degree(n).items()):
+        self._degrees = {n: X.host.degrees(n) for n in range(self.n_max + 1)}
+        for n, degrees in self._degrees.items():
+            for q in degrees:
                 if q > q_max:
-                    continue
-                if self.normalized:
-                    labels = tuple(
-                        l for l in X.host.normalized_basis(n, q)
-                        if X.is_normal_label(n, l)
-                    )
-                else:
-                    labels = tuple(raw)
+                    break
+                labels = tuple(
+                    l for l in X.host.normalized_basis(n, q) if X.is_normal_label(n, l)
+                ) if self.normalized else X.host.arity_degree_basis(n, q)
                 if labels:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
@@ -266,19 +267,18 @@ class HochschildComplex:
 
     def vanishes(self, n: int, q: int) -> bool:
         """Whether position (n, q) is certified zero.  In the stored range
-        that means no kept labels; past q_max, inside the host's populated
-        degree range of arity n (an empty arity counts as degree 0), that
-        the host has no labels; past that, the host's ``column_vanishes``."""
+        that means no kept labels; past q_max, inside the range of the
+        host's ``degrees(n)`` (an empty arity counts as degree 0), that q
+        is not one of them; past that, the host's ``column_vanishes``."""
         if (n, q) in self._labels:
             return False
         if n < 0 or q < 0 or (n <= self.n_max and q <= self.q_max):
             return True
-        host = self.X.host
         if n <= self.n_max:
-            degrees = [d for d, labels in host.basis_by_degree(n).items() if labels] or [0]
-            if min(degrees) <= q <= max(degrees):
-                return not host.arity_degree_basis(n, q)
-        return host.column_vanishes(n, q)
+            degrees = self._degrees[n]
+            if min(degrees, default=0) <= q <= max(degrees, default=0):
+                return q not in degrees
+        return self.X.host.column_vanishes(n, q)
 
     def d_mat(self, n: int, q: int) -> RationalMatrix:
         """Vertical differential (n, q) -> (n, q-1) on kept labels, read off

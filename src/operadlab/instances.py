@@ -46,11 +46,6 @@ def _pairs(n: int):
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
-def _vertices(pairs) -> set:
-    """The vertices a pair-set label touches."""
-    return {v for p in pairs for v in p}
-
-
 def _inner_coface(pairs, i: int) -> list:
     """The terms of ``pairs o_i mu`` as ``compose_pairsets`` gives them: each
     pair touching i goes to i or to i+1, in product order, so the first term
@@ -64,6 +59,26 @@ def _inner_coface(pairs, i: int) -> list:
         else:
             fixed.append((a + (a > i), b + (b > i)))
     return [tuple(sorted((*fixed, *to))) for to in itertools.product(*moves)]
+
+
+def _covering(pairs, left: int, bare: frozenset, start: int = 0, chosen: tuple = ()):
+    """``chosen`` extended by the left-subsets of ``pairs[start:]`` that
+    cover the ``bare`` vertices, in ``itertools.combinations`` order.  A
+    branch stops when its pairs left cannot reach the bare vertices, two
+    each, or when the smallest bare one lies below the next pair; with two
+    bare vertices per pair left, every pair must cover two of them."""
+    if 2 * left < len(bare):
+        return
+    if not left:
+        yield chosen
+        return
+    low = min(bare, default=float("inf"))
+    for idx in range(start, len(pairs) - left + 1):
+        a, b = pair = pairs[idx]
+        if a > low:
+            break
+        if 2 * left > len(bare) or {a, b} <= bare:
+            yield from _covering(pairs, left - 1, bare - {a, b}, idx + 1, chosen + (pair,))
 
 
 class SphereOperad(Operad):
@@ -86,19 +101,19 @@ class SphereOperad(Operad):
     # labels: sorted tuple of pairs (i, j), 1-based, i < j
     def basis_by_degree(self, n: int) -> dict:
         if n not in self._basis_cache:
-            if n > self.max_arity:
-                self._basis_cache[n] = {}
-            else:
-                all_pairs = _pairs(n)
-                k_max = len(all_pairs)
-                if self.degree_cap is not None:
-                    k_max = min(k_max, self.degree_cap // (self.d - 1))
-                # combinations of the sorted pairs come sorted, in sorted order
-                self._basis_cache[n] = {
-                    k * (self.d - 1): tuple(itertools.combinations(all_pairs, k))
-                    for k in range(k_max + 1)
-                }
+            all_pairs = _pairs(n)
+            # combinations of the sorted pairs come sorted, in sorted order
+            self._basis_cache[n] = {
+                q: tuple(itertools.combinations(all_pairs, q // (self.d - 1)))
+                for q in self.degrees(n)
+            }
         return self._basis_cache[n]
+
+    def degrees(self, n: int) -> list:
+        """One degree per number of pairs, up to all C(n, 2) or the cap."""
+        top = n * (n - 1) // 2 * (self.d - 1) if n <= self.max_arity else -1
+        cap = top if self.degree_cap is None else min(top, self.degree_cap)
+        return list(range(0, cap + 1, self.d - 1))
 
     def degree(self, n: int, label) -> int:
         return len(label) * (self.d - 1)
@@ -115,10 +130,11 @@ class SphereOperad(Operad):
 
     def normalized_basis(self, n: int, q: int):
         """The pair-sets covering all n vertices: forgetting an uncovered
-        vertex keeps the label, forgetting a covered one kills it."""
-        return tuple(
-            l for l in self.arity_degree_basis(n, q) if len(_vertices(l)) == n
-        )
+        vertex keeps the label, forgetting a covered one kills it.  Built
+        from the covering rule alone, without the raw basis."""
+        if q not in self.degrees(n) or self.column_vanishes(n, q):
+            return ()
+        return tuple(_covering(_pairs(n), q // (self.d - 1), frozenset(range(1, n + 1))))
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         if m + n - 1 > self.max_arity:
@@ -135,8 +151,6 @@ class SphereOperad(Operad):
         sets never collide, so every term has coefficient one.
         """
         block = range(i, i + n)  # result indices occupied by y
-        # y-pairs shift into the block
-        shifted = [tuple(sorted((a + i - 1, b + i - 1))) for (a, b) in yl]
         # each x-pair distributes over its preimages under collapse
         choices = []
         for (p, q) in xl:
@@ -147,7 +161,11 @@ class SphereOperad(Operad):
                 for b in qs:
                     if a != b:
                         targets.append(tuple(sorted((a, b))))
+            if not targets:  # a point inserted at a covered vertex
+                return []
             choices.append(targets)
+        # y-pairs shift into the block
+        shifted = [tuple(sorted((a + i - 1, b + i - 1))) for (a, b) in yl]
         out = []
         for combo in itertools.product(*choices):
             out.append(tuple(sorted(set(shifted) | set(combo))))
@@ -311,7 +329,9 @@ class FramedOperad(Operad):
     A composite is the base composite tensored with a Hopf factor that
     reads only the Hopf words, so each Hopf factor is computed once per
     key.  Hopf words are built slot by slot and dropped as soon as their
-    degree leaves room for no base label under the degree cap.
+    degree leaves no room under the degree cap; a normalized label's bare
+    slots take only nonempty monomials, so the raw basis is never listed
+    for it.
     """
 
     def __init__(self, base: Operad, hopf: PrimitiveExteriorHopf, degree_cap: int | None = None):
@@ -321,30 +341,63 @@ class FramedOperad(Operad):
         self.hopf = hopf
         self.max_arity = base.max_arity
         self.degree_cap = degree_cap
-        self._basis_cache: dict = {}
+        self._basis_cache: dict = {}  # (n, normal) -> degree -> labels
         self._hopf_cache: dict = {}
 
     def basis_by_degree(self, n: int) -> dict:
-        if n not in self._basis_cache:
+        return self._labels(n, normal=False)
+
+    def normalized_basis(self, n: int, q: int):
+        """The labels whose every slot is on a sphere pair or carries a
+        nonempty Hopf monomial; the point kills exactly those slots."""
+        return self._labels(n, normal=True).get(q, ())
+
+    def _labels(self, n: int, normal: bool) -> dict:
+        """degree -> labels in basis order, cached per arity.  Each base
+        label takes the words that fit the cap, a slot it leaves bare
+        taking only nonempty monomials when ``normal`` is set; one word
+        list serves every base label with the same bare slots and room."""
+        if (n, normal) not in self._basis_cache:
             by_deg: dict = {}
-            base_by_deg = self.base.basis_by_degree(n)
-            cap = self.degree_cap
-            room = None if cap is None or not base_by_deg else cap - min(base_by_deg)
-            mons = [(m, self.hopf.degree(m)) for m in self.hopf.monomials]
-            words = [((), 0)]  # (word, degree), in itertools.product order
-            for _ in range(n):
-                words = [
-                    (w + (m,), qw + qm) for w, qw in words for m, qm in mons
-                    if room is None or qw + qm <= room
-                ]
-            for qb, labels in base_by_deg.items():
-                for word, qh in words:
-                    q = qb + qh
-                    if cap is not None and q > cap:
-                        continue
-                    by_deg.setdefault(q, []).extend((bl, word) for bl in labels)
-            self._basis_cache[n] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
-        return self._basis_cache[n]
+            words: dict = {}  # (bare slots, room) -> words
+            cap = float("inf") if self.degree_cap is None else self.degree_cap
+            for qb, labels in self.base.basis_by_degree(n).items():
+                for bl in labels:
+                    covered = {v for p in bl for v in p}
+                    bare = tuple(k for k in range(1, n + 1) if k not in covered)
+                    key = (bare if normal else (), cap - qb)
+                    if key not in words:
+                        words[key] = self._words(n, *key)
+                    for word, qh in words[key]:
+                        by_deg.setdefault(qb + qh, []).append((bl, word))
+            self._basis_cache[(n, normal)] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
+        return self._basis_cache[(n, normal)]
+
+    def _words(self, n: int, bare: tuple, room) -> list:
+        """(word, degree) for the n-slot Hopf words of degree at most room,
+        in itertools.product order.  A slot in ``bare`` takes only nonempty
+        monomials, and each partial word keeps room for the bare slots
+        after it."""
+        mons = [(m, self.hopf.degree(m)) for m in self.hopf.monomials]
+        words = [((), 0)] if room >= 0 else []
+        for k in range(1, n + 1):
+            opts = [mq for mq in mons if mq[0]] if k in bare else mons
+            after = min(self.hopf.gen_degrees) * sum(b > k for b in bare)
+            words = [(w + (m,), qw + qm) for w, qw in words for m, qm in opts
+                     if qw + qm + after <= room]
+        return words
+
+    def degrees(self, n: int) -> list:
+        """Base degrees plus the word degrees that fit the cap, summed slot
+        by slot without building a word."""
+        base = self.base.degrees(n)
+        cap = float("inf") if self.degree_cap is None else self.degree_cap
+        room = cap - min(base, default=0)
+        mons = {self.hopf.degree(m) for m in self.hopf.monomials}
+        sums = {0}
+        for _ in range(n):
+            sums = {s + q for s in sums for q in mons if s + q <= room}
+        return sorted({qb + s for qb in base for s in sums if qb + s <= cap})
 
     def degree(self, n: int, label) -> int:
         bl, word = label
@@ -361,14 +414,6 @@ class FramedOperad(Operad):
         a sphere pair or a nonempty Hopf monomial."""
         per_slot = min(self.base.d - 1, 2 * min(self.hopf.gen_degrees))
         return 2 * q < n * per_slot
-
-    def normalized_basis(self, n: int, q: int):
-        """The labels whose every slot is on a sphere pair or carries a
-        nonempty Hopf monomial; the point kills exactly those slots."""
-        return tuple(
-            (bl, word) for bl, word in self.arity_degree_basis(n, q)
-            if len(_vertices(bl).union(k for k, w in enumerate(word, 1) if w)) == n
-        )
 
     def normal_delta(self, n: int, label) -> Coeffs:
         """delta of ``mu()`` on a normalized label, restricted to the

@@ -130,6 +130,10 @@ class Operad:
     def degree(self, n: int, label) -> int:
         raise NotImplementedError
 
+    def degrees(self, n: int) -> list:
+        """The sorted degrees where arity n has labels."""
+        return sorted(q for q, labels in self.basis_by_degree(n).items() if labels)
+
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         raise NotImplementedError
 

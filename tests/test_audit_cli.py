@@ -324,6 +324,10 @@ class TestBracketCommand:
         # the obstruction degree 4m - 1 needs m >= 1
         (["obstruction", "--instance", "sphere:d=5", "--m", "-1"], 2),
         (["obstruction", "--instance", "sphere:d=5", "--m", "0"], 2),
+        # tables and class brackets need a zero-differential host
+        (["hochschild", "--instance", "witness:m=2", "--n-max", "3"], 2),
+        (["bracket", "--instance", "witness:m=2", "--n-max", "3", "--q-max", "10",
+          "--class-a=-1,0,0", "--class-b=-1,0,0"], 2),
     ],
 )
 def test_input_ends_in_its_exit_code_without_traceback(capsys, argv, code):

@@ -16,13 +16,16 @@ from operadlab.cosimplicial import (
     total_complex,
     zigzag_dr,
 )
+from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
+    FramedOperad,
     MultiplicativeStructure,
     arity_complex,
     framed_multiplicative,
     poisson_multiplicative,
     poisson_operad_small,
     sphere_multiplicative,
+    sphere_operad,
     witness_generator,
     witness_multiplicative,
     witness_operad,
@@ -133,13 +136,22 @@ def test_certified_zero_columns_are_empty_in_a_larger_window(build):
     assert any(large.dim(n, q) for n in (4, 5) for q in range(13))
 
 
+def _framed_fixing(d, n_max, cap):
+    """The framed host on the fixing subgroup's Hopf algebra."""
+    op = FramedOperad(sphere_operad(d, n_max, cap), build_so_hopf(d, "fixing-subgroup"), cap)
+    return MultiplicativeStructure(op, op.mu(), OpElement.basis(0, ((), ())))
+
+
 @pytest.mark.parametrize(
     "build,d,n_max,q_max",
     [(sphere_multiplicative, 5, 8, 16),
      (framed_multiplicative, 5, 6, 16),
      (framed_multiplicative, 7, 5, 14),
-     (framed_multiplicative, 9, 6, 19)],
-    ids=["sphere-d5", "framed-d5", "framed-d7", "framed-d9"],
+     (framed_multiplicative, 9, 6, 19),
+     (_framed_fixing, 7, 5, 14),
+     (lambda d, n_max, q_max: framed_multiplicative(d, n_max), 5, 3, 42)],
+    ids=["sphere-d5", "framed-d5", "framed-d7", "framed-d9",
+         "framed-d7-fixing-subgroup", "framed-d5-uncapped"],
 )
 def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
     """The host's normalized labels, confirmed by the codegeneracies, are
@@ -158,6 +170,64 @@ def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
             assert len(hook) == len(kept), (n, q)
             checked += bool(kept)
     assert checked > n_max
+
+
+@pytest.mark.parametrize(
+    "op",
+    [sphere_operad(5, 7, 16),
+     sphere_operad(7, 6, 18),
+     sphere_operad(5, 5),
+     framed_multiplicative(5, 4, 16).operad,
+     FramedOperad(sphere_operad(5, 3), build_so_hopf(5)),
+     framed_multiplicative(7, 4, 14).operad,
+     FramedOperad(sphere_operad(7, 3), build_so_hopf(7)),
+     _framed_fixing(7, 4, 14).operad,
+     FramedOperad(sphere_operad(7, 3), build_so_hopf(7, "fixing-subgroup")),
+     poisson_operad_small(5),
+     witness_operad(2),
+     witness_operad(3, padded=True)],
+    ids=["sphere-d5", "sphere-d7", "sphere-d5-uncapped", "framed-d5", "framed-d5-uncapped",
+         "framed-d7", "framed-d7-uncapped", "framed-d7-fixing-subgroup",
+         "framed-d7-fixing-subgroup-uncapped", "poisson", "witness", "padded-witness"],
+)
+def test_degrees_are_the_populated_degrees_of_the_basis(op):
+    """The host's degrees, computed without labels on the sphere and
+    framed hosts, are the degrees where its basis has labels, one arity
+    past the cap included."""
+    for n in range(op.max_arity + 2):
+        assert op.degrees(n) == sorted(q for q, ls in op.basis_by_degree(n).items() if ls), n
+
+
+@pytest.mark.parametrize(
+    "build,n_max,q_max",
+    [(lambda: sphere_multiplicative(5, 6, 16), 6, 16),
+     (lambda: framed_multiplicative(5, 5, 14), 5, 14)],
+    ids=["sphere-d5", "framed-d5"],
+)
+def test_normalized_path_never_lists_the_raw_basis(build, n_max, q_max):
+    """With the host's own basis_by_degree refused (a framed host's base
+    stays callable), the normalized columns, their homology, four pages
+    and the vanishing grid are those of an unrefused run."""
+
+    def run(M):
+        HH = hochschild_homology(M, n_max, q_max)
+        H = HH.complex
+        grid = [(n, q) for n in range(-1, n_max + 3) for q in range(-1, q_max + 9)]
+        return (
+            {pos: H.labels(*pos) for pos in H.positions()},
+            HH.dims,
+            ss_pages(H, 4),
+            [pos for pos in grid if H.vanishes(*pos)],
+        )
+
+    def refuse(n):
+        raise AssertionError(f"the raw basis of arity {n} was listed")
+
+    M = build()
+    M.operad.basis_by_degree = refuse
+    got, want = run(M), run(build())
+    assert got == want
+    assert got[1] and any(page.differentials for page in got[2])
 
 
 @pytest.mark.parametrize(

@@ -83,14 +83,14 @@ class TestSphereComposition:
     def test_normalized_label_counts(self):
         """Inclusion-exclusion over the vertices left bare: the pair-sets of
         k pairs covering all n vertices number
-        sum_j (-1)^j C(n, j) C(C(n - j, 2), k)."""
-        S = sphere_operad(5, max_arity=8, degree_cap=20)
-        for n in range(9):
-            for k in range(6):
-                expected = sum(
-                    (-1) ** j * comb(n, j) * comb(comb(n - j, 2), k) for j in range(n + 1)
-                )
-                assert len(S.normalized_basis(n, 4 * k)) == expected, (n, k)
+        sum_j (-1)^j C(n, j) C(C(n - j, 2), k), for n <= 10, k <= 5 and
+        the perfect matchings of 12 vertices."""
+        S = sphere_operad(5, max_arity=12, degree_cap=24)
+        for n, k in [*itertools.product(range(11), range(6)), (12, 6)]:
+            expected = sum(
+                (-1) ** j * comb(n, j) * comb(comb(n - j, 2), k) for j in range(n + 1)
+            )
+            assert len(S.normalized_basis(n, 4 * k)) == expected, (n, k)
 
 
 class TestPoisson:
