@@ -17,8 +17,10 @@ from .linalg import (
     Subquotient,
     Vector,
     assemble,
+    dense,
     is_zero_vec,
-    kernel_basis,
+    kernel_basis,  # unused; bench/test_bench.py pins this binding
+    row_reduce,
     solve_particular,
     vec,
     zero_vec,
@@ -198,8 +200,9 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
 
     Each d_q is reduced once, without coordinates: its echelon rows span
     the boundaries of degree q - 1 and count rank d_q.  Only a degree with
-    homology asks for its kernel basis; elsewhere the boundaries alone give
-    the same quotient, since d o d = 0 is checked at construction.
+    homology reduces d_q again for its sparse kernel; elsewhere the
+    boundaries alone give the same quotient, since d o d = 0 is checked at
+    construction.  Only the representatives handed out are made dense.
     """
     lo, hi = C.window
     out = {}
@@ -209,11 +212,11 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
         boundaries = Subquotient(n, (), C.d(q + 1).columns()).rows() if q < hi else []
         # an open lower edge has an unknown differential: no cycles there
         n_cycles = n - len(image) if q > lo or C.complete_below else 0
-        cycles = kernel_basis(C.d(q)) if n_cycles > len(boundaries) else []
+        cycles = row_reduce(C.d(q)).kernel() if n_cycles > len(boundaries) else []
         quotient = Subquotient(n, cycles, boundaries)
         out[q] = DegreeHomology(
             dim=quotient.dim,
-            representatives=quotient.representatives,
+            representatives=[dense(z, n) for z in quotient.representatives],
             reliable=C.reliable(q),
             _quotient=quotient,
         )

@@ -43,7 +43,6 @@ from .linalg import (
     rank,
     solve_particular,
     vec,
-    zero_vec,
 )
 from .operads import Coeffs, OpElement, vector_to_chain
 
@@ -409,7 +408,7 @@ class PageEntry:
     p: int
     q: int
     dim: int
-    representatives: list = field(default_factory=list)  # Tot_t vectors
+    representatives: list = field(default_factory=list)  # sparse Tot_t vectors
     reliable: bool = True
 
 
@@ -537,7 +536,7 @@ class SpectralSequence:
         cap = self.H.n_max + 1
         columns: dict = {}  # t -> sparse columns of D(t), ints where integral
         Zs: dict = {}  # (t, first column, row bound) -> sparse basis of Z
-        quotients: dict = {}  # triple of Z keys -> (Subquotient, dense reps)
+        quotients: dict = {}  # triple of Z keys -> Subquotient
 
         def D_columns(t: int) -> list:
             if t not in columns:
@@ -563,42 +562,36 @@ class SpectralSequence:
                 E = Subquotient(
                     rows, [{i: v for i, v in c.items() if i < rows} for c in D_columns(t)[lo:]]
                 )
-                Zs[key] = [
-                    {lo + f: 1, **{lo + E.pivot_columns[k]: -c for k, c in cs.items()}}
-                    for f, cs in E.dependent.items()
-                ]
+                Zs[key] = [{lo + i: c for i, c in k.items()} for k in E.kernel()]
             return key
 
         out = []
         for r in range(1, r_max + 1):
             page = BigradedPage(r, {})
-            at: dict = {}  # (p, q) -> (quotient key, Subquotient)
+            at: dict = {}  # (p, q) -> quotient key
             for (n, q) in sorted(self.H._labels):
                 p, t = -n, q - n
                 key = (Z(r, p, t), Z(r - 1, p - 1, t), Z(r - 1, p + r - 1, t + 1))
                 if key not in quotients:
-                    dim_t = self.tot_dim(t)
                     up = [apply_D(t + 1, u) for u in Zs[key[2]]]
-                    quo = Subquotient(dim_t, Zs[key[0]], Zs[key[1]] + up)
-                    quotients[key] = quo, [_dense(x, dim_t) for x in quo.representatives]
-                quo, reps = quotients[key]
-                at[(p, q)] = key, quo
+                    quotients[key] = Subquotient(self.tot_dim(t), Zs[key[0]], Zs[key[1]] + up)
+                at[(p, q)], quo = key, quotients[key]
                 # entry_reliable(p, q, r): the last page's flag and one more d_r
                 ok = self._window_reliable(p, q) if r == 1 else (
                     out[-1].entries[(p, q)].reliable and self._dr_reliable(p, q, r - 1)
                 )
-                page.entries[(p, q)] = PageEntry(p, q, quo.dim, reps, ok)
+                page.entries[(p, q)] = PageEntry(p, q, quo.dim, quo.representatives, ok)
             # differentials d_r: (p, q) -> (p - r, q + r - 1)
-            for (p, q), (_, quo) in at.items():
-                if quo.dim:
-                    images = [apply_D(p + q, x) for x in quo.representatives]
-                    d_r = _entry_coords(at.get((p - r, q + r - 1), (None, None))[1], images)
+            for (p, q), e in page.entries.items():
+                if e.dim:
+                    images = [apply_D(p + q, x) for x in e.representatives]
+                    d_r = _entry_coords(quotients.get(at.get((p - r, q + r - 1))), images)
                     if d_r is not None:
                         page.differentials[(p, q)] = d_r
             out.append(page)
             # the next page reuses only this page's work: its Z_r become the
             # next denominators, and past n_max + 1 every key repeats
-            quotients = {key: quotients[key] for key, _ in at.values()}
+            quotients = {key: quotients[key] for key in at.values()}
             Zs = {z: Zs[z] for key in quotients for z in key}
         # consistency: each page is the homology of the previous one
         for a, b in zip(out, out[1:]):
@@ -610,14 +603,6 @@ class SpectralSequence:
                         f"page recursion mismatch at r={b.r}, (p,q)=({p},{q})"
                     )
         return out
-
-
-def _dense(x: dict, dim: int) -> list:
-    """A sparse vector as a dense Fraction list of length dim."""
-    v = zero_vec(dim)
-    for i, c in x.items():
-        v[i] = Fraction(c)
-    return v
 
 
 def _entry_coords(entry: Subquotient | None, images: list) -> RationalMatrix | None:

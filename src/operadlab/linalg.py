@@ -3,18 +3,20 @@
 Everything downstream reduces to one elimination, the incremental sparse
 forward reduction of :class:`Subquotient`.  It is behind homology,
 spectral-sequence pages and quotients, and ``row_reduce`` is that
-reduction on a matrix's columns: ``rank``, ``kernel_basis`` and
-``solve_particular`` read their answers off its pivot columns and the
-recorded coordinates of the dependent columns.  :func:`assemble` builds
-every matrix from per-label images.  Matrices are stored sparsely as
-``(row, col) -> Fraction`` maps and vectors are reduced as sparse maps,
-so the large-but-sparse coboundary matrices stay cheap.
+reduction on a matrix's columns: ``rank`` and ``solve_particular`` read
+their answers off its pivot columns, and :meth:`Subquotient.kernel` is
+the one readout of an echelon's kernel, sparse, which ``kernel_basis``,
+homology and the pages share.  :func:`assemble` builds every matrix from
+per-label images.  Matrices are stored sparsely as ``(row, col) ->
+Fraction`` maps and vectors are reduced as sparse maps, so the
+large-but-sparse coboundary matrices stay cheap.
 
 Inside the elimination a value is a plain ``int`` whenever it is
 integral; a ``Fraction`` appears only where a non-unit pivot divides.
 Structure constants are mostly +-1, so nearly all of the arithmetic is
-on ints.  Everything handed out (coordinates, kernel and solution
-vectors, matrix entries) is a ``Fraction``.
+on ints.  Everything handed out at the edge (coordinates, dense kernel,
+solution and representative vectors, matrix entries) is a ``Fraction``,
+and :func:`dense` is the one place where a dense vector is made.
 
 Pivoting is deterministic: vectors go in the given order, and each
 remainder's pivot is a unit entry where it has one, at the coordinate that
@@ -63,6 +65,14 @@ def vec(entries: Iterable) -> Vector:
 
 def zero_vec(n: int) -> Vector:
     return [Fraction(0)] * n
+
+
+def dense(x: Mapping, dim: int) -> Vector:
+    """The sparse ``{index: value}`` vector x as a dense Fraction list."""
+    v = zero_vec(dim)
+    for i, c in x.items():
+        v[i] = _frac(c)
+    return v
 
 
 def is_zero_vec(a: Vector) -> bool:
@@ -157,15 +167,7 @@ def rank(M: RationalMatrix) -> int:
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
     """Basis of ker M, one vector e_f - sum_i R[i, f] e_{p_i} per free
     column f (deterministic)."""
-    E = row_reduce(M)
-    basis = []
-    for free, coords in E.dependent.items():
-        v = zero_vec(M.cols)
-        v[free] = Fraction(1)
-        for k, c in coords.items():
-            v[E.pivot_columns[k]] = -_frac(c)
-        basis.append(v)
-    return basis
+    return [dense(k, M.cols) for k in row_reduce(M).kernel()]
 
 
 def solve_particular(M: RationalMatrix, b: Sequence) -> Vector:
@@ -173,13 +175,10 @@ def solve_particular(M: RationalMatrix, b: Sequence) -> Vector:
     NoSolution if b is not in the image."""
     E = row_reduce(M)
     try:
-        coords = E.coords(b)
+        coords = E.sparse_coords(b)
     except NoSolution:
         raise NoSolution("target not in the image") from None
-    x = zero_vec(M.cols)
-    for pc, c in zip(E.pivot_columns, coords):
-        x[pc] = c
-    return x
+    return dense({E.pivot_columns[k]: c for k, c in coords.items()}, M.cols)
 
 
 def assemble(
@@ -253,6 +252,17 @@ class Subquotient:
     def rows(self) -> list[dict]:
         """The pivot rows in insertion order, a basis of the span."""
         return [row for _, row, _ in self._rows]
+
+    def kernel(self) -> list[dict]:
+        """One relation e_f - sum_k c_k e_{pivot_k} per dependent cycle f
+        with coordinates c, over the cycle indices, as a sparse ``{index:
+        value}`` map with no zeros, ints where integral: a basis of the
+        combinations of cycles in span(boundaries), so of ker M for
+        ``row_reduce(M)``."""
+        return [
+            {f: 1, **{self.pivot_columns[k]: -c for k, c in cs.items()}}
+            for f, cs in self.dependent.items()
+        ]
 
     def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
@@ -336,14 +346,12 @@ class QuotientSpace:
     """
 
     def __init__(self, ambient_dim: int, subspace: Sequence[Vector]):
-        units = []
-        for c in reversed(range(ambient_dim)):
-            e = zero_vec(ambient_dim)
-            e[c] = Fraction(1)
-            units.append(e)
+        units = [{c: 1} for c in reversed(range(ambient_dim))]
         self._sq = Subquotient(ambient_dim, units, subspace)
         self.ambient_dim = ambient_dim
-        self.representatives: list[Vector] = self._sq.representatives[::-1]
+        self.representatives: list[Vector] = [
+            dense(e, ambient_dim) for e in self._sq.representatives[::-1]
+        ]
 
     @property
     def dim(self) -> int:

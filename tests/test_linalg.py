@@ -1,6 +1,6 @@
 """Exact sparse linear algebra: reduction, kernels, solving, quotients.
 
-The readouts of the one elimination (``rank``, ``row_reduce``,
+The readouts of the one elimination (``rank``, ``row_reduce``, ``kernel``,
 ``kernel_basis``, ``solve_particular``) are compared exactly with the
 dense Gauss-Jordan oracle ``conftest.rref``.
 """
@@ -16,6 +16,7 @@ from operadlab.linalg import (
     NoSolution,
     QuotientSpace,
     RationalMatrix,
+    dense,
     is_zero_vec,
     kernel_basis,
     rank,
@@ -168,6 +169,9 @@ def test_rank_pivots_and_kernel_equal_the_oracle(problem):
             v[pc] = -r[f]
         expected.append(v)
     assert kernel_basis(M) == expected
+    kernel = row_reduce(M).kernel()
+    assert [dense(k, M.cols) for k in kernel] == expected
+    assert all(all(k.values()) for k in kernel)
 
 
 @given(sparse_problems())
