@@ -194,8 +194,6 @@ def standard_audit_input(d: int, t_max: int | None = None) -> AuditInput:
     (-2, d-1), its odd self-bracket in (-3, 2d-2), and one loop class of
     bidegree (-1, 4i-1) per full-rotation-group generator; abutment from
     the vector-fixing subgroup."""
-    if d % 2 == 0 or d < 5:
-        raise ValueError("d must be odd and at least 5")
     full = build_so_hopf(d, "full")
     sub = build_so_hopf(d, "fixing-subgroup")
     gens = [

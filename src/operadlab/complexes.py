@@ -65,6 +65,17 @@ class GradedSpace:
         return self.basis.get(q, ())
 
 
+def bigraded_dims(homs: dict) -> dict:
+    """The (p, q) -> dim table of the reliable nonzero entries of a
+    q -> HomologyResult map."""
+    return {
+        (p, q): h.dim
+        for q, hom in homs.items()
+        for p, h in hom.per_degree.items()
+        if h.reliable and h.dim
+    }
+
+
 def totals_by_degree(dims: dict, t_max: int | None = None) -> dict:
     """Sum a (p, q) -> dim table by total degree p + q, up to t_max."""
     out: dict = {}

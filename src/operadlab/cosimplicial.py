@@ -29,10 +29,11 @@ cofaces commute with d (they are chain maps), which makes D^2 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 
-from .complexes import ChainComplexWindow, GradedSpace, complex_from_rule, totals_by_degree
+from .complexes import (
+    ChainComplexWindow, GradedSpace, bigraded_dims, complex_from_rule, totals_by_degree
+)
 from .instances import MultiplicativeStructure, arity_complex
 from .linalg import (
     NoSolution,
@@ -44,7 +45,7 @@ from .linalg import (
     solve_particular,
     vec,
 )
-from .operads import Coeffs, OpElement, vector_to_chain
+from .operads import Coeffs, OpElement, combine, extend, vector_to_chain
 
 
 class LiftFailure(Exception):
@@ -77,17 +78,12 @@ class SemicosimplicialChainComplex:
                     yield q, label
 
     def delta_on_label(self, n: int, label) -> Coeffs:
-        """Alternating coface sum delta = sum_i (-1)^i d^i on one label,
-        summed on ints wherever a coefficient is integral."""
-        out: dict = {}
-        for i in range(n + 2):
-            for l2, c in self.coface(n, i, label).items():
-                if c.denominator == 1:
-                    c = c.numerator
-                if i % 2:
-                    c = -c
-                out[l2] = out.get(l2, 0) + c
-        return {l: Fraction(c) for l, c in out.items() if c}
+        """Alternating coface sum delta = sum_i (-1)^i d^i on one label."""
+        return combine(
+            (l2, -c if i % 2 else c)
+            for i in range(n + 2)
+            for l2, c in self.coface(n, i, label).items()
+        )
 
     def is_normal_label(self, n: int, label) -> bool:
         """True when every codegeneracy kills the label (n >= 1)."""
@@ -146,11 +142,7 @@ class SemicosimplicialChainComplex:
 
 def _then(f, g, label) -> Coeffs:
     """(g after f)(label) for label maps returning Coeffs."""
-    out: Coeffs = {}
-    for l2, c in f(label).items():
-        for l3, c2 in g(l2).items():
-            out[l3] = out.get(l3, Fraction(0)) + c * c2
-    return out
+    return extend(g, f(label).items())
 
 
 def _differ(a: Coeffs, b: Coeffs) -> bool:
@@ -200,11 +192,7 @@ def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpEleme
     """delta(x) = sum_{i=0}^{n+1} (-1)^i d^i(x), an element of O(n+1): the
     linear extension of ``delta_on_label``, the coboundary of the complex."""
     delta = partial(mcclure_smith(M).delta_on_label, x.arity)
-    out: Coeffs = {}
-    for l, c in x.coeffs:
-        for l2, c2 in delta(l).items():
-            out[l2] = out.get(l2, Fraction(0)) + c * c2
-    return OpElement.make(x.arity + 1, out)
+    return OpElement.make(x.arity + 1, extend(delta, x.coeffs))
 
 
 # -- the double complex ------------------------------------------------------
@@ -377,7 +365,6 @@ def hochschild_homology(
     H = HochschildComplex(X, q_max, normalized=normalized)
     qs = sorted({q for (_, q) in H.positions()})
     homs: dict = {}
-    dims: dict = {}
     classes: list = []
     for q in qs:
         C = H.complex_in_p(q)
@@ -386,13 +373,11 @@ def hochschild_homology(
         for p, h in hom.per_degree.items():
             if not h.reliable:
                 continue
-            if h.dim:
-                dims[(p, q)] = h.dim
             n = -p
             for rep in h.representatives:
                 el = vector_to_chain(n, H.labels(n, q), rep)
                 classes.append(HochschildClass(n, q, rep, el, H.normalized))
-    return HochschildHomology(H, homs, dims, classes)
+    return HochschildHomology(H, homs, bigraded_dims(homs), classes)
 
 
 # -- total complex and spectral sequence -------------------------------------

@@ -15,7 +15,7 @@ hosts with both even and odd internal degrees.  The test suite locks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 
 from .complexes import WindowBoundary, is_boundary_with_witness
 from .cosimplicial import (
@@ -30,12 +30,14 @@ from .instances import (
     poisson_operad_small,
     sphere_operad,
 )
+from .linalg import dense
 from .operads import (
     AxiomReport,
     OpElement,
     Operad,
     TruncationError,
     chain_to_vector,
+    combine,
     vector_to_chain,
 )
 
@@ -48,24 +50,30 @@ def shifted_degree(op: Operad, x: OpElement) -> int:
     return q - x.arity + 1
 
 
+def _circle_terms(op: Operad, x: OpElement, y: OpElement, flip: int):
+    """The ``(label, coefficient)`` terms of (-1)^flip x o-bar y, slot by
+    slot from ``compose_terms``; x and y are nonzero."""
+    nx, ny = x.arity, y.arity
+    qx = op.element_degree(nx, x)
+    for i in range(1, nx + 1):
+        odd = ((ny + 1) * (qx + nx + i) + flip) % 2
+        for l, c in op.compose_terms(nx, x.coeffs, i, ny, y.coeffs).items():
+            yield l, -c if odd else c
+
+
 def circle(op: Operad, x: OpElement, y: OpElement) -> OpElement:
     """Sum-over-slots circle operation with the pinned sign table."""
-    nx, ny = x.arity, y.arity
     if x.is_zero() or y.is_zero():
-        return OpElement.zero(nx + ny - 1)
-    qx = op.element_degree(nx, x)
-    out = OpElement.zero(nx + ny - 1)
-    for i in range(1, nx + 1):
-        sign = (-1) ** (((ny + 1) * (qx + nx + i)) % 2)
-        out = out + op.compose(x, i, y).scale(sign)
-    return out
+        return OpElement.zero(x.arity + y.arity - 1)
+    return OpElement.make(x.arity + y.arity - 1, combine(_circle_terms(op, x, y, 0)))
 
 
 def bracket(op: Operad, x: OpElement, y: OpElement) -> OpElement:
     if x.is_zero() or y.is_zero():
         return OpElement.zero(x.arity + y.arity - 1)
-    sx, sy = shifted_degree(op, x), shifted_degree(op, y)
-    return circle(op, x, y) - circle(op, y, x).scale((-1) ** ((sx * sy) % 2))
+    flip = 1 + shifted_degree(op, x) * shifted_degree(op, y)
+    terms = chain(_circle_terms(op, x, y, 0), _circle_terms(op, y, x, flip))
+    return OpElement.make(x.arity + y.arity - 1, combine(terms))
 
 
 # -- exhaustive checks -------------------------------------------------------
@@ -174,13 +182,13 @@ def bracket_on_classes(
         )
     labels = H.labels(n, q)
     v = chain_to_vector(bracket(M.operad, c1.element, c2.element), labels)
-    rep = [Fraction(0)] * len(labels)
+    terms: list = []
     if q in HH.homs:  # else no chains at all in degree q
         hom = HH.homs[q].at(-n)
-        for k, c in enumerate(hom.class_coordinates(v)):
-            if c != 0:
-                for j, val in enumerate(hom.representatives[k]):
-                    rep[j] += c * val
+        coords = hom.class_coordinates(v)
+        terms = [(j, c * val) for c, r in zip(coords, hom.representatives) if c
+                 for j, val in enumerate(r) if val]
+    rep = dense(combine(terms), len(labels))
     return HochschildClass(n, q, rep, vector_to_chain(n, labels, rep), H.normalized)
 
 

@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ChainComplexWindow, complex_from_rule, totals_by_degree
+from .complexes import ChainComplexWindow, bigraded_dims, complex_from_rule, totals_by_degree
+from .operads import combine
 
 # A monomial is a sorted tuple of generator indices (square-free).
 Monomial = tuple
@@ -90,6 +91,20 @@ class PrimitiveExteriorHopf:
             for factors in itertools.product(range(n), repeat=len(mon))
         }
 
+    def words(self, n: int, room, bare=()) -> list:
+        """(word, degree) for the n-slot words of monomials of degree at
+        most room, in itertools.product order.  A slot in ``bare`` takes
+        only nonempty monomials, and each partial word keeps room for the
+        bare slots after it."""
+        mons = [(m, self.degree(m)) for m in self.monomials]
+        words = [((), 0)] if room >= 0 else []
+        for k in range(1, n + 1):
+            opts = [mq for mq in mons if mq[0]] if k in bare else mons
+            after = min(self.gen_degrees) * sum(b > k for b in bare)
+            words = [(w + (m,), qw + qm) for w, qw in words for m, qm in opts
+                     if qw + qm + after <= room]
+        return words
+
 
 def build_so_hopf(d: int, variant: str = "full") -> PrimitiveExteriorHopf:
     """Rational homology of the rotation group in odd dimension d >= 5.
@@ -134,20 +149,10 @@ class CobarComplex:
         self._enumerate_words()
 
     def _enumerate_words(self):
-        letters = [m for m in self.hopf.monomials if m]
-        self._words_by_bidegree[(0, 0)] = [()]
-        max_len = min(-self.window.p_min, self.window.q_max // self.min_letter_degree)
-        level = [((), 0)]
-        for k in range(1, max_len + 1):
-            nxt = []
-            for word, q in level:
-                for letter in letters:
-                    q2 = q + self.hopf.degree(letter)
-                    if q2 <= self.window.q_max:
-                        nxt.append((word + (letter,), q2))
-            for word, q in nxt:
+        q_max = self.window.q_max
+        for k in range(min(-self.window.p_min, q_max // self.min_letter_degree) + 1):
+            for word, q in self.hopf.words(k, q_max, bare=range(1, k + 1)):
                 self._words_by_bidegree.setdefault((-k, q), []).append(word)
-            level = nxt
         for key in self._words_by_bidegree:
             self._words_by_bidegree[key].sort()
 
@@ -165,14 +170,13 @@ class CobarComplex:
         (slots counted from zero); |l| is the Koszul sign of the left
         factor.  The convention is validated by the d^2 = 0 suite.
         """
-        out: dict = {}
+        terms = []
         for j, letter in enumerate(word):
             presum = sum(self.hopf.degree(m) for m in word[:j])
             for (l, r), c in self.hopf.reduced_coproduct(letter).items():
                 sign = -1 if (presum + j + self.hopf.degree(l)) % 2 else 1
-                new = word[:j] + (l, r) + word[j + 1 :]
-                out[new] = out.get(new, Fraction(0)) + sign * c
-        return {w: c for w, c in out.items() if c != 0}
+                terms.append((word[:j] + (l, r) + word[j + 1 :], sign * c))
+        return combine(terms)
 
     def complex_at_q(self, q: int) -> ChainComplexWindow:
         """The cobar complex at fixed internal degree q, graded by p.
@@ -198,16 +202,8 @@ def cobar_homology(hopf: PrimitiveExteriorHopf, window: BidegreeWindow):
     """
     cb = CobarComplex(hopf, window)
     qs = sorted({q for (_, q) in cb._words_by_bidegree})
-    dims: dict = {}
-    homs: dict = {}
-    for q in qs:
-        C = cb.complex_at_q(q)
-        H = C.homology()
-        homs[q] = H
-        for p, h in H.per_degree.items():
-            if h.reliable and h.dim:
-                dims[(p, q)] = h.dim
-    return dims, homs
+    homs = {q: cb.complex_at_q(q).homology() for q in qs}
+    return bigraded_dims(homs), homs
 
 
 def cobar_homology_total_dims(hopf: PrimitiveExteriorHopf, total_max: int) -> dict:

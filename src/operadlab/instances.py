@@ -33,6 +33,8 @@ from .operads import (
     TableOperad,
     TruncationError,
     chain_to_vector,
+    combine,
+    extend,
     generator_element as witness_generator,
     parse_free_operad,
     vector_to_chain,
@@ -175,12 +177,12 @@ class SphereOperad(Operad):
         """delta of ``mu()`` on a label covering all n vertices, restricted to
         the labels covering all n+1 (the rest cancels): outer cofaces add no
         term, coface i only those whose two or more pairs at i reach i and i+1."""
-        out: dict = {}
         ends = [v for p in label for v in p]
-        for i in sorted({v for v in ends if ends.count(v) > 1}):
-            for l in _inner_coface(label, i)[1:-1]:
-                out[l] = out.get(l, 0) + (-1) ** i
-        return {l: Fraction(c) for l, c in out.items() if c}
+        return combine(
+            (l, (-1) ** i)
+            for i in sorted({v for v in ends if ends.count(v) > 1})
+            for l in _inner_coface(label, i)[1:-1]
+        )
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ())
@@ -306,11 +308,7 @@ def poisson_inclusion(d: int):
 
 
 def apply_inclusion(incl: dict, x: OpElement) -> OpElement:
-    out: Coeffs = {}
-    for lab, c in x.coeffs:
-        for lab2, c2 in incl[(x.arity, lab)].items():
-            out[lab2] = out.get(lab2, Fraction(0)) + c * c2
-    return OpElement.make(x.arity, out)
+    return OpElement.make(x.arity, extend(lambda lab: incl[(x.arity, lab)], x.coeffs))
 
 
 # -- framed tensor construction ----------------------------------------------
@@ -359,33 +357,19 @@ class FramedOperad(Operad):
         list serves every base label with the same bare slots and room."""
         if (n, normal) not in self._basis_cache:
             by_deg: dict = {}
-            words: dict = {}  # (bare slots, room) -> words
+            words: dict = {}  # (room, bare slots) -> words
             cap = float("inf") if self.degree_cap is None else self.degree_cap
             for qb, labels in self.base.basis_by_degree(n).items():
                 for bl in labels:
                     covered = {v for p in bl for v in p}
                     bare = tuple(k for k in range(1, n + 1) if k not in covered)
-                    key = (bare if normal else (), cap - qb)
+                    key = (cap - qb, bare if normal else ())
                     if key not in words:
-                        words[key] = self._words(n, *key)
+                        words[key] = self.hopf.words(n, *key)
                     for word, qh in words[key]:
                         by_deg.setdefault(qb + qh, []).append((bl, word))
             self._basis_cache[(n, normal)] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
         return self._basis_cache[(n, normal)]
-
-    def _words(self, n: int, bare: tuple, room) -> list:
-        """(word, degree) for the n-slot Hopf words of degree at most room,
-        in itertools.product order.  A slot in ``bare`` takes only nonempty
-        monomials, and each partial word keeps room for the bare slots
-        after it."""
-        mons = [(m, self.hopf.degree(m)) for m in self.hopf.monomials]
-        words = [((), 0)] if room >= 0 else []
-        for k in range(1, n + 1):
-            opts = [mq for mq in mons if mq[0]] if k in bare else mons
-            after = min(self.hopf.gen_degrees) * sum(b > k for b in bare)
-            words = [(w + (m,), qw + qm) for w, qw in words for m, qm in opts
-                     if qw + qm + after <= room]
-        return words
 
     def degrees(self, n: int) -> list:
         """Base degrees plus the word degrees that fit the cap, summed slot
@@ -423,15 +407,15 @@ class FramedOperad(Operad):
         slot i takes the slice of them that covers its bare slots."""
         bl, gs = label
         units = (self.hopf.unit,) * 2
-        out: dict = {}
+        terms = []
         for i in range(1, n + 1):
             bases = _inner_coface(bl, i)
             for word, _, c in self._hopf_factor(gs, i, 2, units):
                 c = (-1) ** i * (c.numerator if c.denominator == 1 else c)
                 # a bare slot i drops the last base term, a bare i+1 the first
-                for b in bases[not word[i]:len(bases) - (not word[i - 1])]:
-                    out[(b, word)] = out.get((b, word), 0) + c
-        return {l: Fraction(c) for l, c in out.items() if c}
+                kept = bases[not word[i]:len(bases) - (not word[i - 1])]
+                terms += [((b, word), c) for b in kept]
+        return combine(terms)
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ((), (self.hopf.unit,) * 2))
@@ -470,17 +454,16 @@ class FramedOperad(Operad):
         if key not in self._hopf_cache:
             tail = [(n + k, g) for k, mon in enumerate(gs[i:]) for g in mon]
             inserted = [(j, g) for j, h in enumerate(hs) for g in h]
-            out: dict = {}
+            terms = []
             for split, coeff in self.hopf.iterated_coproduct(gs[i - 1], n).items():
                 keys = [(j, g) for j, s in enumerate(split) for g in s] + tail + inserted
                 if len(set(keys)) < len(keys):  # a generator repeats in a factor
                     continue
                 word = tuple(tuple(sorted(s + h)) for s, h in zip(split, hs))
-                new_word = gs[: i - 1] + word + gs[i:]
-                out[new_word] = out.get(new_word, 0) + coeff * koszul_sign(keys)
+                terms.append((gs[: i - 1] + word + gs[i:], coeff * koszul_sign(keys)))
             deg = self.hopf.degree
             self._hopf_cache[key] = tuple(
-                (w, sum(deg(m) for m in w), c) for w, c in out.items() if c != 0
+                (w, sum(deg(m) for m in w), c) for w, c in combine(terms).items()
             )
         return self._hopf_cache[key]
 

@@ -16,7 +16,9 @@ integral; a ``Fraction`` appears only where a non-unit pivot divides.
 Structure constants are mostly +-1, so nearly all of the arithmetic is
 on ints.  Everything handed out at the edge (coordinates, dense kernel,
 solution and representative vectors, matrix entries) is a ``Fraction``,
-and :func:`dense` is the one place where a dense vector is made.
+and :func:`dense` is the one place where a dense vector is made.  Label
+combinations follow the same rule in ``operads.combine``, which sums
+``(label, coefficient)`` pairs on ints and hands out nonzero Fractions.
 
 Pivoting is deterministic: vectors go in the given order, and each
 remainder's pivot is a unit entry where it has one, at the coordinate that
@@ -267,8 +269,7 @@ class Subquotient:
     def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
         v lies outside span(cycles) + span(boundaries)."""
-        coords = self.sparse_coords(v)
-        return [_frac(coords.get(k, 0)) for k in range(self.dim)]
+        return dense(self.sparse_coords(v), self.dim)
 
     def sparse_coords(self, v) -> dict:
         """``coords`` as a ``{k: c}`` map with no zeros, ints where integral."""

@@ -34,7 +34,7 @@ from .instances import (
     vector_to_element,
 )
 from .linalg import NoSolution, QuotientSpace, kernel_basis, solve_particular
-from .operads import OpElement, Operad, chain_to_vector, vector_to_chain
+from .operads import OpElement, Operad, chain_to_vector, combine, vector_to_chain
 
 
 @dataclass(frozen=True)
@@ -225,9 +225,9 @@ class ChoiceReport:
 def _random_combination(cycles, rng) -> OpElement | None:
     if not cycles:
         return None
-    out = OpElement.zero(cycles[0].arity)
-    for z in cycles:
-        out = out + z.scale(Fraction(rng.randint(-3, 3)))
+    ks = [rng.randint(-3, 3) for _ in cycles]
+    terms = ((l, k * c) for k, z in zip(ks, cycles) for l, c in z.coeffs)
+    out = OpElement.make(cycles[0].arity, combine(terms))
     return None if out.is_zero() else out
 
 

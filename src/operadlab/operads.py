@@ -30,9 +30,27 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable
 
-Coeffs = dict  # label -> Fraction
+Coeffs = dict  # label -> Fraction, summed by combine: on ints where integral, no zeros
+
+
+def combine(terms) -> Coeffs:
+    """Sum ``(label, coefficient)`` pairs per label, on ints wherever a
+    coefficient is integral; the nonzero sums are handed out as Fractions.
+    Every label combination but ``Operad.compose_terms``'s is summed here."""
+    out: dict = {}
+    for l, c in terms:
+        c = c.numerator if c.denominator == 1 else c
+        out[l] = out.get(l, 0) + c
+    return {l: Fraction(c) for l, c in out.items() if c}
+
+
+def extend(f, terms) -> Coeffs:
+    """The linear extension of the label map f (label -> Coeffs) to the
+    combination ``terms`` of ``(label, coefficient)`` pairs."""
+    return combine((l2, c * c2) for l, c in terms for l2, c2 in f(l).items())
 
 
 class TruncationError(Exception):
@@ -78,20 +96,17 @@ class OpElement:
     def __add__(self, other: "OpElement") -> "OpElement":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        d = self.as_dict()
-        for l, c in other.coeffs:
-            d[l] = d.get(l, Fraction(0)) + c
-        return OpElement.make(self.arity, d)
+        return OpElement.make(self.arity, combine(self.coeffs + other.coeffs))
 
     def __sub__(self, other: "OpElement") -> "OpElement":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c) -> "OpElement":
         c = Fraction(c)
         return OpElement.make(self.arity, {l: c * v for l, v in self.coeffs})
 
     def __neg__(self) -> "OpElement":
-        return self.scale(-1)
+        return OpElement(self.arity, tuple((l, -c) for l, c in self.coeffs))
 
     def support(self):
         return [l for l, _ in self.coeffs]
@@ -170,7 +185,7 @@ class Operad:
             raise ValueError(f"slot {i} out of range for arity {m}")
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
-        out: Coeffs = {}
+        out: Coeffs = {}  # not combine, which re-wraps every Fraction on this hot path
         for xl, xc in xs:
             for yl, yc in ys:
                 # unit coefficients (every label-level call) skip the products
@@ -185,11 +200,7 @@ class Operad:
         return {l: c for l, c in out.items() if c}
 
     def differential(self, x: OpElement) -> OpElement:
-        out: Coeffs = {}
-        for l, c in x.coeffs:
-            for l2, c2 in self.diff_basis(x.arity, l).items():
-                out[l2] = out.get(l2, Fraction(0)) + c * c2
-        return OpElement.make(x.arity, out)
+        return OpElement.make(x.arity, extend(partial(self.diff_basis, x.arity), x.coeffs))
 
     def unit(self) -> OpElement:
         if self.unit_label is None:
@@ -587,11 +598,7 @@ class FreeChainOperad(Operad):
         return {self.normalize_tree(tree): Fraction(-1 if ydeg * after % 2 else 1)}
 
     def diff_basis(self, n: int, label) -> Coeffs:
-        out: Coeffs = {}
-        for t, c in self._leibniz(label, 0)[0]:
-            t = self.normalize_tree(t)
-            out[t] = out.get(t, 0) + c
-        return {l: c for l, c in out.items() if c != 0}
+        return combine((self.normalize_tree(t), c) for t, c in self._leibniz(label, 0)[0])
 
     def has_differential(self) -> bool:
         return any(not v.is_zero() for v in self.diff_rules.values())

@@ -33,6 +33,11 @@ class TestAudit:
         f = forced[0]
         assert (f.r, f.source, f.target) == (2, source, target)
 
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_even_or_small_d_is_refused(self, d):
+        with pytest.raises(ValueError, match="odd and at least 5"):
+            standard_audit_input(d)
+
     def test_matching_abutment_gives_empty_list(self):
         inp = AuditInput(
             e2_generators=(

@@ -28,12 +28,13 @@ from operadlab.gerstenhaber import (
     shifted_degree,
 )
 from operadlab.instances import (
+    framed_multiplicative,
     sphere_multiplicative,
     sphere_operad,
     witness_generator,
     witness_multiplicative,
 )
-from operadlab.operads import OpElement
+from operadlab.operads import OpElement, TruncationError
 
 
 def basis_elements(op, arities):
@@ -74,6 +75,60 @@ class TestSignConvention:
         S = sphere_operad(5, max_arity=3)
         assert shifted_degree(S, S.mu()) == -1
         assert shifted_degree(S, S.alpha()) == 3
+
+
+def slotwise_bracket(op, x, y):
+    """{x,y} = sum_i eps_i x o_i y - (-1)^{s_x s_y} sum_j eps_j y o_j x,
+    one ``op.compose`` per slot, summed with OpElement arithmetic."""
+
+    def circ(a, b):
+        qa = op.element_degree(a.arity, a)
+        out = OpElement.zero(a.arity + b.arity - 1)
+        for i in range(1, a.arity + 1):
+            eps = (-1) ** ((b.arity + 1) * (qa + a.arity + i) % 2)
+            out = out + op.compose(a, i, b).scale(eps)
+        return out
+
+    sign = (-1) ** (shifted_degree(op, x) * shifted_degree(op, y) % 2)
+    return circ(x, y) - circ(y, x).scale(sign)
+
+
+@pytest.mark.parametrize("host", [
+    lambda: sphere_operad(5, max_arity=4),
+    lambda: framed_multiplicative(5, 3, 16).operad,
+    lambda: witness_multiplicative(2).operad,
+], ids=["sphere", "framed", "witness"])
+def test_bracket_is_the_slotwise_sum(host):
+    """The bracket equals its slot-by-slot definition on homogeneous
+    chains with fractional coefficients; a pair whose composites leave
+    the truncation raises in both."""
+    op, rng = host(), random.Random(11)
+    slots = [(n, labels) for n in range(op.max_arity + 1)
+             for labels in op.basis_by_degree(n).values()]
+
+    def chain(n, labels):
+        picks = rng.sample(labels, min(3, len(labels)))
+        return OpElement.make(n, {l: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                                  for l in picks})
+
+    checked = nonzero = 0
+    for _ in range(150):
+        (nx, xs), (ny, ys) = rng.choice(slots), rng.choice(slots)
+        if nx + ny - 1 > op.max_arity or nx + ny == 0:
+            continue
+        x, y = chain(nx, xs), chain(ny, ys)
+        try:
+            want = slotwise_bracket(op, x, y)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                bracket(op, x, y)
+            continue
+        got = bracket(op, x, y)
+        assert got == want
+        assert all(type(c) is Fraction for _, c in got.coeffs)
+        checked += 1
+        nonzero += not got.is_zero()
+    assert checked > 30 and nonzero > 10
 
 
 @pytest.fixture(scope="module")

@@ -151,6 +151,22 @@ class TestCobarComplex:
                         dd[w2] = dd.get(w2, Fraction(0)) + c1 * c2
                 assert all(v == 0 for v in dd.values())
 
+    @pytest.mark.parametrize("variant", ["full", "fixing-subgroup"])
+    @pytest.mark.parametrize("d", [5, 7, 9])
+    def test_words_are_the_product_enumeration(self, d, variant):
+        H, window = build_so_hopf(d, variant), BidegreeWindow(-4, 18)
+        letters = [m for m in H.monomials if m]
+        want: dict = {}
+        for k in range(-window.p_min + 1):
+            for word in itertools.product(letters, repeat=k):
+                q = sum(H.degree(m) for m in word)
+                if q <= window.q_max:
+                    want.setdefault((-k, q), []).append(word)
+        cb = CobarComplex(H, window)
+        for p in range(window.p_min, 1):
+            for q in range(window.q_max + 1):
+                assert cb.basis(p, q) == sorted(want.get((p, q), [])), (p, q)
+
     def test_word_bigrading(self):
         cb = CobarComplex(build_so_hopf(5, "full"), BidegreeWindow(-3, 10))
         for (p, q), words in cb._words_by_bidegree.items():

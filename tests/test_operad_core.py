@@ -6,6 +6,8 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_free_basis, reference_free_compose, reference_free_diff
 from operadlab.instances import poisson_operad_small, witness_operad
@@ -16,6 +18,7 @@ from operadlab.operads import (
     check_d_squared,
     check_leibniz,
     check_operad_axioms,
+    combine,
     parse_free_operad,
 )
 
@@ -30,6 +33,27 @@ class TestOpElement:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             OpElement.basis(2, "a") + OpElement.basis(3, "b")
+
+
+coefficients = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+term_lists = st.lists(st.tuples(st.sampled_from("abcde"), coefficients), max_size=12)
+
+
+@given(term_lists, st.lists(st.booleans(), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_combine_is_the_fraction_sum(terms, cancel):
+    """combine sums the pairs per label exactly as a Fraction sum does,
+    ints and Fractions mixed, repeated labels, and terms whose negatives
+    follow so that labels cancel; it hands out Fractions and no zeros."""
+    terms = terms + [(l, -c) for (l, c), flag in zip(terms, cancel) if flag]
+    naive: dict = {}
+    for l, c in terms:
+        naive[l] = naive.get(l, Fraction(0)) + Fraction(c)
+    got = combine(terms)
+    assert got == {l: c for l, c in naive.items() if c != 0}
+    assert all(type(c) is Fraction and c != 0 for c in got.values())
 
 
 class TestFreeOperad:
