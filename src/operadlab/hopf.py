@@ -91,7 +91,7 @@ class PrimitiveExteriorHopf:
             for factors in itertools.product(range(n), repeat=len(mon))
         }
 
-    def words(self, n: int, room, bare=()) -> list:
+    def words(self, n: int, room, bare) -> list:
         """(word, degree) for the n-slot words of monomials of degree at
         most room, in itertools.product order.  A slot in ``bare`` takes
         only nonempty monomials, and each partial word keeps room for the
@@ -151,7 +151,7 @@ class CobarComplex:
     def _enumerate_words(self):
         q_max = self.window.q_max
         for k in range(min(-self.window.p_min, q_max // self.min_letter_degree) + 1):
-            for word, q in self.hopf.words(k, q_max, bare=range(1, k + 1)):
+            for word, q in self.hopf.words(k, q_max, range(1, k + 1)):
                 self._words_by_bidegree.setdefault((-k, q), []).append(word)
         for key in self._words_by_bidegree:
             self._words_by_bidegree[key].sort()

@@ -42,7 +42,8 @@ def combine(terms) -> Coeffs:
     Every label combination but ``Operad.compose_terms``'s is summed here."""
     out: dict = {}
     for l, c in terms:
-        c = c.numerator if c.denominator == 1 else c
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
         out[l] = out.get(l, 0) + c
     return {l: Fraction(c) for l, c in out.items() if c}
 
@@ -185,7 +186,9 @@ class Operad:
             raise ValueError(f"slot {i} out of range for arity {m}")
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
-        out: Coeffs = {}  # not combine, which re-wraps every Fraction on this hot path
+        # Not combine: routed through it, table_s read 3.5-5.6% slower on sphere-table and
+        # framed-e2 in 7-9 of 10 pairs, and framed-e2 query_p50_ms 15% (BENCH_19.json).
+        out: Coeffs = {}
         for xl, xc in xs:
             for yl, yc in ys:
                 # unit coefficients (every label-level call) skip the products
