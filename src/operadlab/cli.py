@@ -322,11 +322,11 @@ def cmd_ss(args) -> int:
 
 def cmd_obstruction(args) -> int:
     _check_window(args)
-    _at_least("--m", args.m, 1)
+    m = 2 if args.m is None else _at_least("--m", args.m, 1)
     _at_least("--trials", args.trials, 0)
     M = load_instance(args.instance, args.n_max, args.q_max)
     if not M.operad.has_differential():
-        res = formality_baseline(M, args.m)
+        res = formality_baseline(M, m)
         verdict = "class zero" if not res.nonzero else "class nonzero"
         print(f"{M.name}: zero-differential host, h = xi = 0 admissible; {verdict}")
         _write_report(args, "obstruction",
@@ -336,6 +336,8 @@ def cmd_obstruction(args) -> int:
             raise CheckFailure("baseline class must vanish on zero-differential hosts")
         return EXIT_OK
     inp = _witness_input(M)
+    if args.m not in (None, inp.m):  # a witness host fixes its own m
+        raise UsageError(f"--m {args.m} disagrees with m={inp.m} of {M.name}")
     res = run_pipeline(inp)
     verdict = "class nonzero" if res.nonzero else "class zero"
     print(f"{M.name}: {verdict}")
@@ -510,7 +512,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--instance", default="witness:m=2")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--q-max", type=int, default=10)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_obstruction)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .complexes import ChainComplexWindow, complex_from_rule
 from .hopf import PrimitiveExteriorHopf, build_so_hopf, koszul_sign
 from .operads import (
-    ArityOverflow,
     Coeffs,
     FreeChainOperad,
     OpElement,
@@ -46,21 +45,6 @@ _ONE = Fraction(1)
 
 def _pairs(n: int):
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-
-
-def _inner_coface(pairs, i: int) -> list:
-    """The terms of ``pairs o_i mu`` as ``compose_pairsets`` gives them: each
-    pair touching i goes to i or to i+1, in product order, so the first term
-    sends every such pair to i and the last every one to i+1."""
-    fixed, moves = [], []
-    for a, b in pairs:
-        if a == i:
-            moves.append(((i, b + 1), (i + 1, b + 1)))
-        elif b == i:
-            moves.append(((a, i), (a, i + 1)))
-        else:
-            fixed.append((a + (a > i), b + (b > i)))
-    return [tuple(sorted((*fixed, *to))) for to in itertools.product(*moves)]
 
 
 def _covering(pairs, left: int, bare: frozenset, start: int = 0, chosen: tuple = ()):
@@ -139,39 +123,30 @@ class SphereOperad(Operad):
         return tuple(_covering(_pairs(n), q // (self.d - 1), frozenset(range(1, n + 1))))
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
-        if m + n - 1 > self.max_arity:
-            raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         return {lab: _ONE for lab in self.compose_pairsets(m, xl, i, n, yl)}
 
     def compose_pairsets(self, m: int, xl, i: int, n: int, yl) -> list:
         """All result pair-sets of (x o_i y) for basis pair-sets.
 
-        A result pair with both indices in the inserted block reads the
-        y-component; otherwise the x-component at collapsed indices.  An
-        x-pair touching the collapsed slot expands to one result pair per
-        block position (diagonal distribution of its sphere class); pair
-        sets never collide, so every term has coefficient one.
+        The y-pairs shift into the block i..i+n-1 and the x-pairs off slot
+        i past it.  An x-pair touching slot i expands to one result pair
+        per block position (diagonal distribution of its sphere class), in
+        ``itertools.product`` order, so for n = 2 the first term sends
+        every such pair to i and the last every one to i+1; into a point
+        (n = 0) it has no target.  Pair sets never collide, so every term
+        has coefficient one.
         """
-        block = range(i, i + n)  # result indices occupied by y
-        # each x-pair distributes over its preimages under collapse
-        choices = []
-        for (p, q) in xl:
-            targets = []
-            ps = list(block) if p == i else [p if p < i else p + n - 1]
-            qs = list(block) if q == i else [q if q < i else q + n - 1]
-            for a in ps:
-                for b in qs:
-                    if a != b:
-                        targets.append(tuple(sorted((a, b))))
-            if not targets:  # a point inserted at a covered vertex
+        block = range(i, i + n)
+        fixed = [(a + i - 1, b + i - 1) for a, b in yl]
+        moves = []
+        for a, b in xl:
+            if a != i != b:
+                fixed.append((a + n - 1 if a > i else a, b + n - 1 if b > i else b))
+            elif not n:  # a point inserted at a covered vertex
                 return []
-            choices.append(targets)
-        # y-pairs shift into the block
-        shifted = [tuple(sorted((a + i - 1, b + i - 1))) for (a, b) in yl]
-        out = []
-        for combo in itertools.product(*choices):
-            out.append(tuple(sorted(set(shifted) | set(combo))))
-        return out
+            else:
+                moves.append([(k, b + n - 1) if a == i else (a, k) for k in block])
+        return [tuple(sorted((*fixed, *to))) for to in itertools.product(*moves)]
 
     def normal_delta(self, n: int, label) -> Coeffs:
         """delta of ``mu()`` on a label covering all n vertices, restricted to
@@ -181,7 +156,7 @@ class SphereOperad(Operad):
         return combine(
             (l, (-1) ** i)
             for i in sorted({v for v in ends if ends.count(v) > 1})
-            for l in _inner_coface(label, i)[1:-1]
+            for l in self.compose_pairsets(n, label, i, 2, ())[1:-1]
         )
 
     def mu(self) -> OpElement:
@@ -227,7 +202,7 @@ def sphere_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = N
 def framed_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = None):
     base = sphere_operad(d, max_arity, degree_cap)
     hopf = build_so_hopf(d)
-    op = FramedOperad(base, hopf, degree_cap=degree_cap)
+    op = FramedOperad(base, hopf)
     point = OpElement.basis(0, ((), ()))
     return MultiplicativeStructure(op, op.mu(), point=point, name=f"framed(sphere:d={d})")
 
@@ -327,18 +302,18 @@ class FramedOperad(Operad):
     A composite is the base composite tensored with a Hopf factor that
     reads only the Hopf words, so each Hopf factor is computed once per
     key.  Hopf words are built slot by slot and dropped as soon as their
-    degree leaves no room under the degree cap; a normalized label's bare
-    slots take only nonempty monomials, so the raw basis is never listed
-    for it.
+    degree leaves no room under the degree cap, which is the base's; a
+    normalized label's bare slots take only nonempty monomials, so the raw
+    basis is never listed for it.
     """
 
-    def __init__(self, base: Operad, hopf: PrimitiveExteriorHopf, degree_cap: int | None = None):
+    def __init__(self, base: Operad, hopf: PrimitiveExteriorHopf):
         if base.has_differential():
             raise ValueError("framed construction requires a zero differential")
         self.base = base
         self.hopf = hopf
         self.max_arity = base.max_arity
-        self.degree_cap = degree_cap
+        self.degree_cap = base.degree_cap
         self._basis_cache: dict = {}  # (n, normal) -> degree -> labels
         self._hopf_cache: dict = {}
 
@@ -409,7 +384,7 @@ class FramedOperad(Operad):
         units = (self.hopf.unit,) * 2
         terms = []
         for i in range(1, n + 1):
-            bases = _inner_coface(bl, i)
+            bases = self.base.compose_pairsets(n, bl, i, 2, ())
             for word, _, c in self._hopf_factor(gs, i, 2, units):
                 c = (-1) ** i * (c.numerator if c.denominator == 1 else c)
                 # a bare slot i drops the last base term, a bare i+1 the first
@@ -421,8 +396,6 @@ class FramedOperad(Operad):
         return OpElement.basis(2, ((), (self.hopf.unit,) * 2))
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
-        if m + n - 1 > self.max_arity:
-            raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         (bx, gs), (by, hs) = xl, yl
         hopf_terms = self._hopf_factor(gs, i, n, hs)
         if not hopf_terms:
@@ -431,7 +404,6 @@ class FramedOperad(Operad):
         base_terms = [
             (bl, bc, self.base.degree(m + n - 1, bl))
             for bl, bc in self.base.compose_basis(m, bx, i, n, by).items()
-            if bc
         ]
         return {
             (bl, word): c * bc
@@ -544,71 +516,48 @@ def homology_operad(op: Operad) -> TableOperad:
     """Homology of a chain operad with induced compositions.
 
     Basis labels are ``("H", n, q, k)`` for the k-th homology class of
-    O(n) in degree q; compositions are computed on representatives and
-    reduced back to classes.
+    O(n) in degree q; compositions are computed on representatives, built
+    once per class, and reduced back to classes.
     """
-    homs = {}
+    homs = {n: arity_complex(op, n) for n in range(0, op.max_arity + 1)}
     basis: dict = {}
-    for n in range(0, op.max_arity + 1):
-        C = arity_complex(op, n)
-        H = C.homology()
-        homs[n] = (C, H)
-        by_deg = {}
-        for q, h in H.per_degree.items():
+    reps = {}  # label -> representative cycle
+    for n, C in homs.items():
+        for q, h in C.homology().per_degree.items():
             if h.reliable and h.dim:
-                by_deg[q] = tuple(("H", n, q, k) for k in range(h.dim))
-        if by_deg:
-            basis[n] = by_deg
+                labels = tuple(("H", n, q, k) for k in range(h.dim))
+                basis.setdefault(n, {})[q] = labels
+                for lab, v in zip(labels, h.representatives):
+                    reps[lab] = vector_to_element(op, n, q, v)
+
+    def class_of(n: int, q: int, z: OpElement) -> Coeffs | None:
+        """The class of the cycle z in O(n)_q, or None where the window
+        cannot certify it: an unreliable degree, or one above an open top.
+        Outside a complete window the homology is 0."""
+        C = homs[n]
+        h = C.homology().per_degree.get(q)
+        if h is None:
+            return None if q > C.window[1] and not C.complete_above else {}
+        if not h.reliable:
+            return None
+        coords = h.class_coordinates(element_to_vector(op, z, q))
+        return {("H", n, q, k): c for k, c in enumerate(coords) if c != 0}
+
     comp: dict = {}
-    for mm in range(1, op.max_arity + 1):
-        if mm not in basis:
-            continue
-        for nn in range(0, op.max_arity + 1):
-            if nn not in basis or mm + nn - 1 > op.max_arity:
-                continue
-            for qx, xls in basis[mm].items():
-                for qy, yls in basis[nn].items():
-                    for xi, xlab in enumerate(xls):
-                        for yi, ylab in enumerate(yls):
-                            xrep = vector_to_element(
-                                op, mm, qx, homs[mm][1].per_degree[qx].representatives[xi]
-                            )
-                            yrep = vector_to_element(
-                                op, nn, qy, homs[nn][1].per_degree[qy].representatives[yi]
-                            )
-                            for i in range(1, mm + 1):
-                                ncomp = mm + nn - 1
-                                qz = qx + qy
-                                try:
-                                    z = op.compose(xrep, i, yrep)
-                                except TruncationError:
-                                    continue
-                                Cc, Hc = homs[ncomp]
-                                hh = Hc.per_degree.get(qz)
-                                coeffs: Coeffs = {}
-                                if hh is not None and hh.reliable:
-                                    zv = element_to_vector(op, z, qz)
-                                    coords = hh.class_coordinates(zv)
-                                    for k, c in enumerate(coords):
-                                        if c != 0:
-                                            coeffs[("H", ncomp, qz, k)] = c
-                                elif hh is not None:
-                                    # unreliable window edge: no induced entry
-                                    continue
-                                elif qz > Cc.window[1] and not Cc.complete_above:
-                                    continue
-                                # qz outside a complete window: homology is 0
-                                comp[(mm, xlab, i, nn, ylab)] = coeffs
+    for xlab, x in reps.items():
+        for ylab, y in reps.items():
+            for i in range(1, x.arity + 1):
+                try:  # past the arity or degree cap: no induced entry
+                    z = op.compose(x, i, y)
+                except TruncationError:
+                    continue
+                coeffs = class_of(z.arity, xlab[2] + ylab[2], z)
+                if coeffs is not None:
+                    comp[(x.arity, xlab, i, y.arity, ylab)] = coeffs
     # unit class, when the unit is a cycle generating a 1-dim degree-0 part
     unit = None
     if op.unit_label is not None:
-        q0 = op.degree(1, op.unit_label)
-        labs = basis.get(1, {}).get(q0, ())
-        if len(labs) >= 1:
-            C1, H1 = homs[1]
-            uvec = element_to_vector(op, op.unit(), q0)
-            coords = H1.per_degree[q0].class_coordinates(uvec)
-            nz = [(k, c) for k, c in enumerate(coords) if c != 0]
-            if len(nz) == 1 and nz[0][1] == 1:
-                unit = ("H", 1, q0, nz[0][0])
+        coeffs = class_of(1, op.degree(1, op.unit_label), op.unit()) or {}
+        if list(coeffs.values()) == [1]:
+            unit = next(iter(coeffs))
     return TableOperad(basis, comp, unit=unit, max_arity=op.max_arity)

@@ -413,8 +413,6 @@ class TableOperad(Operad):
         return self._degree[(n, label)]
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
-        if m + n - 1 > self.max_arity:
-            raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         try:
             return self._comp[(m, xl, i, n, yl)]
         except KeyError:
@@ -591,8 +589,6 @@ class FreeChainOperad(Operad):
         return walk(tree), after
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
-        if m + n - 1 > self.max_arity:
-            raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
         ydeg = self.tree_degree(yl)
         q = self.tree_degree(xl) + ydeg
         if q > self.degree_cap:

@@ -329,6 +329,9 @@ class TestBracketCommand:
         # the obstruction degree 4m - 1 needs m >= 1
         (["obstruction", "--instance", "sphere:d=5", "--m", "-1"], 2),
         (["obstruction", "--instance", "sphere:d=5", "--m", "0"], 2),
+        # a witness host fixes m: a disagreeing --m is refused, an agreeing one runs
+        (["obstruction", "--instance", "witness:m=2", "--m", "3"], 2),
+        (["obstruction", "--instance", "witness:m=2", "--m", "2"], 0),
         # tables and class brackets need a zero-differential host
         (["hochschild", "--instance", "witness:m=2", "--n-max", "3"], 2),
         (["bracket", "--instance", "witness:m=2", "--n-max", "3", "--q-max", "10",

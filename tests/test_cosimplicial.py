@@ -138,7 +138,7 @@ def test_certified_zero_columns_are_empty_in_a_larger_window(build):
 
 def _framed_fixing(d, n_max, cap):
     """The framed host on the fixing subgroup's Hopf algebra."""
-    op = FramedOperad(sphere_operad(d, n_max, cap), build_so_hopf(d, "fixing-subgroup"), cap)
+    op = FramedOperad(sphere_operad(d, n_max, cap), build_so_hopf(d, "fixing-subgroup"))
     return MultiplicativeStructure(op, op.mu(), OpElement.basis(0, ((), ())))
 
 

@@ -80,6 +80,49 @@ class TestSphereComposition:
     def test_axioms(self):
         assert check_operad_axioms(self.S, samples=500).ok
 
+    def test_composition_is_the_collapse_preimage(self):
+        """x o_i y, from the definition: the pair-sets R of arity m + n - 1
+        whose pairs inside the block i..i+n-1 are y's, shifted, and whose
+        other pairs the collapse of the block onto i maps one-to-one onto
+        x's pairs.  Every R is sorted into its (inside, image) bucket once;
+        each composite must be its bucket, each pair-set once.
+        All labels with m + n - 1 <= 5 and n <= 3, every slot."""
+        S = sphere_operad(5, max_arity=6)
+
+        def labels(n):
+            return [l for ls in S.basis_by_degree(n).values() for l in ls]
+
+        calls = spread = 0
+        for n in range(4):
+            ys = labels(n)
+            for m in range(1, 7 - n):
+                r = m + n - 1
+                pairs = list(itertools.combinations(range(1, r + 1), 2))
+                subsets = [R for k in range(len(pairs) + 1)
+                           for R in itertools.combinations(pairs, k)]
+                for i in range(1, m + 1):
+                    block = range(i, i + n)
+
+                    def collapse(k):
+                        return k if k < i else i if k in block else k - n + 1
+
+                    buckets: dict = {}
+                    for R in subsets:
+                        inside = tuple(p for p in R if p[0] in block and p[1] in block)
+                        image = sorted((collapse(a), collapse(b)) for a, b in R
+                                       if (a, b) not in inside)
+                        if len(set(image)) == len(image):
+                            buckets.setdefault((inside, tuple(image)), []).append(R)
+                    for xl in labels(m):
+                        for yl in ys:
+                            shifted = tuple((a + i - 1, b + i - 1) for a, b in yl)
+                            want = buckets.get((shifted, xl), [])
+                            got = S.compose_pairsets(m, xl, i, n, yl)
+                            assert sorted(got) == want, (m, xl, i, n, yl)
+                            calls += 1
+                            spread += len(want) > 1
+        assert calls > 200_000 and spread > 600
+
     def test_normalized_label_counts(self):
         """Inclusion-exclusion over the vertices left bare: the pair-sets of
         k pairs covering all n vertices number
@@ -143,9 +186,7 @@ class TestFramed:
     @pytest.mark.parametrize(
         "build",
         [lambda: framed_multiplicative(5, 4, 16).operad,
-         lambda: FramedOperad(
-             sphere_operad(7, 4, 12), build_so_hopf(7, "fixing-subgroup"), degree_cap=12
-         )],
+         lambda: FramedOperad(sphere_operad(7, 4, 12), build_so_hopf(7, "fixing-subgroup"))],
         ids=["framed-d5", "framed-d7-fixing-subgroup"],
     )
     def test_compose_matches_the_per_split_formula(self, build):
@@ -185,7 +226,7 @@ class TestFramed:
         """The cap-pruned words give the labels of the full word product
         filtered by the cap: the same tuples in the same order, degree by
         degree and in the same degree order."""
-        op = FramedOperad(sphere_operad(d, n_max, cap), build_so_hopf(d), degree_cap=cap)
+        op = FramedOperad(sphere_operad(d, n_max, cap), build_so_hopf(d))
         deg = op.hopf.degree
         for n in range(n_max + 1):
             want: dict = {}
