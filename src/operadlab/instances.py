@@ -299,9 +299,10 @@ class FramedOperad(Operad):
     degrees throughout (true for the sphere operad with odd d), so base
     symbols never contribute signs.
 
-    A composite is the base composite tensored with a Hopf factor that
-    reads only the Hopf words, so each Hopf factor is computed once per
-    key.  Hopf words are built slot by slot and dropped as soon as their
+    The Hopf part of a composite is the split of the slot-i monomial into
+    the inserted words, spliced between the prefix and the tail of x's
+    word, so each split is computed once per slot monomial and inserted
+    words.  Hopf words are built slot by slot and dropped as soon as their
     degree leaves no room under the degree cap, which is the base's; a
     normalized label's bare slots take only nonempty monomials, so the raw
     basis is never listed for it.
@@ -385,58 +386,53 @@ class FramedOperad(Operad):
         terms = []
         for i in range(1, n + 1):
             bases = self.base.compose_pairsets(n, bl, i, 2, ())
-            for word, _, c in self._hopf_factor(gs, i, 2, units):
-                c = (-1) ** i * (c.numerator if c.denominator == 1 else c)
+            for (left, right), c in self._split(gs[i - 1], 2, units):
+                word = gs[: i - 1] + (left, right) + gs[i:]
                 # a bare slot i drops the last base term, a bare i+1 the first
-                kept = bases[not word[i]:len(bases) - (not word[i - 1])]
-                terms += [((b, word), c) for b in kept]
+                kept = bases[not right:len(bases) - (not left)]
+                terms += [((b, word), (-1) ** i * c) for b in kept]
         return combine(terms)
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ((), (self.hopf.unit,) * 2))
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
+        """The base composite tensored with each split of slot i between
+        the unmoved prefix and the tail, whose generators sort after every
+        split and inserted one: moving the inserted ones past them is one
+        sign.  Composition adds degrees, so one cap check covers all terms."""
         (bx, gs), (by, hs) = xl, yl
-        hopf_terms = self._hopf_factor(gs, i, n, hs)
-        if not hopf_terms:
-            return {}
         cap = self.degree_cap
-        base_terms = [
-            (bl, bc, self.base.degree(m + n - 1, bl))
-            for bl, bc in self.base.compose_basis(m, bx, i, n, by).items()
-        ]
+        splits = self._split(gs[i - 1], n, hs)
+        if not splits or cap is not None and self.degree(m, xl) + self.degree(n, yl) > cap:
+            return {}
+        head, tail = gs[: i - 1], gs[i:]
+        sign = -1 if sum(map(len, tail)) * sum(map(len, hs)) % 2 else 1
+        base_terms = self.base.compose_basis(m, bx, i, n, by).items()
         return {
-            (bl, word): c * bc
-            for word, qh, c in hopf_terms
-            for bl, bc, qb in base_terms
-            if cap is None or qb + qh <= cap
+            (bl, head + word + tail): sign * c * bc
+            for word, c in splits
+            for bl, bc in base_terms
         }
 
-    def _hopf_factor(self, gs, i: int, n: int, hs) -> tuple:
-        """The Hopf part of ``(bx, gs) o_i (by, hs)`` as ``(word, degree,
-        coefficient)`` terms, summed per word; cached per key.
-
-        The sign of a split is the Koszul sign of moving each odd generator
-        from its place in x (x) y, slot i split by the diagonal, to its
-        place in the composite: split and inserted generators are keyed by
-        (factor j, generator index), the g_{i+1}..g_m tail after every
-        factor.  The prefix g_1..g_{i-1} never moves.
-        """
-        key = (gs, i, n, hs)
+    def _split(self, mon, n: int, hs) -> tuple:
+        """``mon`` through the n-fold diagonal, multiplied into the inserted
+        words ``hs``, as ``(word, ±1)`` terms; cached per key.  The sign is
+        the Koszul sign of moving the odd generators of the split and of hs,
+        keyed by (factor j, generator index), to their places in the word.
+        A split meeting hs in a factor drops out; the others give distinct
+        words (the split is the word less hs), so nothing is summed."""
+        key = (mon, n, hs)
         if key not in self._hopf_cache:
-            tail = [(n + k, g) for k, mon in enumerate(gs[i:]) for g in mon]
             inserted = [(j, g) for j, h in enumerate(hs) for g in h]
             terms = []
-            for split, coeff in self.hopf.iterated_coproduct(gs[i - 1], n).items():
-                keys = [(j, g) for j, s in enumerate(split) for g in s] + tail + inserted
+            for split, coeff in self.hopf.iterated_coproduct(mon, n).items():
+                keys = [(j, g) for j, s in enumerate(split) for g in s] + inserted
                 if len(set(keys)) < len(keys):  # a generator repeats in a factor
                     continue
                 word = tuple(tuple(sorted(s + h)) for s, h in zip(split, hs))
-                terms.append((gs[: i - 1] + word + gs[i:], coeff * koszul_sign(keys)))
-            deg = self.hopf.degree
-            self._hopf_cache[key] = tuple(
-                (w, sum(deg(m) for m in w), c) for w, c in combine(terms).items()
-            )
+                terms.append((word, int(coeff) * koszul_sign(keys)))
+            self._hopf_cache[key] = tuple(terms)
         return self._hopf_cache[key]
 
 

@@ -306,8 +306,10 @@ def reference_framed_compose(op, m: int, xl, i: int, n: int, yl) -> dict:
     """``FramedOperad.compose_basis`` computed the plain way, per split of
     the iterated diagonal and per call: the base composite, then for each
     split the Koszul signs, the products with the inserted word and the
-    degree cap.  An oracle for the host, which computes each Hopf factor
-    once and reuses it across base labels and calls."""
+    degree cap.  An oracle for the host, which computes the split of each
+    slot monomial into the inserted words once, splices it between the
+    prefix and the tail with one tail sign, and checks the cap once on
+    the sum of the degrees."""
     (bx, gs), (by, hs) = xl, yl
     hopf, deg = op.hopf, op.hopf.degree
     base_terms = [

@@ -80,11 +80,18 @@ class TestAudit:
 
 class TestComputedSecondPage:
     @pytest.mark.parametrize(
-        "d,n_max,q_max,t_star,nonzero",
-        [(7, 6, 20, 9, 21), (9, 6, 19, 13, 26)],
-        ids=["d7", "d9"],
+        "d,n_max,q_max,t_star,reliable_cells,nonzero",
+        [
+            (7, 6, 20, 9, 112, 21),
+            (9, 6, 19, 13, 112, 26),
+            (11, 8, 25, 17, 189, 30),
+            (13, 10, 31, 21, 297, 64),
+        ],
+        ids=["d7", "d9", "d11", "d13"],
     )
-    def test_model_is_the_computed_framed_page(self, d, n_max, q_max, t_star, nonzero):
+    def test_model_is_the_computed_framed_page(
+        self, d, n_max, q_max, t_star, reliable_cells, nonzero
+    ):
         """The audit's posited second page equals the computed framed
         Hochschild homology at every reliable position, and the window
         certifies every position of total degree p + q <= t*, the lowest
@@ -98,7 +105,7 @@ class TestComputedSecondPage:
         assert {pos: HH.dims.get(pos, 0) for pos in reliable} == {
             pos: model.get(pos, 0) for pos in reliable
         }
-        assert (len(reliable), len(HH.dims)) == (112, nonzero)
+        assert (len(reliable), len(HH.dims)) == (reliable_cells, nonzero)
         (forced,) = convergence_audit(standard_audit_input(d))
         assert sum(forced.target) == t_star
         # past arity t*, q - n <= t* lies below the vanishing line 2q < 4n

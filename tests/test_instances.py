@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from conftest import reference_framed_compose
 
+from operadlab.cosimplicial import hochschild_homology
 from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
     FramedOperad,
@@ -217,6 +218,23 @@ class TestFramed:
                                 got.clear()
                                 assert op.compose_basis(m, xl, i, n, yl) == want
         assert calls > 5_000 and nonempty > 1_000 and hopf_y > 100 and three_way > 10
+
+    def test_each_slot_split_is_computed_once(self, monkeypatch):
+        """The framed page at d=9 (n <= 6, q <= 19) pushes each slot
+        monomial through each n-fold diagonal once: the split is cached per
+        slot monomial and inserted words, not per whole word."""
+        M = framed_multiplicative(9, 6, 19)
+        hopf = M.operad.hopf
+        coproduct = hopf.iterated_coproduct
+        calls = []
+
+        def counted(mon, n):
+            calls.append((mon, n))
+            return coproduct(mon, n)
+
+        monkeypatch.setattr(hopf, "iterated_coproduct", counted)
+        hochschild_homology(M, 6, 19)
+        assert len(calls) == len(set(calls)) == 18
 
     @pytest.mark.parametrize(
         "d,n_max,cap", [(5, 4, 16), (7, 4, 20), (9, 4, 19), (5, 3, None)],
