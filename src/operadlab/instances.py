@@ -400,19 +400,21 @@ class FramedOperad(Operad):
         """The base composite tensored with each split of slot i between
         the unmoved prefix and the tail, whose generators sort after every
         split and inserted one: moving the inserted ones past them is one
-        sign.  Composition adds degrees, so one cap check covers all terms."""
+        sign.  Composition adds degrees, so one cap check covers all terms;
+        an empty split or base composite (a point at a covered slot) ends
+        the call before it."""
         (bx, gs), (by, hs) = xl, yl
         cap = self.degree_cap
         splits = self._split(gs[i - 1], n, hs)
-        if not splits or cap is not None and self.degree(m, xl) + self.degree(n, yl) > cap:
+        base_terms = self.base.compose_basis(m, bx, i, n, by) if splits else {}
+        if not base_terms or cap is not None and self.degree(m, xl) + self.degree(n, yl) > cap:
             return {}
         head, tail = gs[: i - 1], gs[i:]
         sign = -1 if sum(map(len, tail)) * sum(map(len, hs)) % 2 else 1
-        base_terms = self.base.compose_basis(m, bx, i, n, by).items()
         return {
             (bl, head + word + tail): sign * c * bc
             for word, c in splits
-            for bl, bc in base_terms
+            for bl, bc in base_terms.items()
         }
 
     def _split(self, mon, n: int, hs) -> tuple:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import WindowBoundary
 from .cosimplicial import HochschildComplex, mcclure_smith, zigzag_dr
@@ -65,6 +66,35 @@ class ObstructionInput:
             if q != 4 * self.m - 1:
                 raise ValueError(f"g must sit in degree {4 * self.m - 1}, got {q}")
 
+    @cached_property  # every omega on this input reads the same three values
+    def _h_rhs(self) -> OpElement:
+        op, nu, g = self.operad, self.nu, self.g
+        return op.compose(nu, 2, g) + op.compose(nu, 1, g) - op.compose(g, 1, nu)
+
+    @cached_property
+    def _associator(self) -> OpElement:
+        op, nu = self.operad, self.nu
+        return op.compose(nu, 2, nu) - op.compose(nu, 1, nu)
+
+    @cached_property
+    def _target(self):
+        """(H_{4m}(O(3)), its quotient by {nu,-} H_{4m}(O(2))), or None when
+        O(3) has no class in degree 4m; the chain map {nu,-} acts on classes.
+        A WindowBoundary (no certified degree 4m) is raised on every call."""
+        op, q = self.operad, 4 * self.m
+        C3 = arity_complex(op, 3)
+        if q > C3.window[1] and C3.complete_above:
+            return None  # O(3) has no chains in degree q
+        hom3 = C3.homology().at(q)
+        if hom3.dim == 0:
+            return None
+        hom2 = arity_complex(op, 2).homology().per_degree.get(q)
+        span = []
+        for rep in hom2.representatives if hom2 is not None else ():
+            img = bracket(op, self.nu, vector_to_element(op, 2, q, rep))
+            span.append(hom3.class_coordinates(element_to_vector(op, img, q)))
+        return hom3, QuotientSpace(hom3.dim, span)
+
 
 @dataclass
 class ObstructionResult:
@@ -99,13 +129,11 @@ def _cycle_basis(op: Operad, n: int, q: int) -> list[OpElement]:
 
 
 def h_equation_rhs(inp: ObstructionInput) -> OpElement:
-    op, nu, g = inp.operad, inp.nu, inp.g
-    return op.compose(nu, 2, g) + op.compose(nu, 1, g) - op.compose(g, 1, nu)
+    return inp._h_rhs
 
 
 def associator(inp: ObstructionInput) -> OpElement:
-    op, nu = inp.operad, inp.nu
-    return op.compose(nu, 2, nu) - op.compose(nu, 1, nu)
+    return inp._associator
 
 
 def find_h(inp: ObstructionInput) -> OpElement:
@@ -146,27 +174,13 @@ def omega_chain(inp: ObstructionInput, h: OpElement, xi: OpElement):
 def _quotient_reduce(inp: ObstructionInput, z: OpElement):
     """Coordinates of a d-cycle z in H_{4m}(O(3)) / {nu,-} H_{4m}(O(2)).
 
-    Returns (coords, quotient_dim).  The bracket with nu is a chain map,
-    so it sends homology classes of O(2) to classes of O(3); the quotient
-    is taken on homology coordinates.
+    Returns (coords, quotient_dim).
     """
-    op, q = inp.operad, 4 * inp.m
-    C3 = arity_complex(op, 3)
-    if q > C3.window[1] and C3.complete_above:
-        return [], 0  # O(3) has no chains in degree q
-    # WindowBoundary when the O(3) window cannot certify degree q
-    hom3 = C3.homology().at(q)
-    if hom3.dim == 0:
+    target = inp._target
+    if target is None:
         return [], 0
-    hom2 = arity_complex(op, 2).homology().per_degree.get(q)
-    span = []
-    if hom2 is not None:
-        for rep in hom2.representatives:
-            el = vector_to_element(op, 2, q, rep)
-            img = bracket(op, inp.nu, el)
-            span.append(hom3.class_coordinates(element_to_vector(op, img, q)))
-    Q = QuotientSpace(hom3.dim, span)
-    coords = Q.reduce(hom3.class_coordinates(element_to_vector(op, z, q)))
+    hom3, Q = target
+    coords = Q.reduce(hom3.class_coordinates(element_to_vector(inp.operad, z, 4 * inp.m)))
     return coords, len(Q.representatives)
 
 

@@ -493,6 +493,9 @@ class FreeChainOperad(Operad):
                 )
         self._basis_cache: dict = {}
         self._layers: list = [[]]  # _layers[k]: (tree, degree) pairs with k leaves
+        # d of each label, the graft of each (xl, i, yl): built once, handed out as new dicts
+        self._diffs: dict = {}
+        self._composites: dict = {}
 
     # -- basic tree data -------------------------------------------------
 
@@ -589,15 +592,23 @@ class FreeChainOperad(Operad):
         return walk(tree), after
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
-        ydeg = self.tree_degree(yl)
-        q = self.tree_degree(xl) + ydeg
-        if q > self.degree_cap:
-            raise DegreeOverflow(f"degree {q} exceeds cap {self.degree_cap}")
-        tree, after = self._graft(xl, i, yl)
-        return {self.normalize_tree(tree): Fraction(-1 if ydeg * after % 2 else 1)}
+        key = (xl, i, yl)  # a key past the cap is never stored: it raises every time
+        if key not in self._composites:
+            ydeg = self.tree_degree(yl)
+            q = self.tree_degree(xl) + ydeg
+            if q > self.degree_cap:
+                raise DegreeOverflow(f"degree {q} exceeds cap {self.degree_cap}")
+            tree, after = self._graft(xl, i, yl)
+            sign = Fraction(-1 if ydeg * after % 2 else 1)
+            self._composites[key] = (self.normalize_tree(tree), sign)
+        label, c = self._composites[key]
+        return {label: c}
 
     def diff_basis(self, n: int, label) -> Coeffs:
-        return combine((self.normalize_tree(t), c) for t, c in self._leibniz(label, 0)[0])
+        if label not in self._diffs:
+            terms = ((self.normalize_tree(t), c) for t, c in self._leibniz(label, 0)[0])
+            self._diffs[label] = tuple(combine(terms).items())
+        return dict(self._diffs[label])
 
     def has_differential(self) -> bool:
         return any(not v.is_zero() for v in self.diff_rules.values())

@@ -1,11 +1,13 @@
 """The obstruction pipeline: witnesses, quotient class, independence."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from operadlab import obstruction
+from operadlab.complexes import WindowBoundary
 from operadlab.cosimplicial import HochschildComplex, mcclure_smith, ss_pages
 from operadlab.instances import (
     MultiplicativeStructure,
@@ -30,7 +32,7 @@ from operadlab.obstruction import (
     omega,
     run_pipeline,
 )
-from operadlab.operads import OpElement, parse_free_operad
+from operadlab.operads import FreeChainOperad, OpElement, parse_free_operad
 
 
 def witness_input(m=2, **kw):
@@ -109,6 +111,69 @@ class TestPipeline:
             for n, q in K.positions():
                 assert K.d_mat(n, q) is arity_complex(op, n).d(q), (n, q)
         assert len(compared) == 1 and compared[0] is not H
+
+
+def _counting(f, calls, caller=None):
+    """f, recording its arguments in calls whenever the calling function's
+    name is caller (or always, when caller is None)."""
+
+    def wrapped(*args):
+        if caller is None or sys._getframe(1).f_code.co_name == caller:
+            calls.append(args)
+        return f(*args)
+
+    return wrapped
+
+
+class TestSolveOnceQueryMany:
+    def test_cli_path_builds_each_target_label_and_key_once(self, monkeypatch):
+        """The obstruction command's path on padded-witness m=3: the
+        pipeline, the page-2 comparison and ten choice trials build the
+        target quotient once, expand each label's differential once and
+        graft each composition key once."""
+        brackets, quotients, asked, expansions, keys, grafts = [], [], [], [], [], []
+        monkeypatch.setattr(obstruction, "bracket", _counting(obstruction.bracket, brackets))
+        monkeypatch.setattr(
+            obstruction, "QuotientSpace", _counting(obstruction.QuotientSpace, quotients)
+        )
+        free = FreeChainOperad
+        diff_basis, compose_basis = free.diff_basis, free.compose_basis
+
+        def compose(op, m, xl, i, n, yl):
+            out = compose_basis(op, m, xl, i, n, yl)
+            keys.append((xl, i, yl))  # a key past the cap raises before this
+            return out
+
+        monkeypatch.setattr(free, "diff_basis", _counting(diff_basis, asked))
+        monkeypatch.setattr(free, "compose_basis", compose)
+        monkeypatch.setattr(free, "_leibniz", _counting(free._leibniz, expansions, "diff_basis"))
+        monkeypatch.setattr(free, "_graft", _counting(free._graft, grafts, "compose_basis"))
+        inp = witness_input(3, padded=True)  # a new host: every cache starts empty
+
+        res = run_pipeline(inp)
+        assert compare_with_d2(inp, res).equal
+        assert choice_independence(inp, trials=10, rng=random.Random(0)).ok
+
+        assert len(brackets) == 1 and len(quotients) == 1
+        labels = list(dict.fromkeys(label for _, _, label in asked))
+        assert len(asked) > len(labels) == len(expansions)
+        assert [label for _, label, _ in expansions] == labels
+        assert len(keys) > len(set(keys)) == len(grafts)
+        assert [(xl, i, yl) for _, xl, i, yl in grafts] == list(dict.fromkeys(keys))
+
+    def test_uncertified_target_raises_on_every_query(self):
+        """With the degree cap at 4m, the O(3) window cannot certify degree
+        4m: every omega raises WindowBoundary, none is answered from a cache."""
+        op = parse_free_operad(
+            "nu:2:0\ng:1:7\nh:2:8\nd h = nu o2 g + nu o1 g - g o1 nu\n",
+            associative="nu", max_arity=3, degree_cap=8,
+        )
+        M = MultiplicativeStructure(op, witness_generator(op, "nu"), name="capped")
+        inp = ObstructionInput(M, witness_generator(op, "g"), 2)
+        h, xi = find_h(inp), find_xi(inp)
+        for _ in range(2):
+            with pytest.raises(WindowBoundary):
+                omega(inp, h, xi)
 
 
 class TestChoiceIndependence:

@@ -1,5 +1,6 @@
 """Operad interface, free chain operads on trees, axiom checkers."""
 
+import itertools
 import random
 import re
 import signal
@@ -167,6 +168,38 @@ class TestFreeOperadOracles:
         for n in range(1, op.max_arity + 1):
             for label in (l for ls in op.basis_by_degree(n).values() for l in ls):
                 assert op.diff_basis(n, label) == reference_free_diff(op, label)
+
+    def test_cached_maps_hand_out_new_dicts(self, host):
+        """The host keeps each label's differential and each composite: a
+        caller that empties or rewrites a returned dict leaves the next
+        call equal to the oracle, and a key past the degree cap raises on
+        every call."""
+        op = FREE_HOSTS[host]()
+        junk = {LEAF: Fraction(7)}
+
+        def twice(f, *args):
+            first = f(*args)
+            first.clear()
+            first.update(junk)
+            return f(*args)
+
+        labels = {n: [l for ls in op.basis_by_degree(n).values() for l in ls]
+                  for n in range(1, op.max_arity + 1)}
+        for n, ls in labels.items():
+            for label in ls:
+                assert twice(op.diff_basis, n, label) == reference_free_diff(op, label)
+        for m, n in ((m, n) for m in labels for n in labels if m + n - 1 <= op.max_arity):
+            for xl, yl in itertools.product(labels[m], labels[n]):
+                over = op.degree(m, xl) + op.degree(n, yl) > op.degree_cap
+                for i in range(1, m + 1):
+                    if over:
+                        for _ in range(2):
+                            with pytest.raises(DegreeOverflow):
+                                op.compose_basis(m, xl, i, n, yl)
+                    else:
+                        assert twice(op.compose_basis, m, xl, i, n, yl) == (
+                            reference_free_compose(op, xl, i, yl)
+                        )
 
 
 @pytest.mark.parametrize("degree", [0, -1])
