@@ -155,7 +155,8 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
     Cofaces on x of arity n: d^0 = mult composed below slot 2 of the
     multiplication (mult o2 x), d^i = x o_i mult for 1 <= i <= n, and
     d^{n+1} = mult o1 x.  Codegeneracies s^i = (- o_{i+1} point) when the
-    structure has an arity-0 point.  The columns are the host's arities
+    structure has an arity-0 point, read off the host's ``compose_basis``
+    when the point is one label.  The columns are the host's arities
     0..n_max; ``HochschildComplex`` reads their labels and restricts them
     to the normalized ones, where the host's ``normal_delta`` gives delta
     if mult is its ``mu()``.  ``n_max`` may not exceed the arity cap.
@@ -179,9 +180,14 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
     codegeneracy = normal_delta = None
     if M.point is not None:
         point = M.point.coeffs
+        if len(point) == 1 and point[0][1] == 1:
+            pl = point[0][0]  # one basis label: the composite is compose_basis's
 
-        def codegeneracy(n, i, label) -> Coeffs:
-            return op.compose_terms(n + 1, ((label, 1),), i + 1, 0, point)
+            def codegeneracy(n, i, label) -> Coeffs:
+                return op.compose_basis(n + 1, label, i + 1, 0, pl)
+        else:
+            def codegeneracy(n, i, label) -> Coeffs:
+                return op.compose_terms(n + 1, ((label, 1),), i + 1, 0, point)
 
         if op.normal_delta is not None and M.mult == op.mu():
             normal_delta = op.normal_delta
@@ -525,10 +531,7 @@ class SpectralSequence:
 
         def D_columns(t: int) -> list:
             if t not in columns:
-                columns[t] = [
-                    {i: v.numerator if v.denominator == 1 else v for i, v in col.items()}
-                    for col in self.D(t).columns()
-                ]
+                columns[t] = self.D(t).columns()
             return columns[t]
 
         def apply_D(t: int, x: dict) -> dict:

@@ -380,11 +380,16 @@ class FramedOperad(Operad):
         normalized labels, as on the sphere: slot i or i+1 of a term counts
         as covered when a pair reaches it or its Hopf factor is nonempty.
         The base terms of coface i are built once and each Hopf split of
-        slot i takes the slice of them that covers its bare slots."""
+        slot i takes the slice of them that covers its bare slots; a slot
+        with fewer than two pairs and generators between them covers at
+        most one of i and i+1, so it is skipped."""
         bl, gs = label
         units = (self.hopf.unit,) * 2
+        ends = [v for p in bl for v in p]
         terms = []
         for i in range(1, n + 1):
+            if ends.count(i) + len(gs[i - 1]) < 2:
+                continue
             bases = self.base.compose_pairsets(n, bl, i, 2, ())
             for (left, right), c in self._split(gs[i - 1], 2, units):
                 word = gs[: i - 1] + (left, right) + gs[i:]

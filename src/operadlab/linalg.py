@@ -7,15 +7,17 @@ reduction on a matrix's columns: ``rank`` and ``solve_particular`` read
 their answers off its pivot columns, and :meth:`Subquotient.kernel` is
 the one readout of an echelon's kernel, sparse, which ``kernel_basis``,
 homology and the pages share.  :func:`assemble` builds every matrix from
-per-label images.  Matrices are stored sparsely as ``(row, col) ->
-Fraction`` maps and vectors are reduced as sparse maps, so the
-large-but-sparse coboundary matrices stay cheap.
+per-label images.  A matrix is stored as its sparse ``{row: value}``
+columns, which the elimination takes with no conversion, and vectors are
+reduced as sparse maps, so the large-but-sparse coboundary matrices stay
+cheap.
 
-Inside the elimination a value is a plain ``int`` whenever it is
-integral; a ``Fraction`` appears only where a non-unit pivot divides.
-Structure constants are mostly +-1, so nearly all of the arithmetic is
-on ints.  Everything handed out at the edge (coordinates, dense kernel,
-solution and representative vectors, matrix entries) is a ``Fraction``,
+Inside the elimination and in a stored column a value is a plain ``int``
+whenever it is integral; a ``Fraction`` appears only where a non-unit
+pivot divides or an entry is not integral.  Structure constants are
+mostly +-1, so nearly all of the arithmetic is on ints.  Everything
+handed out at the edge (coordinates, dense kernel, solution and
+representative vectors, the ``(row, col)`` matrix entries) is a ``Fraction``,
 and :func:`dense` is the one place where a dense vector is made.  Label
 combinations follow the same rule in ``operads.combine``, which sums
 ``(label, coefficient)`` pairs on ints and hands out nonzero Fractions.
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
@@ -81,74 +82,83 @@ def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    """Sparse exact-rational matrix.  Immutable; no stored zeros."""
+    """Sparse exact-rational matrix, stored as its columns.  Immutable.
 
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+    Column c is a ``{row: value}`` map with no zeros, each value an ``int``
+    wherever it is integral.  ``entries`` is the ``(row, col) -> Fraction``
+    view at the edge, and ``columns()`` hands out new maps on ints.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+    __slots__ = ("rows", "cols", "_columns")
+
+    def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
+        columns: list[dict] = [{} for _ in range(cols)]
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) out of bounds")
-            v = _frac(v)
-            if v != 0:
-                clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
+            if v:
+                columns[c][r] = _exact(v)
+        self.rows, self.cols, self._columns = rows, cols, columns
+
+    @classmethod
+    def _of(cls, rows: int, columns: list) -> "RationalMatrix":
+        """The matrix with the given stored columns, taken as they are."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M._columns = rows, len(columns), columns
+        return M
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], nrows: int) -> "RationalMatrix":
-        entries = {}
-        for c, col in enumerate(columns):
-            if len(col) != nrows:
-                raise ValueError("column length mismatch")
-            for r, v in enumerate(col):
-                if v != 0:
-                    entries[(r, c)] = _frac(v)
-        return cls(nrows, len(columns), entries)
+        if any(len(col) != nrows for col in columns):
+            raise ValueError("column length mismatch")
+        return cls._of(nrows, [{r: _exact(v) for r, v in enumerate(col) if v} for col in columns])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, {})
+        return cls._of(rows, [{} for _ in range(cols)])
+
+    @property
+    def entries(self) -> dict:
+        return {(r, c): _frac(v) for c, col in enumerate(self._columns) for r, v in col.items()}
 
     def columns(self) -> list[dict]:
-        """Every column as a sparse ``{row: value}`` map, in one pass."""
-        out: list[dict] = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            out[c][r] = v
-        return out
+        """Every column as a new sparse ``{row: value}`` map."""
+        return [dict(col) for col in self._columns]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._columns) == (other.rows, other.cols, other._columns)
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
     def matvec(self, x: Sequence) -> Vector:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch")
-        x = vec(x)
         out = zero_vec(self.rows)
-        for (r, c), v in self.entries.items():
-            if x[c] != 0:
-                out[r] += v * x[c]
+        for xc, col in zip(vec(x), self._columns):
+            if xc:
+                for r, v in col.items():
+                    out[r] += v * xc
         return out
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The product, summed on ints wherever the entries are integral."""
+        """The product, column by column, summed on ints where integral."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        by_row: list[dict] = [dict() for _ in range(other.rows)]
-        for (r, c), v in other.entries.items():
-            by_row[r][c] = _exact(v)
-        entries: dict = {}
-        for (r, k), v in self.entries.items():
-            row = by_row[k]
-            if row:
-                v = _exact(v)
-                for c, w in row.items():
-                    entries[(r, c)] = entries.get((r, c), 0) + v * w
-        return RationalMatrix(self.rows, other.cols, {k: v for k, v in entries.items() if v})
+        mine, out = self._columns, []
+        for col in other._columns:
+            acc: dict = {}
+            for k, w in col.items():
+                for r, v in mine[k].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            out.append({r: v if type(v) is int else _exact(v) for r, v in acc.items() if v})
+        return RationalMatrix._of(self.rows, out)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self._columns)
 
 
 def row_reduce(M: RationalMatrix) -> "Subquotient":
@@ -191,20 +201,20 @@ def assemble(
     """Matrix whose column j is ``image(src_labels[j])``.
 
     ``image`` yields ``(target label, coefficient)`` pairs; pairs hitting
-    the same entry accumulate.  A target label missing from ``tgt_index``
-    (label -> row) raises ValueError: the map left its declared target.
+    the same entry accumulate, and the column is stored on ints where
+    integral.  A target label missing from ``tgt_index`` (label -> row)
+    raises ValueError: the map left its declared target.
     """
-    entries: dict = {}
-    for c, label in enumerate(src_labels):
+    columns = []
+    for label in src_labels:
+        col: dict = {}
         for tgt, v in image(label):
             r = tgt_index.get(tgt)
             if r is None:
                 raise ValueError(f"image of {label!r} leaves the target basis at {tgt!r}")
-            if (r, c) in entries:
-                entries[(r, c)] += v
-            else:
-                entries[(r, c)] = v
-    return RationalMatrix(len(tgt_index), len(src_labels), entries)
+            col[r] = col[r] + v if r in col else v
+        columns.append({r: v if type(v) is int else _exact(v) for r, v in col.items() if v})
+    return RationalMatrix._of(len(tgt_index), columns)
 
 
 class Subquotient:
@@ -281,7 +291,7 @@ class Subquotient:
 
     def _sparse(self, v) -> dict:
         if isinstance(v, dict):
-            return {i: _exact(x) for i, x in v.items() if x}
+            return {i: x if type(x) is int else _exact(x) for i, x in v.items() if x}
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         return {i: _exact(x) for i, x in enumerate(v) if x}

@@ -151,6 +151,7 @@ class Operad:
         return sorted(q for q, labels in self.basis_by_degree(n).items() if labels)
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
+        """xl o_i yl for basis labels, with no zero terms."""
         raise NotImplementedError
 
     def diff_basis(self, n: int, label) -> Coeffs:

@@ -7,6 +7,7 @@ from conftest import reference_pages
 
 from operadlab.cosimplicial import (
     HochschildComplex,
+    SemicosimplicialChainComplex,
     SpectralSequence,
     einfty_vs_total,
     hochschild_differential,
@@ -63,20 +64,28 @@ class TestSemicosimplicialIdentities:
             C.homology()  # constructor and homology assert d^2 = 0
 
 
+def _sphere_with_twice_the_point():
+    M = sphere_multiplicative(5, 4, 8)
+    return MultiplicativeStructure(M.operad, M.mult, M.point.scale(2))
+
+
 @pytest.mark.parametrize(
     "build",
     [
         lambda: sphere_multiplicative(5, 4, 8),
         lambda: framed_multiplicative(5, 4, 8),
+        _sphere_with_twice_the_point,
         lambda: poisson_multiplicative(5),
         lambda: witness_multiplicative(2),
     ],
-    ids=["sphere", "framed", "poisson", "witness"],
+    ids=["sphere", "framed", "sphere-twice-the-point", "poisson", "witness"],
 )
 def test_label_maps_equal_composition_of_elements(build):
     """Cofaces and codegeneracies computed per label equal the element
     compositions they stand for, on every label with n <= 3, q <= 8; a
-    result past the arity cap raises ArityOverflow on both paths."""
+    result past the arity cap raises ArityOverflow on both paths.  A point
+    that is one label composes through ``compose_basis``, any other point
+    through ``compose_terms``."""
     M = build()
     op, mult, point = M.operad, M.mult, M.point
     X = mcclure_smith(M, min(3, op.max_arity))
@@ -235,8 +244,9 @@ def test_normalized_path_never_lists_the_raw_basis(build, n_max, q_max):
     [(sphere_multiplicative, 5, 7, 16),
      (sphere_multiplicative, 7, 6, 18),
      (framed_multiplicative, 5, 5, 14),
-     (framed_multiplicative, 7, 5, 14)],
-    ids=["sphere-d5", "sphere-d7", "framed-d5", "framed-d7"],
+     (framed_multiplicative, 7, 5, 14),
+     (_framed_fixing, 7, 5, 14)],
+    ids=["sphere-d5", "sphere-d7", "framed-d5", "framed-d7", "framed-d7-fixing-subgroup"],
 )
 def test_normal_delta_is_the_alternating_coface_sum(build, d, n_max, q_max):
     """The host's delta, which builds only the terms covering every vertex,
@@ -253,6 +263,35 @@ def test_normal_delta_is_the_alternating_coface_sum(build, d, n_max, q_max):
         target = {l: k for k, l in enumerate(H.labels(n + 1, q))}
         generic = assemble(H.labels(n, q), target, lambda l: X.delta_on_label(n, l).items())
         assert H.delta_mat(n, q) == generic, (n, q)
+
+
+@pytest.mark.parametrize(
+    "build,n_max,confirmed,pairsets",
+    [(sphere_multiplicative, 8, 970, None), (framed_multiplicative, 6, 1_557, 1_400)],
+    ids=["sphere-d5", "framed-d5"],
+)
+def test_work_counts_of_the_normalized_columns(build, n_max, confirmed, pairsets, monkeypatch):
+    """At d=5, q <= 16: the codegeneracies confirm each proposed label
+    through the host's compose_basis, never the bilinear compose_terms;
+    and the framed delta asks its base for coface terms only at the slots
+    that carry two or more pairs and generators."""
+    composed, asked, cofaces = [], [], []
+    monkeypatch.setattr(Operad, "compose_terms", lambda *args: composed.append(args))
+    normal = SemicosimplicialChainComplex.is_normal_label
+    monkeypatch.setattr(
+        SemicosimplicialChainComplex, "is_normal_label",
+        lambda X, n, label: asked.append(label) or normal(X, n, label),
+    )
+    M = build(5, n_max, 16)
+    H = HochschildComplex(mcclure_smith(M, n_max), 16)
+    assert (len(composed), len(asked)) == (0, confirmed)
+    if pairsets is not None:
+        base = M.operad.base
+        pairs = base.compose_pairsets
+        monkeypatch.setattr(base, "compose_pairsets", lambda *a: cofaces.append(a) or pairs(*a))
+        for n, q in H.positions():
+            H.delta_mat(n, q)
+        assert len(cofaces) == pairsets
 
 
 def _generic_delta_calls(H) -> int:

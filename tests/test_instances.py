@@ -222,7 +222,9 @@ class TestFramed:
     def test_each_slot_split_is_computed_once(self, monkeypatch):
         """The framed page at d=9 (n <= 6, q <= 19) pushes each slot
         monomial through each n-fold diagonal once: the split is cached per
-        slot monomial and inserted words, not per whole word."""
+        slot monomial and inserted words, not per whole word.  The fourth
+        generator (degree 15) fits the cap only in a label with no pair, on
+        a slot that delta skips, so it alone is never split in two."""
         M = framed_multiplicative(9, 6, 19)
         hopf = M.operad.hopf
         coproduct = hopf.iterated_coproduct
@@ -234,7 +236,7 @@ class TestFramed:
 
         monkeypatch.setattr(hopf, "iterated_coproduct", counted)
         hochschild_homology(M, 6, 19)
-        assert len(calls) == len(set(calls)) == 18
+        assert len(calls) == len(set(calls)) == 17
 
     @pytest.mark.parametrize(
         "d,n_max,cap", [(5, 4, 16), (7, 4, 20), (9, 4, 19), (5, 3, None)],

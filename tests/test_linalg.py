@@ -16,6 +16,7 @@ from operadlab.linalg import (
     NoSolution,
     QuotientSpace,
     RationalMatrix,
+    assemble,
     dense,
     is_zero_vec,
     kernel_basis,
@@ -275,3 +276,67 @@ def test_matmul_equals_the_dense_product(problem):
     assert all(v != 0 and type(v) is Fraction for v in P.entries.values())
     # the kernel columns cancel exactly
     assert not any(j >= len(b[0]) - len(kernel) for _, j in P.entries)
+
+
+# -- storage: int columns inside, Fractions at the edge -----------------------
+
+
+def test_an_integer_matrix_stores_int_columns_and_hands_out_fractions():
+    M = mat([[1, 2, 0], [0, -1, Fraction(3, 2)]])
+    assert M.columns() == [{0: 1}, {0: 2, 1: -1}, {1: Fraction(3, 2)}]
+    values = [v for col in M.columns() for v in col.values()]
+    assert [type(v) for v in values] == [int, int, int, Fraction]
+    assert M.entries == {(0, 0): 1, (0, 1): 2, (1, 1): -1, (1, 2): Fraction(3, 2)}
+    assert _all_fractions(M.entries.values())
+
+
+def test_columns_hands_out_new_maps():
+    M = mat([[1, 0], [2, 3]])
+    entries = M.entries
+    cols = M.columns()
+    cols[0][1] = 7
+    cols[1].clear()
+    assert M.columns() == [{0: 1, 1: 2}, {1: 3}]
+    assert M.entries == entries and M == mat([[1, 0], [2, 3]])
+
+
+def test_assemble_stores_no_cancelled_entry():
+    """Terms that cancel leave no zero behind, and integral sums of
+    Fractions are stored as ints."""
+    images = {
+        "a": [("x", 1), ("y", Fraction(1, 2)), ("x", -1), ("y", Fraction(1, 2))],
+        "b": [("x", Fraction(2)), ("y", 3), ("y", -3)],
+        "c": [("y", 1), ("y", -1)],
+    }
+    M = assemble("abc", {"x": 0, "y": 1}, lambda label: images[label])
+    assert M.columns() == [{1: 1}, {0: 2}, {}]
+    assert all(type(v) is int for col in M.columns() for v in col.values())
+    assert M == RationalMatrix(2, 3, M.entries) == mat([[0, 2, 0], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (2, 0), (0, 3), (2, 3)])
+def test_the_three_constructors_agree(rows, cols):
+    """The entries constructor, ``from_columns`` and ``assemble`` build
+    equal matrices, zero ones included, and agree on ``is_zero``."""
+    zeros = [
+        RationalMatrix.zero(rows, cols),
+        RationalMatrix(rows, cols),
+        RationalMatrix(rows, cols, {(r, c): 0 for r in range(rows) for c in range(cols)}),
+        RationalMatrix.from_columns([[0] * rows for _ in range(cols)], rows),
+        assemble(range(cols), {r: r for r in range(rows)}, lambda label: ()),
+    ]
+    assert all(Z == zeros[0] and Z.is_zero() and Z.entries == {} for Z in zeros)
+    assert all(Z.columns() == [{}] * cols for Z in zeros)
+    assert RationalMatrix.zero(rows + 1, cols) != zeros[0]
+    if rows and cols:
+        dense_cols = [[Fraction(r - c, 2) for r in range(rows)] for c in range(cols)]
+        built = [
+            RationalMatrix(rows, cols, {(r, c): v for c, col in enumerate(dense_cols)
+                                        for r, v in enumerate(col)}),
+            RationalMatrix.from_columns(dense_cols, rows),
+            assemble(range(cols), {r: r for r in range(rows)},
+                     lambda c: enumerate(dense_cols[c])),
+        ]
+        assert all(M == built[0] and not M.is_zero() for M in built)
+        assert all(M.entries == built[0].entries for M in built)
+        assert built[0] != zeros[0]
