@@ -239,7 +239,6 @@ class HochschildComplex:
                 if labels:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
-        self._delta_cache: dict = {}
         self._columns: dict = {}  # n -> column n's chain complex under d
         self._ss: SpectralSequence | None = None
 
@@ -291,21 +290,16 @@ class HochschildComplex:
         return RationalMatrix.zero(self.dim(n, q - 1), 0)
 
     def delta_mat(self, n: int, q: int) -> RationalMatrix:
-        """Horizontal differential (n, q) -> (n+1, q) on kept labels."""
-        key = (n, q)
-        if key not in self._delta_cache:
-            src = self.labels(n, q)
-            if n >= self.n_max:
-                # out of the stored window: zero map (truncated object)
-                self._delta_cache[key] = RationalMatrix.zero(0, len(src))
-                return self._delta_cache[key]
-            rule = (self.normalized and self.X.normal_delta) or self.X.delta_on_label
-            self._delta_cache[key] = assemble(
-                src,
-                self._index.get((n + 1, q), {}),
-                lambda label: rule(n, label).items(),
-            )
-        return self._delta_cache[key]
+        """Horizontal differential (n, q) -> (n+1, q) on kept labels,
+        assembled on every call (each consumer asks for a block once)."""
+        src = self.labels(n, q)
+        if n >= self.n_max:
+            # out of the stored window: zero map (truncated object)
+            return RationalMatrix.zero(0, len(src))
+        rule = (self.normalized and self.X.normal_delta) or self.X.delta_on_label
+        return assemble(
+            src, self._index.get((n + 1, q), {}), lambda label: rule(n, label).items()
+        )
 
     def complex_in_p(self, q: int) -> ChainComplexWindow:
         """Fixed internal degree q: complex over p = -n with differential
@@ -525,7 +519,7 @@ class SpectralSequence:
         clamped to 0..n_max+1; each Z and each quotient is eliminated once
         per call, on sparse ``{index: value}`` vectors."""
         cap = self.H.n_max + 1
-        columns: dict = {}  # t -> sparse columns of D(t), ints where integral
+        columns: dict = {}  # t -> D(t).columns(), copied once for all the Z of t
         Zs: dict = {}  # (t, first column, row bound) -> sparse basis of Z
         quotients: dict = {}  # triple of Z keys -> Subquotient
 
@@ -533,13 +527,6 @@ class SpectralSequence:
             if t not in columns:
                 columns[t] = self.D(t).columns()
             return columns[t]
-
-        def apply_D(t: int, x: dict) -> dict:
-            cols, y = D_columns(t), {}
-            for j, c in x.items():
-                for i, v in cols[j].items():
-                    y[i] = y.get(i, 0) + c * v
-            return {i: v for i, v in y.items() if v}
 
         def Z(r: int, p: int, t: int) -> tuple:
             """Key of Z_r = {x in F_p (+) Tot_t : D x in F_{p-r}}: the
@@ -561,7 +548,7 @@ class SpectralSequence:
                 p, t = -n, q - n
                 key = (Z(r, p, t), Z(r - 1, p - 1, t), Z(r - 1, p + r - 1, t + 1))
                 if key not in quotients:
-                    up = [apply_D(t + 1, u) for u in Zs[key[2]]]
+                    up = [self.D(t + 1).apply(u) for u in Zs[key[2]]]
                     quotients[key] = Subquotient(self.tot_dim(t), Zs[key[0]], Zs[key[1]] + up)
                 at[(p, q)], quo = key, quotients[key]
                 # entry_reliable(p, q, r): the last page's flag and one more d_r
@@ -572,7 +559,7 @@ class SpectralSequence:
             # differentials d_r: (p, q) -> (p - r, q + r - 1)
             for (p, q), e in page.entries.items():
                 if e.dim:
-                    images = [apply_D(p + q, x) for x in e.representatives]
+                    images = [self.D(p + q).apply(x) for x in e.representatives]
                     d_r = _entry_coords(quotients.get(at.get((p - r, q + r - 1))), images)
                     if d_r is not None:
                         page.differentials[(p, q)] = d_r

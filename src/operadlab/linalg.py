@@ -7,7 +7,8 @@ reduction on a matrix's columns: ``rank`` and ``solve_particular`` read
 their answers off its pivot columns, and :meth:`Subquotient.kernel` is
 the one readout of an echelon's kernel, sparse, which ``kernel_basis``,
 homology and the pages share.  :func:`assemble` builds every matrix from
-per-label images.  A matrix is stored as its sparse ``{row: value}``
+per-label images, and :meth:`RationalMatrix.apply` is the one sparse
+product.  A matrix is stored as its sparse ``{row: value}``
 columns, which the elimination takes with no conversion, and vectors are
 reduced as sparse maps, so the large-but-sparse coboundary matrices stay
 cheap.
@@ -134,28 +135,26 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
+    def apply(self, x: Mapping) -> dict:
+        """M x for the sparse ``{index: value}`` vector x, as a sparse
+        ``{row: value}`` map with no zeros, ints where integral: the one
+        sparse product, behind ``matvec`` and ``matmul``."""
+        mine, acc = self._columns, {}
+        for k, w in x.items():
+            for r, v in mine[k].items():
+                acc[r] = acc.get(r, 0) + v * w
+        return {r: v if type(v) is int else _exact(v) for r, v in acc.items() if v}
+
     def matvec(self, x: Sequence) -> Vector:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch")
-        out = zero_vec(self.rows)
-        for xc, col in zip(vec(x), self._columns):
-            if xc:
-                for r, v in col.items():
-                    out[r] += v * xc
-        return out
+        return dense(self.apply({c: _exact(v) for c, v in enumerate(x) if v}), self.rows)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The product, column by column, summed on ints where integral."""
+        """The product, column by column."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        mine, out = self._columns, []
-        for col in other._columns:
-            acc: dict = {}
-            for k, w in col.items():
-                for r, v in mine[k].items():
-                    acc[r] = acc.get(r, 0) + v * w
-            out.append({r: v if type(v) is int else _exact(v) for r, v in acc.items() if v})
-        return RationalMatrix._of(self.rows, out)
+        return RationalMatrix._of(self.rows, [self.apply(col) for col in other._columns])
 
     def is_zero(self) -> bool:
         return not any(self._columns)

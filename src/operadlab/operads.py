@@ -415,14 +415,14 @@ class TableOperad(Operad):
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         try:
-            return self._comp[(m, xl, i, n, yl)]
+            return dict(self._comp[(m, xl, i, n, yl)])
         except KeyError:
             raise ArityOverflow(
                 f"no structure constants for ({m},{xl}) o_{i} ({n},{yl})"
             ) from None
 
     def diff_basis(self, n: int, label) -> Coeffs:
-        return self._diff.get((n, label), {})
+        return dict(self._diff.get((n, label), {}))
 
     def column_vanishes(self, n: int, q: int) -> bool:
         return q > self._top_degree or super().column_vanishes(n, q)

@@ -1,5 +1,6 @@
 """Semicosimplicial objects, double complexes, spectral sequences."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from operadlab.instances import (
     witness_operad,
 )
 from operadlab.linalg import RationalMatrix, Subquotient, assemble, dense
+from operadlab.obstruction import ObstructionInput, compare_with_d2, run_pipeline
 from operadlab.operads import ArityOverflow, OpElement, Operad, parse_free_operad
 
 
@@ -320,6 +322,40 @@ def test_generic_delta_where_the_host_rule_does_not_apply():
     unnormalized = HochschildComplex(mcclure_smith(sphere, 4), 8, normalized=False)
     assert _generic_delta_calls(unnormalized) > 0
     assert _generic_delta_calls(HochschildComplex(mcclure_smith(witness_multiplicative(2)), 10)) > 0
+
+
+def _sphere_homology():
+    hochschild_homology(sphere_multiplicative(5, 6, 16), 6, 16)
+
+
+def _witness_pages():
+    H = HochschildComplex(mcclure_smith(witness_multiplicative(3, padded=True)), 26)
+    ss_pages(H, 6)
+    einfty_vs_total(H, 6)
+
+
+def _witness_d2():
+    M = witness_multiplicative(3, padded=True)
+    inp = ObstructionInput(M, witness_generator(M.operad, "g"), 3)
+    assert compare_with_d2(inp, run_pipeline(inp)).equal
+
+
+@pytest.mark.parametrize(
+    "run", [_sphere_homology, _witness_pages, _witness_d2],
+    ids=["sphere-homology", "witness-pages-and-einfty", "witness-d2"],
+)
+def test_each_delta_block_is_asked_for_once(run, monkeypatch):
+    """Why delta_mat assembles on every call: homology per q, the pages
+    with the E_infinity oracle (one Tot, built once) and the page-2
+    zig-zag each ask for every (n, q) block of delta at most once."""
+    asked = Counter()
+    delta_mat = HochschildComplex.delta_mat
+    monkeypatch.setattr(
+        HochschildComplex, "delta_mat",
+        lambda H, n, q: asked.update([(n, q)]) or delta_mat(H, n, q),
+    )
+    run()
+    assert asked and set(asked.values()) == {1}
 
 
 def _raw_vanishes(H, n, q):

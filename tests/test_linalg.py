@@ -278,6 +278,47 @@ def test_matmul_equals_the_dense_product(problem):
     assert not any(j >= len(b[0]) - len(kernel) for _, j in P.entries)
 
 
+@st.composite
+def sparse_products(draw):
+    """A matrix and a vector with zero, unit, non-unit, fractional and
+    integral-Fraction entries."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(sparse_entries, st.sampled_from([2, -3, Fraction(4, 2), Fraction(-3)]))
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    return rows, draw(st.lists(entries, min_size=c, max_size=c))
+
+
+def _exact_values(x: dict) -> bool:
+    """No zeros, and an int exactly where a value is integral."""
+    return all(
+        v != 0 and type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+        for v in x.values()
+    )
+
+
+@given(sparse_products())
+@settings(max_examples=200, deadline=None)
+def test_apply_is_the_dense_product(problem):
+    """apply on a sparse vector is the dense Fraction product with its zeros
+    dropped, ints where integral, and a kernel vector maps to nothing;
+    matvec and matmul hand out the same product as Fractions."""
+    rows, x = problem
+    M = mat(rows)
+    want = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    sparse_x = {j: v for j, v in enumerate(x) if v}
+    y = M.apply(sparse_x)
+    assert y == {i: v for i, v in enumerate(want) if v} and _exact_values(y)
+    assert sparse_x == {j: v for j, v in enumerate(x) if v}
+    assert M.matvec(x) == want and _all_fractions(M.matvec(x))
+    P = M.matmul(mat([[v] for v in x]))
+    assert P.columns() == [y] and _exact_values(P.columns()[0])
+    assert _all_fractions(P.entries.values())
+    for k in kernel_basis(M):
+        assert M.apply({j: v for j, v in enumerate(k) if v}) == {}
+    with pytest.raises(ValueError):
+        M.matvec(x + [1])
+
+
 # -- storage: int columns inside, Fractions at the edge -----------------------
 
 

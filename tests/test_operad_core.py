@@ -16,6 +16,7 @@ from operadlab.operads import (
     LEAF,
     DegreeOverflow,
     OpElement,
+    TableOperad,
     check_d_squared,
     check_leibniz,
     check_operad_axioms,
@@ -242,6 +243,21 @@ class TestTableOperad:
         m = OpElement.basis(2, "m")
         assert (op.compose(m, 1, unit) - m).is_zero()
         assert (op.compose(unit, 1, m) - m).is_zero()
+
+    def test_label_maps_hand_out_new_dicts(self):
+        """Emptying a dict that compose_basis or diff_basis returned leaves
+        the table as it was."""
+        op = poisson_operad_small(5)
+        b, m = OpElement.basis(2, "b"), OpElement.basis(2, "m")
+        op.compose_basis(2, "b", 1, 2, "m").clear()
+        assert op.compose_basis(2, "b", 1, 2, "m") == {"B23": 1, "B13": 1}
+        assert dict(op.compose(b, 1, m).coeffs) == {"B23": 1, "B13": 1}
+        dg = TableOperad(
+            {1: {0: ("1",)}, 2: {0: ("m",), 1: ("h",)}}, {},
+            unit="1", differentials={(2, "h"): {"m": Fraction(1)}},
+        )
+        dg.diff_basis(2, "h").clear()
+        assert dg.diff_basis(2, "h") == {"m": 1}
 
 
 def test_random_axiom_sampling_deterministic():
