@@ -289,7 +289,7 @@ def cmd_ss(args) -> int:
     _at_least("--r-max", args.r_max, 1)
     M = _column_instance(args)
     H = HochschildComplex(mcclure_smith(M, args.n_max), q_max=args.q_max)
-    # first: its pages up to n_max + 1 also serve the requested ones
+    # the E_infinity check and the pages read one filtered reduction of H
     comparison = einfty_vs_total(H, args.r_max)
     pages = ss_pages(H, args.r_max)
     payload = {"instance": M.name, "pages": []}

@@ -17,7 +17,8 @@
   zero-differential hosts, with representatives.
 * :func:`ss_pages` computes the spectral sequence of the column
   filtration: E^1 is columnwise homology, d_r has bidegree (-r, r-1),
-  and each page is derived exactly from the filtered total complex.
+  and every page is read off one filtered reduction (the persistence
+  pairing) of each total differential.
 * :func:`total_complex` is the direct abutment oracle, the spectral
   sequence's one total complex, whose differentials ``SpectralSequence.D``
   reads; :func:`zigzag_dr` is the explicit lifting computation behind d_r.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from math import inf
 
 from .complexes import (
     ChainComplexWindow, GradedSpace, bigraded_dims, complex_from_rule, totals_by_degree
@@ -415,19 +417,21 @@ class BigradedPage:
 class SpectralSequence:
     """Spectral sequence of the column filtration of a double complex.
 
-    Pages are computed exactly from the filtered total complex:
-    Z_r at filtration p = {x in F_p : D x in F_{p-r}}, and
-    E_r = Z_r / (Z_{r-1} at p-1  +  D Z_{r-1} at p+r-1), with d_r induced
-    by D.  F_p is spanned by columns n >= -p, and D = d + (-1)^q delta.
+    F_p is spanned by columns n >= -p, and D = d + (-1)^q delta keeps it.
+    Every page is read off one filtered reduction of each D(t), the
+    persistence pairing: a source in column n whose reduced image has its
+    pivot in column n + r pairs with that image, a pair of length r.  In
+    the basis of Tot_t made of the sources, the images and the unpaired
+    cycles, each led by one column, D sends a source to its image and
+    everything else to zero.  So E_r at (p, q) is spanned by the unpaired
+    cycles and both ends of the pairs of length >= r led by column -p, and
+    d_r sends the source of each pair of length r to its image.
     """
 
     def __init__(self, H: HochschildComplex):
         self.H = H
         self._tot: ChainComplexWindow | None = None
-        self._pages_done: list = []  # pages 1..r of the longest computation
-
-    def tot_dim(self, t: int) -> int:
-        return self.total_complex().dim(t)
+        self._cells: dict | None = None
 
     def D(self, t: int) -> RationalMatrix:
         """Total differential Tot_t -> Tot_{t-1}, D = d + (-1)^q delta; the
@@ -472,11 +476,6 @@ class SpectralSequence:
             )
         return self._tot
 
-    def _before(self, t: int, n: int) -> int:
-        """Number of Tot_t basis elements in columns below n; Tot_t is
-        ordered by column, so F_p is the suffix from ``_before(t, -p)``."""
-        return sum(self.H.dim(m, t + m) for m in range(n))
-
     def entry_reliable(self, p: int, q: int, r: int) -> bool:
         """Conservative check that the truncation cannot change E_r(p,q).
 
@@ -506,68 +505,62 @@ class SpectralSequence:
             n_tgt <= H.n_max or H.vanishes(n_tgt, q + rp - 1)
         )
 
-    def pages(self, r_max: int) -> list:
-        """Pages 1..r_max; the longest list computed serves every shorter
-        request."""
-        if len(self._pages_done) < r_max:
-            self._pages_done = self._pages(r_max)
-        return self._pages_done[:r_max]
+    def _pairing(self) -> dict:
+        """(n, q) -> the basis of Tot_t led by column n, t = q - n, as
+        (index, sparse vector, pair length, image index), by index.  A
+        source carries its image's pivot in Tot_{t-1}, an image None, and an
+        unpaired cycle the length inf.  Built once, by one reduction per t
+        of the sources of D(t), column n descending, each pivot in the
+        smallest column its reduced image touches; the pivots of D(t+1) are
+        skipped, since their images are cycles led there."""
+        if self._cells is None:
+            basis, cells, pivots = self.total_complex().space.basis, {}, {}
 
-    def _pages(self, r_max: int) -> list:
-        """Z_r(p, t) depends on p only through the first column -p of F_p
-        and on r only through the row bound r - p of its constraint, both
-        clamped to 0..n_max+1; each Z and each quotient is eliminated once
-        per call, on sparse ``{index: value}`` vectors."""
-        cap = self.H.n_max + 1
-        columns: dict = {}  # t -> D(t).columns(), copied once for all the Z of t
-        Zs: dict = {}  # (t, first column, row bound) -> sparse basis of Z
-        quotients: dict = {}  # triple of Z keys -> Subquotient
+            def put(t: int, i: int, vector: dict, length, image=None):
+                n = basis[t][i][0]
+                cells.setdefault((n, t + n), []).append((i, vector, length, image))
 
-        def D_columns(t: int) -> list:
-            if t not in columns:
-                columns[t] = self.D(t).columns()
-            return columns[t]
-
-        def Z(r: int, p: int, t: int) -> tuple:
-            """Key of Z_r = {x in F_p (+) Tot_t : D x in F_{p-r}}: the
-            kernel of D from F_p to the columns below r - p."""
-            key = (t, min(max(-p, 0), cap), min(max(r - p, 0), cap))
-            if key not in Zs:
-                lo, rows = self._before(t, key[1]), self._before(t - 1, key[2])
+            for t in sorted(basis, reverse=True):  # pivots[t]: those of D(t + 1)
+                below, columns = basis.get(t - 1, ()), self.D(t).columns()
+                order = [j for j in reversed(range(len(basis[t]))) if j not in pivots.get(t, ())]
                 E = Subquotient(
-                    rows, [{i: v for i, v in c.items() if i < rows} for c in D_columns(t)[lo:]]
+                    len(below), [columns[j] for j in order], block=lambda i: below[i][0]
                 )
-                Zs[key] = [{lo + i: c for i, c in k.items()} for k in E.kernel()]
-            return key
+                sources = [order[k] for k in E.pivot_columns]
+                for j, (lead, row, coords) in zip(sources, E.pivot_rows()):
+                    length = below[lead][0] - basis[t][j][0]
+                    put(t, j, {sources[m]: c for m, c in coords.items()}, length, lead)
+                    put(t - 1, lead, row, length)
+                pivots[t - 1] = {lead for lead, _, _ in E.pivot_rows()}
+                for f, z in zip(E.dependent, E.kernel()):
+                    put(t, order[f], {order[i]: c for i, c in z.items()}, inf)
+            self._cells = {pos: sorted(cell) for pos, cell in sorted(cells.items())}
+        return self._cells
 
+    def pages(self, r_max: int) -> list:
+        """Pages 1..r_max, read off the one pairing."""
         out = []
         for r in range(1, r_max + 1):
+            alive = {pos: [e for e in cell if e[2] >= r] for pos, cell in self._pairing().items()}
+            row = {pos: {e[0]: k for k, e in enumerate(es)} for pos, es in alive.items()}
             page = BigradedPage(r, {})
-            at: dict = {}  # (p, q) -> quotient key
-            for (n, q) in sorted(self.H._labels):
-                p, t = -n, q - n
-                key = (Z(r, p, t), Z(r - 1, p - 1, t), Z(r - 1, p + r - 1, t + 1))
-                if key not in quotients:
-                    up = [self.D(t + 1).apply(u) for u in Zs[key[2]]]
-                    quotients[key] = Subquotient(self.tot_dim(t), Zs[key[0]], Zs[key[1]] + up)
-                at[(p, q)], quo = key, quotients[key]
+            for (n, q), es in alive.items():
+                p = -n
                 # entry_reliable(p, q, r): the last page's flag and one more d_r
                 ok = self._window_reliable(p, q) if r == 1 else (
                     out[-1].entries[(p, q)].reliable and self._dr_reliable(p, q, r - 1)
                 )
-                page.entries[(p, q)] = PageEntry(p, q, quo.dim, quo.representatives, ok)
-            # differentials d_r: (p, q) -> (p - r, q + r - 1)
-            for (p, q), e in page.entries.items():
-                if e.dim:
-                    images = [self.D(p + q).apply(x) for x in e.representatives]
-                    d_r = _entry_coords(quotients.get(at.get((p - r, q + r - 1))), images)
-                    if d_r is not None:
-                        page.differentials[(p, q)] = d_r
+                page.entries[(p, q)] = PageEntry(p, q, len(es), [e[1] for e in es], ok)
+            # d_r: (p, q) -> (p - r, q + r - 1), each source of length r to its image
+            for (n, q), es in alive.items():
+                tgt = row.get((n + r, q + r - 1))
+                if es and tgt:
+                    page.differentials[(-n, q)] = RationalMatrix(len(tgt), len(es), {
+                        (tgt[image], j): 1
+                        for j, (_, _, length, image) in enumerate(es)
+                        if length == r and image is not None
+                    })
             out.append(page)
-            # the next page reuses only this page's work: its Z_r become the
-            # next denominators, and past n_max + 1 every key repeats
-            quotients = {key: quotients[key] for key in at.values()}
-            Zs = {z: Zs[z] for key in quotients for z in key}
         # consistency: each page is the homology of the previous one
         for a, b in zip(out, out[1:]):
             ranks = {pq: rank(m) for pq, m in a.differentials.items()}
@@ -578,22 +571,6 @@ class SpectralSequence:
                         f"page recursion mismatch at r={b.r}, (p,q)=({p},{q})"
                     )
         return out
-
-
-def _entry_coords(entry: Subquotient | None, images: list) -> RationalMatrix | None:
-    """d_r in class coordinates: column j holds the coordinates of the
-    D-image ``images[j]`` on the target entry; None when that entry has no
-    classes.  With no stored position there (None), every image vanishes."""
-    try:
-        if entry is None and any(images):
-            raise NoSolution
-        cols = [entry.sparse_coords(y) for y in images] if entry is not None else []
-    except NoSolution:
-        raise AssertionError("d_r image missed the target entry") from None
-    if entry is None or not entry.dim:
-        return None
-    entries = {(k, j): c for j, col in enumerate(cols) for k, c in col.items()}
-    return RationalMatrix(entry.dim, len(cols), entries)
 
 
 def ss_pages(H: HochschildComplex, r_max: int) -> list:

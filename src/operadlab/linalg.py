@@ -2,7 +2,7 @@
 
 Everything downstream reduces to one elimination, the incremental sparse
 forward reduction of :class:`Subquotient`.  It is behind homology,
-spectral-sequence pages and quotients, and ``row_reduce`` is that
+quotients and the spectral-sequence pairing, and ``row_reduce`` is that
 reduction on a matrix's columns: ``rank`` and ``solve_particular`` read
 their answers off its pivot columns, and :meth:`Subquotient.kernel` is
 the one readout of an echelon's kernel, sparse, which ``kernel_basis``,
@@ -25,8 +25,9 @@ combinations follow the same rule in ``operads.combine``, which sums
 
 Pivoting is deterministic: vectors go in the given order, and each
 remainder's pivot is a unit entry where it has one, at the coordinate that
-the fewest input vectors touch (Markowitz), smallest index on ties.  Only
-the stored rows depend on that choice; every readout depends on the
+the fewest input vectors touch (Markowitz), smallest index on ties, and
+inside the smallest block it touches when coordinates come in blocks.
+Only the stored rows depend on that choice; every readout depends on the
 insertion order and the spans alone, so bases are reproducible.
 """
 
@@ -226,6 +227,8 @@ class Subquotient:
     ``dependent`` (cycle index -> sparse coordinates).  Every pivot row
     records its coordinates over the representatives (boundaries count as
     zero), so ``coords`` is one forward reduction with no new elimination.
+    With ``block`` (coordinate -> int), each pivot lies in the smallest
+    block its remainder touches, and reducing never reaches a smaller one.
     Vectors are dense sequences or sparse ``{index: value}`` maps.  Pivot
     rows and the ``dependent`` coordinates hold ints where integral;
     ``coords`` hands out Fractions.  A vector is reduced against the pivot
@@ -234,9 +237,11 @@ class Subquotient:
     """
 
     def __init__(
-        self, ambient_dim: int, cycles: Sequence, boundaries: Sequence = ()
+        self, ambient_dim: int, cycles: Sequence, boundaries: Sequence = (),
+        block: Callable[[int], int] | None = None,
     ):
         self.ambient_dim = ambient_dim
+        self._block = block
         self.representatives: list = []
         self.pivot_columns: list[int] = []
         self.dependent: dict[int, dict] = {}
@@ -263,6 +268,12 @@ class Subquotient:
     def rows(self) -> list[dict]:
         """The pivot rows in insertion order, a basis of the span."""
         return [row for _, row, _ in self._rows]
+
+    def pivot_rows(self) -> list[tuple[int, dict, dict]]:
+        """(pivot, row, the row's coordinates over the representatives) per
+        pivot row, in insertion order; the row is that combination of the
+        representatives modulo span(boundaries)."""
+        return list(self._rows)
 
     def kernel(self) -> list[dict]:
         """One relation e_f - sum_k c_k e_{pivot_k} per dependent cycle f
@@ -330,7 +341,11 @@ class Subquotient:
         coords = self._reduce(w)
         if not w:
             return coords
-        lead = min(w, key=lambda c: (abs(w[c]) != 1, count[c], c))
+        block, lows = self._block, w
+        if block is not None:
+            low = min(map(block, w))
+            lows = [c for c in w if block(c) == low]
+        lead = min(lows, key=lambda c: (abs(w[c]) != 1, count[c], c))
         # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries;
         # the row is w / w[lead] and its coordinates (rep - coords) / w[lead]
         p = w[lead]

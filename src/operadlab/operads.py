@@ -398,9 +398,10 @@ class TableOperad(Operad):
             for q, ls in by_deg.items():
                 for l in ls:
                     self._degree[(n, l)] = q
-        self._comp = compositions
+        # copies: editing the caller's tables afterwards leaves the operad as it is
+        self._comp = {key: dict(c) for key, c in compositions.items()}
         self._unit = unit
-        self._diff = differentials or {}
+        self._diff = {key: dict(c) for key, c in (differentials or {}).items()}
         self.max_arity = max_arity if max_arity is not None else max(self._basis)
         self._top_degree = max(
             (q for n, by_deg in self._basis.items() if n <= self.max_arity for q in by_deg),
@@ -436,13 +437,11 @@ class TableOperad(Operad):
 
     def corrupted(self, key, replacement: Coeffs) -> "TableOperad":
         """Copy with one structure constant replaced (negative controls)."""
-        comp = dict(self._comp)
-        comp[key] = replacement
         return TableOperad(
-            {n: dict(b) for n, b in self._basis.items()},
-            comp,
+            self._basis,
+            {**self._comp, key: replacement},
             unit=self._unit,
-            differentials=dict(self._diff),
+            differentials=self._diff,
             max_arity=self.max_arity,
         )
 

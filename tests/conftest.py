@@ -246,13 +246,17 @@ def reference_homology(C: ChainComplexWindow) -> dict:
 def reference_pages(H, r_max: int) -> list:
     """Pages 1..r_max of the column-filtration spectral sequence, computed
     the plain way: every Z_r is a dense kernel basis padded to all of
-    Tot_t, recomputed for each page and position, and d_r is read off
-    dense class coordinates.  An oracle for ``SpectralSequence.pages``,
-    which eliminates each Z_r and each quotient once on sparse vectors."""
+    Tot_t, recomputed for each page and position, E_r is the quotient
+    Z_r / (Z_{r-1} at p-1 + D Z_{r-1} at p+r-1), and d_r is read off dense
+    class coordinates.  Each page keeps those quotients in ``quotients``,
+    (p, q) -> Subquotient.  An oracle for ``SpectralSequence.pages``, which
+    reads every page off one filtered reduction per total degree, in the
+    basis of its pairs; the quotients give the coordinates in which the
+    two are compared."""
     from operadlab.cosimplicial import BigradedPage, PageEntry
 
     ss = H.spectral_sequence()
-    basis = ss.total_complex().space.basis
+    basis, tot_dim = ss.total_complex().space.basis, ss.total_complex().dim
 
     def Z(r, p, t):
         dom = [i for i, (n, _, _) in enumerate(basis.get(t, [])) if -n <= p]
@@ -267,7 +271,7 @@ def reference_pages(H, r_max: int) -> list:
         }
         out = []
         for k in kernel_basis(RationalMatrix(len(bad), len(dom), entries)):
-            v = [Fraction(0)] * ss.tot_dim(t)
+            v = [Fraction(0)] * tot_dim(t)
             for ci, c in enumerate(dom):
                 v[c] = k[ci]
             out.append(v)
@@ -280,7 +284,7 @@ def reference_pages(H, r_max: int) -> list:
         for n, q in sorted(H._labels):
             p, t = -n, q - n
             up = [ss.D(t + 1).matvec(u) for u in Z(r - 1, p + r - 1, t + 1)]
-            quo = Subquotient(ss.tot_dim(t), Z(r, p, t), Z(r - 1, p - 1, t) + up)
+            quo = Subquotient(tot_dim(t), Z(r, p, t), Z(r - 1, p - 1, t) + up)
             quotients[(p, q)] = quo
             page.entries[(p, q)] = PageEntry(
                 p, q, quo.dim, quo.representatives, ss.entry_reliable(p, q, r)
@@ -298,6 +302,7 @@ def reference_pages(H, r_max: int) -> list:
                     raise AssertionError("d_r image missed the target entry") from None
             if tgt is not None and tgt.dim:
                 page.differentials[(p, q)] = RationalMatrix.from_columns(cols, tgt.dim)
+        page.quotients = quotients
         pages.append(page)
     return pages
 

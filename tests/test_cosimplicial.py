@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import inf
 
 import pytest
 from conftest import reference_pages
@@ -32,7 +33,7 @@ from operadlab.instances import (
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.linalg import RationalMatrix, Subquotient, assemble, dense
+from operadlab.linalg import RationalMatrix, Subquotient, assemble, rank
 from operadlab.obstruction import ObstructionInput, compare_with_d2, run_pipeline
 from operadlab.operads import ArityOverflow, OpElement, Operad, parse_free_operad
 
@@ -511,6 +512,12 @@ class TestSpectralSequence:
         assert by_r[2].dim(-1, 7) == 1
         assert by_r[3].dim(-3, 8) == 0
         assert by_r[3].dim(-1, 7) == 0
+        # the forced d_2 is the one pair of length 2: its source to its image
+        assert by_r[2].differentials[(-1, 7)] == RationalMatrix(1, 1, {(0, 0): 1})
+        pairing = H.spectral_sequence()._pairing()
+        assert sorted(pos for pos, cell in pairing.items() for e in cell if e[2] == 2) == [
+            (1, 7), (3, 8)
+        ]
 
     def test_einfty_matches_total_homology(self, witness2):
         for M in (witness2, witness_multiplicative(2, padded=True)):
@@ -536,22 +543,28 @@ class TestSpectralSequence:
         ids=["witness", "padded-witness", "sphere", "framed"],
     )
     def test_pages_match_the_dense_oracle(self, make, n_max, q_max, r_max):
-        """Every entry (dim, representatives, reliability) and every d_r
-        matrix equals the dense per-page computation."""
+        """Every entry's dim and reliability equals the dense per-page
+        computation; its representatives have an invertible coordinate
+        matrix C on the oracle's quotient, and under those changes of basis
+        every d_r equals the oracle's: C_target d_r = d_r(oracle) C_source."""
         M = make()
         H = HochschildComplex(mcclure_smith(M, n_max), q_max=q_max)
-        pages, tot_dim = ss_pages(H, r_max), H.spectral_sequence().tot_dim
+        pages = ss_pages(H, r_max)
         want = reference_pages(HochschildComplex(mcclure_smith(M, n_max), q_max=q_max), r_max)
         assert [p.r for p in pages] == [p.r for p in want] == list(range(1, r_max + 1))
         for got, ref in zip(pages, want):
             assert got.entries.keys() == ref.entries.keys()
+            change = {}
             for pq, e in got.entries.items():
-                f = ref.entries[pq]
-                reps = [dense(x, tot_dim(sum(pq))) for x in e.representatives]
-                assert (e.dim, reps, e.reliable) == (
-                    f.dim, f.representatives, f.reliable
-                ), (got.r, pq)
-            assert got.differentials == ref.differentials, got.r
+                f, quo = ref.entries[pq], ref.quotients[pq]
+                assert (e.dim, e.reliable) == (f.dim, f.reliable), (got.r, pq)
+                C = RationalMatrix.from_columns([quo.coords(x) for x in e.representatives], f.dim)
+                assert (C.rows, C.cols) == (e.dim, e.dim) and rank(C) == e.dim, (got.r, pq)
+                change[pq] = C
+            assert got.differentials.keys() == ref.differentials.keys(), got.r
+            for (p, q), d_r in got.differentials.items():
+                C_tgt = change[(p - got.r, q + got.r - 1)]
+                assert C_tgt.matmul(d_r) == ref.differentials[(p, q)].matmul(change[(p, q)])
 
     @pytest.mark.parametrize(
         "make,n_max,q_max",
@@ -565,31 +578,60 @@ class TestSpectralSequence:
         self, make, n_max, q_max, monkeypatch
     ):
         """Every d_r with r > n_max leaves the columns, so each page past
-        n_max + 1 equals page n_max + 1 and carries no differential; those
-        pages build no quotient of their own."""
-        built = []
+        n_max + 1 equals page n_max + 1 and carries no differential.  All
+        pages are read off one filtered reduction per total degree, however
+        many are asked for."""
+        filtered = []
         init = Subquotient.__init__
 
         def counting(self, *args, **kwargs):
-            built.append(1)
+            filtered.append(kwargs.get("block") is not None)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Subquotient, "__init__", counting)
         M = make()
 
         def run(r_max):
-            built.clear()
+            filtered.clear()
             H = HochschildComplex(mcclure_smith(M, n_max), q_max=q_max)
-            return ss_pages(H, r_max), len(built)
+            pages = ss_pages(H, r_max)
+            degrees = len(H.spectral_sequence().total_complex().space.degrees())
+            assert sum(filtered) == degrees
+            assert ss_pages(H, 2) == pages[:2] and einfty_vs_total(H)
+            assert sum(filtered) == degrees
+            return pages
 
-        short, n_short = run(n_max + 2)
-        pages, n_long = run(40)
-        assert n_long <= n_short
+        short, pages = run(n_max + 2), run(40)
         stable = short[n_max]
         assert stable.r == n_max + 1 and pages[: n_max + 2] == short
         for page in pages[n_max + 1:]:
             assert page.differentials == {}
             assert page.entries == stable.entries, page.r
+
+    @pytest.mark.parametrize(
+        "make,n_max,q_max",
+        [
+            (lambda: sphere_multiplicative(5, 6, 16), 6, 16),
+            (lambda: framed_multiplicative(7, 5, 14), 5, 14),
+        ],
+        ids=["sphere-d5", "framed-d7"],
+    )
+    def test_zero_differential_hosts_pair_in_length_one(self, make, n_max, q_max):
+        """With d = 0, D = +-delta moves every column up by exactly one, so
+        every pair of the filtered reduction has length 1: every d_r with
+        r >= 2 is zero and E_2 is E_infinity, with no special case.  (The
+        witness host's forced d_2 is a pair of length 2.)"""
+        M = make()
+        assert not M.operad.has_differential()
+        H = HochschildComplex(mcclure_smith(M, n_max), q_max=q_max)
+        ss = H.spectral_sequence()
+        lengths = Counter(e[2] for cell in ss._pairing().values() for e in cell)
+        assert set(lengths) == {1, inf} and lengths[1] > 0
+        pages = ss.pages(n_max + 1)
+        assert any(not m.is_zero() for m in pages[0].differentials.values())
+        assert all(m.is_zero() for page in pages[1:] for m in page.differentials.values())
+        classes = [{pq: e.representatives for pq, e in page.entries.items()} for page in pages]
+        assert all(later == classes[1] for later in classes[2:])
 
     @pytest.mark.parametrize(
         "make,n_max,q_max,flips",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_free_basis, reference_free_compose, reference_free_diff
-from operadlab.instances import poisson_operad_small, witness_operad
+from operadlab.instances import poisson_operad_small, poisson_structure_constants, witness_operad
 from operadlab.operads import (
     LEAF,
     DegreeOverflow,
@@ -258,6 +258,21 @@ class TestTableOperad:
         )
         dg.diff_basis(2, "h").clear()
         assert dg.diff_basis(2, "h") == {"m": 1}
+
+    def test_editing_the_tables_after_construction_leaves_the_operad(self):
+        """The constructor copies the caller's composition and differential
+        tables, so later edits to them do not reach the operad."""
+        basis, comp = poisson_structure_constants(5)
+        op = TableOperad(basis, comp, unit="1", max_arity=3)
+        comp[(2, "b", 1, 2, "m")] = {}
+        b, m = OpElement.basis(2, "b"), OpElement.basis(2, "m")
+        want = OpElement.basis(3, "B13") + OpElement.basis(3, "B23")
+        assert (op.compose(b, 1, m) - want).is_zero()
+        diff = {(2, "h"): {"m": Fraction(1)}}
+        dg = TableOperad({1: {0: ("1",)}, 2: {0: ("m",), 1: ("h",)}}, {}, differentials=diff)
+        diff[(2, "h")]["m"] = Fraction(0)
+        diff.clear()
+        assert dg.diff_basis(2, "h") == {"m": 1} and dg.has_differential()
 
 
 def test_random_axiom_sampling_deterministic():

@@ -134,32 +134,37 @@ def mixed_problems(draw):
 @given(mixed_problems())
 @settings(max_examples=100, deadline=None)
 def test_pivot_choice_changes_no_readout(problem):
+    """Markowitz pivots, free or kept inside the smallest block a remainder
+    touches, give the readouts of smallest-index pivots."""
     n, cycles, boundaries, probes = problem
-    sq = Subquotient(n, cycles, boundaries)
     ref = SmallestIndexSubquotient(n, cycles, boundaries)
-    assert sq.pivot_columns == ref.pivot_columns
-    assert len(sq.representatives) == len(ref.representatives)
-    assert all(a is b for a, b in zip(sq.representatives, ref.representatives))
-    assert sq.dependent == {
-        i: {k: c for k, c in cs.items() if c} for i, cs in ref.dependent.items()
-    }
-    # the rows differ, their span does not
-    assert rref([dense(r, n) for r in sq.rows()], n) == rref(
-        [dense(r, n) for r in ref.rows()], n
-    )
-    for v in probes:
-        try:
-            want = ref.sparse_coords(v)
-        except NoSolution:
-            with pytest.raises(NoSolution):
-                sq.sparse_coords(v)
-            with pytest.raises(NoSolution):
-                sq.coords(v)
-            continue
-        got = sq.sparse_coords(v)
-        assert got == want
-        assert all(type(c) is int or c.denominator != 1 for c in got.values())
-        assert sq.coords(v) == ref.coords(v)
+    for block in (None, lambda c: 2 * c % 3):
+        sq = Subquotient(n, cycles, boundaries, block=block)
+        if block is not None:  # each pivot lies in the smallest block its row touches
+            assert all(block(lead) == min(map(block, row)) for lead, row, _ in sq.pivot_rows())
+        assert sq.pivot_columns == ref.pivot_columns
+        assert len(sq.representatives) == len(ref.representatives)
+        assert all(a is b for a, b in zip(sq.representatives, ref.representatives))
+        assert sq.dependent == {
+            i: {k: c for k, c in cs.items() if c} for i, cs in ref.dependent.items()
+        }
+        # the rows differ, their span does not
+        assert rref([dense(r, n) for r in sq.rows()], n) == rref(
+            [dense(r, n) for r in ref.rows()], n
+        )
+        for v in probes:
+            try:
+                want = ref.sparse_coords(v)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    sq.sparse_coords(v)
+                with pytest.raises(NoSolution):
+                    sq.coords(v)
+                continue
+            got = sq.sparse_coords(v)
+            assert got == want
+            assert all(type(c) is int or c.denominator != 1 for c in got.values())
+            assert sq.coords(v) == ref.coords(v)
 
 
 def test_pivot_is_a_unit_at_the_least_touched_coordinate():
