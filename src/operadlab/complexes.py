@@ -209,22 +209,26 @@ class HomologyResult:
 def homology(C: ChainComplexWindow) -> HomologyResult:
     """Kernel-mod-image homology with explicit representative cycles.
 
-    Each d_q is reduced once, without coordinates: its echelon rows span
-    the boundaries of degree q - 1 and count rank d_q.  Only a degree with
-    homology reduces d_q again for its sparse kernel; elsewhere the
-    boundaries alone give the same quotient, since d o d = 0 is checked at
-    construction.  Only the representatives handed out are made dense.
+    Each d_{q+1} is reduced once, without coordinates: its echelon rows
+    span the boundaries of degree q and count rank d_{q+1}.  At a degree
+    with no class that echelon is the quotient, since d o d = 0 is checked
+    at construction.  A degree with a class reduces d_q again, now with
+    coordinates, for its sparse kernel, and inserts the kernel after the
+    boundary rows into its quotient.  Only the representatives handed out
+    are made dense.
     """
     lo, hi = C.window
     out = {}
     image: list = []  # d_lo is the zero map out of the window
     for q in range(lo, hi + 1):
         n = C.dim(q)
-        boundaries = Subquotient(n, (), C.d(q + 1).columns()).rows() if q < hi else []
+        # the plain echelon of d_{q+1}, the quotient unless q has a class
+        quotient = Subquotient(n, (), C.d(q + 1).columns() if q < hi else ())
+        boundaries = quotient.rows()
         # an open lower edge has an unknown differential: no cycles there
         n_cycles = n - len(image) if q > lo or C.complete_below else 0
-        cycles = row_reduce(C.d(q)).kernel() if n_cycles > len(boundaries) else []
-        quotient = Subquotient(n, cycles, boundaries)
+        if n_cycles > len(boundaries):
+            quotient = Subquotient(n, row_reduce(C.d(q)).kernel(), boundaries)
         out[q] = DegreeHomology(
             dim=quotient.dim,
             representatives=[dense(z, n) for z in quotient.representatives],

@@ -158,7 +158,7 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
     multiplication (mult o2 x), d^i = x o_i mult for 1 <= i <= n, and
     d^{n+1} = mult o1 x.  Codegeneracies s^i = (- o_{i+1} point) when the
     structure has an arity-0 point, read off the host's ``compose_basis``
-    when the point is one label.  The columns are the host's arities
+    (the point is one label).  The columns are the host's arities
     0..n_max; ``HochschildComplex`` reads their labels and restricts them
     to the normalized ones, where the host's ``normal_delta`` gives delta
     if mult is its ``mu()``.  ``n_max`` may not exceed the arity cap.
@@ -181,15 +181,10 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
 
     codegeneracy = normal_delta = None
     if M.point is not None:
-        point = M.point.coeffs
-        if len(point) == 1 and point[0][1] == 1:
-            pl = point[0][0]  # one basis label: the composite is compose_basis's
+        ((pl, _),) = M.point.coeffs
 
-            def codegeneracy(n, i, label) -> Coeffs:
-                return op.compose_basis(n + 1, label, i + 1, 0, pl)
-        else:
-            def codegeneracy(n, i, label) -> Coeffs:
-                return op.compose_terms(n + 1, ((label, 1),), i + 1, 0, point)
+        def codegeneracy(n, i, label) -> Coeffs:
+            return op.compose_basis(n + 1, label, i + 1, 0, pl)
 
         if op.normal_delta is not None and M.mult == op.mu():
             normal_delta = op.normal_delta
@@ -583,21 +578,24 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
 
     Every d_r with r > n_max leaves columns 0..n_max, so page n_max + 1 is
     E_infinity of the stored double complex; the page compared is
-    max(r_max, n_max + 1), n_max + 2 by default.  Returns a list of
+    max(r_max, n_max + 1), n_max + 2 by default.  dim H_t(Tot) is counted
+    as dim Tot_t - rank D(t) - rank D(t + 1), one plain echelon per D(t),
+    independent of the pairing behind the pages.  Returns a list of
     (t, einfty_sum, total_dim) over reliable degrees.
     """
     ss = H.spectral_sequence()
     last = ss.pages(H.n_max + 2 if r_max is None else max(r_max, H.n_max + 1))[-1]
     tot = ss.total_complex()
-    Ht = tot.homology()
+    degrees = tot.space.degrees()
+    ranks = {t: rank(ss.D(t)) for t in degrees}
     out = []
-    for t in tot.space.degrees():
-        if not Ht.per_degree[t].reliable:
+    for t in degrees:
+        if not tot.reliable(t):
             continue
         ent = [e for (p, q), e in last.entries.items() if p + q == t]
         if any(not e.reliable for e in ent):
             continue
-        out.append((t, sum(e.dim for e in ent), Ht.per_degree[t].dim))
+        out.append((t, sum(e.dim for e in ent), tot.dim(t) - ranks[t] - ranks.get(t + 1, 0)))
     return out
 
 

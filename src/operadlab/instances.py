@@ -174,8 +174,10 @@ def sphere_operad(d: int, max_arity: int = 4, degree_cap: int | None = None) -> 
 class MultiplicativeStructure:
     """An operad with a chosen associative degree-0 multiplication.
 
-    ``point`` is an arity-0 element used to build codegeneracies; chain
-    hosts without one (the witness operads) get coface-only objects.
+    ``point`` is an arity-0 element used to build codegeneracies: one
+    basis label with coefficient 1, since a multiple of it breaks the
+    identities s^j d^j = s^j d^{j+1} = id.  Chain hosts without one (the
+    witness operads) get coface-only objects.
     """
 
     operad: Operad
@@ -190,6 +192,8 @@ class MultiplicativeStructure:
             raise ValueError("multiplication must have degree 0")
         if not self.operad.differential(self.mult).is_zero():
             raise ValueError("multiplication must be a cycle")
+        if self.point is not None and [c for _, c in self.point.coeffs] != [1]:
+            raise ValueError("the point must be one basis label with coefficient 1")
 
 
 def sphere_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = None):

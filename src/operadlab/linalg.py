@@ -2,16 +2,18 @@
 
 Everything downstream reduces to one elimination, the incremental sparse
 forward reduction of :class:`Subquotient`.  It is behind homology,
-quotients and the spectral-sequence pairing, and ``row_reduce`` is that
-reduction on a matrix's columns: ``rank`` and ``solve_particular`` read
-their answers off its pivot columns, and :meth:`Subquotient.kernel` is
-the one readout of an echelon's kernel, sparse, which ``kernel_basis``,
-homology and the pages share.  :func:`assemble` builds every matrix from
-per-label images, and :meth:`RationalMatrix.apply` is the one sparse
-product.  A matrix is stored as its sparse ``{row: value}``
-columns, which the elimination takes with no conversion, and vectors are
-reduced as sparse maps, so the large-but-sparse coboundary matrices stay
-cheap.
+quotients and the spectral-sequence pairing.  A count reads the plain
+echelon, ``Subquotient(n, (), columns)``, which keeps no coordinates:
+``rank`` is its number of rows.  ``row_reduce`` is the reduction of a
+matrix's columns with coordinates, for what hands out a vector:
+``solve_particular`` reads its answer off the pivot columns, and
+:meth:`Subquotient.kernel` is the one readout of an echelon's kernel,
+sparse, which ``kernel_basis``, homology and the pages share.
+:func:`assemble` builds every matrix from per-label images, and
+:meth:`RationalMatrix.apply` is the one sparse product.  A matrix is
+stored as its sparse ``{row: value}`` columns, which the elimination
+takes with no conversion, and vectors are reduced as sparse maps, so the
+large-but-sparse coboundary matrices stay cheap.
 
 Inside the elimination and in a stored column a value is a plain ``int``
 whenever it is integral; a ``Fraction`` appears only where a non-unit
@@ -173,7 +175,8 @@ def row_reduce(M: RationalMatrix) -> "Subquotient":
 
 
 def rank(M: RationalMatrix) -> int:
-    return row_reduce(M).dim
+    """The number of rows of M's plain echelon, which keeps no coordinates."""
+    return len(Subquotient(M.rows, (), M.columns()).rows())
 
 
 def kernel_basis(M: RationalMatrix) -> list[Vector]:

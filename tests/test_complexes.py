@@ -19,6 +19,7 @@ from operadlab.complexes import (
 from operadlab.linalg import (
     NoSolution,
     RationalMatrix,
+    Subquotient,
     is_zero_vec,
     kernel_basis,
     row_reduce,
@@ -108,6 +109,29 @@ class TestHomology:
             calls.clear()
             H = C.homology()
             assert len(calls) == sum(1 for h in H.per_degree.values() if h.dim)
+
+
+    def test_one_echelon_per_degree_and_two_more_per_class(self, rng, monkeypatch):
+        """One ``homology`` call builds one ``Subquotient`` per degree, the
+        plain echelon of d_{q+1}, which is the quotient of a degree with no
+        class; a degree with a class adds its kernel echelon and its
+        quotient."""
+        built = []
+        init = Subquotient.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Subquotient, "__init__", counting)
+        for _ in range(40):
+            C, _ = random_complex(rng)
+            for edge in ({}, {"complete_below": False}, {"complete_above": False}):
+                C_edge = ChainComplexWindow(C.space, C.differential, C.window, **edge)
+                built.clear()
+                H = C_edge.homology()
+                classes = sum(1 for h in H.per_degree.values() if h.dim)
+                assert len(built) == len(H.per_degree) + 2 * classes
 
 
 def assert_matches_reference(C, rng):

@@ -19,6 +19,7 @@ from operadlab.cosimplicial import (
     total_complex,
     zigzag_dr,
 )
+from operadlab import complexes, linalg
 from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
     FramedOperad,
@@ -67,9 +68,22 @@ class TestSemicosimplicialIdentities:
             C.homology()  # constructor and homology assert d^2 = 0
 
 
-def _sphere_with_twice_the_point():
+def test_a_point_that_is_not_one_label_is_refused():
+    """The point is one basis label with coefficient 1: twice the sphere's
+    point breaks s^j d^j = id, so it is no cosimplicial structure, and
+    MultiplicativeStructure refuses it, as it refuses the zero point."""
     M = sphere_multiplicative(5, 4, 8)
-    return MultiplicativeStructure(M.operad, M.mult, M.point.scale(2))
+    for point in (M.point.scale(2), M.point.scale(0)):
+        with pytest.raises(ValueError, match="point"):
+            MultiplicativeStructure(M.operad, M.mult, point)
+    X = mcclure_smith(M, 4)
+
+    def doubled(n, i, label):
+        return {l: 2 * c for l, c in X.codegeneracy(n, i, label).items()}
+
+    twice = SemicosimplicialChainComplex(M.operad, 4, X.coface, doubled)
+    assert X.check_codegeneracy_identities(q_max=8) == []
+    assert twice.check_codegeneracy_identities(q_max=8)
 
 
 @pytest.mark.parametrize(
@@ -77,18 +91,15 @@ def _sphere_with_twice_the_point():
     [
         lambda: sphere_multiplicative(5, 4, 8),
         lambda: framed_multiplicative(5, 4, 8),
-        _sphere_with_twice_the_point,
         lambda: poisson_multiplicative(5),
         lambda: witness_multiplicative(2),
     ],
-    ids=["sphere", "framed", "sphere-twice-the-point", "poisson", "witness"],
+    ids=["sphere", "framed", "poisson", "witness"],
 )
 def test_label_maps_equal_composition_of_elements(build):
     """Cofaces and codegeneracies computed per label equal the element
     compositions they stand for, on every label with n <= 3, q <= 8; a
-    result past the arity cap raises ArityOverflow on both paths.  A point
-    that is one label composes through ``compose_basis``, any other point
-    through ``compose_terms``."""
+    result past the arity cap raises ArityOverflow on both paths."""
     M = build()
     op, mult, point = M.operad, M.mult, M.point
     X = mcclure_smith(M, min(3, op.max_arity))
@@ -531,6 +542,46 @@ class TestSpectralSequence:
         H = HochschildComplex(mcclure_smith(sphere5, 4), q_max=8)
         for t, stable, total in einfty_vs_total(H):
             assert stable == total
+
+    @pytest.mark.parametrize(
+        "make,n_max,q_max,r_max",
+        [
+            (lambda: witness_multiplicative(3, padded=True), 3, 26, 6),
+            (lambda: witness_multiplicative(2, break_h1=True), None, 10, None),
+            (lambda: sphere_multiplicative(5, 6, 16), 6, 16, None),
+            (lambda: framed_multiplicative(7, 5, 14), 5, 14, None),
+        ],
+        ids=["padded-witness", "h1-broken", "sphere", "framed"],
+    )
+    def test_einfty_counts_ranks_and_matches_total_homology(
+        self, make, n_max, q_max, r_max, monkeypatch
+    ):
+        """The E_infinity rows equal those read off the total complex's
+        homology; the check itself counts dim Tot_t - rank D(t) -
+        rank D(t + 1), so once the pages are cached it computes no homology
+        and no coordinate echelon."""
+        H = HochschildComplex(mcclure_smith(make(), n_max), q_max=q_max)
+        ss_pages(H, 2)  # the pairing, cached
+        calls = []
+        with monkeypatch.context() as m:
+            for module, name in ((linalg, "row_reduce"), (complexes, "row_reduce"),
+                                 (complexes, "homology")):
+                f = getattr(module, name)
+                m.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+            rows = einfty_vs_total(H, r_max)
+        assert calls == []
+        # the oracle: total homology, with representatives and coordinates
+        ss = H.spectral_sequence()
+        last = ss.pages(H.n_max + 2 if r_max is None else max(r_max, H.n_max + 1))[-1]
+        tot = ss.total_complex()
+        homology = tot.homology().per_degree
+        want = []
+        for t in tot.space.degrees():
+            ent = [e for (p, q), e in last.entries.items() if p + q == t]
+            if homology[t].reliable and all(e.reliable for e in ent):
+                want.append((t, sum(e.dim for e in ent), homology[t].dim))
+        assert rows == want and rows
+        assert all(stable == total for _, stable, total in rows)
 
     @pytest.mark.parametrize(
         "make,n_max,q_max,r_max",

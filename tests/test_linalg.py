@@ -16,6 +16,7 @@ from operadlab.linalg import (
     NoSolution,
     QuotientSpace,
     RationalMatrix,
+    Subquotient,
     assemble,
     dense,
     is_zero_vec,
@@ -173,6 +174,27 @@ def test_rank_pivots_and_kernel_equal_the_oracle(problem):
     kernel = row_reduce(M).kernel()
     assert [dense(k, M.cols) for k in kernel] == expected
     assert all(all(k.values()) for k in kernel)
+
+
+@given(sparse_problems())
+@settings(max_examples=60, deadline=None)
+def test_rank_reads_the_plain_echelon(problem):
+    """``rank`` builds one echelon with no cycles, so it keeps no
+    coordinates, and counts its rows."""
+    rows, _, _ = problem
+    M = mat(rows)
+    built = []
+    init = Subquotient.__init__
+
+    def counting(self, ambient_dim, cycles, *args, **kwargs):
+        built.append(len(cycles))
+        init(self, ambient_dim, cycles, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subquotient, "__init__", counting)
+        r = rank(M)
+    assert built == [0]
+    assert r == len(rref(rows, M.cols)[1])
 
 
 @given(sparse_problems())
