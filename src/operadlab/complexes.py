@@ -206,36 +206,53 @@ class HomologyResult:
         return {q: h.dim for q, h in sorted(self.per_degree.items()) if h.reliable}
 
 
+def boundary_echelons(C: ChainComplexWindow) -> dict:
+    """q -> the plain echelon of d_{q+1}, whose rows are a basis of the
+    boundaries of degree q and count rank d_{q+1}; empty at the top.
+
+    Built from the top degree down with clearing: the echelon of d_{q+1}
+    takes only the columns outside the pivot coordinates of the echelon
+    one degree up.  Those pivots complete the boundaries of degree q + 1
+    to all of C_{q+1}, and d kills the boundaries, so the kept columns
+    span the whole image whatever pivot rule the elimination uses.
+    """
+    lo, hi = C.window
+    out = {hi: Subquotient(C.dim(hi), ())}
+    for q in range(hi - 1, lo - 1, -1):
+        cleared = {lead for lead, _, _ in out[q + 1].pivot_rows()}
+        columns = [col for j, col in enumerate(C.d(q + 1).columns()) if j not in cleared]
+        out[q] = Subquotient(C.dim(q), (), columns)
+    return dict(sorted(out.items()))
+
+
 def homology(C: ChainComplexWindow) -> HomologyResult:
     """Kernel-mod-image homology with explicit representative cycles.
 
-    Each d_{q+1} is reduced once, without coordinates: its echelon rows
-    span the boundaries of degree q and count rank d_{q+1}.  At a degree
-    with no class that echelon is the quotient, since d o d = 0 is checked
-    at construction.  A degree with a class reduces d_q again, now with
-    coordinates, for its sparse kernel, and inserts the kernel after the
-    boundary rows into its quotient.  Only the representatives handed out
-    are made dense.
+    The boundaries of each degree are the plain echelon that
+    :func:`boundary_echelons` builds with clearing, without coordinates;
+    at a degree with no class that echelon is the quotient.  A degree q
+    with a class reduces d_q again, now with coordinates, for its sparse
+    kernel, and extends its echelon by the kernel vectors in order until
+    it holds dim H_q = dim C_q - rank d_q - rank d_{q+1} representatives.
+    Only the representatives handed out are made dense.
     """
-    lo, hi = C.window
+    lo = C.window[0]
+    echelons = boundary_echelons(C)
+    ranks = {q + 1: len(E.rows()) for q, E in echelons.items()}  # rank d_{q+1}
     out = {}
-    image: list = []  # d_lo is the zero map out of the window
-    for q in range(lo, hi + 1):
+    for q, quotient in echelons.items():
         n = C.dim(q)
-        # the plain echelon of d_{q+1}, the quotient unless q has a class
-        quotient = Subquotient(n, (), C.d(q + 1).columns() if q < hi else ())
-        boundaries = quotient.rows()
         # an open lower edge has an unknown differential: no cycles there
-        n_cycles = n - len(image) if q > lo or C.complete_below else 0
-        if n_cycles > len(boundaries):
-            quotient = Subquotient(n, row_reduce(C.d(q)).kernel(), boundaries)
+        if q > lo or C.complete_below:
+            dim = n - ranks.get(q, 0) - ranks[q + 1]
+            if dim:
+                quotient.extend(row_reduce(C.d(q)).kernel(), stop=dim)
         out[q] = DegreeHomology(
             dim=quotient.dim,
             representatives=[dense(z, n) for z in quotient.representatives],
             reliable=C.reliable(q),
             _quotient=quotient,
         )
-        image = boundaries
     return HomologyResult(C, out)
 
 

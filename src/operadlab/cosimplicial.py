@@ -34,7 +34,8 @@ from functools import lru_cache, partial
 from math import inf
 
 from .complexes import (
-    ChainComplexWindow, GradedSpace, bigraded_dims, complex_from_rule, totals_by_degree
+    ChainComplexWindow, GradedSpace, bigraded_dims, boundary_echelons, complex_from_rule,
+    totals_by_degree,
 )
 from .instances import MultiplicativeStructure, arity_complex
 from .linalg import (
@@ -579,23 +580,23 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
     Every d_r with r > n_max leaves columns 0..n_max, so page n_max + 1 is
     E_infinity of the stored double complex; the page compared is
     max(r_max, n_max + 1), n_max + 2 by default.  dim H_t(Tot) is counted
-    as dim Tot_t - rank D(t) - rank D(t + 1), one plain echelon per D(t),
-    independent of the pairing behind the pages.  Returns a list of
-    (t, einfty_sum, total_dim) over reliable degrees.
+    as dim Tot_t - rank D(t) - rank D(t + 1), the ranks read off the plain
+    echelons of ``boundary_echelons``, independent of the pairing behind
+    the pages.  Returns a list of (t, einfty_sum, total_dim) over reliable
+    degrees.
     """
     ss = H.spectral_sequence()
     last = ss.pages(H.n_max + 2 if r_max is None else max(r_max, H.n_max + 1))[-1]
     tot = ss.total_complex()
-    degrees = tot.space.degrees()
-    ranks = {t: rank(ss.D(t)) for t in degrees}
+    ranks = {t + 1: len(E.rows()) for t, E in boundary_echelons(tot).items()}  # rank D(t+1)
     out = []
-    for t in degrees:
+    for t in tot.space.degrees():
         if not tot.reliable(t):
             continue
         ent = [e for (p, q), e in last.entries.items() if p + q == t]
         if any(not e.reliable for e in ent):
             continue
-        out.append((t, sum(e.dim for e in ent), tot.dim(t) - ranks[t] - ranks.get(t + 1, 0)))
+        out.append((t, sum(e.dim for e in ent), tot.dim(t) - ranks.get(t, 0) - ranks[t + 1]))
     return out
 
 

@@ -4,8 +4,11 @@ Everything downstream reduces to one elimination, the incremental sparse
 forward reduction of :class:`Subquotient`.  It is behind homology,
 quotients and the spectral-sequence pairing.  A count reads the plain
 echelon, ``Subquotient(n, (), columns)``, which keeps no coordinates:
-``rank`` is its number of rows.  ``row_reduce`` is the reduction of a
-matrix's columns with coordinates, for what hands out a vector:
+``rank`` is its number of rows.  :meth:`Subquotient.extend` appends
+cycles to an echelon already built, so homology grows the quotient of a
+degree with a class out of the plain echelon of its boundaries, stopping
+at dim H.  ``row_reduce`` is the reduction of a matrix's columns with
+coordinates, for what hands out a vector:
 ``solve_particular`` reads its answer off the pivot columns, and
 :meth:`Subquotient.kernel` is the one readout of an echelon's kernel,
 sparse, which ``kernel_basis``, homology and the pages share.
@@ -224,12 +227,13 @@ class Subquotient:
     """(span(cycles) + span(boundaries)) / span(boundaries), with coordinates.
 
     One incremental elimination: the boundaries go in first, then each
-    cycle in the given order.  A cycle independent of everything before
-    it becomes a representative, and its index goes to ``pivot_columns``;
-    a dependent cycle keeps its coordinates over the representatives in
-    ``dependent`` (cycle index -> sparse coordinates).  Every pivot row
-    records its coordinates over the representatives (boundaries count as
-    zero), so ``coords`` is one forward reduction with no new elimination.
+    cycle in the given order, and ``extend`` appends more cycles.  A cycle
+    independent of everything before it becomes a representative, and its
+    index goes to ``pivot_columns``; a dependent cycle keeps its
+    coordinates over the representatives in ``dependent`` (cycle index ->
+    sparse coordinates).  Every pivot row records its coordinates over the
+    representatives (boundaries count as zero), so ``coords`` is one
+    forward reduction with no new elimination.
     With ``block`` (coordinate -> int), each pivot lies in the smallest
     block its remainder touches, and reducing never reaches a smaller one.
     Vectors are dense sequences or sparse ``{index: value}`` maps.  Pivot
@@ -254,15 +258,35 @@ class Subquotient:
         self._rank: dict[int, int] = {}
         bs = [self._sparse(b) for b in boundaries]
         zs = [self._sparse(z) for z in cycles]
-        count = Counter(chain.from_iterable(bs + zs))
+        # how many inserted vectors touch each coordinate, for the pivot rule
+        self._count = Counter(chain.from_iterable(bs + zs))
         for w in bs:
-            self._insert(w, None, count)
-        for i, (z, w) in enumerate(zip(cycles, zs)):
-            coords = self._insert(w, z, count)
-            if coords is None:
-                self.pivot_columns.append(i)
-            else:
-                self.dependent[i] = {k: _exact(x) for k, x in coords.items() if x}
+            self._insert(w, None)
+        for z, w in zip(cycles, zs):
+            self._add_cycle(z, w)
+
+    def extend(self, cycles: Iterable, stop: int | None = None) -> None:
+        """Insert more cycles after everything inserted so far, in the given
+        order, their indices continuing the earlier cycles'; stops before
+        the next cycle once the quotient has ``stop`` representatives.  So
+        ``Subquotient(n, (), boundaries)`` extended by ``cycles`` has the
+        representatives, coordinates and spans of ``Subquotient(n, cycles,
+        boundaries)``, and the same ``kernel`` when it runs to the end."""
+        for z in cycles:
+            if self.dim == stop:
+                return
+            w = self._sparse(z)
+            self._count.update(w.keys())
+            self._add_cycle(z, w)
+
+    def _add_cycle(self, z, w: dict) -> None:
+        """Insert the cycle z, sparse as w, under the next cycle index."""
+        i = len(self.pivot_columns) + len(self.dependent)
+        coords = self._insert(w, z)
+        if coords is None:
+            self.pivot_columns.append(i)
+        else:
+            self.dependent[i] = {k: _exact(x) for k, x in coords.items() if x}
 
     @property
     def dim(self) -> int:
@@ -338,7 +362,7 @@ class Subquotient:
                 coords[k] = coords.get(k, 0) + f * x
         return coords
 
-    def _insert(self, w: dict, rep, count: Counter) -> dict | None:
+    def _insert(self, w: dict, rep) -> dict | None:
         """Add the sparse vector w to the echelon; returns its coordinates
         when it is dependent, None when it became a pivot row."""
         coords = self._reduce(w)
@@ -348,6 +372,7 @@ class Subquotient:
         if block is not None:
             low = min(map(block, w))
             lows = [c for c in w if block(c) == low]
+        count = self._count
         lead = min(lows, key=lambda c: (abs(w[c]) != 1, count[c], c))
         # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries;
         # the row is w / w[lead] and its coordinates (rep - coords) / w[lead]

@@ -13,15 +13,19 @@ from operadlab.complexes import (
     NotABoundary,
     NotACycle,
     WindowBoundary,
+    boundary_echelons,
     is_boundary_with_witness,
     tensor,
 )
+from operadlab.cosimplicial import HochschildComplex, mcclure_smith
+from operadlab.instances import sphere_multiplicative
 from operadlab.linalg import (
     NoSolution,
     RationalMatrix,
     Subquotient,
     is_zero_vec,
     kernel_basis,
+    rank,
     row_reduce,
     vec,
 )
@@ -111,11 +115,11 @@ class TestHomology:
             assert len(calls) == sum(1 for h in H.per_degree.values() if h.dim)
 
 
-    def test_one_echelon_per_degree_and_two_more_per_class(self, rng, monkeypatch):
+    def test_one_echelon_per_degree_and_one_more_per_class(self, rng, monkeypatch):
         """One ``homology`` call builds one ``Subquotient`` per degree, the
         plain echelon of d_{q+1}, which is the quotient of a degree with no
-        class; a degree with a class adds its kernel echelon and its
-        quotient."""
+        class; a degree with a class adds only its kernel echelon, since its
+        quotient extends the plain echelon."""
         built = []
         init = Subquotient.__init__
 
@@ -131,7 +135,7 @@ class TestHomology:
                 built.clear()
                 H = C_edge.homology()
                 classes = sum(1 for h in H.per_degree.values() if h.dim)
-                assert len(built) == len(H.per_degree) + 2 * classes
+                assert len(built) == len(H.per_degree) + classes
 
 
 def assert_matches_reference(C, rng):
@@ -167,6 +171,55 @@ def assert_matches_reference(C, rng):
                     h.class_coordinates(v)
                 with pytest.raises(NoSolution):
                     sq.coords(v)
+
+
+def assert_boundary_echelons(C, monkeypatch):
+    """Each echelon of ``boundary_echelons`` has rank d_{q+1} rows, every
+    raw column of d_{q+1} reduces to zero against them, and, built from
+    the top degree down, it took dim C_{q+1} - rank d_{q+2} columns."""
+    inserted = []
+    init = Subquotient.__init__
+
+    def counting(self, n, cycles, boundaries=(), **kwargs):
+        assert not cycles
+        inserted.append(len(boundaries))
+        init(self, n, cycles, boundaries, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Subquotient, "__init__", counting)
+        echelons = boundary_echelons(C)
+    lo, hi = C.window
+    assert list(echelons) == list(range(lo, hi + 1))
+
+    def rank_d(q):
+        return rank(C.d(q)) if q <= hi else 0
+
+    assert inserted == [0] + [
+        C.dim(q + 1) - rank_d(q + 2) for q in reversed(range(lo, hi))
+    ]
+    for q, E in echelons.items():
+        assert len(E.rows()) == rank_d(q + 1) and E.dim == 0
+        for col in C.d(q + 1).columns() if q < hi else ():
+            assert E.sparse_coords(col) == {}
+
+
+class TestBoundaryEchelons:
+    def test_random_complexes_with_either_edge_open(self, rng, monkeypatch):
+        for _ in range(40):
+            C, _ = random_complex(rng)
+            for edge in ({}, {"complete_below": False}, {"complete_above": False}):
+                C_edge = ChainComplexWindow(C.space, C.differential, C.window, **edge)
+                assert_boundary_echelons(C_edge, monkeypatch)
+
+    def test_sphere_coboundaries(self, monkeypatch):
+        """sphere d=5, n <= 6, q <= 16: the complexes over p = -n at fixed q."""
+        H = HochschildComplex(mcclure_smith(sphere_multiplicative(5, 6, 16), 6), q_max=16)
+        cleared = 0
+        for q in sorted({q for _, q in H.positions()}):
+            C = H.complex_in_p(q)
+            assert_boundary_echelons(C, monkeypatch)
+            cleared += sum(rank(C.d(p)) for p in range(C.window[0] + 2, C.window[1] + 1))
+        assert cleared  # the clearing skipped columns
 
 
 class TestBoundaries:

@@ -182,3 +182,32 @@ def test_pivot_is_a_unit_at_the_least_touched_coordinate():
         sq = Subquotient(3, (), vectors)
         assert [lead for lead, _, _ in sq._rows] == leads
         assert list(SmallestIndexSubquotient(3, (), vectors)._pivots) == smallest
+
+
+@given(mixed_problems())
+@settings(max_examples=100, deadline=None)
+def test_extending_an_echelon_of_boundaries_is_one_subquotient(problem):
+    """Cycles appended to an echelon of the boundaries, at once, in two
+    parts, or stopped at the full quotient dim, give the representatives
+    (by identity), coordinates and NoSolution set of ``Subquotient(n,
+    cycles, boundaries)``; run to the end, also its kernel."""
+    n, cycles, boundaries, probes = problem
+    whole = Subquotient(n, cycles, boundaries)
+    for parts, stop in (([cycles], None), ([cycles[:2], cycles[2:]], None),
+                        ([cycles], whole.dim)):
+        sq = Subquotient(n, (), boundaries)
+        for part in parts:
+            sq.extend(part, stop=stop)
+        assert len(sq.representatives) == whole.dim
+        assert all(a is b for a, b in zip(sq.representatives, whole.representatives))
+        if stop is None:
+            assert sq.pivot_columns == whole.pivot_columns
+            assert sq.dependent == whole.dependent and sq.kernel() == whole.kernel()
+        for v in probes + cycles + boundaries:
+            try:
+                want = whole.coords(v)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    sq.coords(v)
+                continue
+            assert sq.coords(v) == want
