@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import ChainComplexWindow, bigraded_dims, complex_from_rule, totals_by_degree
 from .operads import combine
@@ -60,11 +59,11 @@ class PrimitiveExteriorHopf:
     def degree(self, mon: Monomial) -> int:
         return self._degree[mon]
 
-    def product(self, a: Monomial, b: Monomial) -> tuple[Fraction, Monomial] | None:
+    def product(self, a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
         """(sign, a*b), or None when a generator repeats."""
         if set(a) & set(b):
             return None
-        return Fraction(koszul_sign(a + b)), tuple(sorted(a + b))
+        return koszul_sign(a + b), tuple(sorted(a + b))
 
     def coproduct(self, mon: Monomial) -> dict:
         """Full diagonal: dict (left, right) -> coefficient."""
@@ -87,7 +86,7 @@ class PrimitiveExteriorHopf:
         """
         return {
             tuple(tuple(g for g, a in zip(mon, factors) if a == j) for j in range(n)):
-            Fraction(koszul_sign(factors))
+            koszul_sign(factors)
             for factors in itertools.product(range(n), repeat=len(mon))
         }
 

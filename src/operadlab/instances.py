@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import ChainComplexWindow, complex_from_rule
 from .hopf import PrimitiveExteriorHopf, build_so_hopf, koszul_sign
@@ -38,9 +37,6 @@ from .operads import (
     parse_free_operad,
     vector_to_chain,
 )
-
-
-_ONE = Fraction(1)
 
 
 def _pairs(n: int):
@@ -123,7 +119,7 @@ class SphereOperad(Operad):
         return tuple(_covering(_pairs(n), q // (self.d - 1), frozenset(range(1, n + 1))))
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
-        return {lab: _ONE for lab in self.compose_pairsets(m, xl, i, n, yl)}
+        return dict.fromkeys(self.compose_pairsets(m, xl, i, n, yl), 1)
 
     def compose_pairsets(self, m: int, xl, i: int, n: int, yl) -> list:
         """All result pair-sets of (x o_i y) for basis pair-sets.
@@ -242,7 +238,7 @@ def poisson_structure_constants(d: int):
         2: {0: ("m",), d - 1: ("b",)},
         3: {0: ("M",), d - 1: ("B12", "B13", "B23"), 2 * (d - 1): ("J1", "J2")},
     }
-    one = lambda lab: {lab: Fraction(1)}
+    one = lambda lab: {lab: 1}
     comp: dict = {}
     # unit laws
     for n, by_deg in basis.items():
@@ -257,9 +253,9 @@ def poisson_structure_constants(d: int):
     comp[(2, "m", 1, 2, "b")] = one("B12")
     comp[(2, "m", 2, 2, "b")] = one("B23")
     # Leibniz: [x1 x2, x3] = x1[x2,x3] + [x1,x3] x2
-    comp[(2, "b", 1, 2, "m")] = {"B23": Fraction(1), "B13": Fraction(1)}
+    comp[(2, "b", 1, 2, "m")] = {"B23": 1, "B13": 1}
     # [x1, x2 x3] = [x1,x2] x3 + x2 [x1,x3]
-    comp[(2, "b", 2, 2, "m")] = {"B12": Fraction(1), "B13": Fraction(1)}
+    comp[(2, "b", 2, 2, "m")] = {"B12": 1, "B13": 1}
     comp[(2, "b", 1, 2, "b")] = one("J1")
     comp[(2, "b", 2, 2, "b")] = one("J2")
     return basis, comp
@@ -272,7 +268,7 @@ def poisson_operad_small(d: int) -> TableOperad:
 
 def poisson_inclusion(d: int):
     """Per-arity linear maps into sphere_operad(d, 3), as label -> Coeffs."""
-    one = lambda lab: {lab: Fraction(1)}
+    one = lambda lab: {lab: 1}
     return {
         (1, "1"): one(()),
         (2, "m"): one(()),
@@ -281,8 +277,8 @@ def poisson_inclusion(d: int):
         (3, "B12"): one(((1, 2),)),
         (3, "B13"): one(((1, 3),)),
         (3, "B23"): one(((2, 3),)),
-        (3, "J1"): {((1, 2), (1, 3)): Fraction(1), ((1, 2), (2, 3)): Fraction(1)},
-        (3, "J2"): {((1, 2), (2, 3)): Fraction(1), ((1, 3), (2, 3)): Fraction(1)},
+        (3, "J1"): {((1, 2), (1, 3)): 1, ((1, 2), (2, 3)): 1},
+        (3, "J2"): {((1, 2), (2, 3)): 1, ((1, 3), (2, 3)): 1},
     }
 
 
@@ -442,7 +438,7 @@ class FramedOperad(Operad):
                 if len(set(keys)) < len(keys):  # a generator repeats in a factor
                     continue
                 word = tuple(tuple(sorted(s + h)) for s, h in zip(split, hs))
-                terms.append((word, int(coeff) * koszul_sign(keys)))
+                terms.append((word, coeff * koszul_sign(keys)))
             self._hopf_cache[key] = tuple(terms)
         return self._hopf_cache[key]
 

@@ -21,12 +21,15 @@ large-but-sparse coboundary matrices stay cheap.
 Inside the elimination and in a stored column a value is a plain ``int``
 whenever it is integral; a ``Fraction`` appears only where a non-unit
 pivot divides or an entry is not integral.  Structure constants are
-mostly +-1, so nearly all of the arithmetic is on ints.  Everything
-handed out at the edge (coordinates, dense kernel, solution and
-representative vectors, the ``(row, col)`` matrix entries) is a ``Fraction``,
-and :func:`dense` is the one place where a dense vector is made.  Label
-combinations follow the same rule in ``operads.combine``, which sums
-``(label, coefficient)`` pairs on ints and hands out nonzero Fractions.
+mostly +-1, so nearly all of the arithmetic is on ints.  That rule lives
+only at the entry points (:func:`assemble`, :meth:`RationalMatrix.apply`,
+the ``RationalMatrix`` constructor and ``Subquotient._sparse``), which
+take any exact value: the hosts hand out int structure constants and
+``operads.combine`` sums what it is given, so nothing above this module
+converts a coefficient.  Everything handed out at the edge (coordinates,
+dense kernel, solution and representative vectors, the ``(row, col)``
+matrix entries) is a ``Fraction``, and :func:`dense` is the one place
+where a dense vector is made.
 
 Pivoting is deterministic: vectors go in the given order, and each
 remainder's pivot is a unit entry where it has one, at the coordinate that

@@ -33,25 +33,26 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable
 
-Coeffs = dict  # label -> Fraction, summed by combine: on ints where integral, no zeros
+Coeffs = dict  # label -> exact coefficient (int or Fraction), no zeros
 
 
 def combine(terms) -> Coeffs:
-    """Sum ``(label, coefficient)`` pairs per label, on ints wherever a
-    coefficient is integral; the nonzero sums are handed out as Fractions.
-    Every label combination but ``Operad.compose_terms``'s is summed here."""
+    """Sum ``(label, coefficient)`` pairs per label, exactly as given, and
+    drop the zero sums.  Every label combination is summed here; the
+    number format is linalg's to decide, at its entry points."""
     out: dict = {}
     for l, c in terms:
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        out[l] = out.get(l, 0) + c
-    return {l: Fraction(c) for l, c in out.items() if c}
+        if l in out:
+            out[l] += c
+        else:
+            out[l] = c
+    return {l: c for l, c in out.items() if c}
 
 
 def extend(f, terms) -> Coeffs:
     """The linear extension of the label map f (label -> Coeffs) to the
     combination ``terms`` of ``(label, coefficient)`` pairs."""
-    return combine((l2, c * c2) for l, c in terms for l2, c2 in f(l).items())
+    return combine((l2, c if c2 == 1 else c * c2) for l, c in terms for l2, c2 in f(l).items())
 
 
 class TruncationError(Exception):
@@ -71,7 +72,7 @@ class OpElement:
     """Linear combination of basis labels at one arity."""
 
     arity: int
-    coeffs: tuple  # sorted tuple of (label, Fraction) pairs
+    coeffs: tuple  # sorted tuple of (label, coefficient) pairs, no zeros
 
     @classmethod
     def make(cls, arity: int, coeffs: Coeffs) -> "OpElement":
@@ -82,7 +83,7 @@ class OpElement:
 
     @classmethod
     def basis(cls, arity: int, label) -> "OpElement":
-        return cls.make(arity, {label: Fraction(1)})
+        return cls.make(arity, {label: 1})
 
     @classmethod
     def zero(cls, arity: int) -> "OpElement":
@@ -187,21 +188,13 @@ class Operad:
             raise ValueError(f"slot {i} out of range for arity {m}")
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
-        # Not combine: routed through it, table_s read 3.5-5.6% slower on sphere-table and
-        # framed-e2 in 7-9 of 10 pairs, and framed-e2 query_p50_ms 15% (BENCH_19.json).
-        out: Coeffs = {}
-        for xl, xc in xs:
-            for yl, yc in ys:
-                # unit coefficients (every label-level call) skip the products
-                k = yc if xc == 1 else xc if yc == 1 else xc * yc
-                for l, c in self.compose_basis(m, xl, i, n, yl).items():
-                    if k != 1:
-                        c = k * c
-                    if l in out:
-                        out[l] += c
-                    else:
-                        out[l] = c
-        return {l: c for l, c in out.items() if c}
+        return combine(
+            (l, k if c == 1 else k * c)  # a unit factor makes no product
+            for xl, xc in xs
+            for yl, yc in ys
+            for k in [yc if xc == 1 else xc if yc == 1 else xc * yc]  # one per label pair
+            for l, c in self.compose_basis(m, xl, i, n, yl).items()
+        )
 
     def differential(self, x: OpElement) -> OpElement:
         return OpElement.make(x.arity, extend(partial(self.diff_basis, x.arity), x.coeffs))
@@ -384,9 +377,9 @@ class TableOperad(Operad):
     def __init__(
         self,
         basis: dict,  # arity -> {degree -> tuple of labels}
-        compositions: dict,  # (m, xl, i, n, yl) -> {label: Fraction}
+        compositions: dict,  # (m, xl, i, n, yl) -> {label: coefficient}
         unit=None,
-        differentials: dict | None = None,  # (n, label) -> {label: Fraction}
+        differentials: dict | None = None,  # (n, label) -> {label: coefficient}
         max_arity: int | None = None,
     ):
         self._basis = {
@@ -599,7 +592,7 @@ class FreeChainOperad(Operad):
             if q > self.degree_cap:
                 raise DegreeOverflow(f"degree {q} exceeds cap {self.degree_cap}")
             tree, after = self._graft(xl, i, yl)
-            sign = Fraction(-1 if ydeg * after % 2 else 1)
+            sign = -1 if ydeg * after % 2 else 1
             self._composites[key] = (self.normalize_tree(tree), sign)
         label, c = self._composites[key]
         return {label: c}

@@ -140,16 +140,33 @@ class TestHopfLaws:
                 assert H.iterated_coproduct(mon, n) == _repeated_coproduct(H, mon, n)
 
 
+    def test_signs_are_ints(self, d, variant):
+        """The diagonals and the product hand out plain int signs."""
+        H = build_so_hopf(d, variant)
+        for a in H.monomials:
+            for n in range(4):
+                assert all(type(c) is int for c in H.iterated_coproduct(a, n).values())
+            for b in H.monomials:
+                res = H.product(a, b)
+                assert res is None or type(res[0]) is int
+
+
 class TestCobarComplex:
     def test_differential_squares_to_zero(self):
+        """d o d = 0 on every word, and d hands out int coefficients."""
         cb = CobarComplex(build_so_hopf(5, "full"), BidegreeWindow(-4, 14))
+        nonzero = 0
         for (p, q), words in cb._words_by_bidegree.items():
             for w in words:
+                dw = cb.differential_word(w)
+                assert all(type(c) is int for c in dw.values()), w
+                nonzero += bool(dw)
                 dd: dict = {}
-                for w1, c1 in cb.differential_word(w).items():
+                for w1, c1 in dw.items():
                     for w2, c2 in cb.differential_word(w1).items():
                         dd[w2] = dd.get(w2, Fraction(0)) + c1 * c2
                 assert all(v == 0 for v in dd.values())
+        assert nonzero
 
     @pytest.mark.parametrize("variant", ["full", "fixing-subgroup"])
     @pytest.mark.parametrize("d", [5, 7, 9])

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from conftest import reference_framed_compose
 
-from operadlab.cosimplicial import hochschild_homology
+from operadlab.cosimplicial import hochschild_homology, mcclure_smith
 from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
     FramedOperad,
@@ -17,6 +17,7 @@ from operadlab.instances import (
     framed_multiplicative,
     homology_operad,
     poisson_inclusion,
+    poisson_multiplicative,
     poisson_operad_small,
     sphere_multiplicative,
     sphere_operad,
@@ -27,6 +28,7 @@ from operadlab.instances import (
 )
 from operadlab.operads import (
     OpElement,
+    TruncationError,
     check_d_squared,
     check_leibniz,
     check_operad_axioms,
@@ -143,6 +145,7 @@ class TestPoisson:
             P = poisson_operad_small(d)
             S = sphere_operad(d, max_arity=3)
             incl = poisson_inclusion(d)
+            assert all(type(c) is int for t in incl.values() for c in t.values())
             checked = 0
             for n in (1, 2):
                 for qx, xs in sorted(P.basis_by_degree(n).items()):
@@ -192,7 +195,7 @@ class TestFramed:
     )
     def test_compose_matches_the_per_split_formula(self, build):
         """Every composite x o_i y with x in arity <= 3 and y in arity 0..3
-        (under the arity cap) equals the per-split formula, with Fraction
+        (under the arity cap) equals the per-split formula, with int
         coefficients; a caller mutating a returned dict leaves the next
         call unchanged.  Arity 3 puts slot i through a three-way diagonal."""
         op = build()
@@ -209,7 +212,7 @@ class TestFramed:
                             got = op.compose_basis(m, xl, i, n, yl)
                             want = reference_framed_compose(op, m, xl, i, n, yl)
                             assert got == want, (m, xl, i, n, yl)
-                            assert all(type(c) is Fraction for c in got.values())
+                            assert all(type(c) is int for c in got.values())
                             calls += 1
                             nonempty += bool(got)
                             hopf_y += bool(got) and any(yl[1])
@@ -304,3 +307,51 @@ class TestHomologyOperad:
         # g survives in arity 1 degree 7; h is not a cycle
         assert len(H.arity_degree_basis(1, 7)) == 1
         assert len(H.arity_degree_basis(2, 8)) == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sphere_multiplicative(5, 4),
+        lambda: framed_multiplicative(5, 4, 12),
+        lambda: witness_multiplicative(2),
+        lambda: poisson_multiplicative(5),
+    ],
+    ids=["sphere-d5", "framed-d5", "witness-m2", "poisson-d5"],
+)
+def test_hosts_hand_out_int_structure_constants(build):
+    """A built-in host's structure constants are plain ints: every
+    ``compose_basis`` with x in arity <= 3 under the cap (on the Poisson
+    host, every entry of its table), and below the arity cap
+    ``normal_delta`` on the normalized labels and the coboundary
+    ``delta_on_label`` on every label.  (The witness differential comes
+    from the text parser, which keeps the user's scalars as Fractions.)"""
+    M = build()
+    op = M.operad
+    X = mcclure_smith(M)
+
+    def labels(n):
+        return [l for ls in op.basis_by_degree(n).values() for l in ls]
+
+    def ints(coeffs) -> bool:
+        assert all(type(c) is int for c in coeffs.values()), coeffs
+        return bool(coeffs)
+
+    composites = deltas = 0
+    for m in range(1, 4):
+        for n in range(op.max_arity + 2 - m):
+            for xl, yl in itertools.product(labels(m), labels(n)):
+                for i in range(1, m + 1):
+                    try:
+                        composites += ints(op.compose_basis(m, xl, i, n, yl))
+                    except TruncationError:
+                        pass
+    for n in range(op.max_arity):
+        for label in labels(n):
+            deltas += ints(X.delta_on_label(n, label))
+        if op.normal_delta is not None:
+            for q in op.degrees(n):
+                for label in op.normalized_basis(n, q):
+                    deltas += ints(op.normal_delta(n, label))
+    assert composites > 20 and deltas
+

@@ -48,14 +48,17 @@ term_lists = st.lists(st.tuples(st.sampled_from("abcde"), coefficients), max_siz
 def test_combine_is_the_fraction_sum(terms, cancel):
     """combine sums the pairs per label exactly as a Fraction sum does,
     ints and Fractions mixed, repeated labels, and terms whose negatives
-    follow so that labels cancel; it hands out Fractions and no zeros."""
+    follow so that labels cancel; it hands out no zeros, and ints in give
+    ints out."""
     terms = terms + [(l, -c) for (l, c), flag in zip(terms, cancel) if flag]
     naive: dict = {}
     for l, c in terms:
         naive[l] = naive.get(l, Fraction(0)) + Fraction(c)
     got = combine(terms)
     assert got == {l: c for l, c in naive.items() if c != 0}
-    assert all(type(c) is Fraction and c != 0 for c in got.values())
+    assert all(c != 0 for c in got.values())
+    ints = [(l, c) for l, c in terms if type(c) is int]
+    assert all(type(c) is int for c in combine(ints).values())
 
 
 class TestFreeOperad:
