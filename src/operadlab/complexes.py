@@ -3,7 +3,9 @@
 A :class:`ChainComplexWindow` only knows the complex between ``deg_min``
 and ``deg_max``.  Degrees at a truncated edge have spurious cycles or
 missing boundaries, so homology there is flagged unreliable instead of
-being reported as a number; asking for it raises :class:`WindowBoundary`.
+being reported as a number.  Past an edge the complex declares complete,
+homology is a certified zero; asking for it anywhere else outside the
+window, or at an unreliable degree, raises :class:`WindowBoundary`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class NotACycle(NoSolution):
     """A vector that should be a cycle is not one."""
 
 
-class NotABoundary(Exception):
-    pass
+class NotABoundary(NoSolution):
+    """A cycle that should be a boundary is not one."""
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,11 @@ class DegreeHomology:
     # cycles modulo boundaries with the representatives chosen above
     _quotient: Subquotient = field(repr=False)
 
+    @classmethod
+    def zero(cls) -> "DegreeHomology":
+        """The certified zero of a degree with no chains."""
+        return cls(0, [], True, Subquotient(0, ()))
+
     def class_coordinates(self, v: Sequence) -> Vector:
         """Coordinates of the cycle v over the representatives, modulo
         boundaries.  Raises NotACycle when v is not a cycle and
@@ -192,8 +199,14 @@ class HomologyResult:
         return sorted(self.per_degree)
 
     def at(self, q: int) -> DegreeHomology:
+        """H_q where the window certifies it: the certified zero past an
+        edge the complex declares complete, else WindowBoundary outside the
+        window or at an unreliable degree."""
         h = self.per_degree.get(q)
         if h is None:
+            C = self.complex  # per_degree holds every degree of the window
+            if C.complete_below if q < C.window[0] else C.complete_above:
+                return DegreeHomology.zero()
             raise WindowBoundary(f"degree {q} outside computed window")
         if not h.reliable:
             raise WindowBoundary(f"homology at degree {q} is unreliable (window edge)")
@@ -257,14 +270,14 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
 
 
 def is_boundary_with_witness(C: ChainComplexWindow, q: int, z: Sequence) -> Vector:
-    """Return w with d w = z, or raise NotABoundary.  z must be a cycle."""
+    """Return w with d w = z, or raise NotABoundary.  z must be a cycle;
+    z = 0 gives w = 0 at any degree."""
     z = vec(z)
     lo, hi = C.window
-    if q > lo:
-        if not is_zero_vec(C.apply_d(q, z)):
-            raise NotACycle("dz != 0")
     if is_zero_vec(z):
         return zero_vec(C.dim(q + 1) if q + 1 <= hi else 0)
+    if q > lo and not is_zero_vec(C.apply_d(q, z)):
+        raise NotACycle("dz != 0")
     if q + 1 > hi:
         if C.complete_above:
             raise NotABoundary("no chains one degree up")

@@ -34,8 +34,8 @@ from functools import lru_cache, partial
 from math import inf
 
 from .complexes import (
-    ChainComplexWindow, GradedSpace, bigraded_dims, boundary_echelons, complex_from_rule,
-    totals_by_degree,
+    ChainComplexWindow, DegreeHomology, GradedSpace, WindowBoundary, bigraded_dims,
+    boundary_echelons, complex_from_rule, totals_by_degree,
 )
 from .instances import MultiplicativeStructure, arity_complex
 from .linalg import (
@@ -342,6 +342,15 @@ class HochschildHomology:
         self.homs = homs  # q -> HomologyResult over p
         self.dims = dims  # (p, q) -> dim (reliable entries only)
         self.classes = classes
+
+    def at(self, p: int, q: int) -> DegreeHomology:
+        """HH at (p, q) where the window certifies it: WindowBoundary outside
+        0 <= -p <= n_max, q <= q_max, or at an unreliable entry; the
+        certified zero where no column holds degree q."""
+        H = self.complex
+        if not (0 <= -p <= H.n_max and q <= H.q_max):
+            raise WindowBoundary(f"(p, q) = ({p}, {q}) lies outside the computed window")
+        return self.homs[q].at(p) if q in self.homs else DegreeHomology.zero()
 
     def total_dims(self, t_max: int | None = None) -> dict:
         return totals_by_degree(self.dims, t_max)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .complexes import WindowBoundary, is_boundary_with_witness
+from .complexes import is_boundary_with_witness
 from .cosimplicial import (
     HochschildClass,
     HochschildHomology,
@@ -170,33 +170,24 @@ def bracket_on_classes(
 
     The chain-level bracket of delta-closed normalized representatives is
     delta-closed and normalized; the result is reduced to the canonical
-    representatives of its bidegree.  Raises WindowBoundary when that
-    bidegree lies outside the computed window.
+    representatives of its bidegree, read from ``HH.at``.  Raises
+    WindowBoundary when the window cannot certify that bidegree.
     """
     n = c1.arity + c2.arity - 1
     q = c1.q + c2.q
     H = HH.complex
-    if not (0 <= n <= H.n_max and q <= H.q_max):
-        raise WindowBoundary(
-            f"the bracket lands at (p, q) = ({-n}, {q}), outside the computed window"
-        )
+    hom = HH.at(-n, q)
     labels = H.labels(n, q)
     v = chain_to_vector(bracket(M.operad, c1.element, c2.element), labels)
-    terms: list = []
-    if q in HH.homs:  # else no chains at all in degree q
-        hom = HH.homs[q].at(-n)
-        coords = hom.class_coordinates(v)
-        terms = [(j, c * val) for c, r in zip(coords, hom.representatives) if c
-                 for j, val in enumerate(r) if val]
+    coords = hom.class_coordinates(v)
+    terms = [(j, c * val) for c, r in zip(coords, hom.representatives) if c
+             for j, val in enumerate(r) if val]
     rep = dense(combine(terms), len(labels))
     return HochschildClass(n, q, rep, vector_to_chain(n, labels, rep), H.normalized)
 
 
 def class_is_zero(HH: HochschildHomology, c: HochschildClass) -> bool:
-    if c.q not in HH.homs:  # no chains at all in degree q
-        return True
-    hom = HH.homs[c.q].at(-c.arity)
-    return all(v == 0 for v in hom.class_coordinates(c.vector))
+    return all(v == 0 for v in HH.at(c.p, c.q).class_coordinates(c.vector))
 
 
 def is_delta_boundary(HH: HochschildHomology, c: HochschildClass):

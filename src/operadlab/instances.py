@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import ChainComplexWindow, complex_from_rule
+from .complexes import ChainComplexWindow, WindowBoundary, complex_from_rule
 from .hopf import PrimitiveExteriorHopf, build_so_hopf, koszul_sign
 from .operads import (
     Coeffs,
@@ -534,14 +534,11 @@ def homology_operad(op: Operad) -> TableOperad:
                     reps[lab] = vector_to_element(op, n, q, v)
 
     def class_of(n: int, q: int, z: OpElement) -> Coeffs | None:
-        """The class of the cycle z in O(n)_q, or None where the window
-        cannot certify it: an unreliable degree, or one above an open top.
-        Outside a complete window the homology is 0."""
-        C = homs[n]
-        h = C.homology().per_degree.get(q)
-        if h is None:
-            return None if q > C.window[1] and not C.complete_above else {}
-        if not h.reliable:
+        """The class of the cycle z in O(n)_q, or None where ``at`` raises
+        WindowBoundary: the window cannot certify degree q."""
+        try:
+            h = homs[n].homology().at(q)
+        except WindowBoundary:
             return None
         coords = h.class_coordinates(element_to_vector(op, z, q))
         return {("H", n, q, k): c for k, c in enumerate(coords) if c != 0}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .complexes import WindowBoundary
+from .complexes import WindowBoundary, is_boundary_with_witness
 from .cosimplicial import HochschildComplex, mcclure_smith, zigzag_dr
 from .gerstenhaber import bracket
 from .instances import (
@@ -34,7 +34,7 @@ from .instances import (
     element_to_vector,
     vector_to_element,
 )
-from .linalg import NoSolution, QuotientSpace, kernel_basis, solve_particular
+from .linalg import QuotientSpace, kernel_basis
 from .operads import OpElement, Operad, chain_to_vector, combine, vector_to_chain
 
 
@@ -67,12 +67,14 @@ class ObstructionInput:
                 raise ValueError(f"g must sit in degree {4 * self.m - 1}, got {q}")
 
     @cached_property  # every omega on this input reads the same three values
-    def _h_rhs(self) -> OpElement:
+    def h_rhs(self) -> OpElement:
+        """nu o2 g + nu o1 g - g o1 nu, which d h must equal."""
         op, nu, g = self.operad, self.nu, self.g
         return op.compose(nu, 2, g) + op.compose(nu, 1, g) - op.compose(g, 1, nu)
 
     @cached_property
-    def _associator(self) -> OpElement:
+    def associator(self) -> OpElement:
+        """nu o2 nu - nu o1 nu, which d xi must equal."""
         op, nu = self.operad, self.nu
         return op.compose(nu, 2, nu) - op.compose(nu, 1, nu)
 
@@ -80,17 +82,14 @@ class ObstructionInput:
     def _target(self):
         """(H_{4m}(O(3)), its quotient by {nu,-} H_{4m}(O(2))), or None when
         O(3) has no class in degree 4m; the chain map {nu,-} acts on classes.
-        A WindowBoundary (no certified degree 4m) is raised on every call."""
+        Both degrees are read with ``at``, so a WindowBoundary (the window
+        cannot certify degree 4m) is raised on every call."""
         op, q = self.operad, 4 * self.m
-        C3 = arity_complex(op, 3)
-        if q > C3.window[1] and C3.complete_above:
-            return None  # O(3) has no chains in degree q
-        hom3 = C3.homology().at(q)
+        hom3 = arity_complex(op, 3).homology().at(q)
         if hom3.dim == 0:
             return None
-        hom2 = arity_complex(op, 2).homology().per_degree.get(q)
         span = []
-        for rep in hom2.representatives if hom2 is not None else ():
+        for rep in arity_complex(op, 2).homology().at(q).representatives:
             img = bracket(op, self.nu, vector_to_element(op, 2, q, rep))
             span.append(hom3.class_coordinates(element_to_vector(op, img, q)))
         return hom3, QuotientSpace(hom3.dim, span)
@@ -101,23 +100,16 @@ class ObstructionResult:
     h: OpElement
     xi: OpElement
     omega: OpElement
-    omega1: OpElement
-    omega2: OpElement
     class_coords: list  # coordinates in the quotient
     quotient_dim: int
     nonzero: bool
 
 
 def _solve_primitive(op: Operad, n: int, q: int, rhs: OpElement) -> OpElement:
-    """One x in O(n)_q with d x = rhs (rhs in degree q-1); NoSolution if none."""
-    C = arity_complex(op, n)
-    if C.dim(q) == 0:
-        if rhs.is_zero():
-            return OpElement.zero(n)
-        raise NoSolution(f"no chains in arity {n} degree {q}")
+    """One x in O(n)_q with d x = rhs (rhs a cycle in degree q-1); a
+    NoSolution (NotACycle or NotABoundary) if none."""
     b = element_to_vector(op, rhs, q - 1)
-    x = solve_particular(C.d(q), b)
-    return vector_to_element(op, n, q, x)
+    return vector_to_element(op, n, q, is_boundary_with_witness(arity_complex(op, n), q - 1, b))
 
 
 def _cycle_basis(op: Operad, n: int, q: int) -> list[OpElement]:
@@ -128,30 +120,16 @@ def _cycle_basis(op: Operad, n: int, q: int) -> list[OpElement]:
     return [vector_to_element(op, n, q, v) for v in kernel_basis(C.d(q))]
 
 
-def h_equation_rhs(inp: ObstructionInput) -> OpElement:
-    return inp._h_rhs
-
-
-def associator(inp: ObstructionInput) -> OpElement:
-    return inp._associator
-
-
 def find_h(inp: ObstructionInput) -> OpElement:
     """Solve d h = nu o2 g + nu o1 g - g o1 nu; NoSolution is a
     precondition violation (the bracket of g and nu is not trivialized)."""
-    rhs = h_equation_rhs(inp)
-    if rhs.is_zero():
-        return OpElement.zero(2)
-    return _solve_primitive(inp.operad, 2, 4 * inp.m, rhs)
+    return _solve_primitive(inp.operad, 2, 4 * inp.m, inp.h_rhs)
 
 
 def find_xi(inp: ObstructionInput) -> OpElement:
     """Solve d xi = nu o2 nu - nu o1 nu; zero when nu is strictly
     associative."""
-    defect = associator(inp)
-    if defect.is_zero():
-        return OpElement.zero(3)
-    return _solve_primitive(inp.operad, 3, 1, defect)
+    return _solve_primitive(inp.operad, 3, 1, inp.associator)
 
 
 def omega_chain(inp: ObstructionInput, h: OpElement, xi: OpElement):
@@ -168,7 +146,7 @@ def omega_chain(inp: ObstructionInput, h: OpElement, xi: OpElement):
         + op.compose(xi, 2, g)
         + op.compose(xi, 3, g)
     )
-    return omega1 - omega2, omega1, omega2
+    return omega1 - omega2
 
 
 def _quotient_reduce(inp: ObstructionInput, z: OpElement):
@@ -188,11 +166,11 @@ def omega(inp: ObstructionInput, h: OpElement, xi: OpElement) -> ObstructionResu
     """Build omega from the given witnesses and locate its class."""
     op = inp.operad
     if op.has_differential():
-        if not (op.differential(h) - h_equation_rhs(inp)).is_zero():
+        if not (op.differential(h) - inp.h_rhs).is_zero():
             raise ValueError("h does not trivialize the bracket of g with nu")
-        if not (op.differential(xi) - associator(inp)).is_zero():
+        if not (op.differential(xi) - inp.associator).is_zero():
             raise ValueError("xi does not trivialize the associator of nu")
-    w, w1, w2 = omega_chain(inp, h, xi)
+    w = omega_chain(inp, h, xi)
     if op.has_differential() and not op.differential(w).is_zero():
         raise ValueError("omega is not a cycle: witnesses violate their equations")
     coords, qdim = _quotient_reduce(inp, w)
@@ -200,8 +178,6 @@ def omega(inp: ObstructionInput, h: OpElement, xi: OpElement) -> ObstructionResu
         h=h,
         xi=xi,
         omega=w,
-        omega1=w1,
-        omega2=w2,
         class_coords=list(coords),
         quotient_dim=qdim,
         nonzero=any(c != 0 for c in coords),
@@ -224,7 +200,6 @@ class ChoiceReport:
     h1_vanishes: bool  # hypothesis H_1(O(3)) = 0 for xi-independence
     h_classes_equal: bool
     xi_classes_equal: bool | None  # None when not asserted (hypothesis fails)
-    xi_observed_equal: bool | None  # raw observation, never asserted
     baseline: ObstructionResult = field(repr=False, default=None)
 
     @property
@@ -251,8 +226,8 @@ def choice_independence(
     """Re-run the pipeline with h and xi perturbed by random cycles.
 
     The class must not move under h -> h + cycle.  Independence of xi is
-    only asserted when H_1(O(3)) vanishes; otherwise the report flags the
-    failed hypothesis and records the observation without asserting it.
+    only asserted when H_1(O(3)) is a certified zero; otherwise the report
+    flags the failed hypothesis and leaves ``xi_classes_equal`` None.
     """
     rng = rng or random.Random(0)
     inp.validate()
@@ -261,8 +236,10 @@ def choice_independence(
     base = omega(inp, h0, xi0)
     h_cycles = _cycle_basis(op, 2, 4 * inp.m)
     xi_cycles = _cycle_basis(op, 3, 1)
-    hom3_1 = arity_complex(op, 3).homology().per_degree.get(1)
-    h1_vanishes = hom3_1 is None or (hom3_1.reliable and hom3_1.dim == 0)
+    try:
+        h1_vanishes = arity_complex(op, 3).homology().at(1).dim == 0
+    except WindowBoundary:
+        h1_vanishes = False
 
     h_equal = True
     xi_equal = True
@@ -284,7 +261,6 @@ def choice_independence(
         h1_vanishes=h1_vanishes,
         h_classes_equal=h_equal,
         xi_classes_equal=xi_equal if h1_vanishes else None,
-        xi_observed_equal=xi_equal,
         baseline=base,
     )
 
@@ -321,9 +297,7 @@ def g_dependence_experiment(
 @dataclass
 class D2Report:
     d2_coords: list
-    omega_coords: list
     equal: bool
-    both_zero: bool
 
 
 def compare_with_d2(inp: ObstructionInput, result: ObstructionResult | None = None) -> D2Report:
@@ -344,14 +318,7 @@ def compare_with_d2(inp: ObstructionInput, result: ObstructionResult | None = No
     z = chain_to_vector(inp.g, H.labels(1, q))
     d2_vec, _lifts = zigzag_dr(H, 1, q, z, 2)
     d2_coords, _ = _quotient_reduce(inp, vector_to_chain(3, H.labels(3, q + 1), d2_vec))
-    equal = list(d2_coords) == list(result.class_coords)
-    both_zero = all(c == 0 for c in d2_coords) and not result.nonzero
-    return D2Report(
-        d2_coords=list(d2_coords),
-        omega_coords=list(result.class_coords),
-        equal=equal,
-        both_zero=both_zero,
-    )
+    return D2Report(list(d2_coords), list(d2_coords) == list(result.class_coords))
 
 
 # -- formality baseline -------------------------------------------------------

@@ -721,7 +721,7 @@ def _parse_expression(op: FreeChainOperad, expr: str) -> OpElement:
         elif raw[0] == "-":
             sign = -1
             raw = raw[1:].strip()
-        coeff = Fraction(sign)
+        coeff = sign
         cm = re.match(r"^(\d+(?:/\d+)?)\s*\*\s*(.*)$", raw)
         if cm:
             coeff *= Fraction(cm.group(1))
@@ -736,7 +736,7 @@ def _parse_expression(op: FreeChainOperad, expr: str) -> OpElement:
             if not sm:
                 raise ValueError(f"expected composition token, got {slot_tok!r}")
             elem = op.compose(elem, int(sm.group(1)), generator_element(op, gen_tok))
-        term = elem.scale(coeff)
+        term = OpElement.make(elem.arity, {l: coeff * c for l, c in elem.coeffs})
         result = term if result is None else result + term
     if result is None:
         raise ValueError("empty expression")

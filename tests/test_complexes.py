@@ -239,6 +239,15 @@ class TestBoundaries:
         C = interval_complex()
         with pytest.raises(NotABoundary):
             is_boundary_with_witness(C, 0, vec([1, 0]))
+        # a NoSolution too, as NotACycle is, for callers that catch that
+        assert issubclass(NotABoundary, NoSolution)
+
+    def test_zero_is_a_boundary_at_every_degree(self):
+        """w = 0 for z = 0, inside the window and past either edge."""
+        C = interval_complex()
+        for q in (-3, -1, 0, 1, 2, 5):
+            w = is_boundary_with_witness(C, q, vec([0] * C.dim(q)))
+            assert is_zero_vec(w) and len(w) == C.dim(q + 1)
 
 
 class TestTensor:
@@ -273,11 +282,29 @@ class TestTensor:
 def test_reliability_flags():
     C = interval_complex()
     assert C.reliable(0) and C.reliable(1)
+    # past an edge the complex declares complete, homology is a certified zero
+    H = C.homology()
+    for q in (-1, 2, 7):
+        h = H.at(q)
+        assert (h.dim, h.representatives, h.reliable) == (0, [], True)
+        assert h.class_coordinates([]) == [] and H.dim(q) == 0
     space = GradedSpace({0: ("a",), 1: ("x",)})
     truncated = ChainComplexWindow(
         space, {1: RationalMatrix.zero(1, 1)}, (0, 1), complete_above=False
     )
     assert truncated.reliable(0) and not truncated.reliable(1)
+    assert truncated.homology().at(-1).dim == 0
+    # the unreliable edge degree, and every degree past the open edge
+    for q in (1, 2, 5):
+        with pytest.raises(WindowBoundary):
+            truncated.homology().at(q)
+    open_below = ChainComplexWindow(
+        space, {1: RationalMatrix.zero(1, 1)}, (0, 1), complete_below=False
+    )
+    assert not open_below.reliable(0) and open_below.homology().at(2).dim == 0
+    for q in (0, -1, -4):
+        with pytest.raises(WindowBoundary):
+            open_below.homology().at(q)
 
 
 def test_dd_checked_through_fractional_entries():

@@ -481,6 +481,22 @@ class TestHochschildHomology:
             (-4, 8): 1,
         }
 
+    def test_at_answers_inside_the_window_and_raises_outside(self, sphere5):
+        """``HH.at`` is the certified zero at a q where no column has labels
+        (the sphere has chains only in degrees 4k), the row's homology where
+        one does, and WindowBoundary outside 0 <= -p <= n_max, q <= q_max
+        and at the unreliable entry (-5, 12)."""
+        HH = hochschild_homology(sphere5, 5, 12)
+        assert 1 not in HH.homs and 4 in HH.homs
+        for p in (0, -2, -5):
+            h = HH.at(p, 1)
+            assert (h.dim, h.reliable) == (0, True) and h.class_coordinates([]) == []
+        assert HH.at(-2, 4) is HH.homs[4].at(-2) and HH.at(-2, 4).dim == 1
+        assert not HH.homs[12].per_degree[-5].reliable
+        for p, q in [(1, 0), (1, 1), (-6, 8), (-6, 1), (-2, 13), (-2, 16), (-5, 12)]:
+            with pytest.raises(complexes.WindowBoundary):
+                HH.at(p, q)
+
     def test_classes_are_coboundary_closed(self, sphere5):
         HH = hochschild_homology(sphere5, 5, 12)
         for c in HH.classes:

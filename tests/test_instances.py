@@ -315,17 +315,17 @@ class TestHomologyOperad:
         lambda: sphere_multiplicative(5, 4),
         lambda: framed_multiplicative(5, 4, 12),
         lambda: witness_multiplicative(2),
+        lambda: witness_multiplicative(3, padded=True),
         lambda: poisson_multiplicative(5),
     ],
-    ids=["sphere-d5", "framed-d5", "witness-m2", "poisson-d5"],
+    ids=["sphere-d5", "framed-d5", "witness-m2", "padded-witness-m3", "poisson-d5"],
 )
 def test_hosts_hand_out_int_structure_constants(build):
     """A built-in host's structure constants are plain ints: every
     ``compose_basis`` with x in arity <= 3 under the cap (on the Poisson
-    host, every entry of its table), and below the arity cap
-    ``normal_delta`` on the normalized labels and the coboundary
-    ``delta_on_label`` on every label.  (The witness differential comes
-    from the text parser, which keeps the user's scalars as Fractions.)"""
+    host, every entry of its table), ``diff_basis`` on every label, and
+    below the arity cap ``normal_delta`` on the normalized labels and the
+    coboundary ``delta_on_label`` on every label."""
     M = build()
     op = M.operad
     X = mcclure_smith(M)
@@ -353,5 +353,7 @@ def test_hosts_hand_out_int_structure_constants(build):
             for q in op.degrees(n):
                 for label in op.normalized_basis(n, q):
                     deltas += ints(op.normal_delta(n, label))
-    assert composites > 20 and deltas
+    diffs = sum(ints(op.diff_basis(n, label))
+                for n in range(op.max_arity + 1) for label in labels(n))
+    assert composites > 20 and deltas and bool(diffs) == op.has_differential()
 
