@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import ChainComplexWindow, WindowBoundary, complex_from_rule
@@ -129,30 +130,53 @@ class SphereOperad(Operad):
         per block position (diagonal distribution of its sphere class), in
         ``itertools.product`` order, so for n = 2 the first term sends
         every such pair to i and the last every one to i+1; into a point
-        (n = 0) it has no target.  Pair sets never collide, so every term
-        has coefficient one.
+        (n = 0) it has no target, so a pair at slot i ends the call before
+        anything is built.  Pair sets never collide, so every term has
+        coefficient one.  The normalized delta reads ``split_vertex``.
         """
+        if not n:  # a point at a covered vertex
+            for a, b in xl:
+                if a == i or b == i:
+                    return []
         block = range(i, i + n)
         fixed = [(a + i - 1, b + i - 1) for a, b in yl]
         moves = []
         for a, b in xl:
             if a != i != b:
                 fixed.append((a + n - 1 if a > i else a, b + n - 1 if b > i else b))
-            elif not n:  # a point inserted at a covered vertex
-                return []
             else:
                 moves.append([(k, b + n - 1) if a == i else (a, k) for k in block])
         return [tuple(sorted((*fixed, *to))) for to in itertools.product(*moves)]
 
+    def split_vertex(self, label, i: int) -> list:
+        """``compose_pairsets(n, label, i, 2, ())``, the pair-sets of label
+        o_i mu, in the same order: vertex i splits into i and i+1, a pair
+        at i takes one of the two, and every vertex past i moves up one.
+        The images of the pairs, in label order, are one product, and its
+        terms come out sorted but for the images of the pairs starting at
+        i, which are sorted in place."""
+        options = [
+            ((a, b),) if b < i else ((a + 1, b + 1),) if a > i
+            else ((a, b + 1),) if a < i < b else ((a, i), (a, i + 1)) if b == i
+            else ((i, b + 1), (i + 1, b + 1))
+            for a, b in label
+        ]
+        terms = itertools.product(*options)
+        lo, hi = bisect_left(label, (i,)), bisect_left(label, (i + 1,))
+        if hi - lo < 2:  # at most one pair starts at i, so every term is sorted
+            return list(terms)
+        return [t[:lo] + tuple(sorted(t[lo:hi])) + t[hi:] for t in terms]
+
     def normal_delta(self, n: int, label) -> Coeffs:
         """delta of ``mu()`` on a label covering all n vertices, restricted to
         the labels covering all n+1 (the rest cancels): outer cofaces add no
-        term, coface i only those whose two or more pairs at i reach i and i+1."""
+        term, coface i only the vertex splits whose two or more pairs at i
+        reach i and i+1, which are all but the first and the last."""
         ends = [v for p in label for v in p]
         return combine(
             (l, (-1) ** i)
             for i in sorted({v for v in ends if ends.count(v) > 1})
-            for l in self.compose_pairsets(n, label, i, 2, ())[1:-1]
+            for l in self.split_vertex(label, i)[1:-1]
         )
 
     def mu(self) -> OpElement:
@@ -379,8 +403,8 @@ class FramedOperad(Operad):
         """delta of ``mu()`` on a normalized label, restricted to the
         normalized labels, as on the sphere: slot i or i+1 of a term counts
         as covered when a pair reaches it or its Hopf factor is nonempty.
-        The base terms of coface i are built once and each Hopf split of
-        slot i takes the slice of them that covers its bare slots; a slot
+        The base's split of vertex i is built once and each Hopf split of
+        slot i takes the slice of it that covers its bare slots; a slot
         with fewer than two pairs and generators between them covers at
         most one of i and i+1, so it is skipped."""
         bl, gs = label
@@ -390,7 +414,7 @@ class FramedOperad(Operad):
         for i in range(1, n + 1):
             if ends.count(i) + len(gs[i - 1]) < 2:
                 continue
-            bases = self.base.compose_pairsets(n, bl, i, 2, ())
+            bases = self.base.split_vertex(bl, i)
             for (left, right), c in self._split(gs[i - 1], 2, units):
                 word = gs[: i - 1] + (left, right) + gs[i:]
                 # a bare slot i drops the last base term, a bare i+1 the first

@@ -375,8 +375,10 @@ class Subquotient:
         if block is not None:
             low = min(map(block, w))
             lows = [c for c in w if block(c) == low]
+        # Markowitz: a unit entry first, then the fewest touches, then the index
         count = self._count
-        lead = min(lows, key=lambda c: (abs(w[c]) != 1, count[c], c))
+        units = [c for c in lows if w[c] in (1, -1)]
+        lead = min([(count[c], c) for c in units or lows])[1]
         # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries;
         # the row is w / w[lead] and its coordinates (rep - coords) / w[lead]
         p = w[lead]

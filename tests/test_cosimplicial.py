@@ -264,34 +264,47 @@ def test_normalized_path_never_lists_the_raw_basis(build, n_max, q_max):
      (_framed_fixing, 7, 5, 14)],
     ids=["sphere-d5", "sphere-d7", "framed-d5", "framed-d7", "framed-d7-fixing-subgroup"],
 )
-def test_normal_delta_is_the_alternating_coface_sum(build, d, n_max, q_max):
+def test_normal_delta_is_the_alternating_coface_sum(build, d, n_max, q_max, monkeypatch):
     """The host's delta, which builds only the terms covering every vertex,
     equals the alternating coface sum on every kept label, so the dropped
-    terms cancel; and each delta_mat is the matrix of the generic rule."""
+    terms cancel; and each delta_mat is the matrix of the generic rule.
+    The host's delta never reads compose_pairsets, the kernel of the coface
+    sum, so the two sides share no composition routine."""
     X = mcclure_smith(build(d, n_max, q_max), n_max)
     H = HochschildComplex(X, q_max)
     assert H.normalized and X.normal_delta is not None
-    for n, q in H.positions():
-        if n == n_max:
-            continue
-        for label in H.labels(n, q):
-            assert X.normal_delta(n, label) == X.delta_on_label(n, label), (n, label)
+    sphere = getattr(X.host, "base", X.host)
+    columns = [(n, q) for n, q in H.positions() if n < n_max]
+
+    def refuse(*args):
+        raise AssertionError("the host's delta read compose_pairsets")
+
+    with monkeypatch.context() as m:
+        m.setattr(sphere, "compose_pairsets", refuse)
+        fast = {
+            (n, q): ([X.normal_delta(n, l) for l in H.labels(n, q)], H.delta_mat(n, q))
+            for n, q in columns
+        }
+    for n, q in columns:
+        deltas, mat = fast[(n, q)]
+        for label, delta in zip(H.labels(n, q), deltas):
+            assert delta == X.delta_on_label(n, label), (n, label)
         target = {l: k for k, l in enumerate(H.labels(n + 1, q))}
         generic = assemble(H.labels(n, q), target, lambda l: X.delta_on_label(n, l).items())
-        assert H.delta_mat(n, q) == generic, (n, q)
+        assert mat == generic, (n, q)
 
 
 @pytest.mark.parametrize(
-    "build,n_max,confirmed,pairsets",
+    "build,n_max,confirmed,splits",
     [(sphere_multiplicative, 8, 970, None), (framed_multiplicative, 6, 1_557, 1_400)],
     ids=["sphere-d5", "framed-d5"],
 )
-def test_work_counts_of_the_normalized_columns(build, n_max, confirmed, pairsets, monkeypatch):
+def test_work_counts_of_the_normalized_columns(build, n_max, confirmed, splits, monkeypatch):
     """At d=5, q <= 16: the codegeneracies confirm each proposed label
     through the host's compose_basis, never the bilinear compose_terms;
-    and the framed delta asks its base for coface terms only at the slots
+    and the framed delta asks its base for vertex splits only at the slots
     that carry two or more pairs and generators."""
-    composed, asked, cofaces = [], [], []
+    composed, asked, split_calls = [], [], []
     monkeypatch.setattr(Operad, "compose_terms", lambda *args: composed.append(args))
     normal = SemicosimplicialChainComplex.is_normal_label
     monkeypatch.setattr(
@@ -301,13 +314,13 @@ def test_work_counts_of_the_normalized_columns(build, n_max, confirmed, pairsets
     M = build(5, n_max, 16)
     H = HochschildComplex(mcclure_smith(M, n_max), 16)
     assert (len(composed), len(asked)) == (0, confirmed)
-    if pairsets is not None:
+    if splits is not None:
         base = M.operad.base
-        pairs = base.compose_pairsets
-        monkeypatch.setattr(base, "compose_pairsets", lambda *a: cofaces.append(a) or pairs(*a))
+        split = base.split_vertex
+        monkeypatch.setattr(base, "split_vertex", lambda *a: split_calls.append(a) or split(*a))
         for n, q in H.positions():
             H.delta_mat(n, q)
-        assert len(cofaces) == pairsets
+        assert len(split_calls) == splits
 
 
 def _generic_delta_calls(H) -> int:

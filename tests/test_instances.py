@@ -1,6 +1,7 @@
 """Concrete operads: sphere pair-classes, Poisson table, framed, witness."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -125,6 +126,22 @@ class TestSphereComposition:
                             calls += 1
                             spread += len(want) > 1
         assert calls > 200_000 and spread > 600
+
+    def test_vertex_split_is_the_composite_with_mu(self):
+        """split_vertex(label, i) is compose_pairsets(n, label, i, 2, ()),
+        list for list and in product order, for every raw label of arity
+        <= 6 and every slot, those with no pair and one pair at i among them."""
+        S = sphere_operad(5, max_arity=6)
+        pairs_at = Counter()
+        for n in range(1, 7):
+            for labels in S.basis_by_degree(n).values():
+                for label in labels:
+                    for i in range(1, n + 1):
+                        got = S.split_vertex(label, i)
+                        assert got == S.compose_pairsets(n, label, i, 2, ()), (n, label, i)
+                        pairs_at[sum(i in p for p in label)] += 1
+        assert sorted(pairs_at) == [0, 1, 2, 3, 4, 5]
+        assert pairs_at[0] > 1_000 and pairs_at[1] > 1_000
 
     def test_normalized_label_counts(self):
         """Inclusion-exclusion over the vertices left bare: the pair-sets of
