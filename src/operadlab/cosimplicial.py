@@ -62,8 +62,10 @@ class SemicosimplicialChainComplex:
     ``coface(n, i, label) -> Coeffs`` gives the coface on a basis label of
     column n; ``codegeneracy(n, i, label) -> Coeffs`` (optional) gives
     s^i: X^{n+1} -> X^n for 0 <= i <= n.  ``normal_delta(n, label)``
-    (optional) gives delta on a normalized label restricted to the
-    normalized labels.  The host owns each column's basis and differential.
+    (optional) gives the ``(label, coefficient)`` terms of delta on a
+    normalized label restricted to the normalized labels, unsummed:
+    ``assemble`` sums them.  The host owns each column's basis and
+    differential.
     """
 
     def __init__(self, host, n_max: int, coface, codegeneracy=None, normal_delta=None):
@@ -216,7 +218,8 @@ class HochschildComplex:
     host that builds its normalized labels directly never lists its raw
     basis here.  delta preserves that span even though individual
     cofaces do not; the host's ``normal_delta``, when there is one, builds
-    only its terms on normalized labels.  ``assemble`` refuses any other.
+    only its terms on normalized labels and hands them to ``assemble``
+    unsummed.  ``assemble`` refuses any other label.
     """
 
     def __init__(self, X: SemicosimplicialChainComplex, q_max: int, normalized=True):
@@ -294,10 +297,9 @@ class HochschildComplex:
         if n >= self.n_max:
             # out of the stored window: zero map (truncated object)
             return RationalMatrix.zero(0, len(src))
-        rule = (self.normalized and self.X.normal_delta) or self.X.delta_on_label
-        return assemble(
-            src, self._index.get((n + 1, q), {}), lambda label: rule(n, label).items()
-        )
+        X = self.X
+        rule = (self.normalized and X.normal_delta) or (lambda n, l: X.delta_on_label(n, l).items())
+        return assemble(src, self._index.get((n + 1, q), {}), partial(rule, n))
 
     def complex_in_p(self, q: int) -> ChainComplexWindow:
         """Fixed internal degree q: complex over p = -n with differential

@@ -15,7 +15,6 @@ hosts with both even and odd internal degrees.  The test suite locks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .complexes import is_boundary_with_witness
 from .cosimplicial import (
@@ -50,30 +49,25 @@ def shifted_degree(op: Operad, x: OpElement) -> int:
     return q - x.arity + 1
 
 
-def _circle_terms(op: Operad, x: OpElement, y: OpElement, flip: int):
-    """The ``(label, coefficient)`` terms of (-1)^flip x o-bar y, slot by
-    slot from ``compose_terms``; x and y are nonzero."""
+def _circle_parts(op: Operad, x: OpElement, y: OpElement, sign: int) -> list:
+    """The ``compose_sum`` parts of sign * (x o-bar y), one per slot of x;
+    x and y are nonzero."""
     nx, ny = x.arity, y.arity
     qx = op.element_degree(nx, x)
-    for i in range(1, nx + 1):
-        odd = ((ny + 1) * (qx + nx + i) + flip) % 2
-        for l, c in op.compose_terms(nx, x.coeffs, i, ny, y.coeffs).items():
-            yield l, -c if odd else c
+    return [(-sign if (ny + 1) * (qx + nx + i) % 2 else sign, x, i, y) for i in range(1, nx + 1)]
 
 
 def circle(op: Operad, x: OpElement, y: OpElement) -> OpElement:
     """Sum-over-slots circle operation with the pinned sign table."""
-    if x.is_zero() or y.is_zero():
+    if x.is_zero() or y.is_zero() or not x.arity:
         return OpElement.zero(x.arity + y.arity - 1)
-    return OpElement.make(x.arity + y.arity - 1, combine(_circle_terms(op, x, y, 0)))
+    return op.compose_sum(_circle_parts(op, x, y, 1))
 
 
 def bracket(op: Operad, x: OpElement, y: OpElement) -> OpElement:
     if x.is_zero() or y.is_zero():
         return OpElement.zero(x.arity + y.arity - 1)
-    flip = 1 + shifted_degree(op, x) * shifted_degree(op, y)
-    terms = chain(_circle_terms(op, x, y, 0), _circle_terms(op, y, x, flip))
-    return OpElement.make(x.arity + y.arity - 1, combine(terms))
+    return op.compose_sum(_circle_parts(op, x, y, 1) + _circle_parts(op, y, x, -_sign(op, x, y)))
 
 
 # -- exhaustive checks -------------------------------------------------------

@@ -32,7 +32,6 @@ from .operads import (
     TableOperad,
     TruncationError,
     chain_to_vector,
-    combine,
     extend,
     generator_element as witness_generator,
     parse_free_operad,
@@ -167,17 +166,18 @@ class SphereOperad(Operad):
             return list(terms)
         return [t[:lo] + tuple(sorted(t[lo:hi])) + t[hi:] for t in terms]
 
-    def normal_delta(self, n: int, label) -> Coeffs:
-        """delta of ``mu()`` on a label covering all n vertices, restricted to
-        the labels covering all n+1 (the rest cancels): outer cofaces add no
-        term, coface i only the vertex splits whose two or more pairs at i
-        reach i and i+1, which are all but the first and the last."""
+    def normal_delta(self, n: int, label) -> list:
+        """The unsummed ``(label, +-1)`` terms of delta of ``mu()`` on a label
+        covering all n vertices, restricted to the labels covering all n+1
+        (the rest cancels): outer cofaces add no term, coface i only the
+        vertex splits whose two or more pairs at i reach i and i+1, which
+        are all but the first and the last."""
         ends = [v for p in label for v in p]
-        return combine(
+        return [
             (l, (-1) ** i)
             for i in sorted({v for v in ends if ends.count(v) > 1})
             for l in self.split_vertex(label, i)[1:-1]
-        )
+        ]
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ())
@@ -399,14 +399,14 @@ class FramedOperad(Operad):
         per_slot = min(self.base.d - 1, 2 * min(self.hopf.gen_degrees))
         return 2 * q < n * per_slot
 
-    def normal_delta(self, n: int, label) -> Coeffs:
-        """delta of ``mu()`` on a normalized label, restricted to the
-        normalized labels, as on the sphere: slot i or i+1 of a term counts
-        as covered when a pair reaches it or its Hopf factor is nonempty.
-        The base's split of vertex i is built once and each Hopf split of
-        slot i takes the slice of it that covers its bare slots; a slot
-        with fewer than two pairs and generators between them covers at
-        most one of i and i+1, so it is skipped."""
+    def normal_delta(self, n: int, label) -> list:
+        """The unsummed terms of delta of ``mu()`` on a normalized label,
+        restricted to the normalized labels, as on the sphere: slot i or
+        i+1 of a term counts as covered when a pair reaches it or its Hopf
+        factor is nonempty.  The base's split of vertex i is built once and
+        each Hopf split of slot i takes the slice of it that covers its bare
+        slots; a slot with fewer than two pairs and generators between them
+        covers at most one of i and i+1, so it is skipped."""
         bl, gs = label
         units = (self.hopf.unit,) * 2
         ends = [v for p in bl for v in p]
@@ -420,7 +420,7 @@ class FramedOperad(Operad):
                 # a bare slot i drops the last base term, a bare i+1 the first
                 kept = bases[not right:len(bases) - (not left)]
                 terms += [((b, word), (-1) ** i * c) for b in kept]
-        return combine(terms)
+        return terms
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ((), (self.hopf.unit,) * 2))

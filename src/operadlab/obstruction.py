@@ -69,14 +69,14 @@ class ObstructionInput:
     @cached_property  # every omega on this input reads the same three values
     def h_rhs(self) -> OpElement:
         """nu o2 g + nu o1 g - g o1 nu, which d h must equal."""
-        op, nu, g = self.operad, self.nu, self.g
-        return op.compose(nu, 2, g) + op.compose(nu, 1, g) - op.compose(g, 1, nu)
+        nu, g = self.nu, self.g
+        return self.operad.compose_sum([(1, nu, 2, g), (1, nu, 1, g), (-1, g, 1, nu)])
 
     @cached_property
     def associator(self) -> OpElement:
         """nu o2 nu - nu o1 nu, which d xi must equal."""
-        op, nu = self.operad, self.nu
-        return op.compose(nu, 2, nu) - op.compose(nu, 1, nu)
+        nu = self.nu
+        return self.operad.compose_sum([(1, nu, 2, nu), (-1, nu, 1, nu)])
 
     @cached_property
     def _target(self):
@@ -132,21 +132,13 @@ def find_xi(inp: ObstructionInput) -> OpElement:
     return _solve_primitive(inp.operad, 3, 1, inp.associator)
 
 
-def omega_chain(inp: ObstructionInput, h: OpElement, xi: OpElement):
-    op, nu, g = inp.operad, inp.nu, inp.g
-    omega1 = (
-        op.compose(nu, 2, h)
-        - op.compose(h, 1, nu)
-        + op.compose(h, 2, nu)
-        - op.compose(nu, 1, h)
-    )
-    omega2 = (
-        op.compose(g, 1, xi)
-        + op.compose(xi, 1, g)
-        + op.compose(xi, 2, g)
-        + op.compose(xi, 3, g)
-    )
-    return omega1 - omega2
+def omega_chain(inp: ObstructionInput, h: OpElement, xi: OpElement) -> OpElement:
+    """omega = omega1 - omega2, one sum of its eight composites."""
+    nu, g = inp.nu, inp.g
+    return inp.operad.compose_sum([
+        (1, nu, 2, h), (-1, h, 1, nu), (1, h, 2, nu), (-1, nu, 1, h),
+        (-1, g, 1, xi), (-1, xi, 1, g), (-1, xi, 2, g), (-1, xi, 3, g),
+    ])
 
 
 def _quotient_reduce(inp: ObstructionInput, z: OpElement):
@@ -166,9 +158,9 @@ def omega(inp: ObstructionInput, h: OpElement, xi: OpElement) -> ObstructionResu
     """Build omega from the given witnesses and locate its class."""
     op = inp.operad
     if op.has_differential():
-        if not (op.differential(h) - inp.h_rhs).is_zero():
+        if op.differential(h) != inp.h_rhs:
             raise ValueError("h does not trivialize the bracket of g with nu")
-        if not (op.differential(xi) - inp.associator).is_zero():
+        if op.differential(xi) != inp.associator:
             raise ValueError("xi does not trivialize the associator of nu")
     w = omega_chain(inp, h, xi)
     if op.has_differential() and not op.differential(w).is_zero():

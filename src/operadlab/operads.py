@@ -137,7 +137,7 @@ class Operad:
 
     max_arity: int
     degree_cap: int | None = None
-    # (n, label) -> Coeffs: delta of mu() on normalized labels, if known
+    # (n, label) -> unsummed (label, +-1) terms of delta of mu() on normalized labels
     normal_delta = None
 
     def basis_by_degree(self, n: int) -> dict:
@@ -176,9 +176,20 @@ class Operad:
         return degs.pop()
 
     def compose(self, x: OpElement, i: int, y: OpElement) -> OpElement:
-        return OpElement.make(
-            x.arity + y.arity - 1, self.compose_terms(x.arity, x.coeffs, i, y.arity, y.coeffs)
-        )
+        return self.compose_sum([(1, x, i, y)])
+
+    def compose_sum(self, parts) -> OpElement:
+        """The sum of sign * (x o_i y) over the list of ``(sign, x, i, y)``
+        parts, each sign +1 or -1 and every composite of one arity: every
+        composite's terms go into one ``combine``, a sign by negation."""
+        arities = {x.arity + y.arity - 1 for _, x, _, y in parts}
+        if len(arities) != 1:
+            raise ValueError(f"a sum of composites needs one arity, got {sorted(arities)}")
+        return OpElement.make(arities.pop(), combine(
+            (l, c if s == 1 else -c)
+            for s, x, i, y in parts
+            for l, c in self.compose_terms(x.arity, x.coeffs, i, y.arity, y.coeffs).items()
+        ))
 
     def compose_terms(self, m: int, xs, i: int, n: int, ys) -> Coeffs:
         """x o_i y for x = sum xc xl in O(m) and y = sum yc yl in O(n),
@@ -691,7 +702,7 @@ def parse_free_operad(
             rule = _parse_expression(op, expr)
         except KeyError as e:
             raise ValueError(f"undeclared generator {e}: {line!r}") from None
-        except (ValueError, TruncationError) as e:
+        except (ValueError, ZeroDivisionError, TruncationError) as e:
             raise ValueError(f"{e}: {line!r}") from None
         degrees = {op.degree(rule.arity, l) for l in rule.support()}
         if degrees and (rule.arity, degrees) != (ar, {dg - 1}):

@@ -341,7 +341,8 @@ def test_hosts_hand_out_int_structure_constants(build):
     """A built-in host's structure constants are plain ints: every
     ``compose_basis`` with x in arity <= 3 under the cap (on the Poisson
     host, every entry of its table), ``diff_basis`` on every label, and
-    below the arity cap ``normal_delta`` on the normalized labels and the
+    below the arity cap every raw ``(label, coefficient)`` term of
+    ``normal_delta`` on the normalized labels, before any sum, and the
     coboundary ``delta_on_label`` on every label."""
     M = build()
     op = M.operad
@@ -350,9 +351,10 @@ def test_hosts_hand_out_int_structure_constants(build):
     def labels(n):
         return [l for ls in op.basis_by_degree(n).values() for l in ls]
 
-    def ints(coeffs) -> bool:
-        assert all(type(c) is int for c in coeffs.values()), coeffs
-        return bool(coeffs)
+    def ints(terms) -> bool:
+        terms = list(terms)
+        assert all(type(c) is int for _, c in terms), terms
+        return bool(terms)
 
     composites = deltas = 0
     for m in range(1, 4):
@@ -360,17 +362,17 @@ def test_hosts_hand_out_int_structure_constants(build):
             for xl, yl in itertools.product(labels(m), labels(n)):
                 for i in range(1, m + 1):
                     try:
-                        composites += ints(op.compose_basis(m, xl, i, n, yl))
+                        composites += ints(op.compose_basis(m, xl, i, n, yl).items())
                     except TruncationError:
                         pass
     for n in range(op.max_arity):
         for label in labels(n):
-            deltas += ints(X.delta_on_label(n, label))
+            deltas += ints(X.delta_on_label(n, label).items())
         if op.normal_delta is not None:
             for q in op.degrees(n):
                 for label in op.normalized_basis(n, q):
                     deltas += ints(op.normal_delta(n, label))
-    diffs = sum(ints(op.diff_basis(n, label))
+    diffs = sum(ints(op.diff_basis(n, label).items())
                 for n in range(op.max_arity + 1) for label in labels(n))
     assert composites > 20 and deltas and bool(diffs) == op.has_differential()
 

@@ -32,7 +32,8 @@ from operadlab.obstruction import (
     omega,
     run_pipeline,
 )
-from operadlab.operads import FreeChainOperad, OpElement, parse_free_operad
+from operadlab.gerstenhaber import bracket, circle
+from operadlab.operads import FreeChainOperad, OpElement, Operad, parse_free_operad
 
 
 def witness_input(m=2, **kw):
@@ -174,6 +175,80 @@ class TestSolveOnceQueryMany:
         for _ in range(2):
             with pytest.raises(WindowBoundary):
                 omega(inp, h, xi)
+
+
+def _omega_reference(inp, h, xi):
+    """omega = omega1 - omega2 composite by composite, summed with element
+    arithmetic: the reference for omega_chain."""
+    op, nu, g = inp.operad, inp.nu, inp.g
+    omega1 = (
+        op.compose(nu, 2, h)
+        - op.compose(h, 1, nu)
+        + op.compose(h, 2, nu)
+        - op.compose(nu, 1, h)
+    )
+    omega2 = (
+        op.compose(g, 1, xi)
+        + op.compose(xi, 1, g)
+        + op.compose(xi, 2, g)
+        + op.compose(xi, 3, g)
+    )
+    return omega1 - omega2
+
+
+def test_omega_chain_is_the_chained_expression():
+    """On padded-witness m=3, omega_chain equals the reference on the
+    pipeline's h and xi and on ten seeded perturbations by rational
+    combinations of cycles, five of h and five of xi."""
+    inp = witness_input(3, padded=True)
+    res = run_pipeline(inp)
+    op, rng = inp.operad, random.Random(32)
+    witnesses = [(res.h, res.xi)]
+    for k in range(10):
+        cycles = obstruction._cycle_basis(op, *((2, 12) if k % 2 else (3, 1)))
+        z = OpElement.zero(cycles[0].arity)
+        for c in cycles:
+            z = z + c.scale(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
+        witnesses.append((res.h + z, res.xi) if k % 2 else (res.h, res.xi + z))
+    for h, xi in witnesses:
+        w = obstruction.omega_chain(inp, h, xi)
+        assert w == _omega_reference(inp, h, xi) and not w.is_zero()
+
+
+def test_each_signed_sum_is_made_once(monkeypatch):
+    """circle, bracket, h_rhs, associator and omega_chain each make one
+    compose_sum call, and omega_chain one element; no delta_mat of sphere
+    d=5, n <= 8, q <= 16 or framed d=5, n <= 6, q <= 16 calls combine, since
+    assemble alone sums the host's delta terms."""
+    sums, made, combined = [], [], []
+    monkeypatch.setattr(Operad, "compose_sum", _counting(Operad.compose_sum, sums))
+    make = OpElement.make
+    monkeypatch.setattr(OpElement, "make", classmethod(lambda cls, *a: made.append(a) or make(*a)))
+
+    def counts(f, *args):
+        sums.clear()
+        made.clear()
+        f(*args)
+        return len(sums), len(made)
+
+    inp = witness_input(3, padded=True)
+    h, xi = find_h(inp), find_xi(inp)
+    assert counts(obstruction.omega_chain, inp, h, xi) == (1, 1)
+    fresh = witness_input(3, padded=True)  # h_rhs and associator are built once per input
+    assert counts(lambda: fresh.h_rhs)[0] == counts(lambda: fresh.associator)[0] == 1
+    S = sphere_multiplicative(5, 4).operad
+    assert counts(circle, S, S.alpha(), S.alpha())[0] == 1
+    assert counts(bracket, S, S.alpha(), S.alpha())[0] == 1
+
+    combine = sys.modules["operadlab.operads"].combine
+    for name, module in list(sys.modules.items()):
+        if name.startswith("operadlab") and getattr(module, "combine", None) is combine:
+            monkeypatch.setattr(module, "combine", _counting(combine, combined))
+    for build, n_max in ((sphere_multiplicative, 8), (framed_multiplicative, 6)):
+        H = HochschildComplex(mcclure_smith(build(5, n_max, 16), n_max), 16)
+        combined.clear()
+        assert sum(H.delta_mat(n, q).cols for n, q in H.positions()) > 500
+        assert combined == [], build
 
 
 class TestChoiceIndependence:

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_free_basis, reference_free_compose, reference_free_diff
-from operadlab.instances import poisson_operad_small, poisson_structure_constants, witness_operad
+from operadlab.instances import (
+    framed_multiplicative,
+    poisson_operad_small,
+    poisson_structure_constants,
+    sphere_operad,
+    witness_operad,
+)
 from operadlab.operads import (
     LEAF,
     DegreeOverflow,
@@ -101,11 +107,13 @@ class TestFreeOperad:
             ("nu:2:0\nh:2:1\nd h = nu o9 nu", "d h = nu o9 nu"),
             ("nu:2:0\nh:2:1\nd h = nu x1 nu", "d h = nu x1 nu"),
             ("nu:2:0\nh:2:1\nd h = nu o1 nu o1 nu o1 nu", "d h = nu o1 nu o1 nu o1 nu"),
+            ("nu:2:0\nh:2:1\nd h = 1/0 * nu", "d h = 1/0 * nu"),
         ],
         ids=[
             "undeclared", "arity", "degree", "declared-twice", "second-rule",
             "body-unknown-generator", "body-empty", "body-malformed-term",
             "body-slot-out-of-range", "body-bad-composition-token", "body-arity-overflow",
+            "body-zero-denominator",
         ],
     )
     def test_malformed_presentation_names_its_line(self, text, bad_line):
@@ -283,3 +291,62 @@ def test_random_axiom_sampling_deterministic():
     a = check_operad_axioms(op, samples=50, rng=random.Random(5))
     b = check_operad_axioms(op, samples=50, rng=random.Random(5))
     assert a.checked == b.checked and a.ok == b.ok
+
+
+SUM_HOSTS = {
+    "sphere-d5": lambda: sphere_operad(5, max_arity=4),
+    "framed-d5": lambda: framed_multiplicative(5, 4, 12).operad,
+    "padded-witness-m3": lambda: witness_operad(3, padded=True),
+}
+
+
+def _sample(op, n: int, rng) -> OpElement:
+    """A seeded rational combination of up to three basis labels of O(n)
+    in degrees up to half the cap, so that no composite of two leaves it;
+    the zero element where there is none."""
+    top = float("inf") if op.degree_cap is None else op.degree_cap // 2
+    labels = [l for q, ls in op.basis_by_degree(n).items() if q <= top for l in ls]
+    x = OpElement.zero(n)
+    for l in rng.sample(labels, min(3, len(labels))):
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+        x = x + OpElement.basis(n, l).scale(c)
+    return x
+
+
+def _chained_sum(op, parts) -> OpElement:
+    """The reference for compose_sum: compose each part, then add or
+    subtract it."""
+    _, x, _, y = parts[0]
+    total = OpElement.zero(x.arity + y.arity - 1)
+    for s, x, i, y in parts:
+        total = total + op.compose(x, i, y) if s == 1 else total - op.compose(x, i, y)
+    return total
+
+
+@pytest.mark.parametrize("host", SUM_HOSTS.values(), ids=SUM_HOSTS)
+def test_compose_sum_is_the_chained_sum(host):
+    """compose_sum equals the compose/+/- expression on seeded rational
+    samples, with a zero-element part and a part its negative cancels in
+    every sum, and is zero on a sum that cancels as a whole."""
+    op = host()
+    rng = random.Random(32)
+    checked = 0
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.randint(1, arity + 1)
+            x, y = _sample(op, m, rng), _sample(op, arity + 1 - m, rng)
+            parts.append((rng.choice((1, -1)), x, rng.randint(1, m), y))
+        s, x, i, y = parts[0]
+        parts += [(-s, x, i, y), (s, OpElement.zero(x.arity), i, y)]
+        rng.shuffle(parts)
+        want = _chained_sum(op, parts)
+        assert op.compose_sum(parts) == want
+        assert op.compose_sum(parts + [(-s, x, i, y) for s, x, i, y in parts]).is_zero()
+        checked += not want.is_zero()
+    assert checked >= 20
+    with pytest.raises(ValueError, match="one arity"):
+        op.compose_sum([(1, x, i, y), (1, x, i, OpElement.zero(y.arity + 1))])
+    with pytest.raises(ValueError, match="one arity"):
+        op.compose_sum([])
