@@ -59,8 +59,8 @@ class SemicosimplicialChainComplex:
     """Columns X^n = host(n), 0 <= n <= n_max, with cofaces
     d^i: X^n -> X^{n+1}, 0 <= i <= n+1.
 
-    ``coface(n, i, label) -> Coeffs`` gives the coface on a basis label of
-    column n; ``codegeneracy(n, i, label) -> Coeffs`` (optional) gives
+    ``coface(n, i, label)`` gives the coface on a basis label of column n
+    as raw terms; ``codegeneracy(n, i, label) -> Coeffs`` (optional) gives
     s^i: X^{n+1} -> X^n for 0 <= i <= n.  ``normal_delta(n, label)``
     (optional) gives the ``(label, coefficient)`` terms of delta on a
     normalized label restricted to the normalized labels, unsummed:
@@ -83,11 +83,10 @@ class SemicosimplicialChainComplex:
                     yield q, label
 
     def delta_on_label(self, n: int, label) -> Coeffs:
-        """Alternating coface sum delta = sum_i (-1)^i d^i on one label."""
+        """Alternating coface sum delta = sum_i (-1)^i d^i on one label,
+        all n + 2 cofaces' raw terms in one ``combine``."""
         return combine(
-            (l2, -c if i % 2 else c)
-            for i in range(n + 2)
-            for l2, c in self.coface(n, i, label).items()
+            (l2, -c if i % 2 else c) for i in range(n + 2) for l2, c in self.coface(n, i, label)
         )
 
     def is_normal_label(self, n: int, label) -> bool:
@@ -104,7 +103,7 @@ class SemicosimplicialChainComplex:
     def check_coface_identities(self, q_max: int | None = None) -> list:
         """d^j d^i = d^i d^{j-1} for i < j, on every stored basis label."""
         failures = []
-        face = self.coface
+        face = _summed(self.coface)
         for n in range(self.n_max - 1):
             for _, label in self._basis(n, q_max):
                 for j in range(n + 3):
@@ -121,7 +120,7 @@ class SemicosimplicialChainComplex:
         if self.codegeneracy is None:
             return []
         failures = []
-        face, degen = self.coface, self.codegeneracy
+        face, degen = _summed(self.coface), self.codegeneracy
         for n in range(self.n_max):
             for _, label in self._basis(n, q_max):
                 for j in range(n + 1):
@@ -133,16 +132,20 @@ class SemicosimplicialChainComplex:
 
     def check_cofaces_chain_maps(self) -> list:
         """Each coface commutes with the internal differential."""
-        failures = []
+        failures, coface = [], _summed(self.coface)
         for n in range(self.n_max):
             d_src = partial(self.host.diff_basis, n)
             d_tgt = partial(self.host.diff_basis, n + 1)
             for q, label in self._basis(n, None):
                 for i in range(n + 2):
-                    face = partial(self.coface, n, i)
+                    face = partial(coface, n, i)
                     if _differ(_then(face, d_tgt, label), _then(d_src, face, label)):
                         failures.append(("chain-map", n, i, q, label))
         return failures
+
+
+def _summed(f):  # the checkers are oracles: they sum a coface before composing it
+    return lambda *args: combine(f(*args))
 
 
 def _then(f, g, label) -> Coeffs:
@@ -159,12 +162,12 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
 
     Cofaces on x of arity n: d^0 = mult composed below slot 2 of the
     multiplication (mult o2 x), d^i = x o_i mult for 1 <= i <= n, and
-    d^{n+1} = mult o1 x.  Codegeneracies s^i = (- o_{i+1} point) when the
-    structure has an arity-0 point, read off the host's ``compose_basis``
-    (the point is one label).  The columns are the host's arities
-    0..n_max; ``HochschildComplex`` reads their labels and restricts them
-    to the normalized ones, where the host's ``normal_delta`` gives delta
-    if mult is its ``mu()``.  ``n_max`` may not exceed the arity cap.
+    d^{n+1} = mult o1 x, each the raw terms of ``compose_terms``.
+    Codegeneracies s^i = (- o_{i+1} point) when the structure has an
+    arity-0 point: the host's ``compose_basis`` dict (the point is one
+    label).  The columns are the host's arities 0..n_max, normalized when
+    there is a point; there the host's ``normal_delta`` gives delta if
+    mult is its ``mu()``.  ``n_max`` may not exceed the arity cap.
     """
     op = M.operad
     if n_max is None:
@@ -174,7 +177,7 @@ def mcclure_smith(M: MultiplicativeStructure, n_max: int | None = None):
 
     mult = M.mult.coeffs
 
-    def coface(n, i, label) -> Coeffs:
+    def coface(n, i, label) -> list:
         x = ((label, 1),)
         if i == 0:
             return op.compose_terms(2, mult, 2, n, x)
@@ -209,9 +212,9 @@ class HochschildComplex:
 
     Positions (n, q) with vertical differential d (q -> q-1, read off
     column n's chain complex) and horizontal differential delta
-    (n -> n+1).  When the underlying object has codegeneracies and
-    ``normalized`` is set, each column is restricted to the normalized
-    labels of the host's arity-n basis: the host's
+    (n -> n+1).  Normalization follows the structure: when the object
+    has codegeneracies, each column is restricted to the normalized
+    labels of the host's arity-n basis (``normalized``): the host's
     ``normalized_basis`` proposes them, in basis order, and the
     codegeneracies confirm each one, so an over-inclusive host still gives
     exact columns.  The degrees come from the host's ``degrees``, so a
@@ -219,14 +222,16 @@ class HochschildComplex:
     basis here.  delta preserves that span even though individual
     cofaces do not; the host's ``normal_delta``, when there is one, builds
     only its terms on normalized labels and hands them to ``assemble``
-    unsummed.  ``assemble`` refuses any other label.
+    unsummed, and otherwise ``delta_on_label`` sums the cofaces' raw terms
+    first, so the ones that cancel never reach ``assemble``, which refuses
+    any label outside the column.
     """
 
-    def __init__(self, X: SemicosimplicialChainComplex, q_max: int, normalized=True):
+    def __init__(self, X: SemicosimplicialChainComplex, q_max: int):
         self.X = X
         self.q_max = q_max
         self.n_max = X.n_max
-        self.normalized = normalized and X.codegeneracy is not None
+        self.normalized = X.codegeneracy is not None
         self._labels: dict = {}
         self._index: dict = {}
         self._degrees = {n: X.host.degrees(n) for n in range(self.n_max + 1)}
@@ -331,7 +336,6 @@ class HochschildClass:
     q: int
     vector: list  # coordinates over the kept labels of (arity, q)
     element: OpElement
-    normalized: bool = True
 
     @property
     def p(self) -> int:
@@ -361,17 +365,12 @@ class HochschildHomology:
         return [c for c in self.classes if c.p == p and c.q == q]
 
 
-def hochschild_homology(
-    M: MultiplicativeStructure,
-    n_max: int,
-    q_max: int,
-    normalized: bool = True,
-) -> HochschildHomology:
-    """Bigraded Hochschild homology of a zero-differential host."""
+def hochschild_homology(M: MultiplicativeStructure, n_max: int, q_max: int) -> HochschildHomology:
+    """Bigraded Hochschild homology of a zero-differential host, on the
+    normalized columns exactly when M has a point."""
     if M.operad.has_differential():
         raise ValueError("Hochschild homology requires a zero-differential host")
-    X = mcclure_smith(M, n_max)
-    H = HochschildComplex(X, q_max, normalized=normalized)
+    H = HochschildComplex(mcclure_smith(M, n_max), q_max)
     qs = sorted({q for (_, q) in H.positions()})
     homs: dict = {}
     classes: list = []
@@ -385,7 +384,7 @@ def hochschild_homology(
             n = -p
             for rep in h.representatives:
                 el = vector_to_chain(n, H.labels(n, q), rep)
-                classes.append(HochschildClass(n, q, rep, el, H.normalized))
+                classes.append(HochschildClass(n, q, rep, el))
     return HochschildHomology(H, homs, bigraded_dims(homs), classes)
 
 

@@ -49,11 +49,10 @@ def shifted_degree(op: Operad, x: OpElement) -> int:
     return q - x.arity + 1
 
 
-def _circle_parts(op: Operad, x: OpElement, y: OpElement, sign: int) -> list:
-    """The ``compose_sum`` parts of sign * (x o-bar y), one per slot of x;
-    x and y are nonzero."""
+def _circle_parts(x: OpElement, qx: int, y: OpElement, sign: int) -> list:
+    """The ``compose_sum`` parts of sign * (x o-bar y), one per slot of x,
+    for x of degree qx; x and y are nonzero."""
     nx, ny = x.arity, y.arity
-    qx = op.element_degree(nx, x)
     return [(-sign if (ny + 1) * (qx + nx + i) % 2 else sign, x, i, y) for i in range(1, nx + 1)]
 
 
@@ -61,13 +60,15 @@ def circle(op: Operad, x: OpElement, y: OpElement) -> OpElement:
     """Sum-over-slots circle operation with the pinned sign table."""
     if x.is_zero() or y.is_zero() or not x.arity:
         return OpElement.zero(x.arity + y.arity - 1)
-    return op.compose_sum(_circle_parts(op, x, y, 1))
+    return op.compose_sum(_circle_parts(x, op.element_degree(x.arity, x), y, 1))
 
 
 def bracket(op: Operad, x: OpElement, y: OpElement) -> OpElement:
     if x.is_zero() or y.is_zero():
         return OpElement.zero(x.arity + y.arity - 1)
-    return op.compose_sum(_circle_parts(op, x, y, 1) + _circle_parts(op, y, x, -_sign(op, x, y)))
+    qx, qy = op.element_degree(x.arity, x), op.element_degree(y.arity, y)
+    sign = -1 if (qx - x.arity + 1) * (qy - y.arity + 1) % 2 else 1  # (-1)^{s_x s_y}
+    return op.compose_sum(_circle_parts(x, qx, y, 1) + _circle_parts(y, qy, x, -sign))
 
 
 # -- exhaustive checks -------------------------------------------------------
@@ -177,7 +178,7 @@ def bracket_on_classes(
     terms = [(j, c * val) for c, r in zip(coords, hom.representatives) if c
              for j, val in enumerate(r) if val]
     rep = dense(combine(terms), len(labels))
-    return HochschildClass(n, q, rep, vector_to_chain(n, labels, rep), H.normalized)
+    return HochschildClass(n, q, rep, vector_to_chain(n, labels, rep))
 
 
 def class_is_zero(HH: HochschildHomology, c: HochschildClass) -> bool:

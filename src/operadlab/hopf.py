@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import ChainComplexWindow, bigraded_dims, complex_from_rule, totals_by_degree
-from .operads import combine
 
 # A monomial is a sorted tuple of generator indices (square-free).
 Monomial = tuple
@@ -161,8 +160,9 @@ class CobarComplex:
     def word_degree(self, word) -> int:
         return sum(self.hopf.degree(m) for m in word)
 
-    def differential_word(self, word) -> dict:
-        """Cobar differential of a single word: dict word -> coefficient.
+    def differential_word(self, word) -> list:
+        """Cobar differential of a single word as its unsummed ``(word,
+        coefficient)`` terms, which ``complex_at_q`` hands to ``assemble``.
 
         Slot j of the word is replaced by each split l (x) r of its reduced
         diagonal with the sign (-1)^{(sum of degrees of slots < j) + j + |l|}
@@ -175,7 +175,7 @@ class CobarComplex:
             for (l, r), c in self.hopf.reduced_coproduct(letter).items():
                 sign = -1 if (presum + j + self.hopf.degree(l)) % 2 else 1
                 terms.append((word[:j] + (l, r) + word[j + 1 :], sign * c))
-        return combine(terms)
+        return terms
 
     def complex_at_q(self, q: int) -> ChainComplexWindow:
         """The cobar complex at fixed internal degree q, graded by p.
@@ -188,7 +188,7 @@ class CobarComplex:
         max_len_needed = q // self.min_letter_degree if q else 0
         return complex_from_rule(
             {p: words for (p, qq), words in self._words_by_bidegree.items() if qq == q},
-            lambda p, word: self.differential_word(word).items(),
+            lambda p, word: self.differential_word(word),
             complete_below=-self.window.p_min >= max_len_needed,
         )
 

@@ -38,8 +38,8 @@ Coeffs = dict  # label -> exact coefficient (int or Fraction), no zeros
 
 def combine(terms) -> Coeffs:
     """Sum ``(label, coefficient)`` pairs per label, exactly as given, and
-    drop the zero sums.  Every label combination is summed here; the
-    number format is linalg's to decide, at its entry points."""
+    drop the zero sums.  Derived label maps hand out raw terms, each summed
+    once, here or by ``linalg.assemble``, which decides the number format."""
     out: dict = {}
     for l, c in terms:
         if l in out:
@@ -188,24 +188,24 @@ class Operad:
         return OpElement.make(arities.pop(), combine(
             (l, c if s == 1 else -c)
             for s, x, i, y in parts
-            for l, c in self.compose_terms(x.arity, x.coeffs, i, y.arity, y.coeffs).items()
+            for l, c in self.compose_terms(x.arity, x.coeffs, i, y.arity, y.coeffs)
         ))
 
-    def compose_terms(self, m: int, xs, i: int, n: int, ys) -> Coeffs:
-        """x o_i y for x = sum xc xl in O(m) and y = sum yc yl in O(n),
-        given as ``(label, coefficient)`` pairs: the bilinear extension of
-        ``compose_basis``, with no zero terms."""
+    def compose_terms(self, m: int, xs, i: int, n: int, ys) -> list:
+        """x o_i y for x = sum xc xl in O(m) and y = sum yc yl in O(n), given
+        as ``(label, coefficient)`` pairs: the bilinear extension of
+        ``compose_basis`` as a list of unsummed terms, so a truncation raises here."""
         if not (1 <= i <= m):
             raise ValueError(f"slot {i} out of range for arity {m}")
         if m + n - 1 > self.max_arity:
             raise ArityOverflow(f"arity {m + n - 1} exceeds cap {self.max_arity}")
-        return combine(
+        return [
             (l, k if c == 1 else k * c)  # a unit factor makes no product
             for xl, xc in xs
             for yl, yc in ys
             for k in [yc if xc == 1 else xc if yc == 1 else xc * yc]  # one per label pair
             for l, c in self.compose_basis(m, xl, i, n, yl).items()
-        )
+        ]
 
     def differential(self, x: OpElement) -> OpElement:
         return OpElement.make(x.arity, extend(partial(self.diff_basis, x.arity), x.coeffs))
@@ -238,9 +238,9 @@ class Operad:
         return self.arity_degree_basis(n, q)
 
     def column_vanishes(self, n: int, q: int) -> bool:
-        """Whether the normalized column n is zero in chain degree q past
-        a window.  A truncated host is the object itself: nothing lives
-        above its arity cap or its degree cap."""
+        """Whether column n is zero in chain degree q past a window; a host
+        with a point speaks for its normalized columns.  A truncated host is
+        the object itself: nothing lives above its arity cap or degree cap."""
         return n > self.max_arity or (self.degree_cap is not None and q > self.degree_cap)
 
 

@@ -221,7 +221,7 @@ class TestAlphaClass:
             v2 = [Fraction(0)] * len(labs2)
             for l2, c in el2.coeffs:
                 v2[idx[l2]] += c
-            ca2 = HochschildClass(2, 4, v2, el2, True)
+            ca2 = HochschildClass(2, 4, v2, el2)
             cc2 = bracket_on_classes(M, HH, ca2, ca)
             base2 = bracket_on_classes(M, HH, ca, ca)
             hom = HH.homs[8].per_degree[-3]

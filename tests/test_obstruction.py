@@ -33,6 +33,7 @@ from operadlab.obstruction import (
     run_pipeline,
 )
 from operadlab.gerstenhaber import bracket, circle
+from operadlab.hopf import BidegreeWindow, CobarComplex, build_so_hopf
 from operadlab.operads import FreeChainOperad, OpElement, Operad, parse_free_operad
 
 
@@ -240,15 +241,65 @@ def test_each_signed_sum_is_made_once(monkeypatch):
     assert counts(circle, S, S.alpha(), S.alpha())[0] == 1
     assert counts(bracket, S, S.alpha(), S.alpha())[0] == 1
 
-    combine = sys.modules["operadlab.operads"].combine
-    for name, module in list(sys.modules.items()):
-        if name.startswith("operadlab") and getattr(module, "combine", None) is combine:
-            monkeypatch.setattr(module, "combine", _counting(combine, combined))
+    _count_combine(monkeypatch, combined)
     for build, n_max in ((sphere_multiplicative, 8), (framed_multiplicative, 6)):
         H = HochschildComplex(mcclure_smith(build(5, n_max, 16), n_max), 16)
         combined.clear()
         assert sum(H.delta_mat(n, q).cols for n, q in H.positions()) > 500
         assert combined == [], build
+
+
+def _count_combine(monkeypatch, calls):
+    """Record in calls every combine call, through each operadlab module
+    that binds combine."""
+    combine = sys.modules["operadlab.operads"].combine
+    for name, module in list(sys.modules.items()):
+        if name.startswith("operadlab") and getattr(module, "combine", None) is combine:
+            monkeypatch.setattr(module, "combine", _counting(combine, calls))
+
+
+def test_derived_label_maps_hand_out_raw_terms(monkeypatch):
+    """Each signed sum is summed once: a compose_sum of k parts (so compose,
+    circle and bracket) makes one combine call, delta_on_label(n, -) one
+    for all n + 2 cofaces, differential_word none (assemble sums a cobar
+    column), and one omega query on padded-witness m=3 four: the two
+    witness checks, omega and its cycle check.  One bracket reads each
+    element's degree once."""
+    combined, degrees = [], []
+    inp = witness_input(3, padded=True)
+    h, xi = find_h(inp), find_xi(inp)
+    omega(inp, h, xi)  # builds h_rhs, associator and the target once per input
+    _count_combine(monkeypatch, combined)
+    element_degree = Operad.element_degree
+    monkeypatch.setattr(
+        Operad, "element_degree", lambda *a: degrees.append(a) or element_degree(*a)
+    )
+
+    def combines(f, *args):
+        combined.clear()
+        f(*args)
+        return len(combined)
+
+    S = sphere_multiplicative(5, 4).operad
+    a, ab = S.alpha(), S.compose(S.alpha(), 1, S.alpha())
+    assert combines(S.compose, a, 2, a) == 1
+    assert combines(S.compose_sum, [(1, a, 1, a), (-1, a, 2, a), (1, a, 1, a)]) == 1
+    for x, y in ((a, a), (a, ab), (ab, a)):
+        assert combines(circle, S, x, y) == combines(bracket, S, x, y) == 1
+        degrees.clear()
+        bracket(S, x, y)
+        assert len(degrees) == 2
+    assert combines(omega, inp, h, xi) == 4
+
+    for M in (sphere_multiplicative(5, 4, 8), witness_multiplicative(2)):
+        X = mcclure_smith(M, 3)
+        labels = [(n, l) for n in range(3) for q, ls in X.host.basis_by_degree(n).items()
+                  if q <= 8 for l in ls]
+        assert labels and all(combines(X.delta_on_label, n, l) == 1 for n, l in labels)
+    cb = CobarComplex(build_so_hopf(5, "full"), BidegreeWindow(-4, 14))
+    words = [w for ws in cb._words_by_bidegree.values() for w in ws]
+    assert sum(combines(cb.differential_word, w) for w in words) == 0
+    assert any(cb.differential_word(w) for w in words)
 
 
 class TestChoiceIndependence:
