@@ -7,12 +7,12 @@
 * :class:`HochschildComplex` is the resulting double complex — columns
   indexed by arity n (filtration degree p = -n), internal chain degree q,
   vertical differential from the host, horizontal differential the
-  alternating coface sum delta.  Each column is read from the host's
-  arity-n basis, degree by degree over the host's ``degrees``; with
-  codegeneracies it holds only the normalized (all-codegeneracies-vanish)
-  labels, which the host's ``normalized_basis`` proposes and the
-  codegeneracies confirm label by label.  The sphere and framed hosts
-  build them from their covering rule and never list the raw basis.
+  alternating coface sum delta.  Column n is read from one map of the
+  host, degree -> labels: ``basis_by_degree(n)``, or with codegeneracies
+  ``normalized_basis(n)``, whose normalized (all-codegeneracies-vanish)
+  labels the codegeneracies confirm label by label.  The sphere and
+  framed hosts build that map from their covering rule and never list
+  the raw basis.
 * :func:`hochschild_homology` computes the bigraded homology for
   zero-differential hosts, with representatives.
 * :func:`ss_pages` computes the spectral sequence of the column
@@ -212,19 +212,17 @@ class HochschildComplex:
 
     Positions (n, q) with vertical differential d (q -> q-1, read off
     column n's chain complex) and horizontal differential delta
-    (n -> n+1).  Normalization follows the structure: when the object
-    has codegeneracies, each column is restricted to the normalized
-    labels of the host's arity-n basis (``normalized``): the host's
-    ``normalized_basis`` proposes them, in basis order, and the
-    codegeneracies confirm each one, so an over-inclusive host still gives
-    exact columns.  The degrees come from the host's ``degrees``, so a
-    host that builds its normalized labels directly never lists its raw
-    basis here.  delta preserves that span even though individual
-    cofaces do not; the host's ``normal_delta``, when there is one, builds
-    only its terms on normalized labels and hands them to ``assemble``
-    unsummed, and otherwise ``delta_on_label`` sums the cofaces' raw terms
-    first, so the ones that cancel never reach ``assemble``, which refuses
-    any label outside the column.
+    (n -> n+1).  Column n is one map of the host, degree -> labels:
+    ``basis_by_degree(n)``, or ``normalized_basis(n)`` when the object has
+    codegeneracies (``normalized``); every label up to q_max passes
+    ``is_normal_label``, so an over-inclusive host still gives exact
+    columns, and a host that builds its normalized map directly never
+    lists its raw basis here.  delta preserves that span even though
+    individual cofaces do not; the host's ``normal_delta``, when there is
+    one, builds only its terms on normalized labels and hands them to
+    ``assemble`` unsummed, and otherwise ``delta_on_label`` sums the
+    cofaces' raw terms first, so the ones that cancel never reach
+    ``assemble``, which refuses any label outside the column.
     """
 
     def __init__(self, X: SemicosimplicialChainComplex, q_max: int):
@@ -234,14 +232,14 @@ class HochschildComplex:
         self.normalized = X.codegeneracy is not None
         self._labels: dict = {}
         self._index: dict = {}
-        self._degrees = {n: X.host.degrees(n) for n in range(self.n_max + 1)}
-        for n, degrees in self._degrees.items():
-            for q in degrees:
+        self._degrees: dict = {}  # n -> the sorted degrees of column n's map
+        for n in range(self.n_max + 1):
+            column = X.host.normalized_basis(n) if self.normalized else X.host.basis_by_degree(n)
+            self._degrees[n] = sorted(column)
+            for q in self._degrees[n]:
                 if q > q_max:
                     break
-                labels = tuple(
-                    l for l in X.host.normalized_basis(n, q) if X.is_normal_label(n, l)
-                ) if self.normalized else X.host.arity_degree_basis(n, q)
+                labels = tuple(l for l in column[q] if X.is_normal_label(n, l))
                 if labels:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
@@ -265,18 +263,19 @@ class HochschildComplex:
 
     def vanishes(self, n: int, q: int) -> bool:
         """Whether position (n, q) is certified zero.  In the stored range
-        that means no kept labels; past q_max, inside the range of the
-        host's ``degrees(n)`` (an empty arity counts as degree 0), that q
-        is not one of them; past that, the host's ``column_vanishes``."""
+        that means no kept labels; past q_max, up to the top degree of
+        column n's map, that q is not one of its degrees, since the map
+        lists every degree the host enumerates; past that, the host's
+        ``column_vanishes``, which speaks for normalized columns only when
+        the host has a point (arity-0 labels)."""
         if (n, q) in self._labels:
             return False
         if n < 0 or q < 0 or (n <= self.n_max and q <= self.q_max):
             return True
-        if n <= self.n_max:
-            degrees = self._degrees[n]
-            if min(degrees, default=0) <= q <= max(degrees, default=0):
-                return q not in degrees
-        return self.X.host.column_vanishes(n, q)
+        if n <= self.n_max and self._degrees[n] and q <= self._degrees[n][-1]:
+            return q not in self._degrees[n]
+        host = self.X.host
+        return (self.normalized or not host.basis_by_degree(0)) and host.column_vanishes(n, q)
 
     def d_mat(self, n: int, q: int) -> RationalMatrix:
         """Vertical differential (n, q) -> (n, q-1) on kept labels, read off

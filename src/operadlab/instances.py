@@ -110,13 +110,16 @@ class SphereOperad(Operad):
         with pairs of degree d - 1."""
         return 2 * q < n * (self.d - 1)
 
-    def normalized_basis(self, n: int, q: int):
-        """The pair-sets covering all n vertices: forgetting an uncovered
-        vertex keeps the label, forgetting a covered one kills it.  Built
-        from the covering rule alone, without the raw basis."""
-        if q not in self.degrees(n) or self.column_vanishes(n, q):
-            return ()
-        return tuple(_covering(_pairs(n), q // (self.d - 1), frozenset(range(1, n + 1))))
+    def normalized_basis(self, n: int) -> dict:
+        """The pair-sets covering all n vertices, at every degree of the
+        lattice that has one: forgetting an uncovered vertex keeps the
+        label, forgetting a covered one kills it.  Built from the covering
+        rule alone, without the raw basis."""
+        pairs, vertices = _pairs(n), frozenset(range(1, n + 1))
+        return {
+            q: labels for q in self.degrees(n)
+            if (labels := tuple(_covering(pairs, q // (self.d - 1), vertices)))
+        }
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         return dict.fromkeys(self.compose_pairsets(m, xl, i, n, yl), 1)
@@ -237,6 +240,8 @@ def poisson_multiplicative(d: int):
 
 
 def witness_multiplicative(m: int = 2, padded: bool = False, break_h1: bool = False):
+    if padded and break_h1:
+        raise ValueError("a witness structure is padded or h1-broken, not both")
     op = witness_operad(m, padded=padded, break_h1=break_h1)
     tag = "padded-" if padded else ("h1broken-" if break_h1 else "")
     return MultiplicativeStructure(
@@ -345,10 +350,10 @@ class FramedOperad(Operad):
     def basis_by_degree(self, n: int) -> dict:
         return self._labels(n, normal=False)
 
-    def normalized_basis(self, n: int, q: int):
+    def normalized_basis(self, n: int) -> dict:
         """The labels whose every slot is on a sphere pair or carries a
         nonempty Hopf monomial; the point kills exactly those slots."""
-        return self._labels(n, normal=True).get(q, ())
+        return self._labels(n, normal=True)
 
     def _labels(self, n: int, normal: bool) -> dict:
         """degree -> labels in basis order, cached per arity.  Each base
@@ -370,18 +375,6 @@ class FramedOperad(Operad):
                         by_deg.setdefault(qb + qh, []).append((bl, word))
             self._basis_cache[(n, normal)] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
         return self._basis_cache[(n, normal)]
-
-    def degrees(self, n: int) -> list:
-        """Base degrees plus the word degrees that fit the cap, summed slot
-        by slot without building a word."""
-        base = self.base.degrees(n)
-        cap = float("inf") if self.degree_cap is None else self.degree_cap
-        room = cap - min(base, default=0)
-        mons = {self.hopf.degree(m) for m in self.hopf.monomials}
-        sums = {0}
-        for _ in range(n):
-            sums = {s + q for s in sums for q in mons if s + q <= room}
-        return sorted({qb + s for qb in base for s in sums if qb + s <= cap})
 
     def degree(self, n: int, label) -> int:
         bl, word = label

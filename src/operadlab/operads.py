@@ -31,7 +31,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable
 
 Coeffs = dict  # label -> exact coefficient (int or Fraction), no zeros
 
@@ -141,15 +140,12 @@ class Operad:
     normal_delta = None
 
     def basis_by_degree(self, n: int) -> dict:
-        """degree -> tuple of labels, within the truncation."""
+        """degree -> tuple of labels, within the truncation, and no degree
+        without labels."""
         raise NotImplementedError
 
     def degree(self, n: int, label) -> int:
         raise NotImplementedError
-
-    def degrees(self, n: int) -> list:
-        """The sorted degrees where arity n has labels."""
-        return sorted(q for q, labels in self.basis_by_degree(n).items() if labels)
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
         """xl o_i yl for basis labels, with no zero terms."""
@@ -215,13 +211,9 @@ class Operad:
             raise ValueError("operad has no unit")
         return OpElement.basis(1, self.unit_label)
 
-    def basis_elements(self, n: int, q: int | None = None) -> list[OpElement]:
+    def basis_elements(self, n: int) -> list[OpElement]:
         by_deg = self.basis_by_degree(n)
-        if q is None:
-            labels: Iterable = (l for qq in sorted(by_deg) for l in by_deg[qq])
-        else:
-            labels = by_deg.get(q, ())
-        return [OpElement.basis(n, l) for l in labels]
+        return [OpElement.basis(n, l) for q in sorted(by_deg) for l in by_deg[q]]
 
     def arity_degree_basis(self, n: int, q: int):
         """Canonical ordered basis labels of O(n)_q."""
@@ -230,12 +222,13 @@ class Operad:
     def dim(self, n: int, q: int) -> int:
         return len(self.arity_degree_basis(n, q))
 
-    def normalized_basis(self, n: int, q: int):
-        """A subsequence of ``arity_degree_basis(n, q)``, in basis order,
-        holding every label that all codegeneracies kill.  Hosts that know
-        which labels a codegeneracy keeps drop them here; the default
+    def normalized_basis(self, n: int) -> dict:
+        """degree -> labels, like ``basis_by_degree(n)``: at each degree a
+        subsequence of the basis, in basis order, holding every label that
+        all codegeneracies kill, and no degree without labels.  Hosts that
+        know which labels a codegeneracy keeps drop them here; the default
         drops none."""
-        return self.arity_degree_basis(n, q)
+        return self.basis_by_degree(n)
 
     def column_vanishes(self, n: int, q: int) -> bool:
         """Whether column n is zero in chain degree q past a window; a host
