@@ -4,11 +4,12 @@ The second page of the framed semicosimplicial spectral sequence is a
 free graded-commutative algebra on a short list of bigraded generators;
 the abutment is a free commutative algebra on even-degree generators.
 Whenever a total degree carries more second-page classes than the
-abutment can absorb, some differential must kill the surplus.  The audit
-enumerates every candidate (page, source, target) compatible with the
-bidegree shift (-r, r-1) and the permanent-cycle marks, and reports the
-forced differential when exactly one candidate survives — or raises
-``InconclusiveAudit`` listing the survivors instead of guessing.
+abutment can absorb, some differential must kill the surplus.
+``forced_differentials`` reads one such table, enumerates every candidate
+(page, source, target) compatible with the bidegree shift (-r, r-1) and
+the permanent-cycle marks, and reports the forced differential when
+exactly one candidate survives — or raises ``InconclusiveAudit`` listing
+the survivors instead of guessing.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class AuditInput:
     abutment_degrees: tuple  # even total degrees of polynomial generators
     t_max: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for g in self.e2_generators:
             if g.total <= 0 or g.p > 0:
                 raise ValueError(f"generator {g.name} has invalid bidegree")
@@ -75,7 +76,7 @@ class ForcedDifferential:
 
 
 class InconclusiveAudit(Exception):
-    """More than one candidate differential survives the enumeration."""
+    """No candidate differential, or more than one, survives."""
 
     def __init__(self, candidates):
         self.candidates = list(candidates)
@@ -84,19 +85,19 @@ class InconclusiveAudit(Exception):
 
 def _monomials(gens, t_max: int):
     """All exponent tuples with total degree <= t_max (square-free on
-    odd-degree generators)."""
+    odd-degree generators): no exponent overshoots the degree left."""
 
     def rec(i, t_left):
         if i == len(gens):
             yield ()
             return
         g = gens[i]
-        e_max = 1 if g.square_free else t_left // g.total
+        e_max = min(t_left // g.total, 1) if g.square_free else t_left // g.total
         for e in range(e_max + 1):
             for rest in rec(i + 1, t_left - e * g.total):
                 yield (e,) + rest
 
-    return list(rec(0, t_max))
+    return list(rec(0, t_max)) if t_max >= 0 else []  # the unit has degree 0
 
 
 def _e2_positions(inp: AuditInput) -> tuple[dict, set]:
@@ -136,57 +137,43 @@ def e2_total_dims(inp: AuditInput) -> dict:
     return totals_by_degree(e2_table(inp))
 
 
-def convergence_audit(inp: AuditInput) -> list[ForcedDifferential]:
-    """Forced differentials resolving the lowest-degree surplus.
+def forced_differentials(table: dict, permanent, abutment: dict) -> list[ForcedDifferential]:
+    """Forced differentials resolving the lowest-degree surplus of a
+    trusted table (p, q) -> dim over the abutment's totals t -> dim.
 
-    Empty list when the second-page totals already match the abutment;
-    ``InconclusiveAudit`` when the enumeration leaves several options.
+    A mortal class (nonzero, not in ``permanent``) there is hit from
+    (p + r, q - r + 1) or maps onto (p - r, q + r - 1) on page r, and the
+    other end must be a mortal table position with p <= 0.  Empty list
+    when no total exceeds the abutment's; ``InconclusiveAudit`` unless
+    exactly one candidate survives.
     """
-    inp.validate()
-    table, perm = _e2_positions(inp)
     totals = totals_by_degree(table)
-    abut = abutment_dims(inp)
-    surplus_ts = sorted(
-        t for t in totals if totals[t] > abut.get(t, 0) and t <= inp.t_max
-    )
-    if not surplus_ts:
+    t_star = next((t for t, n in totals.items() if n > abutment.get(t, 0)), None)
+    if t_star is None:
         return []
-    t_star = surplus_ts[0]
-    dying = [
-        pos
-        for pos in table
-        if pos[0] + pos[1] == t_star and table[pos] > 0 and pos not in perm
-    ]
+    # in table order, which is the order of the candidates
+    mortal = dict.fromkeys(pos for pos, dim in table.items() if dim > 0 and pos not in permanent)
     candidates = []
-    for (p, q) in dying:
+    for p, q in [pos for pos in mortal if sum(pos) == t_star]:
         for r in range(2, PAGE_MAX + 1):
-            src = (p + r, q - r + 1)
-            if src[0] <= 0 and table.get(src, 0) > 0 and src not in perm:
-                candidates.append(
-                    ForcedDifferential(
-                        r,
-                        src,
-                        (p, q),
+            for step, how in ((1, "be hit from"), (-1, "map onto")):
+                other = (p + step * r, q - step * (r - 1))
+                if other[0] <= 0 and other in mortal:
+                    # d_r lowers p by r, so the end with the larger p is the source
+                    source, target = sorted([other, (p, q)], reverse=True)
+                    candidates.append(ForcedDifferential(
+                        r, source, target,
                         f"class at {(p, q)} in total degree {t_star} exceeds the "
-                        f"abutment and must be hit from {src} on page {r}",
-                    )
-                )
-            tgt = (p - r, q + r - 1)
-            if table.get(tgt, 0) > 0 and tgt not in perm:
-                candidates.append(
-                    ForcedDifferential(
-                        r,
-                        (p, q),
-                        tgt,
-                        f"class at {(p, q)} in total degree {t_star} exceeds the "
-                        f"abutment and must map onto {tgt} on page {r}",
-                    )
-                )
-    if not candidates:
-        raise InconclusiveAudit([])
-    if len(candidates) > 1:
+                        f"abutment and must {how} {other} on page {r}",
+                    ))
+    if len(candidates) != 1:
         raise InconclusiveAudit(candidates)
     return candidates
+
+
+def convergence_audit(inp: AuditInput) -> list[ForcedDifferential]:
+    """``forced_differentials`` on the table of the posited generators."""
+    return forced_differentials(*_e2_positions(inp), abutment_dims(inp))
 
 
 def standard_audit_input(d: int, t_max: int | None = None) -> AuditInput:

@@ -422,14 +422,14 @@ class FramedOperad(Operad):
         """The base composite tensored with each split of slot i between
         the unmoved prefix and the tail, whose generators sort after every
         split and inserted one: moving the inserted ones past them is one
-        sign.  Composition adds degrees, so one cap check covers all terms;
-        an empty split or base composite (a point at a covered slot) ends
-        the call before it."""
+        sign.  Like the sphere base, the host is a window into the
+        untruncated operad, so a composite past the degree cap is computed,
+        not read as zero; an empty split or base composite (a point at a
+        covered slot) ends the call."""
         (bx, gs), (by, hs) = xl, yl
-        cap = self.degree_cap
         splits = self._split(gs[i - 1], n, hs)
         base_terms = self.base.compose_basis(m, bx, i, n, by) if splits else {}
-        if not base_terms or cap is not None and self.degree(m, xl) + self.degree(n, yl) > cap:
+        if not base_terms:
             return {}
         head, tail = gs[: i - 1], gs[i:]
         sign = -1 if sum(map(len, tail)) * sum(map(len, hs)) % 2 else 1

@@ -288,7 +288,6 @@ def g_dependence_experiment(
 
 @dataclass
 class D2Report:
-    d2_coords: list
     equal: bool
 
 
@@ -310,7 +309,7 @@ def compare_with_d2(inp: ObstructionInput, result: ObstructionResult | None = No
     z = chain_to_vector(inp.g, H.labels(1, q))
     d2_vec, _lifts = zigzag_dr(H, 1, q, z, 2)
     d2_coords, _ = _quotient_reduce(inp, vector_to_chain(3, H.labels(3, q + 1), d2_vec))
-    return D2Report(list(d2_coords), list(d2_coords) == list(result.class_coords))
+    return D2Report(list(d2_coords) == list(result.class_coords))
 
 
 # -- formality baseline -------------------------------------------------------

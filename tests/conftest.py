@@ -310,17 +310,14 @@ def reference_pages(H, r_max: int) -> list:
 def reference_framed_compose(op, m: int, xl, i: int, n: int, yl) -> dict:
     """``FramedOperad.compose_basis`` computed the plain way, per split of
     the iterated diagonal and per call: the base composite, then for each
-    split the Koszul signs, the products with the inserted word and the
-    degree cap.  An oracle for the host, which computes the split of each
-    slot monomial into the inserted words once, splices it between the
-    prefix and the tail with one tail sign, and checks the cap once on
-    the sum of the degrees."""
+    split the Koszul signs and the products with the inserted word.  The
+    host is a window into the untruncated operad, so no term is dropped
+    past the degree cap.  An oracle for the host, which computes the split
+    of each slot monomial into the inserted words once and splices it
+    between the prefix and the tail with one tail sign."""
     (bx, gs), (by, hs) = xl, yl
     hopf, deg = op.hopf, op.hopf.degree
-    base_terms = [
-        (bl, bc, op.base.degree(m + n - 1, bl))
-        for bl, bc in op.base.compose_basis(m, bx, i, n, by).items()
-    ]
+    base_terms = op.base.compose_basis(m, bx, i, n, by).items()
     tail_deg = sum(deg(g) for g in gs[i:])
     out: dict = {}
     for split, c0 in hopf.iterated_coproduct(gs[i - 1], n).items():
@@ -344,10 +341,7 @@ def reference_framed_compose(op, m: int, xl, i: int, n: int, yl) -> dict:
         if not ok:
             continue
         new_word = gs[: i - 1] + tuple(word) + gs[i:]
-        qh = sum(deg(w) for w in new_word)
-        for bl, bc, qb in base_terms:
-            if op.degree_cap is not None and qb + qh > op.degree_cap:
-                continue
+        for bl, bc in base_terms:
             lab = (bl, new_word)
             out[lab] = out.get(lab, Fraction(0)) + coeff * bc
     return {l: c for l, c in out.items() if c != 0}
@@ -504,6 +498,76 @@ def reference_free_diff(op, label) -> dict:
             out[tree] = out.get(tree, 0) + (-1) ** pre * sign * coeff
         pre += op.generators[name][1]
     return {l: c for l, c in out.items() if c != 0}
+
+
+# -- audit oracle: the table build and two-block enumeration the audit replaced --
+
+
+def reference_audit_table(inp) -> tuple[dict, set]:
+    """The audit's table as it was built before the exponent cap: a
+    square-free generator always gets exponent 0 or 1, so a table can hold
+    positions past t_max when only odd generators follow."""
+    gens = inp.e2_generators
+
+    def rec(i, t_left):
+        if i == len(gens):
+            yield ()
+            return
+        g = gens[i]
+        for e in range((1 if g.square_free else t_left // g.total) + 1):
+            for rest in rec(i + 1, t_left - e * g.total):
+                yield (e,) + rest
+
+    table: dict = {}
+    mortal = set()
+    for exps in rec(0, inp.t_max):
+        pos = (sum(e * g.p for e, g in zip(exps, gens)), sum(e * g.q for e, g in zip(exps, gens)))
+        table[pos] = table.get(pos, 0) + 1
+        if not all(g.permanent for e, g in zip(exps, gens) if e):
+            mortal.add(pos)
+    return table, set(table) - mortal
+
+
+def reference_convergence_audit(table: dict, perm: set, abut: dict, t_max: int) -> list:
+    """Candidate differentials by two blocks, one proposing sources and one
+    targets, over the surplus degrees up to t_max; returns the one forced
+    differential as a list, ``[]`` with no surplus, or raises
+    ``InconclusiveAudit``."""
+    from operadlab.audit import PAGE_MAX, ForcedDifferential, InconclusiveAudit
+
+    totals: dict = {}
+    for (p, q), d in table.items():
+        totals[p + q] = totals.get(p + q, 0) + d
+    surplus_ts = sorted(t for t in totals if totals[t] > abut.get(t, 0) and t <= t_max)
+    if not surplus_ts:
+        return []
+    t_star = surplus_ts[0]
+    dying = [
+        pos for pos in table
+        if pos[0] + pos[1] == t_star and table[pos] > 0 and pos not in perm
+    ]
+    candidates = []
+    for (p, q) in dying:
+        for r in range(2, PAGE_MAX + 1):
+            src = (p + r, q - r + 1)
+            if src[0] <= 0 and table.get(src, 0) > 0 and src not in perm:
+                candidates.append(ForcedDifferential(
+                    r, src, (p, q),
+                    f"class at {(p, q)} in total degree {t_star} exceeds the "
+                    f"abutment and must be hit from {src} on page {r}",
+                ))
+            tgt = (p - r, q + r - 1)
+            if table.get(tgt, 0) > 0 and tgt not in perm:
+                candidates.append(ForcedDifferential(
+                    r, (p, q), tgt,
+                    f"class at {(p, q)} in total degree {t_star} exceeds the "
+                    f"abutment and must map onto {tgt} on page {r}",
+                ))
+    if not candidates:
+        raise InconclusiveAudit([])
+    if len(candidates) > 1:
+        raise InconclusiveAudit(candidates)
+    return candidates
 
 
 @pytest.fixture

@@ -2,8 +2,11 @@
 
 import json
 import pathlib
+import random
+from collections import Counter
 
 import pytest
+from conftest import reference_audit_table, reference_convergence_audit
 
 from operadlab.audit import (
     AlgebraGenerator,
@@ -14,6 +17,7 @@ from operadlab.audit import (
     convergence_audit,
     e2_table,
     e2_total_dims,
+    forced_differentials,
     framed_tensor_check,
     standard_audit_input,
 )
@@ -76,6 +80,97 @@ class TestAudit:
         assert table[(-1, 7)] == 1  # top loop class
         assert e2_total_dims(inp)[5] == 1
         assert abutment_dims(inp)[5] == 0 or 5 not in abutment_dims(inp)
+
+
+def _random_audit_input(rng: random.Random) -> AuditInput:
+    """Up to six generators; about half are placed one differential shift
+    (-r, r - 1) or (r, 1 - r) away from an earlier one, so candidates are
+    common."""
+    gens = []
+    for k in range(rng.randint(1, 6)):
+        p, total = rng.randint(-6, 0), rng.randint(1, 6)
+        if gens and rng.random() < 0.5:
+            g, r, step = rng.choice(gens), rng.randint(2, 4), rng.choice((1, -1))
+            p, total = g.p + step * r, g.total + step
+            if p > 0 or total <= 0:
+                continue
+        gens.append(AlgebraGenerator(f"g{k}", p, total - p, permanent=rng.random() < 0.1))
+    abutment = tuple(2 * rng.randint(1, 5) for _ in range(rng.randint(0, 3)))
+    return AuditInput(tuple(gens), abutment, rng.randint(2, 16))
+
+
+def _outcome(enumerate_, *args) -> tuple:
+    try:
+        return ("forced", tuple(enumerate_(*args)))
+    except InconclusiveAudit as exc:
+        return ("inconclusive", tuple(exc.candidates))
+
+
+class TestForcedDifferentials:
+    def test_no_position_past_t_max(self):
+        """A square-free generator that no longer fits the degree left gets
+        exponent 0, so the table stops at t_max: one odd generator of total
+        9 under t_max 5 leaves only the unit."""
+        inp = AuditInput((AlgebraGenerator("g", -3, 12),), (), 5)
+        assert e2_table(inp) == {(0, 0): 1}
+        assert e2_table(AuditInput(inp.e2_generators, (), -1)) == {}
+        rng = random.Random(3601)
+        for _ in range(500):
+            inp = _random_audit_input(rng)
+            assert max(p + q for p, q in e2_table(inp)) <= inp.t_max
+
+    def test_a_position_past_t_max_forces_nothing(self):
+        """(-2, 11) has total 9 > t_max = 8, so it is not in the table and
+        cannot hit the surplus class (-4, 12): nothing is forced."""
+        inp = AuditInput(
+            (AlgebraGenerator("a", -4, 12), AlgebraGenerator("b", -2, 11)), (), 8
+        )
+        assert e2_table(inp) == {(0, 0): 1, (-4, 12): 1}
+        with pytest.raises(InconclusiveAudit) as exc:
+            convergence_audit(inp)
+        assert exc.value.candidates == []
+
+    @pytest.mark.parametrize(
+        "p,q", [(1, 4), (-4, 4), (-4, 2)], ids=["positive-p", "total-zero", "total-negative"]
+    )
+    def test_an_invalid_generator_is_refused_when_built(self, p, q):
+        with pytest.raises(ValueError, match="invalid bidegree"):
+            AuditInput((AlgebraGenerator("g", p, q),), (), 8)
+
+    def test_an_odd_abutment_degree_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="positive even"):
+            AuditInput((AlgebraGenerator("g", -1, 3),), (3,), 8)
+
+    def test_one_rule_matches_the_two_block_enumeration(self):
+        """On seeded random inputs whose table, built the old way, stops at
+        t_max, the table is the same and one candidate rule proposes the
+        same candidates, in the same order with the same reasons, as a
+        block of sources followed per page by a block of targets."""
+        rng = random.Random(3602)
+        kinds: Counter = Counter()
+        while sum(kinds.values()) < 3000:
+            inp = _random_audit_input(rng)
+            table, perm = reference_audit_table(inp)
+            if max(p + q for p, q in table) > inp.t_max:
+                continue
+            assert e2_table(inp) == table
+            abut = abutment_dims(inp)
+            want = _outcome(reference_convergence_audit, table, perm, abut, inp.t_max)
+            assert _outcome(forced_differentials, table, perm, abut) == want
+            assert _outcome(convergence_audit, inp) == want
+            kinds[want[0], min(len(want[1]), 2)] += 1
+        assert set(kinds) == {
+            ("forced", 0), ("forced", 1), ("inconclusive", 0), ("inconclusive", 2)
+        }
+        assert min(kinds.values()) > 100
+
+    @pytest.mark.parametrize("d", range(5, 22, 2))
+    def test_standard_inputs_match_the_two_block_enumeration(self, d):
+        inp = standard_audit_input(d)
+        table, perm = reference_audit_table(inp)
+        assert e2_table(inp) == table
+        want = reference_convergence_audit(table, perm, abutment_dims(inp), inp.t_max)
+        assert convergence_audit(inp) == want and len(want) == 1
 
 
 class TestComputedSecondPage:

@@ -19,6 +19,7 @@ from operadlab.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = {
+    "audit": ["audit", "--d", "7"],
     "cobar": [
         "cobar", "--d", "7", "--variant", "fixing-subgroup", "--p-min", "-4",
         "--q-max", "24",

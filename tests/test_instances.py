@@ -9,6 +9,7 @@ import pytest
 from conftest import reference_framed_compose
 
 from operadlab.cosimplicial import hochschild_homology, mcclure_smith
+from operadlab.gerstenhaber import bracket
 from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
     FramedOperad,
@@ -241,6 +242,24 @@ class TestFramed:
                                 got.clear()
                                 assert op.compose_basis(m, xl, i, n, yl) == want
         assert calls > 5_000 and nonempty > 1_000 and hopf_y > 100 and three_way > 10
+
+    def test_a_composite_past_the_cap_is_computed(self):
+        """Like its sphere base, the framed host is a window into the
+        untruncated operad: x in O(2)_4 composed with y in O(3)_8 under
+        cap 8 is the base composite with bare Hopf words, not zero, and
+        so is their bracket."""
+        F = framed_multiplicative(5, 4, 8).operad
+        S = sphere_multiplicative(5, 4, 8).operad
+        fx, fy = F.basis_by_degree(2)[4][0], F.basis_by_degree(3)[8][0]
+        sx, sy = S.basis_by_degree(2)[4][0], S.basis_by_degree(3)[8][0]
+        assert (fx[0], fy[0]) == (sx, sy)
+        bare = ((),) * 4
+        want = {(bl, bare): c for bl, c in S.compose_basis(2, sx, 1, 3, sy).items()}
+        assert len(want) == 3
+        assert F.compose_basis(2, fx, 1, 3, fy) == want
+        x, y = OpElement.basis(2, fx), OpElement.basis(3, fy)
+        sphere = bracket(S, OpElement.basis(2, sx), OpElement.basis(3, sy))
+        assert len(bracket(F, x, y).coeffs) == len(sphere.coeffs) == 4
 
     def test_each_slot_split_is_computed_once(self, monkeypatch):
         """The framed page at d=9 (n <= 6, q <= 19) pushes each slot
