@@ -9,10 +9,11 @@
   vertical differential from the host, horizontal differential the
   alternating coface sum delta.  Column n is read from one map of the
   host, degree -> labels: ``basis_by_degree(n)``, or with codegeneracies
-  ``normalized_basis(n)``, whose normalized (all-codegeneracies-vanish)
-  labels the codegeneracies confirm label by label.  The sphere and
-  framed hosts build that map from their covering rule and never list
-  the raw basis.
+  ``normalized_basis(n, q_max)``, whose normalized (all-codegeneracies-
+  vanish) labels the codegeneracies confirm label by label.  The sphere
+  and framed hosts build that map from their covering rule, up to q_max,
+  and never list the raw basis.  Past the stored window the host alone
+  says which cells are empty, by ``column_vanishes``.
 * :func:`hochschild_homology` computes the bigraded homology for
   zero-differential hosts, with representatives.
 * :func:`ss_pages` computes the spectral sequence of the column
@@ -213,14 +214,15 @@ class HochschildComplex:
     Positions (n, q) with vertical differential d (q -> q-1, read off
     column n's chain complex) and horizontal differential delta
     (n -> n+1).  Column n is one map of the host, degree -> labels:
-    ``basis_by_degree(n)``, or ``normalized_basis(n)`` when the object has
-    codegeneracies (``normalized``); every label up to q_max passes
-    ``is_normal_label``, so an over-inclusive host still gives exact
+    ``basis_by_degree(n)``, or ``normalized_basis(n, q_max)`` when the
+    object has codegeneracies (``normalized``); every label up to q_max
+    passes ``is_normal_label``, so an over-inclusive host still gives exact
     columns, and a host that builds its normalized map directly never
-    lists its raw basis here.  delta preserves that span even though
-    individual cofaces do not; the host's ``normal_delta``, when there is
-    one, builds only its terms on normalized labels and hands them to
-    ``assemble`` unsummed, and otherwise ``delta_on_label`` sums the
+    lists its raw basis here.  No map is kept past q_max: emptiness there
+    is the host's ``column_vanishes``.  delta preserves that span even
+    though individual cofaces do not; the host's ``normal_delta``, when
+    there is one, builds only its terms on normalized labels and hands them
+    to ``assemble`` unsummed, and otherwise ``delta_on_label`` sums the
     cofaces' raw terms first, so the ones that cancel never reach
     ``assemble``, which refuses any label outside the column.
     """
@@ -232,13 +234,10 @@ class HochschildComplex:
         self.normalized = X.codegeneracy is not None
         self._labels: dict = {}
         self._index: dict = {}
-        self._degrees: dict = {}  # n -> the sorted degrees of column n's map
+        host = X.host
         for n in range(self.n_max + 1):
-            column = X.host.normalized_basis(n) if self.normalized else X.host.basis_by_degree(n)
-            self._degrees[n] = sorted(column)
-            for q in self._degrees[n]:
-                if q > q_max:
-                    break
+            column = host.normalized_basis(n, q_max) if self.normalized else host.basis_by_degree(n)
+            for q in sorted(q for q in column if q <= q_max):
                 labels = tuple(l for l in column[q] if X.is_normal_label(n, l))
                 if labels:
                     self._labels[(n, q)] = labels
@@ -262,18 +261,13 @@ class HochschildComplex:
         return sorted(self._labels)
 
     def vanishes(self, n: int, q: int) -> bool:
-        """Whether position (n, q) is certified zero.  In the stored range
-        that means no kept labels; past q_max, up to the top degree of
-        column n's map, that q is not one of its degrees, since the map
-        lists every degree the host enumerates; past that, the host's
-        ``column_vanishes``, which speaks for normalized columns only when
-        the host has a point (arity-0 labels)."""
+        """Whether position (n, q) is certified zero: no kept labels in the
+        stored range, and past it the host's ``column_vanishes``, which
+        speaks for raw columns only when the host has no arity-0 labels."""
         if (n, q) in self._labels:
             return False
         if n < 0 or q < 0 or (n <= self.n_max and q <= self.q_max):
             return True
-        if n <= self.n_max and self._degrees[n] and q <= self._degrees[n][-1]:
-            return q not in self._degrees[n]
         host = self.X.host
         return (self.normalized or not host.basis_by_degree(0)) and host.column_vanishes(n, q)
 

@@ -157,9 +157,6 @@ class CobarComplex:
     def basis(self, p: int, q: int) -> list:
         return self._words_by_bidegree.get((p, q), [])
 
-    def word_degree(self, word) -> int:
-        return sum(self.hopf.degree(m) for m in word)
-
     def differential_word(self, word) -> list:
         """Cobar differential of a single word as its unsummed ``(word,
         coefficient)`` terms, which ``complex_at_q`` hands to ``assemble``.
@@ -206,8 +203,11 @@ def cobar_homology(hopf: PrimitiveExteriorHopf, window: BidegreeWindow):
 
 
 def cobar_homology_total_dims(hopf: PrimitiveExteriorHopf, total_max: int) -> dict:
-    """Dimensions of cobar homology by total degree p + q up to total_max."""
+    """Dimensions of cobar homology by total degree p + q up to total_max;
+    refused for a degree-1 generator, whose letters bound no word length."""
     mind = min(hopf.gen_degrees)
+    if mind == 1:
+        raise ValueError("a degree-1 generator leaves the word length unbounded by total degree")
     # total degree t = q - k and q <= t * mind/(mind-1)-ish; a word of
     # length k has q >= 3k, so t = q - k >= (mind-1) k, k <= t/(mind-1)
     kmax = total_max // (mind - 1) + 1

@@ -105,20 +105,21 @@ class SphereOperad(Operad):
         return ()
 
     def column_vanishes(self, n: int, q: int) -> bool:
-        """A window into the untruncated operad: only the coverage line
-        certifies zeros, since a normalized label covers all n vertices
-        with pairs of degree d - 1."""
-        return 2 * q < n * (self.d - 1)
+        """A window into the untruncated operad, exact for normalized
+        columns: a label covering all n vertices holds k pairs of degree
+        d - 1, at least ceil(n/2) of them and at most all C(n, 2)."""
+        k, r = divmod(q, self.d - 1)
+        return r != 0 or not (n + 1) // 2 <= k <= n * (n - 1) // 2
 
-    def normalized_basis(self, n: int) -> dict:
+    def normalized_basis(self, n: int, top: int) -> dict:
         """The pair-sets covering all n vertices, at every degree of the
-        lattice that has one: forgetting an uncovered vertex keeps the
-        label, forgetting a covered one kills it.  Built from the covering
-        rule alone, without the raw basis."""
+        lattice up to ``top`` that has one: forgetting an uncovered vertex
+        keeps the label, forgetting a covered one kills it.  Built from the
+        covering rule alone, without the raw basis."""
         pairs, vertices = _pairs(n), frozenset(range(1, n + 1))
         return {
             q: labels for q in self.degrees(n)
-            if (labels := tuple(_covering(pairs, q // (self.d - 1), vertices)))
+            if q <= top and (labels := tuple(_covering(pairs, q // (self.d - 1), vertices)))
         }
 
     def compose_basis(self, m: int, xl, i: int, n: int, yl) -> Coeffs:
@@ -344,37 +345,39 @@ class FramedOperad(Operad):
         self.hopf = hopf
         self.max_arity = base.max_arity
         self.degree_cap = base.degree_cap
-        self._basis_cache: dict = {}  # (n, normal) -> degree -> labels
+        self._basis_cache: dict = {}  # (n, top, normal) -> degree -> labels
         self._hopf_cache: dict = {}
+        self._empty: dict = {}  # (n, q) -> column_vanishes(n, q)
 
     def basis_by_degree(self, n: int) -> dict:
-        return self._labels(n, normal=False)
+        return self._labels(n, float("inf"), normal=False)
 
-    def normalized_basis(self, n: int) -> dict:
-        """The labels whose every slot is on a sphere pair or carries a
-        nonempty Hopf monomial; the point kills exactly those slots."""
-        return self._labels(n, normal=True)
+    def normalized_basis(self, n: int, top: int) -> dict:
+        """The labels up to degree ``top`` whose every slot is on a sphere
+        pair or carries a nonempty Hopf monomial; the point kills exactly
+        those slots."""
+        return self._labels(n, top, normal=True)
 
-    def _labels(self, n: int, normal: bool) -> dict:
-        """degree -> labels in basis order, cached per arity.  Each base
-        label takes the words that fit the cap, a slot it leaves bare
+    def _labels(self, n: int, top, normal: bool) -> dict:
+        """degree -> labels in basis order up to the cap and ``top``, cached.
+        Each base label takes the words that fit, a slot it leaves bare
         taking only nonempty monomials when ``normal`` is set; one word
         list serves every base label with the same bare slots and room."""
-        if (n, normal) not in self._basis_cache:
+        top = top if self.degree_cap is None else min(top, self.degree_cap)
+        if (n, top, normal) not in self._basis_cache:
             by_deg: dict = {}
             words: dict = {}  # (room, bare slots) -> words
-            cap = float("inf") if self.degree_cap is None else self.degree_cap
             for qb, labels in self.base.basis_by_degree(n).items():
-                for bl in labels:
+                for bl in labels if qb <= top else ():
                     covered = {v for p in bl for v in p}
                     bare = tuple(k for k in range(1, n + 1) if k not in covered)
-                    key = (cap - qb, bare if normal else ())
+                    key = (top - qb, bare if normal else ())
                     if key not in words:
                         words[key] = self.hopf.words(n, *key)
                     for word, qh in words[key]:
                         by_deg.setdefault(qb + qh, []).append((bl, word))
-            self._basis_cache[(n, normal)] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
-        return self._basis_cache[(n, normal)]
+            self._basis_cache[n, top, normal] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
+        return self._basis_cache[n, top, normal]
 
     def degree(self, n: int, label) -> int:
         bl, word = label
@@ -387,10 +390,21 @@ class FramedOperad(Operad):
         return (self.base.unit_label, (self.hopf.unit,))
 
     def column_vanishes(self, n: int, q: int) -> bool:
-        """A window into the untruncated operad: a normalized slot carries
-        a sphere pair or a nonempty Hopf monomial."""
-        per_slot = min(self.base.d - 1, 2 * min(self.hopf.gen_degrees))
-        return 2 * q < n * per_slot
+        """A window into the untruncated operad, exact for normalized
+        columns: a base label covering exactly c slots is a normalized base
+        label at arity c, its n - c bare slots carry nonempty monomials and
+        the covered ones may, so q is reached when q - s is a base degree at
+        some c, s a sum of j monomial degrees, n - c <= j <= n.  Memoized."""
+        if (n, q) not in self._empty:
+            mons = {self.hopf.degree(m) for m in self.hopf.monomials if m}
+            sums = [{0}]  # sums[j]: the totals <= q of j nonempty monomials
+            for _ in range(n):
+                sums.append({a + b for a in sums[-1] for b in mons if a + b <= q})
+            self._empty[n, q] = all(
+                self.base.column_vanishes(c, q - s)
+                for c in range(n + 1) for s in set().union(*sums[n - c:])
+            )
+        return self._empty[n, q]
 
     def normal_delta(self, n: int, label) -> list:
         """The unsummed terms of delta of ``mu()`` on a normalized label,

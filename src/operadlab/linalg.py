@@ -418,6 +418,3 @@ class QuotientSpace:
     def reduce(self, v: Sequence) -> Vector:
         """Coordinates of v modulo the subspace (over the representatives)."""
         return self._sq.coords(v)[::-1]
-
-    def contains(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce(v))

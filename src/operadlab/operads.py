@@ -222,19 +222,19 @@ class Operad:
     def dim(self, n: int, q: int) -> int:
         return len(self.arity_degree_basis(n, q))
 
-    def normalized_basis(self, n: int) -> dict:
-        """degree -> labels, like ``basis_by_degree(n)``: at each degree a
-        subsequence of the basis, in basis order, holding every label that
-        all codegeneracies kill, and no degree without labels.  Hosts that
-        know which labels a codegeneracy keeps drop them here; the default
-        drops none."""
-        return self.basis_by_degree(n)
+    def normalized_basis(self, n: int, top: int) -> dict:
+        """degree -> labels, like ``basis_by_degree(n)`` but built only up to
+        degree ``top``: at each degree a subsequence of the basis, in basis
+        order, holding every label that all codegeneracies kill, and no
+        degree without labels.  Hosts that know which labels a codegeneracy
+        keeps drop them here; the default drops none."""
+        return {q: labels for q, labels in self.basis_by_degree(n).items() if q <= top}
 
     def column_vanishes(self, n: int, q: int) -> bool:
-        """Whether column n is zero in chain degree q past a window; a host
-        with a point speaks for its normalized columns.  A truncated host is
-        the object itself: nothing lives above its arity cap or degree cap."""
-        return n > self.max_arity or (self.degree_cap is not None and q > self.degree_cap)
+        """Whether column n is zero in chain degree q, exactly; a host with a
+        point speaks for its normalized columns.  A truncated host is the
+        object itself: its map is exact, and nothing lives above its caps."""
+        return n > self.max_arity or q not in self.basis_by_degree(n)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -400,10 +400,6 @@ class TableOperad(Operad):
         self._unit = unit
         self._diff = {key: dict(c) for key, c in (differentials or {}).items()}
         self.max_arity = max_arity if max_arity is not None else max(self._basis)
-        self._top_degree = max(
-            (q for n, by_deg in self._basis.items() if n <= self.max_arity for q in by_deg),
-            default=0,
-        )
 
     def basis_by_degree(self, n: int) -> dict:
         return self._basis.get(n, {})
@@ -421,9 +417,6 @@ class TableOperad(Operad):
 
     def diff_basis(self, n: int, label) -> Coeffs:
         return dict(self._diff.get((n, label), {}))
-
-    def column_vanishes(self, n: int, q: int) -> bool:
-        return q > self._top_degree or super().column_vanishes(n, q)
 
     def has_differential(self) -> bool:
         return bool(self._diff)

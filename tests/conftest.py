@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -568,6 +569,39 @@ def reference_convergence_audit(table: dict, perm: set, abut: dict, t_max: int) 
     if len(candidates) > 1:
         raise InconclusiveAudit(candidates)
     return candidates
+
+
+# -- vanishing oracle: the map-and-line rule the host's exact answer replaced --
+
+
+def reference_vanishes(H, n: int, q: int) -> bool:
+    """The rule of ``HochschildComplex.vanishes`` before the host's answer
+    was exact, for sphere and framed hosts: the stored range; then, up to
+    the top degree of column n's whole map (built to the cap), q not among
+    its degrees; then the coverage line of normalized labels, whose slots
+    each carry a sphere pair or a nonempty Hopf monomial, refused for the
+    raw columns of a host with arity-0 labels."""
+    from operadlab.instances import FramedOperad, SphereOperad
+
+    if H.dim(n, q):
+        return False
+    if n < 0 or q < 0 or (n <= H.n_max and q <= H.q_max):
+        return True
+    host, columns = H.X.host, vars(H).setdefault("_reference_columns", {})
+    if n <= H.n_max:
+        if n not in columns:
+            columns[n] = host.normalized_basis(n, math.inf) if H.normalized else host.basis_by_degree(n)
+        if columns[n] and q <= max(columns[n]):
+            return q not in columns[n]
+    if not H.normalized and host.basis_by_degree(0):
+        return False
+    if isinstance(host, FramedOperad):
+        per_slot = min(host.base.d - 1, 2 * min(host.hopf.gen_degrees))
+    elif isinstance(host, SphereOperad):
+        per_slot = host.d - 1
+    else:
+        raise TypeError(f"no reference line for {type(host).__name__}")
+    return 2 * q < n * per_slot
 
 
 @pytest.fixture

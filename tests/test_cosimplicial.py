@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from conftest import reference_homology, reference_pages
+from conftest import reference_homology, reference_pages, reference_vanishes
 
 from operadlab.cosimplicial import (
     HochschildComplex,
@@ -24,6 +24,7 @@ from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
     FramedOperad,
     MultiplicativeStructure,
+    SphereOperad,
     arity_complex,
     framed_multiplicative,
     poisson_multiplicative,
@@ -149,15 +150,19 @@ def test_label_maps_equal_composition_of_elements(build):
 @pytest.mark.parametrize("build", [sphere_multiplicative, framed_multiplicative])
 def test_certified_zero_columns_are_empty_in_a_larger_window(build):
     """Every position a small window certifies as zero, from its stored
-    range or from the host's vanishing line past it, has no normalized
-    labels when a larger window computes it."""
+    range or from the host's answer past it, has no normalized labels when
+    a larger window computes it; and past the small window the host's
+    answer is exact, so it certifies every such empty position, the
+    coverage line 2q < 4n of normalized labels among them."""
     small = HochschildComplex(mcclure_smith(build(5, 3, 8), 3), q_max=8)
     large = HochschildComplex(mcclure_smith(build(5, 5, 12), 5), q_max=12)
     zeros = [(n, q) for n in range(6) for q in range(13) if small.vanishes(n, q)]
     assert [pos for pos in zeros if large.dim(*pos)] == []
-    # past the small window the certified zeros are the line 2q < 4n
     past = {(n, q) for n, q in zeros if n > 3 or q > 8}
-    assert past == {(n, q) for n in (4, 5) for q in range(13) if 2 * q < 4 * n}
+    assert past == {
+        (n, q) for n in range(6) for q in range(13) if (n > 3 or q > 8) and not large.dim(n, q)
+    }
+    assert {(n, q) for n in (4, 5) for q in range(13) if 2 * q < 4 * n} < past
     assert any(large.dim(n, q) for n in (4, 5) for q in range(13))
 
 
@@ -171,32 +176,43 @@ def _framed_fixing(d, n_max, cap):
     "build,d,n_max,q_max",
     [(sphere_multiplicative, 5, 8, 16),
      (lambda d, n_max, q_max: sphere_multiplicative(d, n_max, q_max + 8), 5, 7, 12),
+     (sphere_multiplicative, 7, 6, 18),
+     (sphere_multiplicative, 9, 5, 24),
+     (lambda d, n_max, q_max: sphere_multiplicative(d, n_max), 7, 5, 12),
      (framed_multiplicative, 5, 6, 16),
      (framed_multiplicative, 7, 5, 14),
      (framed_multiplicative, 9, 6, 19),
      (_framed_fixing, 7, 5, 14),
      (lambda d, n_max, q_max: framed_multiplicative(d, n_max), 5, 3, 42)],
-    ids=["sphere-d5", "sphere-d5-cap-past-q", "framed-d5", "framed-d7", "framed-d9",
-         "framed-d7-fixing-subgroup", "framed-d5-uncapped"],
+    ids=["sphere-d5", "sphere-d5-cap-past-q", "sphere-d7", "sphere-d9", "sphere-d7-uncapped",
+         "framed-d5", "framed-d7", "framed-d9", "framed-d7-fixing-subgroup",
+         "framed-d5-uncapped"],
 )
 def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
     """The host's normalized map is the generic filter over the whole
     basis at every degree up to the cap, label for label and in order:
     it proposes no label the filter drops and leaves out the degrees the
-    filter empties.  The stored columns are that map up to q_max."""
+    filter empties; asked for degrees up to q_max it builds no other.  The
+    stored columns are that map up to q_max, and the host's emptiness
+    answer, which reads no label, is exactly the filter's at every degree
+    up to the cap (up to the raw basis's top degree when uncapped)."""
     X = mcclure_smith(build(d, n_max, q_max), n_max)
     H = HochschildComplex(X, q_max)
     op = X.host
     checked = 0
     for n in range(n_max + 1):
+        basis = op.basis_by_degree(n)
         generic = {
-            q: kept for q, labels in sorted(op.basis_by_degree(n).items())
+            q: kept for q, labels in sorted(basis.items())
             if (kept := tuple(l for l in labels if X.is_normal_label(n, l)))
         }
-        column = op.normalized_basis(n)
-        assert column == generic, n
+        top = max(basis, default=0) if op.degree_cap is None else op.degree_cap
+        assert op.normalized_basis(n, top) == generic, n
+        window = {q: labels for q, labels in generic.items() if q <= q_max}
+        assert op.normalized_basis(n, q_max) == window, n
         stored = {q: H.labels(n, q) for q in range(q_max + 1) if H.labels(n, q)}
-        assert stored == {q: labels for q, labels in generic.items() if q <= q_max}, n
+        assert stored == window, n
+        assert [q for q in range(top + 1) if op.column_vanishes(n, q) == (q in generic)] == [], n
         checked += len(generic)
     assert checked > n_max
 
@@ -210,16 +226,17 @@ def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
     ids=["sphere-d5", "sphere-d7", "framed-d5", "framed-d7"],
 )
 def test_vanishing_past_q_max_is_sound(build, n_max, q_max):
-    """Every position (n, q) with n <= n_max and q_max < q <= cap that a
-    window certifies as zero has no label left by the generic filter over
-    the host's basis; some of them have raw labels."""
+    """Every position (n, q) with n <= n_max and q <= cap that a window
+    certifies as zero, in the stored range or by the host's answer past
+    it, has no label left by the generic filter over the host's basis;
+    some of them have raw labels."""
     M = build()
     X = mcclure_smith(M, n_max)
     H = HochschildComplex(X, q_max)
     checked = 0
     for n in range(n_max + 1):
         basis = X.host.basis_by_degree(n)
-        for q in range(q_max + 1, M.operad.degree_cap + 1):
+        for q in range(M.operad.degree_cap + 1):
             if H.vanishes(n, q):
                 assert not any(X.is_normal_label(n, l) for l in basis.get(q, ())), (n, q)
                 checked += q in basis
@@ -269,6 +286,47 @@ def test_normalized_path_never_lists_the_raw_basis(build, n_max, q_max):
     got, want = run(M), run(build())
     assert got == want
     assert got[1] and any(page.differentials for page in got[2])
+
+
+def _certification_windows(build, d, n_top, uncapped_top):
+    """Windows n_max <= n_top, q_max in 0..3(d-1) step 2, cap q_max,
+    q_max + (d-1), q_max + 2(d-1), or none when n_max <= uncapped_top."""
+    for n_max in range(1, n_top + 1):
+        for q_max in range(0, 3 * (d - 1) + 1, 2):
+            caps = [q_max, q_max + d - 1, q_max + 2 * (d - 1)]
+            for cap in caps + [None] * (n_max <= uncapped_top):
+                yield build(d, n_max, cap), n_max, q_max, cap
+
+
+@pytest.mark.parametrize(
+    "build,d,n_top,uncapped_top",
+    [(sphere_multiplicative, 5, 6, 5), (sphere_multiplicative, 7, 6, 5),
+     (framed_multiplicative, 5, 4, 3), (framed_multiplicative, 7, 4, 3)],
+    ids=["sphere-d5", "sphere-d7", "framed-d5", "framed-d7"],
+)
+def test_host_answer_certifies_no_fewer_cells_than_the_map_and_line_rule(
+    build, d, n_top, uncapped_top
+):
+    """Against ``reference_vanishes``, the rule of a degree map to the cap
+    and a coverage line past it: over cells n in -1..n_max+2 and q up to
+    the cap (or q_max + 3(d-1)) plus d, the normalized columns certify
+    every cell it does, and more in every window; the raw columns certify
+    the same cells wherever cap = q_max.  Raw columns past q_max under a
+    larger cap, which no command builds, are refused instead."""
+    gained = 0
+    for M, n_max, q_max, cap in _certification_windows(build, d, n_top, uncapped_top):
+        top = (q_max + 3 * (d - 1) if cap is None else cap) + d
+        grid = [(n, q) for n in range(-1, n_max + 3) for q in range(-1, top + 1)]
+        for S in (M, MultiplicativeStructure(M.operad, M.mult)):
+            H = HochschildComplex(mcclure_smith(S, n_max), q_max)
+            got = {pos for pos in grid if H.vanishes(*pos)}
+            ref = {pos for pos in grid if reference_vanishes(H, *pos)}
+            if H.normalized:
+                assert ref < got, (n_max, q_max, cap)
+                gained += len(got - ref)
+            elif cap == q_max:
+                assert got == ref, (n_max, q_max, cap)
+    assert gained
 
 
 @pytest.mark.parametrize(
@@ -406,22 +464,21 @@ def test_each_delta_block_is_asked_for_once(run, monkeypatch):
 
 def _raw_vanishes(H, n, q):
     """Independent oracle: the vanishing rule read off the host's raw
-    arity complexes (stored range, then each raw column's populated
-    window, then the host's line past it, which holds for the raw columns
-    only of a host without arity-0 labels)."""
+    arity complexes.  The stored range; past it, a raw column of a host
+    with arity-0 labels is refused before its raw window is read; then
+    each column's populated raw window under the generic codegeneracy
+    filter; then the host's answer past that window."""
     if H.dim(n, q):
         return False
-    if 0 <= n <= H.n_max:
-        if 0 <= q <= H.q_max:
-            return True
-        C = arity_complex(H.X.host, n)
-        lo, hi = C.window
-        if lo <= q <= hi:
-            return C.dim(q) == 0
-    if n < 0 or q < 0:
+    if n < 0 or q < 0 or (n <= H.n_max and q <= H.q_max):
         return True
     if not H.normalized and arity_complex(H.X.host, 0).space.degrees():
         return False
+    if n <= H.n_max:
+        C = arity_complex(H.X.host, n)
+        lo, hi = C.window
+        if lo <= q <= hi:
+            return not any(H.X.is_normal_label(n, l) for l in C.space.labels(q))
     return H.X.host.column_vanishes(n, q)
 
 
@@ -476,6 +533,36 @@ def test_columns_agree_with_the_raw_arity_complexes(build, n_max, q_max, normali
     assert [pos for pos in grid if H.vanishes(*pos) != _raw_vanishes(H, *pos)] == []
 
 
+def test_raw_oracle_refuses_a_host_with_a_point_before_its_raw_window():
+    """Without its point the sphere's raw column 5 is empty in degree 14,
+    inside its raw window 0..16, yet past q_max = 12 nothing certifies it:
+    the complex and the oracle both refuse the raw columns of a host with
+    arity-0 labels there.  With the point both certify the cell."""
+    M = sphere_multiplicative(5, 5, 16)
+    C = arity_complex(M.operad, 5)
+    assert C.window[0] <= 14 <= C.window[1] and C.dim(14) == 0
+    raw = HochschildComplex(mcclure_smith(MultiplicativeStructure(M.operad, M.mult), 5), 12)
+    assert not raw.vanishes(5, 14) and not _raw_vanishes(raw, 5, 14)
+    normalized = HochschildComplex(mcclure_smith(M, 5), 12)
+    assert normalized.vanishes(5, 14) and _raw_vanishes(normalized, 5, 14)
+
+
+@pytest.mark.parametrize("cap", [12, 24, None])
+def test_columns_build_no_label_past_q_max(cap, monkeypatch):
+    """A window builds only the labels it stores, whatever the host's cap:
+    70 at sphere d=5, n <= 6, q <= 12, where maps built to the cap held
+    6,325 labels at cap 24 and 28,264 uncapped."""
+    built = []
+    normalized = SphereOperad.normalized_basis
+    monkeypatch.setattr(
+        SphereOperad, "normalized_basis",
+        lambda op, n, top: built.append(m := normalized(op, n, top)) or m,
+    )
+    H = HochschildComplex(mcclure_smith(sphere_multiplicative(5, 6, cap), 6), 12)
+    stored = sum(H.dim(*pos) for pos in H.positions())
+    assert sum(len(labels) for m in built for labels in m.values()) == stored == 70
+
+
 @pytest.mark.parametrize(
     "build,n_max,q_max,cells",
     [(lambda: sphere_multiplicative(5, 3, 8), 3, 8, [(-3, 0), (-3, 4)]),
@@ -527,11 +614,12 @@ def test_differential_that_does_not_square_to_zero_is_refused():
 )
 def test_truncated_host_vanishes_past_its_caps(op, top):
     """A truncated host is the object itself: its columns vanish above the
-    arity cap and above the degree cap (free) or top degree (table)."""
+    arity cap, above the degree cap (free) or top degree (table), and
+    below them exactly where its basis has no label."""
     grid = [(n, q) for n in range(6) for q in range(top + 3)]
     zeros = {pos for pos in grid if op.column_vanishes(*pos)}
-    assert zeros == {(n, q) for n, q in grid if n > 3 or q > top}
-    assert all(op.dim(n, q) == 0 for n, q in zeros)
+    assert zeros == {(n, q) for n, q in grid if n > 3 or q > top or not op.dim(n, q)}
+    assert {(n, q) for n, q in grid if n > 3 or q > top} < zeros
 
 
 class TestHochschildHomology:
@@ -571,7 +659,7 @@ class TestHochschildHomology:
         "make,n_max,q_max,complete",
         [
             (lambda: sphere_multiplicative(5, 8, 16), 8, 16, 5),
-            (lambda: framed_multiplicative(5, 6, 16), 6, 16, 11),
+            (lambda: framed_multiplicative(5, 6, 16), 6, 16, 12),
         ],
         ids=["sphere", "framed"],
     )
@@ -779,18 +867,21 @@ class TestSpectralSequence:
         "make,n_max,q_max,flips",
         [
             (lambda: witness_multiplicative(3, padded=True), 3, 26, False),
-            (lambda: sphere_multiplicative(5, 5, 12), 5, 12, False),
+            (lambda: sphere_multiplicative(5, 6, 12), 6, 12, False),
+            (lambda: sphere_multiplicative(5, 5, 12), 5, 12, True),
             (lambda: witness_multiplicative(3, padded=True), 2, 26, True),
             (lambda: sphere_multiplicative(5, 3, 16), 3, 16, True),
         ],
-        ids=["padded-witness", "sphere", "padded-witness-n2", "sphere-n3"],
+        ids=["padded-witness", "sphere-n6", "sphere", "padded-witness-n2", "sphere-n3"],
     )
     def test_page_flags_carried_across_pages_equal_entry_reliable(
         self, make, n_max, q_max, flips
     ):
         """Each page extends the previous page's flag by one d_r check; the
         result is ``entry_reliable`` at every entry of pages 1..40.  In the
-        narrower windows some flag turns false at a later page."""
+        narrower windows some flag turns false at a later page: at sphere
+        n <= 5, q <= 12, E_1(-5, 12) is certified, since the sphere has no
+        odd degree, but d_1 leaves it for (-6, 12), which is not empty."""
         H = HochschildComplex(mcclure_smith(make(), n_max), q_max=q_max)
         ss = H.spectral_sequence()
         flags = {

@@ -192,7 +192,7 @@ class TestCobarComplex:
         for (p, q), words in cb._words_by_bidegree.items():
             for w in words:
                 assert len(w) == -p
-                assert cb.word_degree(w) == q
+                assert sum(cb.hopf.degree(m) for m in w) == q
 
 
 class TestCobarHomology:
@@ -228,3 +228,10 @@ class TestCobarHomology:
         for (p, q), dim in free_commutative_bigraded(gens, 16).items():
             expected[p + q] = expected.get(p + q, 0) + dim
         assert cobar_homology_total_dims(hopf, 16) == expected
+
+    def test_total_dims_refuse_a_degree_one_generator(self):
+        """A degree-1 letter adds nothing to p + q, so no total bounds the
+        word length: refused with a reason, not a ZeroDivisionError."""
+        hopf = PrimitiveExteriorHopf([("a", 1), ("b", 3)])
+        with pytest.raises(ValueError, match="degree-1 generator"):
+            cobar_homology_total_dims(hopf, 4)

@@ -367,6 +367,5 @@ class TestFormalityBaseline:
 class TestInputValidation:
     def test_wrong_degree_g_rejected(self):
         M = witness_multiplicative(2)
-        bad = ObstructionInput(M, witness_generator(M.operad, "nu"), 2)
-        with pytest.raises(ValueError):
-            bad.validate()
+        with pytest.raises(ValueError, match="g must sit in degree 7"):
+            ObstructionInput(M, witness_generator(M.operad, "nu"), 2)
