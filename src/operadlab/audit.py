@@ -212,7 +212,9 @@ class TensorCheckReport:
     framed_dims: dict  # (p, q) -> dim, reliable entries in the window
     convolution_dims: dict  # same positions, base (x) loop-classes product
     mismatches: list  # positions where the two disagree
-    vanishing_violations: list  # nonzero entries with 2q < (d-1)(-p)
+    # nonzero entries below the framed line: 2q < min(d-1, 2b)(-p), with b
+    # the lowest rotation-group generator degree
+    vanishing_violations: list
 
     @property
     def ok(self) -> bool:
@@ -222,47 +224,35 @@ class TensorCheckReport:
 def framed_tensor_check(d: int, n_max: int = 5, q_max: int = 12) -> TensorCheckReport:
     """Bigraded second-page dimensions of the framed object against the
     convolution of the plain object's dimensions with the cobar homology
-    of the rotation-group coalgebra, plus the vanishing line.
+    of the rotation-group coalgebra, plus the vanishing line of the framed
+    page.  Both pages are read by ``hochschild_dims``, from ranks alone.
+
+    The plain page vanishes below 2q = (d-1)(-p), and each loop class
+    (-1, b_i), b_i >= b, lies on or above 2q = 2b(-p); so the framed page,
+    the plain page tensored with the loop classes, vanishes below
+    2q = min(d-1, 2b)(-p).
     """
-    from .cosimplicial import hochschild_homology
+    from .cosimplicial import hochschild_dims
     from .instances import framed_multiplicative, sphere_multiplicative
 
-    base = hochschild_homology(sphere_multiplicative(d, n_max, q_max), n_max, q_max)
-    framed = hochschild_homology(framed_multiplicative(d, n_max, q_max), n_max, q_max)
+    base = hochschild_dims(sphere_multiplicative(d, n_max, q_max), n_max, q_max)
+    base = {pos: k for pos, k in base.items() if k}  # a zero cell adds zero-valued keys
+    framed = hochschild_dims(framed_multiplicative(d, n_max, q_max), n_max, q_max)
     kmax = q_max // 3 + 1
-    cobar_dims, _ = cobar_homology(
-        build_so_hopf(d, "full"), BidegreeWindow(p_min=-kmax, q_max=q_max)
-    )
+    hopf = build_so_hopf(d, "full")
+    cobar_dims, _ = cobar_homology(hopf, BidegreeWindow(p_min=-kmax, q_max=q_max))
     conv: dict = {}
-    for (p1, q1), d1 in base.dims.items():
+    for (p1, q1), d1 in base.items():
         for (p2, q2), d2 in cobar_dims.items():
             p, q = p1 + p2, q1 + q2
             if p >= -n_max and q <= q_max:
                 conv[(p, q)] = conv.get((p, q), 0) + d1 * d2
-    reliable = {
-        (p, q)
-        for q in framed.homs
-        for p, h in framed.homs[q].per_degree.items()
-        if h.reliable
-    }
-    positions = sorted(
-        (pos for pos in reliable if framed.dims.get(pos) or conv.get(pos)),
-        reverse=True,
-    )
-    mismatches = [
-        pos
-        for pos in positions
-        if framed.dims.get(pos, 0) != conv.get(pos, 0)
-    ]
-    violations = [
-        (p, q)
-        for (p, q) in framed.dims
-        if 2 * q < (d - 1) * (-p)
-    ]
+    positions = sorted((pos for pos in framed if framed[pos] or conv.get(pos)), reverse=True)
+    slope = min(d - 1, 2 * min(hopf.gen_degrees))
     return TensorCheckReport(
         d=d,
-        framed_dims={pos: framed.dims[pos] for pos in positions if pos in framed.dims},
+        framed_dims={pos: framed[pos] for pos in positions if framed[pos]},
         convolution_dims={pos: conv[pos] for pos in positions if pos in conv},
-        mismatches=mismatches,
-        vanishing_violations=violations,
+        mismatches=[pos for pos in positions if framed[pos] != conv.get(pos, 0)],
+        vanishing_violations=[(p, q) for (p, q), k in framed.items() if k and 2 * q < slope * -p],
     )

@@ -238,6 +238,25 @@ def boundary_echelons(C: ChainComplexWindow) -> dict:
     return dict(sorted(out.items()))
 
 
+def _class_counts(C: ChainComplexWindow, echelons: dict) -> dict:
+    """q -> dim C_q - rank d_q - rank d_{q+1} at every degree of the
+    window, the ranks read off the rows of ``boundary_echelons``; 0 at an
+    open lower edge, whose differential is unknown: no cycles there."""
+    lo = C.window[0]
+    ranks = {q + 1: len(E.rows()) for q, E in echelons.items()}  # rank d_{q+1}
+    return {
+        q: C.dim(q) - ranks.get(q, 0) - ranks[q + 1] if q > lo or C.complete_below else 0
+        for q in echelons
+    }
+
+
+def homology_dims(C: ChainComplexWindow) -> dict:
+    """q -> dim H_q at every reliable degree, zeros included, from the
+    ranks of the clearing echelons alone: ``homology(C).dims()`` for a
+    caller that reads dimensions only, with no kernel or class built."""
+    return {q: k for q, k in _class_counts(C, boundary_echelons(C)).items() if C.reliable(q)}
+
+
 def homology(C: ChainComplexWindow) -> HomologyResult:
     """Kernel-mod-image homology with explicit representative cycles.
 
@@ -246,20 +265,16 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
     at a degree with no class that echelon is the quotient.  A degree q
     with a class reduces d_q again, now with coordinates, for its sparse
     kernel, and extends its echelon by the kernel vectors in order until
-    it holds dim H_q = dim C_q - rank d_q - rank d_{q+1} representatives.
+    it holds the dim H_q representatives that :func:`homology_dims` counts.
     Only the representatives handed out are made dense.
     """
-    lo = C.window[0]
     echelons = boundary_echelons(C)
-    ranks = {q + 1: len(E.rows()) for q, E in echelons.items()}  # rank d_{q+1}
+    counts = _class_counts(C, echelons)
     out = {}
     for q, quotient in echelons.items():
         n = C.dim(q)
-        # an open lower edge has an unknown differential: no cycles there
-        if q > lo or C.complete_below:
-            dim = n - ranks.get(q, 0) - ranks[q + 1]
-            if dim:
-                quotient.extend(row_reduce(C.d(q)).kernel(), stop=dim)
+        if counts[q]:
+            quotient.extend(row_reduce(C.d(q)).kernel(), stop=counts[q])
         out[q] = DegreeHomology(
             dim=quotient.dim,
             representatives=[dense(z, n) for z in quotient.representatives],

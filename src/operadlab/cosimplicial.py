@@ -15,7 +15,8 @@
   and never list the raw basis.  Past the stored window the host alone
   says which cells are empty, by ``column_vanishes``.
 * :func:`hochschild_homology` computes the bigraded homology for
-  zero-differential hosts, with representatives.
+  zero-differential hosts, with representatives; :func:`hochschild_dims`
+  reads its dimensions off the ranks alone.
 * :func:`ss_pages` computes the spectral sequence of the column
   filtration: E^1 is columnwise homology, d_r has bidegree (-r, r-1),
   and every page is read off one filtered reduction (the persistence
@@ -36,7 +37,7 @@ from math import inf
 
 from .complexes import (
     ChainComplexWindow, DegreeHomology, GradedSpace, WindowBoundary, bigraded_dims,
-    boundary_echelons, complex_from_rule, totals_by_degree,
+    complex_from_rule, homology_dims, totals_by_degree,
 )
 from .instances import MultiplicativeStructure, arity_complex
 from .linalg import (
@@ -358,17 +359,30 @@ class HochschildHomology:
         return [c for c in self.classes if c.p == p and c.q == q]
 
 
-def hochschild_homology(M: MultiplicativeStructure, n_max: int, q_max: int) -> HochschildHomology:
-    """Bigraded Hochschild homology of a zero-differential host, on the
-    normalized columns exactly when M has a point."""
+def _rows_in_p(M: MultiplicativeStructure, n_max: int, q_max: int):
+    """The double complex of a zero-differential host, normalized exactly
+    when M has a point, and its complex over p at each internal degree
+    holding chains, each built when the caller reaches it."""
     if M.operad.has_differential():
         raise ValueError("Hochschild homology requires a zero-differential host")
     H = HochschildComplex(mcclure_smith(M, n_max), q_max)
-    qs = sorted({q for (_, q) in H.positions()})
+    return H, ((q, H.complex_in_p(q)) for q in sorted({q for (_, q) in H.positions()}))
+
+
+def hochschild_dims(M: MultiplicativeStructure, n_max: int, q_max: int) -> dict:
+    """(p, q) -> dim HH at every reliable cell of ``hochschild_homology``,
+    zeros included, read off the ranks alone by ``homology_dims``."""
+    _, rows = _rows_in_p(M, n_max, q_max)
+    return {(p, q): k for q, C in rows for p, k in homology_dims(C).items()}
+
+
+def hochschild_homology(M: MultiplicativeStructure, n_max: int, q_max: int) -> HochschildHomology:
+    """Bigraded Hochschild homology of a zero-differential host, on the
+    normalized columns exactly when M has a point."""
+    H, rows = _rows_in_p(M, n_max, q_max)
     homs: dict = {}
     classes: list = []
-    for q in qs:
-        C = H.complex_in_p(q)
+    for q, C in rows:
         hom = C.homology()
         homs[q] = hom
         for p, h in hom.per_degree.items():
@@ -582,24 +596,22 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
 
     Every d_r with r > n_max leaves columns 0..n_max, so page n_max + 1 is
     E_infinity of the stored double complex; the page compared is
-    max(r_max, n_max + 1), n_max + 2 by default.  dim H_t(Tot) is counted
-    as dim Tot_t - rank D(t) - rank D(t + 1), the ranks read off the plain
-    echelons of ``boundary_echelons``, independent of the pairing behind
-    the pages.  Returns a list of (t, einfty_sum, total_dim) over reliable
-    degrees.
+    max(r_max, n_max + 1), n_max + 2 by default.  dim H_t(Tot) is the
+    shared ranks-only readout ``homology_dims``, dim Tot_t - rank D(t) -
+    rank D(t + 1) off the plain clearing echelons, independent of the
+    pairing behind the pages.  Returns a list of (t, einfty_sum,
+    total_dim) over reliable populated degrees.
     """
     ss = H.spectral_sequence()
     last = ss.pages(H.n_max + 2 if r_max is None else max(r_max, H.n_max + 1))[-1]
     tot = ss.total_complex()
-    ranks = {t + 1: len(E.rows()) for t, E in boundary_echelons(tot).items()}  # rank D(t+1)
+    total = homology_dims(tot)
     out = []
     for t in tot.space.degrees():
-        if not tot.reliable(t):
-            continue
         ent = [e for (p, q), e in last.entries.items() if p + q == t]
-        if any(not e.reliable for e in ent):
+        if t not in total or any(not e.reliable for e in ent):
             continue
-        out.append((t, sum(e.dim for e in ent), tot.dim(t) - ranks.get(t, 0) - ranks[t + 1]))
+        out.append((t, sum(e.dim for e in ent), total[t]))
     return out
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import ChainComplexWindow, bigraded_dims, complex_from_rule, totals_by_degree
+from .complexes import (
+    ChainComplexWindow, bigraded_dims, complex_from_rule, homology_dims, totals_by_degree,
+)
 
 # A monomial is a sorted tuple of generator indices (square-free).
 Monomial = tuple
@@ -154,6 +156,9 @@ class CobarComplex:
         for key in self._words_by_bidegree:
             self._words_by_bidegree[key].sort()
 
+    def degrees(self) -> list:  # the internal degrees q that hold words
+        return sorted({q for (_, q) in self._words_by_bidegree})
+
     def basis(self, p: int, q: int) -> list:
         return self._words_by_bidegree.get((p, q), [])
 
@@ -197,20 +202,22 @@ def cobar_homology(hopf: PrimitiveExteriorHopf, window: BidegreeWindow):
     bidegrees and homs maps q -> HomologyResult of the fixed-q complex.
     """
     cb = CobarComplex(hopf, window)
-    qs = sorted({q for (_, q) in cb._words_by_bidegree})
-    homs = {q: cb.complex_at_q(q).homology() for q in qs}
+    homs = {q: cb.complex_at_q(q).homology() for q in cb.degrees()}
     return bigraded_dims(homs), homs
 
 
 def cobar_homology_total_dims(hopf: PrimitiveExteriorHopf, total_max: int) -> dict:
-    """Dimensions of cobar homology by total degree p + q up to total_max;
-    refused for a degree-1 generator, whose letters bound no word length."""
+    """Dimensions of cobar homology by total degree p + q up to total_max,
+    read off the ranks alone by ``homology_dims``: no class is built.
+    Refused for a degree-1 generator, whose letters bound no word length."""
     mind = min(hopf.gen_degrees)
     if mind == 1:
         raise ValueError("a degree-1 generator leaves the word length unbounded by total degree")
     # total degree t = q - k and q <= t * mind/(mind-1)-ish; a word of
     # length k has q >= 3k, so t = q - k >= (mind-1) k, k <= t/(mind-1)
     kmax = total_max // (mind - 1) + 1
-    window = BidegreeWindow(p_min=-kmax, q_max=total_max + kmax)
-    dims, _ = cobar_homology(hopf, window)
+    cb = CobarComplex(hopf, BidegreeWindow(p_min=-kmax, q_max=total_max + kmax))
+    dims: dict = {}
+    for q in cb.degrees():
+        dims.update({(p, q): k for p, k in homology_dims(cb.complex_at_q(q)).items() if k})
     return totals_by_degree(dims, total_max)

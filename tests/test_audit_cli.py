@@ -21,9 +21,10 @@ from operadlab.audit import (
     framed_tensor_check,
     standard_audit_input,
 )
+from operadlab import cosimplicial
 from operadlab.cli import main
-from operadlab.cosimplicial import hochschild_homology
-from operadlab.instances import framed_multiplicative
+from operadlab.cosimplicial import hochschild_dims, hochschild_homology
+from operadlab.instances import FramedOperad, framed_multiplicative
 
 
 class TestAudit:
@@ -201,6 +202,9 @@ class TestComputedSecondPage:
             pos: model.get(pos, 0) for pos in reliable
         }
         assert (len(reliable), len(HH.dims)) == (reliable_cells, nonzero)
+        assert hochschild_dims(framed_multiplicative(d, n_max, q_max), n_max, q_max) == {
+            pos: HH.dims.get(pos, 0) for pos in reliable
+        }
         (forced,) = convergence_audit(standard_audit_input(d))
         assert sum(forced.target) == t_star
         # past arity t*, q - n <= t* lies below the vanishing line 2q < 4n
@@ -216,6 +220,29 @@ class TestTensorCheck:
         rep = framed_tensor_check(5, 4, 10)
         assert rep.ok
         assert rep.framed_dims and rep.framed_dims == rep.convolution_dims
+
+    def test_the_framed_page_keeps_its_own_vanishing_line_at_d_9(self, capsys):
+        """The loop class at (-1, 3) lies below the plain line 2q = (d-1)(-p)
+        once d >= 9; the framed page vanishes below 2q = min(d-1, 6)(-p)."""
+        rep = framed_tensor_check(9, 6, 19)
+        assert rep.ok and rep.framed_dims[(-1, 3)] == 1
+        assert main(["e2", "--d", "9", "--n-max", "6", "--q-max", "19"]) == 0
+        assert "vanishing-line check:   pass" in capsys.readouterr().out
+
+    def test_an_entry_below_the_framed_line_is_reported(self, monkeypatch):
+        """(-2, 5) is injected below the framed line at d = 9; (-2, 6), a
+        computed class on that line, is not reported."""
+        computed = cosimplicial.hochschild_dims
+
+        def injected(M, n_max, q_max):
+            dims = computed(M, n_max, q_max)
+            if isinstance(M.operad, FramedOperad):
+                assert dims[(-2, 6)] and not dims.get((-2, 5))
+                dims[(-2, 5)] = 1
+            return dims
+
+        monkeypatch.setattr(cosimplicial, "hochschild_dims", injected)
+        assert framed_tensor_check(9, 6, 19).vanishing_violations == [(-2, 5)]
 
 
 class TestCLI:

@@ -14,6 +14,7 @@ from operadlab.complexes import (
     NotACycle,
     WindowBoundary,
     boundary_echelons,
+    homology_dims,
     is_boundary_with_witness,
     tensor,
 )
@@ -97,6 +98,25 @@ class TestHomology:
             for edge in ({}, {"complete_below": False}, {"complete_above": False}):
                 C_edge = ChainComplexWindow(C.space, C.differential, C.window, **edge)
                 assert_matches_reference(C_edge, rng)
+
+    def test_dims_read_off_the_ranks_alone(self, rng, monkeypatch):
+        """``homology_dims`` equals ``homology(C).dims()`` and the reliable
+        dims of ``reference_homology`` with either edge open, and reduces
+        no differential for a kernel.  The open lower edge counts no
+        cycles through the shared helper, which the reference comparison
+        of ``homology`` checks at every degree."""
+        cases = []
+        for _ in range(60):
+            C, _ = random_complex(rng)
+            for edge in ({}, {"complete_below": False}, {"complete_above": False}):
+                cases.append(ChainComplexWindow(C.space, C.differential, C.window, **edge))
+        want = [C.homology().dims() for C in cases]
+        ref = [
+            {q: sq.dim for q, sq in reference_homology(C).items() if C.reliable(q)}
+            for C in cases
+        ]
+        monkeypatch.setattr(complexes, "row_reduce", None)
+        assert [homology_dims(C) for C in cases] == want == ref
 
     def test_kernel_basis_only_where_homology_survives(self, rng, monkeypatch):
         """One coordinate echelon (``row_reduce``, read for its kernel) per

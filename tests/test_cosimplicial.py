@@ -13,6 +13,7 @@ from operadlab.cosimplicial import (
     SpectralSequence,
     einfty_vs_total,
     hochschild_differential,
+    hochschild_dims,
     hochschild_homology,
     mcclure_smith,
     ss_pages,
@@ -675,6 +676,33 @@ class TestHochschildHomology:
             chi = sum((-1) ** n * HH.complex.dim(n, q) for n in range(n_max + 1))
             assert sum((-1) ** p * h.dim for p, h in hom.per_degree.items()) == chi, q
         assert rows == complete
+
+    @pytest.mark.parametrize(
+        "make,n_max,q_max",
+        [
+            (lambda: sphere_multiplicative(5, 8, 16), 8, 16),
+            (lambda: framed_multiplicative(5, 6, 16), 6, 16),
+            (lambda: framed_multiplicative(7, 4, 13), 4, 13),
+        ],
+        ids=["sphere-d5", "framed-d5", "framed-d7"],
+    )
+    def test_dims_are_the_reliable_cells_of_the_homology(self, make, n_max, q_max):
+        """``hochschild_dims`` holds every reliable cell of ``homs``, zeros
+        included, and its nonzero cells are ``HH.dims``; framed d = 9, 11
+        and 13 are compared in ``TestComputedSecondPage``."""
+        HH = hochschild_homology(make(), n_max, q_max)
+        reliable = {
+            (p, q) for q, hom in HH.homs.items()
+            for p, h in hom.per_degree.items() if h.reliable
+        }
+        dims = hochschild_dims(make(), n_max, q_max)
+        assert dims == {pos: HH.dims.get(pos, 0) for pos in reliable}
+        assert 0 in dims.values()
+
+    @pytest.mark.parametrize("reader", [hochschild_homology, hochschild_dims])
+    def test_a_host_with_a_differential_is_refused(self, reader):
+        with pytest.raises(ValueError, match="zero-differential host"):
+            reader(witness_multiplicative(2), 3, 8)
 
     def test_normalized_vs_unnormalized_agree(self):
         """Dold-Kan: the normalized columns (the structure with its point)
