@@ -238,9 +238,8 @@ def framed_tensor_check(d: int, n_max: int = 5, q_max: int = 12) -> TensorCheckR
     base = hochschild_dims(sphere_multiplicative(d, n_max, q_max), n_max, q_max)
     base = {pos: k for pos, k in base.items() if k}  # a zero cell adds zero-valued keys
     framed = hochschild_dims(framed_multiplicative(d, n_max, q_max), n_max, q_max)
-    kmax = q_max // 3 + 1
     hopf = build_so_hopf(d, "full")
-    cobar_dims, _ = cobar_homology(hopf, BidegreeWindow(p_min=-kmax, q_max=q_max))
+    cobar_dims = cobar_homology(hopf, BidegreeWindow(p_min=-q_max, q_max=q_max))
     conv: dict = {}
     for (p1, q1), d1 in base.items():
         for (p2, q2), d2 in cobar_dims.items():

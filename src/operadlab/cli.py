@@ -195,7 +195,7 @@ def cmd_cobar(args) -> int:
         raise UsageError(f"--p-min must be at most 0, got {args.p_min}")
     hopf = build_so_hopf(_check_d(args.d), args.variant)
     window = BidegreeWindow(p_min=args.p_min, q_max=args.q_max)
-    dims, _ = cobar_homology(hopf, window)
+    dims = cobar_homology(hopf, window)
     totals = totals_by_degree(dims)
     print(render_grid(dims, f"cobar homology, d={args.d} ({args.variant})"))
     print("totals by p+q:", totals)

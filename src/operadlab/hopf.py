@@ -1,5 +1,5 @@
-"""Exterior Hopf algebras on primitive odd generators, and their cobar
-complexes.
+"""Exterior Hopf algebras on primitive odd generators, their cobar
+complexes, and cobar homology as dimensions read off the ranks alone.
 
 The model covers the rational homology of the rotation groups: the full
 group in odd dimension d = 2m+1 is exterior on generators of degree
@@ -14,9 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (
-    ChainComplexWindow, bigraded_dims, complex_from_rule, homology_dims, totals_by_degree,
-)
+from .complexes import ChainComplexWindow, complex_from_rule, homology_dims, totals_by_degree
 
 # A monomial is a sorted tuple of generator indices (square-free).
 Monomial = tuple
@@ -187,37 +185,32 @@ class CobarComplex:
         degree); otherwise the low-p edge is flagged: d also exits the
         lowest kept p, and that map is zero only when no longer words exist.
         """
-        max_len_needed = q // self.min_letter_degree if q else 0
         return complex_from_rule(
             {p: words for (p, qq), words in self._words_by_bidegree.items() if qq == q},
             lambda p, word: self.differential_word(word),
-            complete_below=-self.window.p_min >= max_len_needed,
+            complete_below=-self.window.p_min >= q // self.min_letter_degree,
         )
 
 
-def cobar_homology(hopf: PrimitiveExteriorHopf, window: BidegreeWindow):
-    """Bigraded cobar homology with representatives.
-
-    Returns (dims, homs) where dims maps (p, q) -> dimension for reliable
-    bidegrees and homs maps q -> HomologyResult of the fixed-q complex.
-    """
+def cobar_homology(hopf: PrimitiveExteriorHopf, window: BidegreeWindow) -> dict:
+    """Bigraded cobar homology as (p, q) -> dim at every reliable bidegree
+    with a class, each fixed-q complex read off the ranks alone by
+    ``homology_dims``: no class or representative is built.  A cell at an
+    open lower edge of p is unreliable and left out."""
     cb = CobarComplex(hopf, window)
-    homs = {q: cb.complex_at_q(q).homology() for q in cb.degrees()}
-    return bigraded_dims(homs), homs
+    rows = ((q, homology_dims(cb.complex_at_q(q))) for q in cb.degrees())
+    return {(p, q): k for q, dims in rows for p, k in dims.items() if k}
 
 
 def cobar_homology_total_dims(hopf: PrimitiveExteriorHopf, total_max: int) -> dict:
-    """Dimensions of cobar homology by total degree p + q up to total_max,
-    read off the ranks alone by ``homology_dims``: no class is built.
+    """Cobar homology by total degree p + q <= total_max: the totals of
+    ``cobar_homology`` on a window holding every word of those degrees.  A
+    total with no class is left out, where ``abutment_dims`` holds a 0.
     Refused for a degree-1 generator, whose letters bound no word length."""
     mind = min(hopf.gen_degrees)
     if mind == 1:
         raise ValueError("a degree-1 generator leaves the word length unbounded by total degree")
-    # total degree t = q - k and q <= t * mind/(mind-1)-ish; a word of
-    # length k has q >= 3k, so t = q - k >= (mind-1) k, k <= t/(mind-1)
+    # a word of length k has q >= mind * k, so t = q - k >= (mind - 1) k
     kmax = total_max // (mind - 1) + 1
-    cb = CobarComplex(hopf, BidegreeWindow(p_min=-kmax, q_max=total_max + kmax))
-    dims: dict = {}
-    for q in cb.degrees():
-        dims.update({(p, q): k for p, k in homology_dims(cb.complex_at_q(q)).items() if k})
-    return totals_by_degree(dims, total_max)
+    window = BidegreeWindow(p_min=-kmax, q_max=total_max + kmax)
+    return totals_by_degree(cobar_homology(hopf, window), total_max)

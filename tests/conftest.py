@@ -5,6 +5,9 @@ complexes with known homology.
 only; it shares no code with the sparse incremental elimination in
 ``operadlab.linalg``.
 
+:func:`mod_p_homology_dims` is a second independent oracle, for windows
+too large for dense Fractions: a sparse rank count mod 2^61 - 1.
+
 A complex is assembled from elementary pieces — an identity two-term
 complex contributes nothing to homology, a lone generator contributes
 one dimension — and then conjugated by random invertible change-of-basis
@@ -242,6 +245,59 @@ def reference_homology(C: ChainComplexWindow) -> dict:
         boundaries = C.d(q + 1).columns() if q < hi else []
         out[q] = Subquotient(n, cycles, boundaries)
     return out
+
+
+# (d, variant, p_min, q_max) cobar windows; row q has an open lower edge
+# where -p_min < q // 3, 3 being the lowest letter degree of every model here
+COBAR_GRID = list(itertools.product(
+    (5, 7, 9), ("full", "fixing-subgroup"), (0, -1, -3), (13, 27),
+))
+
+MOD_P = 2**61 - 1
+
+
+def mod_p_homology_dims(C: ChainComplexWindow) -> dict:
+    """q -> dim H_q over F_p, p = 2^61 - 1, at every reliable degree: an
+    independent rank oracle for ``homology_dims``, sharing no elimination
+    code with ``operadlab.linalg``.
+
+    Each d_q is reduced mod p column by column, each column at its lowest
+    row, from the top degree down with clearing: the columns of d_q at the
+    pivot rows of d_{q+1} are skipped, since those pivots complete the
+    boundaries to all of C_q and d kills the boundaries.  A non-integral
+    entry is refused, not reduced.  For an integer matrix rank mod p <=
+    rank over Q, so a dim above the exact one means p-torsion or a bug,
+    and one below it a bug."""
+    lo, hi = C.window
+    ranks = {hi + 1: 0}
+    cleared: set = set()
+    for q in range(hi, lo - 1, -1):
+        pivots: dict = {}  # lowest row -> reduced column, 1 at that row
+        for j, column in enumerate(C.d(q).columns()):
+            if j in cleared:
+                continue
+            if any(Fraction(x).denominator != 1 for x in column.values()):
+                raise ValueError(f"non-integral entry in column {j} of d_{q}")
+            v = {r: y for r, x in column.items() if (y := int(x) % MOD_P)}
+            while v and max(v) in pivots:
+                low = max(v)
+                f = v[low]
+                for r, x in pivots[low].items():
+                    y = (v.get(r, 0) - f * x) % MOD_P
+                    if y:
+                        v[r] = y
+                    else:
+                        v.pop(r, None)
+            if v:
+                low = max(v)
+                inverse = pow(v[low], -1, MOD_P)
+                pivots[low] = {r: x * inverse % MOD_P for r, x in v.items()}
+        ranks[q] = len(pivots)
+        cleared = set(pivots)
+    return {
+        q: C.dim(q) - ranks[q] - ranks[q + 1]
+        for q in range(lo, hi + 1) if C.reliable(q)
+    }
 
 
 def reference_pages(H, r_max: int) -> list:

@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import COBAR_GRID
 
+from operadlab import complexes
 from operadlab.hopf import (
     BidegreeWindow,
     CobarComplex,
@@ -202,11 +204,36 @@ class TestCobarHomology:
         gens = [(-1, 4 * i - 1) for i in range(1, m + 1)]
         expected = free_commutative_bigraded(gens, 12)
         kmax = 12 // 2 + 1
-        dims, _ = cobar_homology(
+        dims = cobar_homology(
             build_so_hopf(d, "full"), BidegreeWindow(-kmax, 12 + kmax)
         )
         got = {pos: v for pos, v in dims.items() if sum(pos) <= 12}
         assert got == expected
+
+    def test_dims_are_the_reliable_nonzero_cells_of_the_rows(self, monkeypatch):
+        """On every window of the grid, open lower edges included, the table
+        is the reliable nonzero cells of each fixed-q row's ``homology``, and
+        reading it builds no class: ``homology`` and ``row_reduce`` raise."""
+        windows = [
+            (build_so_hopf(d, variant), BidegreeWindow(p_min, q_max))
+            for d, variant, p_min, q_max in COBAR_GRID
+        ]
+        want = []
+        for hopf, window in windows:
+            cb = CobarComplex(hopf, window)
+            want.append({
+                (p, q): h.dim
+                for q in cb.degrees()
+                for p, h in cb.complex_at_q(q).homology().per_degree.items()
+                if h.reliable and h.dim
+            })
+
+        def forbidden(*args):
+            raise AssertionError("a dims-only readout built classes")
+
+        monkeypatch.setattr(complexes, "homology", forbidden)
+        monkeypatch.setattr(complexes, "row_reduce", forbidden)
+        assert [cobar_homology(hopf, window) for hopf, window in windows] == want
 
     def test_total_dims_d5(self):
         # polynomial algebra on degrees 2 and 6
