@@ -83,38 +83,30 @@ class InconclusiveAudit(Exception):
         super().__init__(f"{len(self.candidates)} candidates remain: {self.candidates}")
 
 
-def _monomials(gens, t_max: int):
-    """All exponent tuples with total degree <= t_max (square-free on
-    odd-degree generators): no exponent overshoots the degree left."""
-
-    def rec(i, t_left):
-        if i == len(gens):
-            yield ()
-            return
-        g = gens[i]
-        e_max = min(t_left // g.total, 1) if g.square_free else t_left // g.total
-        for e in range(e_max + 1):
-            for rest in rec(i + 1, t_left - e * g.total):
-                yield (e,) + rest
-
-    return list(rec(0, t_max)) if t_max >= 0 else []  # the unit has degree 0
+def _counts(gens, t_max: int) -> dict:
+    """Monomials per bidegree (p, q) of the free algebra on ``gens`` with
+    t <= t_max: one bidegree convolution per generator, the last first, so
+    each position is keyed in at its smallest exponent tuple."""
+    table = {(0, 0): 1} if t_max >= 0 else {}  # the unit has degree 0
+    for g in reversed(gens):
+        new = dict(table)
+        for e in range(1, (1 if g.square_free else t_max // g.total) + 1):
+            for (p, q), n in table.items():
+                if p + q + e * g.total <= t_max:
+                    pos = (p + e * g.p, q + e * g.q)
+                    new[pos] = new.get(pos, 0) + n
+        table = new
+    return table
 
 
 def _e2_positions(inp: AuditInput) -> tuple[dict, set]:
     """The free algebra's bigraded dimensions (p, q) -> dim for t <= t_max,
-    and the bidegrees whose every monomial is a product of permanent
-    generators: the whole position survives and is off-limits to the
+    and the bidegrees where the permanent generators alone count every
+    monomial: the whole position survives and is off-limits to the
     enumeration."""
-    gens = inp.e2_generators
-    table: dict = {}
-    mortal = set()
-    for exps in _monomials(gens, inp.t_max):
-        p = sum(e * g.p for e, g in zip(exps, gens))
-        q = sum(e * g.q for e, g in zip(exps, gens))
-        table[(p, q)] = table.get((p, q), 0) + 1
-        if not all(g.permanent for e, g in zip(exps, gens) if e):
-            mortal.add((p, q))
-    return table, set(table) - mortal
+    table = _counts(inp.e2_generators, inp.t_max)
+    kept = _counts([g for g in inp.e2_generators if g.permanent], inp.t_max)
+    return table, {pos for pos, n in kept.items() if n == table[pos]}
 
 
 def e2_table(inp: AuditInput) -> dict:

@@ -11,6 +11,7 @@ coalgebra structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ def koszul_sign(seq) -> int:
 
 
 class PrimitiveExteriorHopf:
-    """Exterior algebra on named primitive generators of odd degree."""
+    """Exterior algebra on named primitive generators of odd degree; its
+    2^m monomials are built on first use, so reading generators is O(m)."""
 
     def __init__(self, generators: list[tuple[str, int]]):
         for name, deg in generators:
@@ -42,14 +44,16 @@ class PrimitiveExteriorHopf:
             raise ValueError("duplicate generator names")
         self.generators = list(generators)
         self.gen_degrees = [d for _, d in generators]
-        self.monomials: list[Monomial] = [
-            tuple(c)
-            for k in range(len(generators) + 1)
-            for c in itertools.combinations(range(len(generators)), k)
-        ]
-        self._degree = {
-            mon: sum(self.gen_degrees[i] for i in mon) for mon in self.monomials
-        }
+
+    @functools.cached_property
+    def _degree(self) -> dict:  # monomial -> degree, by size then lexicographically
+        m = len(self.generators)
+        return {mon: sum(self.gen_degrees[i] for i in mon)
+                for k in range(m + 1) for mon in itertools.combinations(range(m), k)}
+
+    @property
+    def monomials(self) -> list[Monomial]:
+        return list(self._degree)
 
     @property
     def unit(self) -> Monomial:
@@ -94,7 +98,7 @@ class PrimitiveExteriorHopf:
         most room, in itertools.product order.  A slot in ``bare`` takes
         only nonempty monomials, and each partial word keeps room for the
         bare slots after it."""
-        mons = [(m, self.degree(m)) for m in self.monomials]
+        mons = list(self._degree.items())
         words = [((), 0)] if room >= 0 else []
         for k in range(1, n + 1):
             opts = [mq for mq in mons if mq[0]] if k in bare else mons
