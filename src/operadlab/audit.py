@@ -99,7 +99,7 @@ def _counts(gens, t_max: int) -> dict:
     return table
 
 
-def _e2_positions(inp: AuditInput) -> tuple[dict, set]:
+def e2_positions(inp: AuditInput) -> tuple[dict, set]:
     """The free algebra's bigraded dimensions (p, q) -> dim for t <= t_max,
     and the bidegrees where the permanent generators alone count every
     monomial: the whole position survives and is off-limits to the
@@ -111,7 +111,7 @@ def _e2_positions(inp: AuditInput) -> tuple[dict, set]:
 
 def e2_table(inp: AuditInput) -> dict:
     """Bigraded dimensions (p, q) -> dim of the free algebra, t <= t_max."""
-    return _e2_positions(inp)[0]
+    return e2_positions(inp)[0]
 
 
 def abutment_dims(inp: AuditInput) -> dict:
@@ -165,7 +165,7 @@ def forced_differentials(table: dict, permanent, abutment: dict) -> list[ForcedD
 
 def convergence_audit(inp: AuditInput) -> list[ForcedDifferential]:
     """``forced_differentials`` on the table of the posited generators."""
-    return forced_differentials(*_e2_positions(inp), abutment_dims(inp))
+    return forced_differentials(*e2_positions(inp), abutment_dims(inp))
 
 
 def standard_audit_input(d: int, t_max: int | None = None) -> AuditInput:

@@ -20,7 +20,8 @@ from .audit import (
     InconclusiveAudit,
     abutment_dims,
     convergence_audit,
-    e2_total_dims,
+    e2_positions,
+    forced_differentials,
     framed_tensor_check,
     standard_audit_input,
 )
@@ -373,8 +374,9 @@ def cmd_obstruction(args) -> int:
 
 def cmd_audit(args) -> int:
     inp = standard_audit_input(_check_d(args.d))
+    table, permanent = e2_positions(inp)  # one table: the audit's, then its totals
     try:
-        forced = convergence_audit(inp)
+        forced = forced_differentials(table, permanent, abutment_dims(inp))
     except InconclusiveAudit as exc:
         print(f"d={args.d}: inconclusive, {len(exc.candidates)} candidates")
         for c in exc.candidates:
@@ -387,7 +389,7 @@ def cmd_audit(args) -> int:
     for f in forced:
         print(f"  page {f.r}: {f.source} -> {f.target}")
         print(f"    {f.reason}")
-    print("second-page totals:", e2_total_dims(inp))
+    print("second-page totals:", totals_by_degree(table))
     print("abutment totals:   ", dict(sorted(abutment_dims(inp).items())))
     _write_report(args, "audit",
                   {"d": args.d, "forced": [f.__dict__ for f in forced]})

@@ -170,8 +170,8 @@ class DegreeHomology:
     dim: int
     representatives: list  # list of Vectors (cycle chains)
     reliable: bool
-    # cycles modulo boundaries with the representatives chosen above
-    _quotient: Subquotient = field(repr=False)
+    # cycles modulo boundaries; its representatives, sparse, are the ones above
+    quotient: Subquotient = field(repr=False)
 
     @classmethod
     def zero(cls) -> "DegreeHomology":
@@ -185,7 +185,7 @@ class DegreeHomology:
         if not self.reliable:
             raise WindowBoundary("homology at this degree is unreliable")
         try:
-            return self._quotient.coords(v)
+            return self.quotient.coords(v)
         except NoSolution:
             raise NotACycle("vector not in cycle space") from None
 
@@ -279,7 +279,7 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
             dim=quotient.dim,
             representatives=[dense(z, n) for z in quotient.representatives],
             reliable=C.reliable(q),
-            _quotient=quotient,
+            quotient=quotient,
         )
     return HomologyResult(C, out)
 

@@ -45,12 +45,13 @@ from .linalg import (
     RationalMatrix,
     Subquotient,
     assemble,
+    dense,
     is_zero_vec,
     rank,
     solve_particular,
     vec,
 )
-from .operads import Coeffs, OpElement, combine, extend, vector_to_chain
+from .operads import Coeffs, OpElement, combine, extend
 
 
 class LiftFailure(Exception):
@@ -255,6 +256,9 @@ class HochschildComplex:
     def labels(self, n: int, q: int):
         return self._labels.get((n, q), ())
 
+    def index(self, n: int, q: int) -> dict:  # label -> position in (n, q)
+        return self._index.get((n, q), {})
+
     def dim(self, n: int, q: int) -> int:
         return len(self.labels(n, q))
 
@@ -298,7 +302,7 @@ class HochschildComplex:
             return RationalMatrix.zero(0, len(src))
         X = self.X
         rule = (self.normalized and X.normal_delta) or (lambda n, l: X.delta_on_label(n, l).items())
-        return assemble(src, self._index.get((n + 1, q), {}), partial(rule, n))
+        return assemble(src, self.index(n + 1, q), partial(rule, n))
 
     def complex_in_p(self, q: int) -> ChainComplexWindow:
         """Fixed internal degree q: complex over p = -n with differential
@@ -330,6 +334,12 @@ class HochschildClass:
     q: int
     vector: list  # coordinates over the kept labels of (arity, q)
     element: OpElement
+
+    @classmethod
+    def of(cls, H: HochschildComplex, n: int, q: int, z: dict) -> "HochschildClass":
+        """The class of (n, q) whose chain is the sparse map z; its vector is dense."""
+        labels, v = H.labels(n, q), dense(z, H.dim(n, q))
+        return cls(n, q, v, OpElement.make(n, {labels[k]: v[k] for k in z}))
 
     @property
     def p(self) -> int:
@@ -385,13 +395,8 @@ def hochschild_homology(M: MultiplicativeStructure, n_max: int, q_max: int) -> H
     for q, C in rows:
         hom = C.homology()
         homs[q] = hom
-        for p, h in hom.per_degree.items():
-            if not h.reliable:
-                continue
-            n = -p
-            for rep in h.representatives:
-                el = vector_to_chain(n, H.labels(n, q), rep)
-                classes.append(HochschildClass(n, q, rep, el))
+        classes += [HochschildClass.of(H, -p, q, z) for p, h in hom.per_degree.items()
+                    if h.reliable for z in h.quotient.representatives]
     return HochschildHomology(H, homs, bigraded_dims(homs), classes)
 
 

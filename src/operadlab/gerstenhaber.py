@@ -10,6 +10,9 @@ convention is pinned by three testable requirements rather than chosen
 from a reference: graded antisymmetry, graded Jacobi, and exact
 compatibility delta_nu(x) = {nu, x} with the alternating coface sum, on
 hosts with both even and odd internal degrees.  The test suite locks it.
+
+Queries on classes reduce sparse ``{position: coefficient}`` maps over a
+cell's label index; the one dense vector they make is a result's ``vector``.
 """
 
 from __future__ import annotations
@@ -29,15 +32,13 @@ from .instances import (
     poisson_operad_small,
     sphere_operad,
 )
-from .linalg import dense
 from .operads import (
     AxiomReport,
     OpElement,
     Operad,
     TruncationError,
-    chain_to_vector,
+    chain_to_sparse,
     combine,
-    vector_to_chain,
 )
 
 
@@ -165,24 +166,27 @@ def bracket_on_classes(
 
     The chain-level bracket of delta-closed normalized representatives is
     delta-closed and normalized; the result is reduced to the canonical
-    representatives of its bidegree, read from ``HH.at``.  Raises
-    WindowBoundary when the window cannot certify that bidegree.
+    representatives of its bidegree, read from ``HH.at``, as sparse maps
+    (only the result's ``vector`` is dense).  Raises WindowBoundary when the
+    window cannot certify that bidegree, NotACycle for a non-cycle, and
+    KeyError naming a label outside the cell.
     """
     n = c1.arity + c2.arity - 1
     q = c1.q + c2.q
-    H = HH.complex
     hom = HH.at(-n, q)
-    labels = H.labels(n, q)
-    v = chain_to_vector(bracket(M.operad, c1.element, c2.element), labels)
-    coords = hom.class_coordinates(v)
-    terms = [(j, c * val) for c, r in zip(coords, hom.representatives) if c
-             for j, val in enumerate(r) if val]
-    rep = dense(combine(terms), len(labels))
-    return HochschildClass(n, q, rep, vector_to_chain(n, labels, rep))
+    z = chain_to_sparse(bracket(M.operad, c1.element, c2.element), HH.complex.index(n, q))
+    coords = hom.class_coordinates(z)
+    rep = combine((k, c * x) for c, r in zip(coords, hom.quotient.representatives) if c
+                  for k, x in r.items())
+    return HochschildClass.of(HH.complex, n, q, rep)
 
 
 def class_is_zero(HH: HochschildHomology, c: HochschildClass) -> bool:
-    return all(v == 0 for v in HH.at(c.p, c.q).class_coordinates(c.vector))
+    """Whether c is the zero class, read off its ``element`` through the
+    cell's label index (``vector`` and ``element`` are two views of one
+    chain); raises as ``bracket_on_classes`` does."""
+    hom, index = HH.at(c.p, c.q), HH.complex.index(c.arity, c.q)
+    return not any(hom.class_coordinates(chain_to_sparse(c.element, index)))
 
 
 def is_delta_boundary(HH: HochschildHomology, c: HochschildClass):

@@ -11,6 +11,7 @@ coalgebra structure.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -93,18 +94,22 @@ class PrimitiveExteriorHopf:
             for factors in itertools.product(range(n), repeat=len(mon))
         }
 
+    @functools.cached_property
+    def _by_degree(self) -> tuple:  # the (monomial, degree) pairs sorted by degree; the degrees
+        mons = sorted(self._degree.items(), key=lambda mq: mq[1])
+        return mons, [q for _, q in mons]
+
     def words(self, n: int, room, bare) -> list:
         """(word, degree) for the n-slot words of monomials of degree at
-        most room, in itertools.product order.  A slot in ``bare`` takes
-        only nonempty monomials, and each partial word keeps room for the
-        bare slots after it."""
-        mons = list(self._degree.items())
+        most room.  A slot in ``bare`` takes only nonempty monomials, and
+        each partial word keeps room for the bare slots after it: it takes
+        the prefix of the degree-sorted monomials that fits."""
+        mons, degs = self._by_degree
         words = [((), 0)] if room >= 0 else []
-        for k in range(1, n + 1):
-            opts = [mq for mq in mons if mq[0]] if k in bare else mons
-            after = min(self.gen_degrees) * sum(b > k for b in bare)
-            words = [(w + (m,), qw + qm) for w, qw in words for m, qm in opts
-                     if qw + qm + after <= room]
+        for k in range(1, n + 1):  # a bare slot skips the unit, the one monomial of degree 0
+            left = room - min(self.gen_degrees) * sum(b > k for b in bare)
+            words = [(w + (m,), qw + qm) for w, qw in words
+                     for m, qm in mons[int(k in bare):bisect.bisect_right(degs, left - qw)]]
         return words
 
 

@@ -359,13 +359,13 @@ class FramedOperad(Operad):
         return self._labels(n, top, normal=True)
 
     def _labels(self, n: int, top, normal: bool) -> dict:
-        """degree -> labels in basis order up to the cap and ``top``, cached.
+        """degree -> sorted labels up to the cap and ``top``, by degree, cached.
         Each base label takes the words that fit, a slot it leaves bare
         taking only nonempty monomials when ``normal`` is set; one word
         list serves every base label with the same bare slots and room."""
         top = top if self.degree_cap is None else min(top, self.degree_cap)
         if (n, top, normal) not in self._basis_cache:
-            by_deg: dict = {}
+            found: dict = {}
             words: dict = {}  # (room, bare slots) -> words
             for qb, labels in self.base.basis_by_degree(n).items():
                 for bl in labels if qb <= top else ():
@@ -375,8 +375,8 @@ class FramedOperad(Operad):
                     if key not in words:
                         words[key] = self.hopf.words(n, *key)
                     for word, qh in words[key]:
-                        by_deg.setdefault(qb + qh, []).append((bl, word))
-            self._basis_cache[n, top, normal] = {q: tuple(sorted(ls)) for q, ls in by_deg.items()}
+                        found.setdefault(qb + qh, []).append((bl, word))
+            self._basis_cache[n, top, normal] = {q: tuple(sorted(found[q])) for q in sorted(found)}
         return self._basis_cache[n, top, normal]
 
     def degree(self, n: int, label) -> int:

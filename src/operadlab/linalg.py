@@ -29,7 +29,9 @@ take any exact value: the hosts hand out int structure constants and
 converts a coefficient.  Everything handed out at the edge (coordinates,
 dense kernel, solution and representative vectors, the ``(row, col)``
 matrix entries) is a ``Fraction``, and :func:`dense` is the one place
-where a dense vector is made.
+where a dense vector is made, only for what is handed out: class queries
+reduce sparse maps, and of their vectors only ``HochschildClass.vector``
+and ``DegreeHomology.representatives`` are dense.
 
 Pivoting is deterministic: vectors go in the given order, and each
 remainder's pivot is a unit entry where it has one, at the coordinate that

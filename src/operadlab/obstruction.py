@@ -35,7 +35,7 @@ from .instances import (
     vector_to_element,
 )
 from .linalg import QuotientSpace, kernel_basis
-from .operads import OpElement, Operad, chain_to_vector, combine, vector_to_chain
+from .operads import OpElement, Operad, chain_to_sparse, chain_to_vector, combine, vector_to_chain
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,20 @@ class ObstructionInput:
 
     @cached_property
     def _target(self):
-        """(H_{4m}(O(3)), its quotient by {nu,-} H_{4m}(O(2))), or None when
-        O(3) has no class in degree 4m; the chain map {nu,-} acts on classes.
-        Both degrees are read with ``at``, so a WindowBoundary (the window
-        cannot certify degree 4m) is raised on every call."""
+        """(H_{4m}(O(3)), its quotient by {nu,-} H_{4m}(O(2)) (the chain map
+        {nu,-} acts on classes), the label index of O(3)_{4m}), or None when
+        O(3) has no class in degree 4m.  Both degrees are read with ``at``, so
+        a WindowBoundary (the window cannot certify degree 4m) is raised on every call."""
         op, q = self.operad, 4 * self.m
         hom3 = arity_complex(op, 3).homology().at(q)
         if hom3.dim == 0:
             return None
+        index = {l: k for k, l in enumerate(op.arity_degree_basis(3, q))}
         span = []
         for rep in arity_complex(op, 2).homology().at(q).representatives:
             img = bracket(op, self.nu, vector_to_element(op, 2, q, rep))
-            span.append(hom3.class_coordinates(element_to_vector(op, img, q)))
-        return hom3, QuotientSpace(hom3.dim, span)
+            span.append(hom3.class_coordinates(chain_to_sparse(img, index)))
+        return hom3, QuotientSpace(hom3.dim, span), index
 
 
 @dataclass
@@ -146,8 +147,8 @@ def _quotient_reduce(inp: ObstructionInput, z: OpElement):
     target = inp._target
     if target is None:
         return [], 0
-    hom3, Q = target
-    coords = Q.reduce(hom3.class_coordinates(element_to_vector(inp.operad, z, 4 * inp.m)))
+    hom3, Q, index = target
+    coords = Q.reduce(hom3.class_coordinates(chain_to_sparse(z, index)))
     return coords, len(Q.representatives)
 
 

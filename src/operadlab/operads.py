@@ -122,6 +122,12 @@ def chain_to_vector(x: OpElement, labels) -> list:
     return v
 
 
+def chain_to_sparse(x: OpElement, index) -> dict:
+    """x as a sparse ``{position: coefficient}`` map over a ``label ->
+    position`` index; a KeyError names a label outside it."""
+    return {index[l]: c for l, c in x.coeffs}
+
+
 def vector_to_chain(n: int, labels, v) -> OpElement:
     """The arity-n chain with coordinates v over ``labels``."""
     return OpElement.make(n, {l: Fraction(c) for l, c in zip(labels, v) if c != 0})

@@ -7,6 +7,7 @@ import pytest
 from conftest import COBAR_GRID
 
 from operadlab import complexes
+from operadlab.cosimplicial import hochschild_dims
 from operadlab.hopf import (
     BidegreeWindow,
     CobarComplex,
@@ -15,6 +16,7 @@ from operadlab.hopf import (
     cobar_homology,
     cobar_homology_total_dims,
 )
+from operadlab.instances import framed_multiplicative
 from operadlab.operads import combine
 
 
@@ -195,6 +197,38 @@ class TestCobarComplex:
             for w in words:
                 assert len(w) == -p
                 assert sum(cb.hopf.degree(m) for m in w) == q
+
+
+class TestWords:
+    @pytest.mark.parametrize("d,n_max,q_max", [(5, 6, 16), (7, 4, 13)], ids=["d5", "d7"])
+    def test_words_are_the_product_words_that_fit(self, d, n_max, q_max, monkeypatch):
+        """For every (n, room, bare) that the framed certificate window asks
+        for, raw and normalized, the degree-sorted words are, as a set
+        without repeats, the itertools.product words that fit the room
+        with every bare slot nonempty."""
+        asked = set()
+        words = PrimitiveExteriorHopf.words
+
+        def spy(self, n, room, bare):
+            asked.add((n, room, tuple(bare)))
+            return words(self, n, room, bare)
+
+        monkeypatch.setattr(PrimitiveExteriorHopf, "words", spy)
+        M = framed_multiplicative(d, n_max, q_max)
+        hochschild_dims(M, n_max, q_max)
+        for n in range(n_max + 1):
+            M.operad.basis_by_degree(n)
+        monkeypatch.undo()
+        assert any(bare for _, _, bare in asked) and any(not bare for _, _, bare in asked)
+        H = build_so_hopf(d)
+        for n, room, bare in sorted(asked):
+            got = H.words(n, room, bare)
+            want = set()
+            for word in itertools.product(H.monomials, repeat=n):
+                q = sum(H.degree(m) for m in word)
+                if q <= room and all(word[k - 1] for k in bare):
+                    want.add((word, q))
+            assert len(got) == len(set(got)) and set(got) == want, (n, room, bare)
 
 
 class TestCobarHomology:
