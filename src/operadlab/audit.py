@@ -14,7 +14,7 @@ the survivors instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import totals_by_degree
 from .hopf import BidegreeWindow, build_so_hopf, cobar_homology
@@ -23,8 +23,7 @@ from .hopf import BidegreeWindow, build_so_hopf, cobar_homology
 PAGE_MAX = 10
 
 
-@dataclass(frozen=True)
-class AlgebraGenerator:
+class AlgebraGenerator(NamedTuple):
     """A multiplicative generator of the second page.
 
     ``permanent`` marks classes known to survive to the abutment (they
@@ -46,33 +45,35 @@ class AlgebraGenerator:
         return self.total % 2 == 1
 
 
-@dataclass(frozen=True)
 class AuditInput:
-    e2_generators: tuple
-    abutment_degrees: tuple  # even total degrees of polynomial generators
-    t_max: int
-
-    def __post_init__(self):
-        for g in self.e2_generators:
+    def __init__(self, e2_generators: tuple, abutment_degrees: tuple, t_max: int):
+        for g in e2_generators:
             if g.total <= 0 or g.p > 0:
                 raise ValueError(f"generator {g.name} has invalid bidegree")
-        for t in self.abutment_degrees:
+        for t in abutment_degrees:
             if t <= 0 or t % 2:
                 raise ValueError("abutment generators must have positive even degree")
+        self.e2_generators = e2_generators
+        self.abutment_degrees = abutment_degrees  # even total degrees of polynomial generators
+        self.t_max = t_max
 
 
-@dataclass(frozen=True)
-class ForcedDifferential:
+class _Differential(NamedTuple):
     r: int
     source: tuple  # (p, q)
     target: tuple  # (p, q)
     reason: str
 
-    def __post_init__(self):
-        sp, sq = self.source
-        tp, tq = self.target
-        if (tp - sp, tq - sq) != (-self.r, self.r - 1):
+
+class ForcedDifferential(_Differential):
+    # a NamedTuple body may not define __new__, so the check is a subclass's
+    __slots__ = ()
+
+    def __new__(cls, r: int, source: tuple, target: tuple, reason: str):
+        (sp, sq), (tp, tq) = source, target
+        if (tp - sp, tq - sq) != (-r, r - 1):
             raise ValueError("differential shift must be (-r, r-1)")
+        return super().__new__(cls, r, source, target, reason)
 
 
 class InconclusiveAudit(Exception):
@@ -198,8 +199,7 @@ def standard_audit_input(d: int, t_max: int | None = None) -> AuditInput:
 # -- framed tensor-splitting check -------------------------------------------
 
 
-@dataclass
-class TensorCheckReport:
+class TensorCheckReport(NamedTuple):
     d: int
     framed_dims: dict  # (p, q) -> dim, reliable entries in the window
     convolution_dims: dict  # same positions, base (x) loop-classes product

@@ -87,6 +87,8 @@ def _jsonable(x):
         return str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, tuple) and hasattr(x, "_asdict"):  # a NamedTuple record
+        return _jsonable(x._asdict())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if hasattr(x, "__dict__") and not isinstance(x, type):
@@ -114,7 +116,7 @@ def render_grid(dims: dict, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(args, name: str, payload: dict):
+def _write_report(args, name: str, payload):
     if args.out:
         (pathlib.Path(args.out) / f"{name}.json").write_text(
             json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
@@ -277,7 +279,7 @@ def cmd_e2(args) -> int:
     print(render_grid(rep.framed_dims, f"framed second page, d={args.d}"))
     print("tensor-splitting check:", "pass" if not rep.mismatches else "FAIL")
     print("vanishing-line check:  ", "pass" if not rep.vanishing_violations else "FAIL")
-    _write_report(args, "e2", rep.__dict__)
+    _write_report(args, "e2", rep)
     if not rep.ok:
         raise CheckFailure(
             f"tensor check mismatches {rep.mismatches}, "
@@ -383,7 +385,7 @@ def cmd_audit(args) -> int:
             print(f"  page {c.r}: {c.source} -> {c.target}")
         _write_report(args, "audit",
                       {"d": args.d, "verdict": "inconclusive",
-                       "candidates": [c.__dict__ for c in exc.candidates]})
+                       "candidates": exc.candidates})
         raise CheckFailure("convergence audit inconclusive")
     print(f"d={args.d}: {len(forced)} forced differential(s)")
     for f in forced:
@@ -392,7 +394,7 @@ def cmd_audit(args) -> int:
     print("second-page totals:", totals_by_degree(table))
     print("abutment totals:   ", dict(sorted(abutment_dims(inp).items())))
     _write_report(args, "audit",
-                  {"d": args.d, "forced": [f.__dict__ for f in forced]})
+                  {"d": args.d, "forced": forced})
     return EXIT_OK
 
 

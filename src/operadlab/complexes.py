@@ -10,8 +10,7 @@ window, or at an unreliable degree, raises :class:`WindowBoundary`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import (
     NoSolution,
@@ -41,21 +40,17 @@ class NotABoundary(NoSolution):
     """A cycle that should be a boundary is not one."""
 
 
-@dataclass(frozen=True)
 class GradedSpace:
     """Ordered basis labels per degree."""
 
-    basis: dict  # degree -> tuple of labels
-
-    def __post_init__(self):
-        clean = {}
-        for q, labels in self.basis.items():
+    def __init__(self, basis: dict):
+        self.basis = {}  # degree -> tuple of labels
+        for q, labels in basis.items():
             labels = tuple(labels)
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate labels in degree {q}")
             if labels:
-                clean[q] = labels
-        object.__setattr__(self, "basis", clean)
+                self.basis[q] = labels
 
     def degrees(self):
         return sorted(self.basis)
@@ -165,13 +160,12 @@ class ChainComplexWindow:
         return self._homology_cache
 
 
-@dataclass
-class DegreeHomology:
+class DegreeHomology(NamedTuple):
     dim: int
     representatives: list  # list of Vectors (cycle chains)
     reliable: bool
     # cycles modulo boundaries; its representatives, sparse, are the ones above
-    quotient: Subquotient = field(repr=False)
+    quotient: Subquotient
 
     @classmethod
     def zero(cls) -> "DegreeHomology":

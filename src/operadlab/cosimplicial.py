@@ -31,9 +31,10 @@ cofaces commute with d (they are chain maps), which makes D^2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import inf
+from typing import NamedTuple
 
 from .complexes import (
     ChainComplexWindow, DegreeHomology, GradedSpace, WindowBoundary, bigraded_dims,
@@ -408,21 +409,26 @@ def total_complex(H: HochschildComplex) -> ChainComplexWindow:
     return H.spectral_sequence().total_complex()
 
 
-@dataclass
-class PageEntry:
+class PageEntry(NamedTuple):
     p: int
     q: int
     dim: int
-    representatives: list = field(default_factory=list)  # sparse Tot_t vectors
+    representatives: list  # sparse Tot_t vectors
     reliable: bool = True
 
 
-@dataclass
 class BigradedPage:
-    r: int
-    entries: dict  # (p, q) -> PageEntry
-    differentials: dict = field(default_factory=dict)
-    # (p, q) -> RationalMatrix: E_r(p,q) -> E_r(p-r, q+r-1) in class coords
+    def __init__(self, r: int, entries: dict, differentials: dict | None = None):
+        self.r = r
+        self.entries = entries  # (p, q) -> PageEntry
+        # (p, q) -> RationalMatrix: E_r(p,q) -> E_r(p-r, q+r-1) in class coords
+        self.differentials = {} if differentials is None else differentials
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BigradedPage):
+            return NotImplemented
+        return (self.r, self.entries, self.differentials) == (
+            other.r, other.entries, other.differentials)
 
     def dim(self, p: int, q: int) -> int:
         e = self.entries.get((p, q))
@@ -450,6 +456,7 @@ class SpectralSequence:
         self.H = H
         self._tot: ChainComplexWindow | None = None
         self._cells: dict | None = None
+        self._pages: dict = {}  # r_max -> the checked list of pages 1..r_max
 
     def D(self, t: int) -> RationalMatrix:
         """Total differential Tot_t -> Tot_{t-1}, D = d + (-1)^q delta; the
@@ -556,7 +563,13 @@ class SpectralSequence:
         return self._cells
 
     def pages(self, r_max: int) -> list:
-        """Pages 1..r_max, read off the one pairing."""
+        """Pages 1..r_max, read off the one pairing; built and checked once
+        per r_max."""
+        if r_max not in self._pages:
+            self._pages[r_max] = self._build_pages(r_max)
+        return self._pages[r_max]
+
+    def _build_pages(self, r_max: int) -> list:
         out = []
         for r in range(1, r_max + 1):
             alive = {pos: [e for e in cell if e[2] >= r] for pos, cell in self._pairing().items()}

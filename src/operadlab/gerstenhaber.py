@@ -17,7 +17,7 @@ cell's label index; the one dense vector they make is a result's ``vector``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import is_boundary_with_witness
 from .cosimplicial import (
@@ -198,8 +198,7 @@ def is_delta_boundary(HH: HochschildHomology, c: HochschildClass):
 # -- Poisson inclusion check -------------------------------------------------
 
 
-@dataclass
-class PoissonImageReport:
+class PoissonImageReport(NamedTuple):
     d: int
     nonzero: bool
     matches_sphere: bool

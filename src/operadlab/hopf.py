@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import ChainComplexWindow, complex_from_rule, homology_dims, totals_by_degree
 
@@ -139,8 +139,7 @@ def build_so_hopf(d: int, variant: str = "full") -> PrimitiveExteriorHopf:
 # reduced diagonal in each slot and has bidegree (-1, 0).
 
 
-@dataclass(frozen=True)
-class BidegreeWindow:
+class BidegreeWindow(NamedTuple):
     p_min: int  # most negative cosimplicial degree (inclusive)
     q_max: int  # largest internal degree (inclusive)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .complexes import ChainComplexWindow, WindowBoundary, complex_from_rule
 from .hopf import PrimitiveExteriorHopf, build_so_hopf, koszul_sign
@@ -194,7 +193,6 @@ def sphere_operad(d: int, max_arity: int = 4, degree_cap: int | None = None) -> 
     return SphereOperad(d, max_arity, degree_cap)
 
 
-@dataclass(frozen=True)
 class MultiplicativeStructure:
     """An operad with a chosen associative degree-0 multiplication.
 
@@ -204,20 +202,20 @@ class MultiplicativeStructure:
     witness operads) get coface-only objects.
     """
 
-    operad: Operad
-    mult: OpElement
-    point: OpElement | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.mult.arity != 2:
+    def __init__(self, operad: Operad, mult: OpElement, point: OpElement | None = None,
+                 name: str = ""):
+        if mult.arity != 2:
             raise ValueError("multiplication must have arity 2")
-        if self.operad.element_degree(2, self.mult) not in (0, None):
+        if operad.element_degree(2, mult) not in (0, None):
             raise ValueError("multiplication must have degree 0")
-        if not self.operad.differential(self.mult).is_zero():
+        if not operad.differential(mult).is_zero():
             raise ValueError("multiplication must be a cycle")
-        if self.point is not None and [c for _, c in self.point.coeffs] != [1]:
+        if point is not None and [c for _, c in point.coeffs] != [1]:
             raise ValueError("the point must be one basis label with coefficient 1")
+        self.operad = operad
+        self.mult = mult
+        self.point = point
+        self.name = name
 
 
 def sphere_multiplicative(d: int, max_arity: int = 4, degree_cap: int | None = None):

@@ -21,9 +21,9 @@ differential, h = xi = 0 is admissible and the class vanishes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import WindowBoundary, is_boundary_with_witness
 from .cosimplicial import HochschildComplex, mcclure_smith, zigzag_dr
@@ -38,13 +38,20 @@ from .linalg import QuotientSpace, kernel_basis
 from .operads import OpElement, Operad, chain_to_sparse, chain_to_vector, combine, vector_to_chain
 
 
-@dataclass(frozen=True)
 class ObstructionInput:
     """Host operad with its multiplication nu and odd-degree cycle g."""
 
-    M: MultiplicativeStructure
-    g: OpElement
-    m: int
+    def __init__(self, M: MultiplicativeStructure, g: OpElement, m: int):
+        op = M.operad  # nu is a cycle already, by MultiplicativeStructure
+        if not g.is_zero():
+            if not op.differential(g).is_zero():
+                raise ValueError("g must be a cycle")
+            q = op.element_degree(1, g)
+            if q != 4 * m - 1:
+                raise ValueError(f"g must sit in degree {4 * m - 1}, got {q}")
+        self.M = M
+        self.g = g
+        self.m = m
 
     @property
     def operad(self) -> Operad:
@@ -53,15 +60,6 @@ class ObstructionInput:
     @property
     def nu(self) -> OpElement:
         return self.M.mult
-
-    def __post_init__(self):  # nu is a cycle already, by MultiplicativeStructure
-        op = self.operad
-        if not self.g.is_zero():
-            if not op.differential(self.g).is_zero():
-                raise ValueError("g must be a cycle")
-            q = op.element_degree(1, self.g)
-            if q != 4 * self.m - 1:
-                raise ValueError(f"g must sit in degree {4 * self.m - 1}, got {q}")
 
     @cached_property  # every omega on this input reads the same three values
     def h_rhs(self) -> OpElement:
@@ -93,8 +91,7 @@ class ObstructionInput:
         return hom3, QuotientSpace(hom3.dim, span), index
 
 
-@dataclass
-class ObstructionResult:
+class ObstructionResult(NamedTuple):
     h: OpElement
     xi: OpElement
     omega: OpElement
@@ -181,15 +178,14 @@ def run_pipeline(inp: ObstructionInput) -> ObstructionResult:
 # -- choice independence ------------------------------------------------------
 
 
-@dataclass
-class ChoiceReport:
+class ChoiceReport(NamedTuple):
     trials: int
     h_cycle_dim: int
     xi_cycle_dim: int
     h1_vanishes: bool  # hypothesis H_1(O(3)) = 0 for xi-independence
     h_classes_equal: bool
     xi_classes_equal: bool | None  # None when not asserted (hypothesis fails)
-    baseline: ObstructionResult = field(repr=False, default=None)
+    baseline: ObstructionResult | None = None
 
     @property
     def ok(self) -> bool:
@@ -282,8 +278,7 @@ def g_dependence_experiment(
 # -- comparison with the spectral-sequence differential -----------------------
 
 
-@dataclass
-class D2Report:
+class D2Report(NamedTuple):
     equal: bool
 
 

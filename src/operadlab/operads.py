@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 Coeffs = dict  # label -> exact coefficient (int or Fraction), no zeros
 
@@ -66,8 +66,7 @@ class DegreeOverflow(TruncationError):
     pass
 
 
-@dataclass(frozen=True)
-class OpElement:
+class OpElement(NamedTuple):
     """Linear combination of basis labels at one arity."""
 
     arity: int
@@ -246,17 +245,16 @@ class Operad:
 # -- axiom checking ----------------------------------------------------------
 
 
-@dataclass
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     kind: str  # "nested" | "parallel" | "unit-left" | "unit-right" | "leibniz"
     detail: tuple
 
 
-@dataclass
 class AxiomReport:
-    checked: int = 0
-    skipped: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, checked: int = 0, skipped: int = 0, failures: list | None = None):
+        self.checked = checked
+        self.skipped = skipped
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

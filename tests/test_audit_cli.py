@@ -55,7 +55,7 @@ class TestAudit:
         assert convergence_audit(inp) == []
 
     def test_shift_invariant_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"shift must be \(-r, r-1\)"):
             ForcedDifferential(2, (-1, 7), (-4, 8), "bad shift")
 
     def test_inconclusive_is_reported_not_guessed(self):

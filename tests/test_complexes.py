@@ -327,6 +327,12 @@ def test_reliability_flags():
             open_below.homology().at(q)
 
 
+def test_a_repeated_label_is_refused_and_empty_degrees_dropped():
+    with pytest.raises(ValueError, match="duplicate labels in degree 1"):
+        GradedSpace({0: ("a",), 1: ("x", "y", "x")})
+    assert GradedSpace({0: ["a"], 1: (), 2: ("w", "v")}).basis == {0: ("a",), 2: ("w", "v")}
+
+
 def test_dd_checked_through_fractional_entries():
     """d1 d2 has integer parts 1 - 1 = 0 and a fractional part 1/2, so the
     check must see the Fractions; halves that cancel pass."""

@@ -20,7 +20,7 @@ from operadlab.cosimplicial import (
     total_complex,
     zigzag_dr,
 )
-from operadlab import complexes, linalg
+from operadlab import complexes, cosimplicial, linalg
 from operadlab.hopf import build_so_hopf
 from operadlab.instances import (
     FramedOperad,
@@ -86,6 +86,16 @@ def test_a_point_that_is_not_one_label_is_refused():
     twice = SemicosimplicialChainComplex(M.operad, 4, X.coface, doubled)
     assert X.check_codegeneracy_identities(q_max=8) == []
     assert twice.check_codegeneracy_identities(q_max=8)
+
+
+def test_a_multiplication_of_the_wrong_arity_or_degree_is_refused():
+    """The multiplication is an arity-2 element of degree 0: the sphere's
+    alpha (degree d - 1) and an arity-3 element are refused when built."""
+    M = sphere_multiplicative(5, 4, 8)
+    with pytest.raises(ValueError, match="multiplication must have arity 2"):
+        MultiplicativeStructure(M.operad, OpElement.basis(3, ()))
+    with pytest.raises(ValueError, match="multiplication must have degree 0"):
+        MultiplicativeStructure(M.operad, M.operad.alpha())
 
 
 @pytest.mark.parametrize(
@@ -461,6 +471,25 @@ def test_each_delta_block_is_asked_for_once(run, monkeypatch):
     )
     run()
     assert asked and set(asked.values()) == {1}
+
+
+def test_the_witness_pages_are_built_and_checked_once(monkeypatch):
+    """ss_pages and then einfty_vs_total at the same r_max hand out one
+    list of pages: the pages, and the page-recursion rank check on them,
+    are built once."""
+    built = []
+    build = SpectralSequence._build_pages
+    monkeypatch.setattr(
+        SpectralSequence, "_build_pages", lambda ss, r_max: built.append(r_max) or build(ss, r_max)
+    )
+    ranks = Counter()
+    monkeypatch.setattr(cosimplicial, "rank", lambda m: ranks.update(["rank"]) or rank(m))
+    H = HochschildComplex(mcclure_smith(witness_multiplicative(3, padded=True)), 26)
+    pages = ss_pages(H, 6)
+    checked = ranks["rank"]
+    assert einfty_vs_total(H, 6)
+    assert built == [6] and ranks["rank"] == checked > 0
+    assert H.spectral_sequence().pages(6) is pages
 
 
 def _raw_vanishes(H, n, q):

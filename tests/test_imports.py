@@ -1,8 +1,11 @@
 """operadlab is stdlib-only: every import in the package is relative,
-names operadlab itself, or names a standard-library module; and every
-name a module imports is used there."""
+names operadlab itself, or names a standard-library module; every name
+a module imports is used there; and importing generates code for one
+class only."""
 
 import ast
+import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
@@ -55,3 +58,24 @@ def test_every_imported_name_is_used(path):
 
 def test_the_package_is_found():
     assert {"__init__.py", "linalg.py"} <= {p.name for p in PACKAGE.glob("*.py")}
+
+
+def _classes(module):
+    """The classes a module defines, with the classes nested in them."""
+    found = [v for v in vars(module).values()
+             if isinstance(v, type) and v.__module__ == module.__name__]
+    for cls in found:
+        found += [v for v in vars(cls).values() if isinstance(v, type)]
+    return found
+
+
+def test_hochschild_class_is_the_one_dataclass():
+    """A dataclass compiles its generated methods at every import; the
+    one kept is HochschildClass, whose readers call dataclasses.replace."""
+    generated = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "operadlab" if path.stem == "__init__" else f"operadlab.{path.stem}"
+        module = importlib.import_module(name)
+        generated += [f"{name}.{c.__qualname__}" for c in _classes(module)
+                      if dataclasses.is_dataclass(c)]
+    assert generated == ["operadlab.cosimplicial.HochschildClass"]

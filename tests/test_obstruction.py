@@ -369,3 +369,11 @@ class TestInputValidation:
         M = witness_multiplicative(2)
         with pytest.raises(ValueError, match="g must sit in degree 7"):
             ObstructionInput(M, witness_generator(M.operad, "nu"), 2)
+
+    def test_g_that_is_no_cycle_rejected(self):
+        op = parse_free_operad(
+            "nu:2:0\nx:1:6\ng:1:7\nd g = x\n", associative="nu", max_arity=3, degree_cap=18
+        )
+        M = MultiplicativeStructure(op, witness_generator(op, "nu"), name="g-not-closed")
+        with pytest.raises(ValueError, match="g must be a cycle"):
+            ObstructionInput(M, witness_generator(op, "g"), 2)
