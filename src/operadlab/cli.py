@@ -434,6 +434,10 @@ def cmd_selftest(args) -> int:
     check("convergence audit d=5",
           [(f.r, f.source) for f in convergence_audit(standard_audit_input(5))]
           == [(2, (-1, 7))])
+    X = mcclure_smith(framed_multiplicative(5, 4, 12))  # its cap 12 bounds both maps
+    check("framed normalized basis d=5 is the codegeneracy filter", all(
+        X.host.normalized_basis(n, 12) == {q: k for q, ls in X.host.basis_by_degree(n).items()
+            if (k := tuple(l for l in ls if X.is_normal_label(n, l)))} for n in range(5)))
     print(f"selftest: {len(checks)} checks passed")
     _write_report(args, "selftest", {"checks": [list(c) for c in checks]})
     return EXIT_OK

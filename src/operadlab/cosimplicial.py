@@ -9,11 +9,11 @@
   vertical differential from the host, horizontal differential the
   alternating coface sum delta.  Column n is read from one map of the
   host, degree -> labels: ``basis_by_degree(n)``, or with codegeneracies
-  ``normalized_basis(n, q_max)``, whose normalized (all-codegeneracies-
-  vanish) labels the codegeneracies confirm label by label.  The sphere
-  and framed hosts build that map from their covering rule, up to q_max,
-  and never list the raw basis.  Past the stored window the host alone
-  says which cells are empty, by ``column_vanishes``.
+  ``normalized_basis(n, q_max)``, the labels all codegeneracies kill; the
+  sphere and framed hosts build it from their covering rule, up to q_max,
+  without the raw basis, and the codegeneracies confirm each label unless
+  the host declares the map exact (``normalized_exact``: the framed host).
+  Past the window the host alone says which cells are empty, by ``column_vanishes``.
 * :func:`hochschild_homology` computes the bigraded homology for
   zero-differential hosts, with representatives; :func:`hochschild_dims`
   reads its dimensions off the ranks alone.
@@ -218,10 +218,10 @@ class HochschildComplex:
     column n's chain complex) and horizontal differential delta
     (n -> n+1).  Column n is one map of the host, degree -> labels:
     ``basis_by_degree(n)``, or ``normalized_basis(n, q_max)`` when the
-    object has codegeneracies (``normalized``); every label up to q_max
-    passes ``is_normal_label``, so an over-inclusive host still gives exact
-    columns, and a host that builds its normalized map directly never
-    lists its raw basis here.  No map is kept past q_max: emptiness there
+    object has codegeneracies (``normalized``).  Every label up to q_max
+    passes ``is_normal_label`` unless the host declares its map exact
+    (``normalized_exact``, the framed host), so an over-inclusive host
+    still gives exact columns.  No map is kept past q_max: emptiness there
     is the host's ``column_vanishes``.  delta preserves that span even
     though individual cofaces do not; the host's ``normal_delta``, when
     there is one, builds only its terms on normalized labels and hands them
@@ -241,7 +241,8 @@ class HochschildComplex:
         for n in range(self.n_max + 1):
             column = host.normalized_basis(n, q_max) if self.normalized else host.basis_by_degree(n)
             for q in sorted(q for q in column if q <= q_max):
-                labels = tuple(l for l in column[q] if X.is_normal_label(n, l))
+                labels = column[q] if host.normalized_exact else tuple(
+                    l for l in column[q] if X.is_normal_label(n, l))
                 if labels:
                     self._labels[(n, q)] = labels
                     self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
@@ -337,9 +338,9 @@ class HochschildClass:
     element: OpElement
 
     @classmethod
-    def of(cls, H: HochschildComplex, n: int, q: int, z: dict) -> "HochschildClass":
-        """The class of (n, q) whose chain is the sparse map z; its vector is dense."""
-        labels, v = H.labels(n, q), dense(z, H.dim(n, q))
+    def of(cls, H: HochschildComplex, n: int, q: int, z: dict, v=None) -> "HochschildClass":
+        """The class of (n, q) with sparse chain z and dense vector v (made if None)."""
+        labels, v = H.labels(n, q), dense(z, H.dim(n, q)) if v is None else v
         return cls(n, q, v, OpElement.make(n, {labels[k]: v[k] for k in z}))
 
     @property
@@ -396,8 +397,8 @@ def hochschild_homology(M: MultiplicativeStructure, n_max: int, q_max: int) -> H
     for q, C in rows:
         hom = C.homology()
         homs[q] = hom
-        classes += [HochschildClass.of(H, -p, q, z) for p, h in hom.per_degree.items()
-                    if h.reliable for z in h.quotient.representatives]
+        classes += [HochschildClass.of(H, -p, q, z, v) for p, h in hom.per_degree.items()
+                    if h.reliable for z, v in zip(h.quotient.representatives, h.representatives)]
     return HochschildHomology(H, homs, bigraded_dims(homs), classes)
 
 

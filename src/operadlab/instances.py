@@ -333,8 +333,10 @@ class FramedOperad(Operad):
     words.  Hopf words are built slot by slot and dropped as soon as their
     degree leaves no room under the degree cap, which is the base's; a
     normalized label's bare slots take only nonempty monomials, so the raw
-    basis is never listed for it.
+    basis is never listed for it; that map is exact, so no codegeneracy
+    confirms it (the sphere's still is: ``bench/test_bench.py`` asserts those calls).
     """
+    normalized_exact = True
 
     def __init__(self, base: Operad, hopf: PrimitiveExteriorHopf):
         if base.has_differential():

@@ -143,6 +143,7 @@ class Operad:
     degree_cap: int | None = None
     # (n, label) -> unsummed (label, +-1) terms of delta of mu() on normalized labels
     normal_delta = None
+    normalized_exact = False  # True: normalized_basis is the codegeneracy filter, unconfirmed
 
     def basis_by_degree(self, n: int) -> dict:
         """degree -> tuple of labels, within the truncation, and no degree

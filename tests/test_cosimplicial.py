@@ -193,11 +193,13 @@ def _framed_fixing(d, n_max, cap):
      (framed_multiplicative, 5, 6, 16),
      (framed_multiplicative, 7, 5, 14),
      (framed_multiplicative, 9, 6, 19),
+     (framed_multiplicative, 7, 4, 13),
+     (framed_multiplicative, 11, 8, 25),
      (_framed_fixing, 7, 5, 14),
      (lambda d, n_max, q_max: framed_multiplicative(d, n_max), 5, 3, 42)],
     ids=["sphere-d5", "sphere-d5-cap-past-q", "sphere-d7", "sphere-d9", "sphere-d7-uncapped",
-         "framed-d5", "framed-d7", "framed-d9", "framed-d7-fixing-subgroup",
-         "framed-d5-uncapped"],
+         "framed-d5", "framed-d7", "framed-d9", "framed-d7-certificate",
+         "framed-d11-certificate", "framed-d7-fixing-subgroup", "framed-d5-uncapped"],
 )
 def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
     """The host's normalized map is the generic filter over the whole
@@ -206,17 +208,34 @@ def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
     filter empties; asked for degrees up to q_max it builds no other.  The
     stored columns are that map up to q_max, and the host's emptiness
     answer, which reads no label, is exactly the filter's at every degree
-    up to the cap (up to the raw basis's top degree when uncapped)."""
-    X = mcclure_smith(build(d, n_max, q_max), n_max)
+    up to the cap (up to the raw basis's top degree when uncapped).
+
+    The framed host's map is declared exact and stored unconfirmed, so this
+    comparison is what checks its covering rule.  It covers the framed
+    certificate windows n <= d - 3, q <= 3d - 8 up to d = 11 (61,249 raw
+    labels); d = 13 is left out, as its raw map has 997,514 labels and the
+    filter alone takes about 6 s."""
+    assert _filter_checked(mcclure_smith(build(d, n_max, q_max), n_max), q_max) > n_max
+
+
+def _generic_filter(X, n: int) -> dict:
+    """degree -> the labels of the raw arity-n basis that every
+    codegeneracy kills, in basis order, and no degree without labels."""
+    return {
+        q: kept for q, labels in sorted(X.host.basis_by_degree(n).items())
+        if (kept := tuple(l for l in labels if X.is_normal_label(n, l)))
+    }
+
+
+def _filter_checked(X, q_max: int) -> int:
+    """Asserts the comparisons of the test above at every arity of X and
+    returns the number of degrees compared."""
     H = HochschildComplex(X, q_max)
     op = X.host
     checked = 0
-    for n in range(n_max + 1):
+    for n in range(X.n_max + 1):
         basis = op.basis_by_degree(n)
-        generic = {
-            q: kept for q, labels in sorted(basis.items())
-            if (kept := tuple(l for l in labels if X.is_normal_label(n, l)))
-        }
+        generic = _generic_filter(X, n)
         top = max(basis, default=0) if op.degree_cap is None else op.degree_cap
         assert op.normalized_basis(n, top) == generic, n
         window = {q: labels for q, labels in generic.items() if q <= q_max}
@@ -225,7 +244,35 @@ def test_normalized_basis_is_the_codegeneracy_filter(build, d, n_max, q_max):
         assert stored == window, n
         assert [q for q in range(top + 1) if op.column_vanishes(n, q) == (q in generic)] == [], n
         checked += len(generic)
-    assert checked > n_max
+    return checked
+
+
+class _BareSlotsTakeTheEmptyMonomial(FramedOperad):
+    """A mutated covering rule, still declared exact: a slot that no pair
+    reaches may carry the empty monomial, which the point kills."""
+
+    def normalized_basis(self, n: int, top: int) -> dict:
+        return self._labels(n, top, normal=False)
+
+
+def test_a_mutated_covering_rule_fails_the_oracle():
+    """The oracle comparison refuses the mutant at arity 1, the first with
+    a slot to leave bare, and the columns stored from it, unconfirmed,
+    hold labels that the generic filter drops."""
+    good = framed_multiplicative(5, 4, 12)
+    op = _BareSlotsTakeTheEmptyMonomial(good.operad.base, good.operad.hopf)
+    X = mcclure_smith(MultiplicativeStructure(op, op.mu(), good.point), 4)
+    assert op.normalized_exact
+    with pytest.raises(AssertionError, match=r"^1\b"):
+        _filter_checked(X, 12)
+    H = HochschildComplex(X, 12)
+    extra = 0
+    for n in range(5):
+        window = {q: ls for q, ls in _generic_filter(X, n).items() if q <= 12}
+        stored = {q: H.labels(n, q) for q in range(13) if H.labels(n, q)}
+        assert all(set(window.get(q, ())) <= set(ls) for q, ls in stored.items()), n
+        extra += sum(map(len, stored.values())) - sum(map(len, window.values()))
+    assert extra > 0
 
 
 @pytest.mark.parametrize(
@@ -381,15 +428,18 @@ def test_normal_delta_is_the_alternating_coface_sum(build, d, n_max, q_max, monk
 
 
 @pytest.mark.parametrize(
-    "build,n_max,confirmed,splits",
-    [(sphere_multiplicative, 8, 970, None), (framed_multiplicative, 6, 1_557, 1_400)],
+    "build,n_max,stored,confirmed,splits",
+    [(sphere_multiplicative, 8, 970, 970, None), (framed_multiplicative, 6, 1_557, 0, 1_400)],
     ids=["sphere-d5", "framed-d5"],
 )
-def test_work_counts_of_the_normalized_columns(build, n_max, confirmed, splits, monkeypatch):
-    """At d=5, q <= 16: the codegeneracies confirm each proposed label
-    through the host's compose_basis, never the bilinear compose_terms;
-    and the framed delta asks its base for vertex splits only at the slots
-    that carry two or more pairs and generators."""
+def test_work_counts_of_the_normalized_columns(
+    build, n_max, stored, confirmed, splits, monkeypatch
+):
+    """At d=5, q <= 16: the codegeneracies confirm each label the sphere
+    proposes through the host's compose_basis, never the bilinear
+    compose_terms, and none of the labels of the framed host, whose map is
+    exact; and the framed delta asks its base for vertex splits only at
+    the slots that carry two or more pairs and generators."""
     composed, asked, split_calls = [], [], []
     monkeypatch.setattr(Operad, "compose_terms", lambda *args: composed.append(args))
     normal = SemicosimplicialChainComplex.is_normal_label
@@ -400,6 +450,7 @@ def test_work_counts_of_the_normalized_columns(build, n_max, confirmed, splits, 
     M = build(5, n_max, 16)
     H = HochschildComplex(mcclure_smith(M, n_max), 16)
     assert (len(composed), len(asked)) == (0, confirmed)
+    assert sum(H.dim(*pos) for pos in H.positions()) == stored
     if splits is not None:
         base = M.operad.base
         split = base.split_vertex

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from operadlab import cosimplicial
 from operadlab.complexes import NotACycle, WindowBoundary
 from operadlab.cosimplicial import (
     HochschildClass,
@@ -91,6 +92,19 @@ def test_classes_are_their_dense_representatives(sphere):
                 assert [c.element for c in cs] == [
                     vector_to_chain(-p, labels, r) for r in h.representatives]
     assert len(HH.classes) == 8
+
+
+def test_a_class_is_made_dense_once(monkeypatch):
+    """hochschild_homology hands each class the dense representative that
+    homology already made, not a second list: the sphere table densifies
+    nothing in cosimplicial, and each class's vector is its
+    representative."""
+    monkeypatch.setattr(cosimplicial, "dense", lambda *a: pytest.fail("densified twice"))
+    HH = hochschild_homology(sphere_multiplicative(5, 6, 12), 6, 12)
+    reps = [r for q, hom in sorted(HH.homs.items()) for p, h in hom.per_degree.items()
+            if h.reliable for r in h.representatives]
+    assert len(HH.classes) == len(reps) > 0
+    assert all(c.vector is r for c, r in zip(HH.classes, reps))
 
 
 def test_bracket_on_scaled_classes_matches_the_dense_route(sphere):
