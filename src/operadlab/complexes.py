@@ -300,15 +300,14 @@ def is_boundary_with_witness(C: ChainComplexWindow, q: int, z: Sequence) -> Vect
 def complex_from_rule(
     basis: dict, image, complete_below: bool = True, complete_above: bool = True
 ) -> ChainComplexWindow:
-    """The complex on a ``degree -> labels`` basis over its populated
-    window, d sending a label of degree q to the ``(label, coefficient)``
-    pairs of ``image(q, label)`` in degree q - 1; d o d = 0 is checked on
-    construction.  An empty basis gives the zero complex at degree 0."""
+    """The complex on a ``degree -> labels`` basis over the degrees it names,
+    empty ones included, d sending a label of degree q to the ``(label,
+    coefficient)`` pairs of ``image(q, label)`` in degree q - 1; d o d = 0 is
+    checked on construction.  An empty basis gives the zero complex at 0."""
     space = GradedSpace(basis)
-    degrees = space.degrees()
-    if not degrees:
+    if not basis:
         return ChainComplexWindow(space, {}, (0, 0))
-    lo, hi = degrees[0], degrees[-1]
+    lo, hi = min(basis), max(basis)
     diff = {}
     for q in range(lo + 1, hi + 1):
         tgt = {l: i for i, l in enumerate(space.labels(q - 1))}

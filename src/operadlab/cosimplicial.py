@@ -32,12 +32,12 @@ cofaces commute with d (they are chain maps), which makes D^2 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import inf
 from typing import NamedTuple
 
 from .complexes import (
-    ChainComplexWindow, DegreeHomology, GradedSpace, WindowBoundary, bigraded_dims,
+    ChainComplexWindow, DegreeHomology, WindowBoundary, bigraded_dims,
     complex_from_rule, homology_dims, totals_by_degree,
 )
 from .instances import MultiplicativeStructure, arity_complex
@@ -214,20 +214,17 @@ def hochschild_differential(M: MultiplicativeStructure, x: OpElement) -> OpEleme
 class HochschildComplex:
     """Bigraded double complex of a semicosimplicial chain complex.
 
-    Positions (n, q) with vertical differential d (q -> q-1, read off
-    column n's chain complex) and horizontal differential delta
-    (n -> n+1).  Column n is one map of the host, degree -> labels:
+    Positions (n, q) with vertical differential d (q -> q-1, the host's
+    ``diff_basis``) and horizontal differential delta (n -> n+1), the
+    rows in p and Tot built from both label by label.  Column n is one map of the host, degree -> labels:
     ``basis_by_degree(n)``, or ``normalized_basis(n, q_max)`` when the
     object has codegeneracies (``normalized``).  Every label up to q_max
     passes ``is_normal_label`` unless the host declares its map exact
     (``normalized_exact``, the framed host), so an over-inclusive host
     still gives exact columns.  No map is kept past q_max: emptiness there
     is the host's ``column_vanishes``.  delta preserves that span even
-    though individual cofaces do not; the host's ``normal_delta``, when
-    there is one, builds only its terms on normalized labels and hands them
-    to ``assemble`` unsummed, and otherwise ``delta_on_label`` sums the
-    cofaces' raw terms first, so the ones that cancel never reach
-    ``assemble``, which refuses any label outside the column.
+    though individual cofaces do not; ``delta_terms`` is its one rule, which
+    the blocks, the rows and Tot all read.
     """
 
     def __init__(self, X: SemicosimplicialChainComplex, q_max: int):
@@ -295,38 +292,34 @@ class HochschildComplex:
             return self._columns[n].d(q)
         return RationalMatrix.zero(self.dim(n, q - 1), 0)
 
+    def delta_terms(self, n: int, label):
+        """delta on a kept label of column n < n_max as ``(label, coefficient)``
+        terms: the host's ``normal_delta``, unsummed, on normalized columns
+        when it has one, else ``delta_on_label``, whose cancelling coface terms
+        never reach ``assemble``, which refuses any label outside the column."""
+        X = self.X
+        if self.normalized and X.normal_delta:
+            return X.normal_delta(n, label)
+        return X.delta_on_label(n, label).items()
+
     def delta_mat(self, n: int, q: int) -> RationalMatrix:
         """Horizontal differential (n, q) -> (n+1, q) on kept labels,
-        assembled on every call (each consumer asks for a block once)."""
+        assembled from ``delta_terms`` on every call (the zig-zag asks for
+        each block once); the zero map out of column n_max."""
         src = self.labels(n, q)
         if n >= self.n_max:
-            # out of the stored window: zero map (truncated object)
             return RationalMatrix.zero(0, len(src))
-        X = self.X
-        rule = (self.normalized and X.normal_delta) or (lambda n, l: X.delta_on_label(n, l).items())
-        return assemble(src, self.index(n + 1, q), partial(rule, n))
+        return assemble(src, self.index(n + 1, q), partial(self.delta_terms, n))
 
     def complex_in_p(self, q: int) -> ChainComplexWindow:
-        """Fixed internal degree q: complex over p = -n with differential
-        delta.  Complete below exactly when the column past the window is
-        known to vanish at q."""
-        degrees = {}
-        for n in range(self.n_max + 1):
-            labs = self.labels(n, q)
-            if labs:
-                degrees[-n] = labs
-        space = GradedSpace(degrees)
-        lo, hi = -self.n_max, 0
-        diff = {}
-        # differential[p] maps C_p -> C_{p-1}: column -p -> column -p+1
-        for p in range(lo + 1, hi + 1):
-            diff[p] = self.delta_mat(-p, q)
-        return ChainComplexWindow(
-            space,
-            diff,
-            (lo, hi),
+        """Fixed internal degree q: the complex over p = -n, 0 <= n <= n_max,
+        with differential ``delta_terms``, on the window (-n_max, 0) even where
+        its end columns are empty.  Complete below exactly when the column
+        past the window is known to vanish at q."""
+        return complex_from_rule(
+            {-n: self.labels(n, q) for n in range(self.n_max + 1)},
+            lambda p, label: self.delta_terms(-p, label),
             complete_below=self.vanishes(self.n_max + 1, q),
-            complete_above=True,
         )
 
 
@@ -468,30 +461,24 @@ class SpectralSequence:
         return RationalMatrix.zero(tot.dim(t - 1), 0)
 
     def total_complex(self) -> ChainComplexWindow:
-        """Tot as a chain complex, built and checked once; labels are
-        (n, q, label), ordered by column.  The top total degree is flagged
-        unreliable when components above the chain-degree window might be
-        nonzero."""
+        """Tot on labels (n, q, label), ordered by column, built once from
+        ``diff_basis`` and ``delta_terms``; its D o D = 0 check holds d o d on
+        every stored cell.  The top total degree is flagged unreliable when
+        components above the chain-degree window might be nonzero."""
         if self._tot is None:
-            H = self.H
+            H, host = self.H, self.H.X.host
             basis: dict = {}  # t -> (n, q, label) in column order
-            for (n, q), labels in sorted(H._labels.items()):
-                basis.setdefault(q - n, []).extend((n, q, l) for l in labels)
-
-            # the labels of one position are adjacent in its Tot_t
-            @lru_cache(maxsize=1)
-            def columns(n: int, q: int) -> tuple:
-                return H.d_mat(n, q).columns(), H.delta_mat(n, q).columns()
+            for n, q in H.positions():
+                basis.setdefault(q - n, []).extend((n, q, l) for l in H.labels(n, q))
 
             def image(t, trip):
                 n, q, l = trip
-                d_cols, delta_cols = columns(n, q)
-                li = H._index[(n, q)][l]
-                for r, v in d_cols[li].items():
-                    yield (n, q - 1, H.labels(n, q - 1)[r]), v
-                sign = -1 if q % 2 else 1
-                for r, v in delta_cols[li].items():
-                    yield (n + 1, q, H.labels(n + 1, q)[r]), sign * v
+                for l2, v in host.diff_basis(n, l).items():
+                    yield (n, q - 1, l2), v
+                if n < H.n_max:
+                    sign = -1 if q % 2 else 1
+                    for l2, v in H.delta_terms(n, l):
+                        yield (n + 1, q, l2), sign * v
 
             # completeness above: Tot_{hi+1} components are (n, hi+1+n)
             hi = max(basis, default=0)

@@ -21,7 +21,7 @@ from operadlab.audit import (
     framed_tensor_check,
     standard_audit_input,
 )
-from operadlab import cosimplicial
+from operadlab import cli, cosimplicial
 from operadlab.cli import main
 from operadlab.cosimplicial import hochschild_dims, hochschild_homology
 from operadlab.instances import FramedOperad, framed_multiplicative
@@ -289,6 +289,42 @@ class TestCLI:
             ]
         ) == 0
         assert "nonzero" in capsys.readouterr().out
+
+    def test_an_inconclusive_audit_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        """Exit 1 with one stderr line, and the report still names the verdict."""
+        candidates = [ForcedDifferential(2, (-1, 7), (-3, 8), "candidate"),
+                      ForcedDifferential(2, (-1, 9), (-3, 10), "candidate")]
+
+        def inconclusive(*args):
+            raise InconclusiveAudit(candidates)
+
+        monkeypatch.setattr(cli, "forced_differentials", inconclusive)
+        assert main(["--out", str(tmp_path), "audit", "--d", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["check failed: convergence audit inconclusive"]
+        assert "d=5: inconclusive, 2 candidates" in captured.out
+        report = json.loads((tmp_path / "audit.json").read_text())
+        assert report["verdict"] == "inconclusive" and len(report["candidates"]) == 2
+
+    def test_a_mismatching_tensor_check_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        """One more framed class than the convolution predicts: exit 1, and
+        the report with the mismatch is written before the check fails."""
+        computed = cosimplicial.hochschild_dims
+
+        def one_more(M, n_max, q_max):
+            dims = computed(M, n_max, q_max)
+            if isinstance(M.operad, FramedOperad):
+                dims[(-1, 3)] += 1
+            return dims
+
+        monkeypatch.setattr(cosimplicial, "hochschild_dims", one_more)
+        assert main(["--out", str(tmp_path), "e2", "--d", "5", "--n-max", "3", "--q-max", "8"]) == 1
+        captured = capsys.readouterr()
+        assert "tensor-splitting check: FAIL" in captured.out
+        assert captured.err.splitlines() == [
+            "check failed: tensor check mismatches [(-1, 3)], vanishing violations []"]
+        report = json.loads((tmp_path / "e2.json").read_text())
+        assert report["mismatches"] == [[-1, 3]] and report["framed_dims"]["(-1, 3)"] == 2
 
     def test_unknown_instance_is_usage_error(self, capsys):
         assert main(["hochschild", "--instance", "torus:d=5"]) == 2

@@ -9,6 +9,7 @@ from conftest import reference_homology, reference_pages, reference_vanishes
 
 from operadlab.cosimplicial import (
     HochschildComplex,
+    LiftFailure,
     SemicosimplicialChainComplex,
     SpectralSequence,
     einfty_vs_total,
@@ -36,7 +37,7 @@ from operadlab.instances import (
     witness_multiplicative,
     witness_operad,
 )
-from operadlab.linalg import RationalMatrix, Subquotient, assemble, rank
+from operadlab.linalg import RationalMatrix, Subquotient, assemble, dense, rank
 from operadlab.obstruction import ObstructionInput, compare_with_d2, run_pipeline
 from operadlab.operads import ArityOverflow, OpElement, Operad, combine, parse_free_operad
 
@@ -510,18 +511,67 @@ def _witness_d2():
     "run", [_sphere_homology, _witness_pages, _witness_d2],
     ids=["sphere-homology", "witness-pages-and-einfty", "witness-d2"],
 )
-def test_each_delta_block_is_asked_for_once(run, monkeypatch):
-    """Why delta_mat assembles on every call: homology per q, the pages
-    with the E_infinity oracle (one Tot, built once) and the page-2
-    zig-zag each ask for every (n, q) block of delta at most once."""
+def test_each_delta_label_is_asked_for_once(run, monkeypatch):
+    """Why nothing caches delta: homology per q, the pages with the
+    E_infinity oracle (one Tot, built once) and the page-2 zig-zag each
+    ask the delta rule for every (n, label) at most once."""
     asked = Counter()
-    delta_mat = HochschildComplex.delta_mat
+    delta_terms = HochschildComplex.delta_terms
     monkeypatch.setattr(
-        HochschildComplex, "delta_mat",
-        lambda H, n, q: asked.update([(n, q)]) or delta_mat(H, n, q),
+        HochschildComplex, "delta_terms",
+        lambda H, n, label: asked.update([(n, label)]) or delta_terms(H, n, label),
     )
     run()
     assert asked and set(asked.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "op",
+    [sphere_operad(5, 5), sphere_operad(5, 7, 16),
+     framed_multiplicative(5, 5, 14).operad, poisson_operad_small(5), witness_operad(2)],
+    ids=["sphere", "sphere-capped", "framed", "poisson-table", "witness-free"],
+)
+def test_no_column_map_names_an_empty_degree(op):
+    """Every degree a host's column map names holds a label, so a complex
+    built on it has its populated window."""
+    for n in range(op.max_arity + 2):
+        maps = [op.basis_by_degree(n)] + [op.normalized_basis(n, top) for top in (0, 9, 16, 99)]
+        assert all(labels for m in maps for labels in m.values()), n
+
+
+def test_a_row_with_empty_top_columns_keeps_its_window():
+    """At d = 5, q = 12 columns 0..2 are empty, column 3 holds the one
+    label with all three pairs and column 5 does not vanish: the row over
+    p still spans (-n_max, 0), and only its open lower edge is unreliable."""
+    H = HochschildComplex(mcclure_smith(sphere_multiplicative(5, 4, 12)), 12)
+    assert [H.dim(n, 12) for n in range(5)] == [0, 0, 0, 1, 16]
+    assert not H.vanishes(5, 12)
+    C = H.complex_in_p(12)
+    assert C.window == (-4, 0) and not C.complete_below
+    assert {p: h.reliable for p, h in C.homology().per_degree.items()} == {
+        -4: False, -3: True, -2: True, -1: True, 0: True}
+    assert C.homology().at(0).dim == 0
+
+
+class _LeakySphere(SphereOperad):
+    """A sphere host whose delta also emits one split term that leaves a
+    vertex uncovered: ((1, 2),) splits at vertex 1 into ((1, 3),)."""
+
+    def normal_delta(self, n, label):
+        extra = [(self.split_vertex(label, 1)[0], 1)] if label == ((1, 2),) else []
+        return super().normal_delta(n, label) + extra
+
+
+def test_a_host_delta_leaving_the_normalized_columns_is_refused():
+    """assemble's target check is what keeps a host's delta inside the
+    normalized columns: the rows and Tot both refuse the leaked term."""
+    op = _LeakySphere(5, 4, 12)
+    M = MultiplicativeStructure(op, op.mu(), point=OpElement.basis(0, ()))
+    assert mcclure_smith(M).normal_delta == op.normal_delta
+    with pytest.raises(ValueError, match=r"leaves the target basis at \(\(1, 3\),\)"):
+        hochschild_homology(M, 4, 12)
+    with pytest.raises(ValueError, match=r"leaves the target basis at \(3, 4, \(\(1, 3\),\)\)"):
+        ss_pages(HochschildComplex(mcclure_smith(M), 12), 3)
 
 
 def test_the_witness_pages_are_built_and_checked_once(monkeypatch):
@@ -1021,6 +1071,29 @@ class TestSpectralSequence:
         )
         assert (got - want).is_zero()
         assert lifts  # at least one vertical lift was performed
+
+    @pytest.mark.parametrize(
+        "n_max,q_max,r,message",
+        [(2, 9, 2, "final delta leaves the arity window"),
+         (3, 7, 2, "lift degree leaves the chain-degree window"),
+         (3, 9, 3, "delta-image not a vertical boundary at column 3"),
+         (2, 9, 3, "lift column leaves the arity window")],
+    )
+    def test_zigzag_stops_where_a_lift_leaves_the_window(self, witness2, n_max, q_max, r, message):
+        H = HochschildComplex(mcclure_smith(witness2, n_max), q_max)
+        labels = H.labels(1, 7)
+        z = dense({labels.index(l): c for l, c in witness_generator(witness2.operad, "g").coeffs},
+                  len(labels))
+        with pytest.raises(LiftFailure, match=message):
+            zigzag_dr(H, 1, 7, z, r)
+
+    def test_zigzag_refuses_a_wrong_length_or_a_non_cycle(self, witness2):
+        H = HochschildComplex(mcclure_smith(witness2), 9)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            zigzag_dr(H, 1, 7, [1] * (H.dim(1, 7) + 1), 2)
+        assert H.labels(2, 8) == (("h", (), ()),)  # d h = nu o2 g + nu o1 g - g o1 nu
+        with pytest.raises(ValueError, match="z is not a vertical cycle"):
+            zigzag_dr(H, 2, 8, [1], 2)
 
 
 class TestTotalComplex:

@@ -36,6 +36,9 @@ CASES = {
     ],
     "e2": ["e2", "--d", "5", "--n-max", "5", "--q-max", "12"],
     "ss": ["ss", "--instance", "padded-witness:m=2"],
+    "ss_framed": [
+        "ss", "--instance", "framed:d=5", "--n-max", "4", "--q-max", "14",
+    ],
     "ss_sphere": [
         "ss", "--instance", "sphere:d=5", "--n-max", "5", "--q-max", "12",
         "--r-max", "4",
