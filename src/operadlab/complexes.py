@@ -21,6 +21,7 @@ from .linalg import (
     dense,
     is_zero_vec,
     kernel_basis,  # unused; bench/test_bench.py pins this binding
+    lowest_rows,
     row_reduce,
     solve_particular,
     vec,
@@ -215,7 +216,7 @@ class HomologyResult:
 
 def boundary_echelons(C: ChainComplexWindow) -> dict:
     """q -> the plain echelon of d_{q+1}, whose rows are a basis of the
-    boundaries of degree q and count rank d_{q+1}; empty at the top.
+    boundaries of degree q, for the classes of ``homology``; empty at the top.
 
     Built from the top degree down with clearing: the echelon of d_{q+1}
     takes only the columns outside the pivot coordinates of the echelon
@@ -232,23 +233,29 @@ def boundary_echelons(C: ChainComplexWindow) -> dict:
     return dict(sorted(out.items()))
 
 
-def _class_counts(C: ChainComplexWindow, echelons: dict) -> dict:
+def _class_counts(C: ChainComplexWindow, ranks: dict) -> dict:
     """q -> dim C_q - rank d_q - rank d_{q+1} at every degree of the
-    window, the ranks read off the rows of ``boundary_echelons``; 0 at an
-    open lower edge, whose differential is unknown: no cycles there."""
+    window, from ``ranks``, q -> rank d_{q+1}; 0 at an open lower edge,
+    whose differential is unknown: no cycles there."""
     lo = C.window[0]
-    ranks = {q + 1: len(E.rows()) for q, E in echelons.items()}  # rank d_{q+1}
     return {
-        q: C.dim(q) - ranks.get(q, 0) - ranks[q + 1] if q > lo or C.complete_below else 0
-        for q in echelons
+        q: C.dim(q) - ranks.get(q - 1, 0) - r if q > lo or C.complete_below else 0
+        for q, r in sorted(ranks.items())
     }
 
 
 def homology_dims(C: ChainComplexWindow) -> dict:
-    """q -> dim H_q at every reliable degree, zeros included, from the
-    ranks of the clearing echelons alone: ``homology(C).dims()`` for a
-    caller that reads dimensions only, with no kernel or class built."""
-    return {q: k for q, k in _class_counts(C, boundary_echelons(C)).items() if C.reliable(q)}
+    """q -> dim H_q at every reliable degree, zeros included, from ranks
+    alone: ``homology(C).dims()`` for a caller that reads dimensions only.
+    Rank d_{q+1} counts the ``lowest_rows`` of its columns, from the top
+    degree down with clearing: the columns at the lowest rows of d_{q+2}
+    are skipped, as their images lie in the span of earlier columns."""
+    lo, hi = C.window
+    ranks, lows = {hi: 0}, {}
+    for q in range(hi - 1, lo - 1, -1):
+        lows = lowest_rows([col for j, col in enumerate(C.d(q + 1).columns()) if j not in lows])
+        ranks[q] = len(lows)
+    return {q: k for q, k in _class_counts(C, ranks).items() if C.reliable(q)}
 
 
 def homology(C: ChainComplexWindow) -> HomologyResult:
@@ -263,7 +270,7 @@ def homology(C: ChainComplexWindow) -> HomologyResult:
     Only the representatives handed out are made dense.
     """
     echelons = boundary_echelons(C)
-    counts = _class_counts(C, echelons)
+    counts = _class_counts(C, {q: len(E.rows()) for q, E in echelons.items()})
     out = {}
     for q, quotient in echelons.items():
         n = C.dim(q)

@@ -604,9 +604,9 @@ def einfty_vs_total(H: HochschildComplex, r_max: int | None = None):
     E_infinity of the stored double complex; the page compared is
     max(r_max, n_max + 1), n_max + 2 by default.  dim H_t(Tot) is the
     shared ranks-only readout ``homology_dims``, dim Tot_t - rank D(t) -
-    rank D(t + 1) off the plain clearing echelons, independent of the
-    pairing behind the pages.  Returns a list of (t, einfty_sum,
-    total_dim) over reliable populated degrees.
+    rank D(t + 1) off lowest-row reductions with clearing, another
+    elimination than the filtered one behind the pages.  Returns a list
+    of (t, einfty_sum, total_dim) over reliable populated degrees.
     """
     ss = H.spectral_sequence()
     last = ss.pages(H.n_max + 2 if r_max is None else max(r_max, H.n_max + 1))[-1]

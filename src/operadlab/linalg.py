@@ -1,24 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream reduces to one elimination, the incremental sparse
-forward reduction of :class:`Subquotient`.  It is behind homology,
-quotients and the spectral-sequence pairing.  A count reads the plain
-echelon, ``Subquotient(n, (), columns)``, which keeps no coordinates:
-``rank`` is its number of rows.  :meth:`Subquotient.extend` appends
-cycles to an echelon already built, so homology grows the quotient of a
-degree with a class out of the plain echelon of its boundaries, stopping
-at dim H.  ``row_reduce`` is the reduction of a matrix's columns with
-coordinates, for what hands out a vector:
-``solve_particular`` reads its answer off the pivot columns, and
-:meth:`Subquotient.kernel` is the one readout of an echelon's kernel,
-sparse, which ``kernel_basis``, homology and the pages share.
-:func:`assemble` builds every matrix from per-label images, and
+Two eliminations.  Every vector handed out comes from the incremental
+sparse forward reduction of :class:`Subquotient`, behind homology's
+classes, quotients and the spectral-sequence pairing.  A count with no
+vector comes from :func:`lowest_rows`, the persistence reduction, which
+keeps no coordinates: ``rank`` and ``complexes.homology_dims`` count its
+lowest rows.  :meth:`Subquotient.extend` appends cycles to an echelon
+already built, so homology grows the quotient of a degree with a class
+out of the plain echelon of its boundaries, stopping at dim H.
+``row_reduce`` is the reduction of a matrix's columns with coordinates,
+for what hands out a vector: ``solve_particular`` reads its answer off the
+pivot columns, and :meth:`Subquotient.kernel` is the one readout of an
+echelon's kernel, sparse, which ``kernel_basis``, homology and the pages
+share.  :func:`assemble` builds every matrix from per-label images, and
 :meth:`RationalMatrix.apply` is the one sparse product.  A matrix is
-stored as its sparse ``{row: value}`` columns, which the elimination
-takes with no conversion, and vectors are reduced as sparse maps, so the
+stored as its sparse ``{row: value}`` columns, which both eliminations
+take with no conversion, and vectors are reduced as sparse maps, so the
 large-but-sparse coboundary matrices stay cheap.
 
-Inside the elimination and in a stored column a value is a plain ``int``
+Inside both eliminations and in a stored column a value is a plain ``int``
 whenever it is integral; a ``Fraction`` appears only where a non-unit
 pivot divides or an entry is not integral.  Structure constants are
 mostly +-1, so nearly all of the arithmetic is on ints.  That rule lives
@@ -33,12 +33,13 @@ where a dense vector is made, only for what is handed out: class queries
 reduce sparse maps, and of their vectors only ``HochschildClass.vector``
 and ``DegreeHomology.representatives`` are dense.
 
-Pivoting is deterministic: vectors go in the given order, and each
-remainder's pivot is a unit entry where it has one, at the coordinate that
-the fewest input vectors touch (Markowitz), smallest index on ties, and
-inside the smallest block it touches when coordinates come in blocks.
-Only the stored rows depend on that choice; every readout depends on the
-insertion order and the spans alone, so bases are reproducible.
+Pivoting is deterministic: vectors go in the given order.  A
+:class:`Subquotient` remainder's pivot is a unit entry where it has one,
+at the coordinate that the fewest input vectors touch (Markowitz),
+smallest index on ties, and inside the smallest block it touches when
+coordinates come in blocks.  Only the stored rows depend on that choice;
+every readout depends on the insertion order and the spans alone, so
+bases are reproducible.  :func:`lowest_rows` pivots at the lowest row.
 """
 
 from __future__ import annotations
@@ -182,9 +183,31 @@ def row_reduce(M: RationalMatrix) -> "Subquotient":
     return Subquotient(M.rows, M.columns())
 
 
+def lowest_rows(columns: Iterable[dict]) -> dict:
+    """The persistence reduction of sparse columns, in order and in place:
+    each is reduced only until its lowest nonzero row is no earlier
+    column's, and kept there if nonzero, as ``{low row: (its entry there,
+    the rest of the column)}``, so rank-many.  A step subtracts a kept
+    column (scaled by ``_div``) and drops the low outright."""
+    lows: dict = {}
+    for w in columns:
+        while w and (low := max(w)) in lows:
+            p, rest = lows[low]
+            f = _div(w.pop(low), p)
+            for r, x in rest.items():
+                v = w.get(r, 0) - f * x
+                if v:
+                    w[r] = v
+                else:
+                    del w[r]
+        if w:
+            lows[low] = (w.pop(low), w)
+    return lows
+
+
 def rank(M: RationalMatrix) -> int:
-    """The number of rows of M's plain echelon, which keeps no coordinates."""
-    return len(Subquotient(M.rows, (), M.columns()).rows())
+    """The number of lowest rows of M's columns: ``lowest_rows``."""
+    return len(lowest_rows(M.columns()))
 
 
 def kernel_basis(M: RationalMatrix) -> list[Vector]:

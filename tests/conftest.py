@@ -5,8 +5,9 @@ complexes with known homology.
 only; it shares no code with the sparse incremental elimination in
 ``operadlab.linalg``.
 
-:func:`mod_p_homology_dims` is a second independent oracle, for windows
-too large for dense Fractions: a sparse rank count mod 2^61 - 1.
+:func:`mod_p_homology_dims` is a second oracle, for windows too large
+for dense Fractions: a sparse rank count mod 2^61 - 1, by the pivot rule
+of ``linalg.lowest_rows`` but over another field and in its own code.
 
 A complex is assembled from elementary pieces — an identity two-term
 complex contributes nothing to homology, a lone generator contributes
@@ -257,9 +258,10 @@ MOD_P = 2**61 - 1
 
 
 def mod_p_homology_dims(C: ChainComplexWindow) -> dict:
-    """q -> dim H_q over F_p, p = 2^61 - 1, at every reliable degree: an
-    independent rank oracle for ``homology_dims``, sharing no elimination
-    code with ``operadlab.linalg``.
+    """q -> dim H_q over F_p, p = 2^61 - 1, at every reliable degree: a
+    rank oracle for ``homology_dims``, which pivots by the same rule, each
+    column at its lowest row, but over another field and in code that
+    shares nothing with ``operadlab.linalg``.
 
     Each d_q is reduced mod p column by column, each column at its lowest
     row, from the top degree down with clearing: the columns of d_q at the

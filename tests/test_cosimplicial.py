@@ -256,24 +256,50 @@ class _BareSlotsTakeTheEmptyMonomial(FramedOperad):
         return self._labels(n, top, normal=False)
 
 
-def test_a_mutated_covering_rule_fails_the_oracle():
-    """The oracle comparison refuses the mutant at arity 1, the first with
-    a slot to leave bare, and the columns stored from it, unconfirmed,
-    hold labels that the generic filter drops."""
-    good = framed_multiplicative(5, 4, 12)
-    op = _BareSlotsTakeTheEmptyMonomial(good.operad.base, good.operad.hopf)
-    X = mcclure_smith(MultiplicativeStructure(op, op.mu(), good.point), 4)
+class _OneVertexMayStayBare(SphereOperad):
+    """A mutated sphere covering rule, declared exact: a pair-set may leave
+    one vertex bare, which the point kills."""
+    normalized_exact = True
+
+    def normalized_basis(self, n: int, top: int) -> dict:
+        return {
+            q: kept for q, labels in self.basis_by_degree(n).items()
+            if q <= top and (kept := tuple(
+                l for l in labels if n - len({v for p in l for v in p}) <= 1
+            ))
+        }
+
+
+def _assert_the_oracle_refuses(op, point, n_max: int, q_max: int) -> None:
+    """The oracle comparison refuses the mutant host at arity 1, the first
+    with a vertex to leave bare, and the columns stored from it,
+    unconfirmed, hold every label of the generic filter and some that it
+    drops."""
+    X = mcclure_smith(MultiplicativeStructure(op, op.mu(), point), n_max)
     assert op.normalized_exact
     with pytest.raises(AssertionError, match=r"^1\b"):
-        _filter_checked(X, 12)
-    H = HochschildComplex(X, 12)
+        _filter_checked(X, q_max)
+    H = HochschildComplex(X, q_max)
     extra = 0
-    for n in range(5):
-        window = {q: ls for q, ls in _generic_filter(X, n).items() if q <= 12}
-        stored = {q: H.labels(n, q) for q in range(13) if H.labels(n, q)}
+    for n in range(n_max + 1):
+        window = {q: ls for q, ls in _generic_filter(X, n).items() if q <= q_max}
+        stored = {q: H.labels(n, q) for q in range(q_max + 1) if H.labels(n, q)}
         assert all(set(window.get(q, ())) <= set(ls) for q, ls in stored.items()), n
         extra += sum(map(len, stored.values())) - sum(map(len, window.values()))
     assert extra > 0
+
+
+def test_a_mutated_covering_rule_fails_the_oracle():
+    good = framed_multiplicative(5, 4, 12)
+    op = _BareSlotsTakeTheEmptyMonomial(good.operad.base, good.operad.hopf)
+    _assert_the_oracle_refuses(op, good.point, 4, 12)
+
+
+def test_a_mutated_sphere_covering_rule_fails_the_oracle():
+    """The sphere host's covering rule is still confirmed label by label,
+    so this mutant is declared exact to reach the stored columns
+    unconfirmed, as a framed one would."""
+    _assert_the_oracle_refuses(_OneVertexMayStayBare(5, 4, 12), OpElement.basis(0, ()), 4, 12)
 
 
 @pytest.mark.parametrize(

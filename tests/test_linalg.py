@@ -1,8 +1,9 @@
 """Exact sparse linear algebra: reduction, kernels, solving, quotients.
 
-The readouts of the one elimination (``rank``, ``row_reduce``, ``kernel``,
-``kernel_basis``, ``solve_particular``) are compared exactly with the
-dense Gauss-Jordan oracle ``conftest.rref``.
+The readouts of the two eliminations, ``rank`` off the lowest-row
+reduction and ``row_reduce``, ``kernel``, ``kernel_basis`` and
+``solve_particular`` off the Markowitz echelon, are compared exactly with
+the dense Gauss-Jordan oracle ``conftest.rref``.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from operadlab.linalg import (
     dense,
     is_zero_vec,
     kernel_basis,
+    lowest_rows,
     rank,
     row_reduce,
     solve_particular,
@@ -178,23 +180,22 @@ def test_rank_pivots_and_kernel_equal_the_oracle(problem):
 
 @given(sparse_problems())
 @settings(max_examples=60, deadline=None)
-def test_rank_reads_the_plain_echelon(problem):
-    """``rank`` builds one echelon with no cycles, so it keeps no
-    coordinates, and counts its rows."""
+def test_rank_counts_the_lowest_rows(problem):
+    """``rank`` is the number of ``lowest_rows`` of the columns, each
+    stored with a nonzero entry at its low row and the rest below it; it
+    builds no ``Subquotient`` and equals the dense oracle's rank."""
     rows, _, _ = problem
     M = mat(rows)
-    built = []
-    init = Subquotient.__init__
 
-    def counting(self, ambient_dim, cycles, *args, **kwargs):
-        built.append(len(cycles))
-        init(self, ambient_dim, cycles, *args, **kwargs)
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("rank built a Subquotient")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Subquotient, "__init__", counting)
+        mp.setattr(Subquotient, "__init__", refuse)
         r = rank(M)
-    assert built == [0]
-    assert r == len(rref(rows, M.cols)[1])
+        lows = lowest_rows(M.columns())
+    assert r == len(lows) == len(rref(rows, M.cols)[1])
+    assert all(p and max(rest, default=-1) < low for low, (p, rest) in lows.items())
 
 
 @given(sparse_problems())

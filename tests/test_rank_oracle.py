@@ -1,6 +1,8 @@
-"""The exact homology dims against an independent rank count mod 2^61 - 1
-(``mod_p_homology_dims``), on every reliable cell of the cobar and
-Hochschild rows the tier-1 windows build."""
+"""The exact homology dims against two oracles, on every reliable cell of
+the cobar and Hochschild rows the tier-1 windows build: an independent
+rank count mod 2^61 - 1 (``mod_p_homology_dims``), and the ranks of the
+class path, read off the Markowitz echelons of ``boundary_echelons``,
+which pivot by another rule than ``homology_dims``'s lowest rows."""
 
 import random
 from fractions import Fraction
@@ -8,11 +10,22 @@ from fractions import Fraction
 import pytest
 from conftest import COBAR_GRID, mod_p_homology_dims, random_complex
 
-from operadlab.complexes import ChainComplexWindow, GradedSpace, homology_dims
-from operadlab.cosimplicial import _rows_in_p
-from operadlab.hopf import BidegreeWindow, CobarComplex, build_so_hopf
-from operadlab.instances import framed_multiplicative, sphere_multiplicative
-from operadlab.linalg import RationalMatrix
+from operadlab import linalg
+from operadlab.complexes import (
+    ChainComplexWindow,
+    GradedSpace,
+    _class_counts,
+    boundary_echelons,
+    homology_dims,
+)
+from operadlab.cosimplicial import HochschildComplex, _rows_in_p, hochschild_dims, mcclure_smith
+from operadlab.hopf import BidegreeWindow, CobarComplex, build_so_hopf, cobar_homology
+from operadlab.instances import (
+    framed_multiplicative,
+    sphere_multiplicative,
+    witness_multiplicative,
+)
+from operadlab.linalg import RationalMatrix, Subquotient, lowest_rows
 
 
 def cobar_rows() -> list:
@@ -67,3 +80,108 @@ def test_a_non_integral_entry_is_refused():
     C = ChainComplexWindow(space, {1: RationalMatrix(1, 1, {(0, 0): Fraction(1, 2)})}, (0, 1))
     with pytest.raises(ValueError, match="non-integral entry"):
         mod_p_homology_dims(C)
+
+
+def markowitz_dims(C: ChainComplexWindow) -> dict:
+    """The reliable part of ``_class_counts`` on the ranks read off the rows
+    of ``boundary_echelons``: the counts of the class path."""
+    ranks = {q: len(E.rows()) for q, E in boundary_echelons(C).items()}
+    return {q: k for q, k in _class_counts(C, ranks).items() if C.reliable(q)}
+
+
+def rescaled(C: ChainComplexWindow, rng: random.Random) -> ChainComplexWindow:
+    """C in the basis of its basis vectors scaled by random nonzero
+    rationals, d_q becoming S_{q-1}^-1 d_q S_q: the same homology, on
+    mostly non-integral entries."""
+    scale = {
+        q: [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+            for _ in range(C.dim(q))]
+        for q in range(C.window[0], C.window[1] + 1)
+    }
+    differential = {
+        q: RationalMatrix(M.rows, M.cols, {
+            (r, c): v * scale[q][c] / scale[q - 1][r] for (r, c), v in M.entries.items()
+        })
+        for q, M in C.differential.items()
+    }
+    return ChainComplexWindow(C.space, differential, C.window, C.complete_below, C.complete_above)
+
+
+def random_cases() -> list:
+    """60 random complexes, as they are and rescaled, each with either
+    edge declared open."""
+    rng = random.Random(4003)
+    cases = []
+    for _ in range(60):
+        C, _ = random_complex(rng)
+        for D in (C, rescaled(C, rng)):
+            for edge in ({}, {"complete_below": False}, {"complete_above": False}):
+                cases.append(ChainComplexWindow(D.space, D.differential, D.window, **edge))
+    return cases
+
+
+def padded_witness_total() -> list:
+    H = HochschildComplex(mcclure_smith(witness_multiplicative(3, padded=True), 3), q_max=26)
+    return [H.spectral_sequence().total_complex()]
+
+
+ORACLE_WINDOWS = {**WINDOWS, "padded-witness-total": padded_witness_total, "random": random_cases}
+
+
+@pytest.mark.parametrize("window", list(ORACLE_WINDOWS))
+def test_lowest_row_dims_equal_the_markowitz_dims(window):
+    rows = ORACLE_WINDOWS[window]()
+    assert [homology_dims(C) for C in rows] == [markowitz_dims(C) for C in rows]
+
+
+def test_the_random_cases_reach_what_the_mod_p_oracle_refuses():
+    """The rescaled cases hold non-integral entries, which only the
+    Markowitz oracle takes."""
+    cases = random_cases()
+    refused = 0
+    for C in cases:
+        try:
+            mod_p_homology_dims(C)
+        except ValueError:
+            refused += 1
+    assert 0 < refused < len(cases)
+
+
+def _dims_cleared_two_degrees_up(C: ChainComplexWindow) -> dict:
+    """``homology_dims`` cleared with the lows of the wrong degree: d_{q+1}
+    skips its columns at the lowest rows of d_{q+3}, not of d_{q+2}."""
+    lo, hi = C.window
+    ranks, lows, older = {hi: 0}, {}, {}
+    for q in range(hi - 1, lo - 1, -1):
+        older, lows = lows, lowest_rows(
+            [col for j, col in enumerate(C.d(q + 1).columns()) if j not in older]
+        )
+        ranks[q] = len(lows)
+    return {q: k for q, k in _class_counts(C, ranks).items() if C.reliable(q)}
+
+
+def test_clearing_with_the_wrong_lows_fails_the_oracle():
+    cases = random_cases()
+    assert any(_dims_cleared_two_degrees_up(C) != markowitz_dims(C) for C in cases)
+
+
+def test_a_non_unit_pivot_taken_as_a_unit_fails_the_oracle(monkeypatch):
+    """``lowest_rows`` dividing by every pivot as by a unit, by
+    multiplying: a step leaves a wrong multiple wherever a pivot is not
+    +-1, and the dims move."""
+    cases = random_cases()
+    want = [markowitz_dims(C) for C in cases]
+    monkeypatch.setattr(linalg, "_div", lambda x, p: linalg._exact(x * p))
+    assert [homology_dims(C) for C in cases] != want
+
+
+def test_the_dims_readers_build_no_subquotient(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Subquotient was built")
+
+    cases = random_cases()
+    monkeypatch.setattr(Subquotient, "__init__", refuse)
+    assert any(homology_dims(C) for C in cases)
+    assert any(hochschild_dims(sphere_multiplicative(5, 6, 16), 6, 16).values())
+    assert any(hochschild_dims(framed_multiplicative(5, 4, 12), 4, 12).values())
+    assert cobar_homology(build_so_hopf(7, "full"), BidegreeWindow(-3, 27))
