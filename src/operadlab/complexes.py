@@ -215,8 +215,9 @@ class HomologyResult:
 
 
 def boundary_echelons(C: ChainComplexWindow) -> dict:
-    """q -> the plain echelon of d_{q+1}, whose rows are a basis of the
-    boundaries of degree q, for the classes of ``homology``; empty at the top.
+    """q -> the plain Markowitz echelon of d_{q+1}, whose rows are a basis
+    of the boundaries of degree q; empty at the top.  Nothing here reads it:
+    it is the tests' oracle for ``homology`` and ``homology_dims``.
 
     Built from the top degree down with clearing: the echelon of d_{q+1}
     takes only the columns outside the pivot coordinates of the echelon
@@ -244,38 +245,46 @@ def _class_counts(C: ChainComplexWindow, ranks: dict) -> dict:
     }
 
 
+def _boundary_lows(C: ChainComplexWindow):
+    """(q, the ``lowest_rows`` of d_{q+1}, whose kept columns span the
+    boundaries of degree q) from the top degree down, with clearing: the
+    columns at the lowest rows of d_{q+2} are skipped, as their images lie
+    in the span of earlier columns."""
+    lo, hi = C.window
+    lows: dict = {}
+    yield hi, lows
+    for q in range(hi - 1, lo - 1, -1):
+        lows = lowest_rows([col for j, col in enumerate(C.d(q + 1).columns()) if j not in lows])
+        yield q, lows
+
+
 def homology_dims(C: ChainComplexWindow) -> dict:
     """q -> dim H_q at every reliable degree, zeros included, from ranks
     alone: ``homology(C).dims()`` for a caller that reads dimensions only.
-    Rank d_{q+1} counts the ``lowest_rows`` of its columns, from the top
-    degree down with clearing: the columns at the lowest rows of d_{q+2}
-    are skipped, as their images lie in the span of earlier columns."""
-    lo, hi = C.window
-    ranks, lows = {hi: 0}, {}
-    for q in range(hi - 1, lo - 1, -1):
-        lows = lowest_rows([col for j, col in enumerate(C.d(q + 1).columns()) if j not in lows])
-        ranks[q] = len(lows)
+    Rank d_{q+1} is the number of :func:`_boundary_lows`."""
+    ranks = {q: len(lows) for q, lows in _boundary_lows(C)}
     return {q: k for q, k in _class_counts(C, ranks).items() if C.reliable(q)}
 
 
 def homology(C: ChainComplexWindow) -> HomologyResult:
     """Kernel-mod-image homology with explicit representative cycles.
 
-    The boundaries of each degree are the plain echelon that
-    :func:`boundary_echelons` builds with clearing, without coordinates;
-    at a degree with no class that echelon is the quotient.  A degree q
-    with a class reduces d_q again, now with coordinates, for its sparse
-    kernel, and extends its echelon by the kernel vectors in order until
-    it holds the dim H_q representatives that :func:`homology_dims` counts.
-    Only the representatives handed out are made dense.
+    Each degree's boundaries are ``Subquotient.of_lows`` of the reduction
+    that :func:`homology_dims` counts, with no further elimination.  At a
+    degree with a class they are extended by the relations of d_q, as
+    ``row_reduce`` yields them, until the quotient holds dim H_q
+    representatives; the rest of d_q is never reduced.  A representative
+    is the first kernel vector, in order, independent modulo the
+    boundaries, and class coordinates are unique, so no pivot rule shows in
+    what is handed out.  Only the representatives handed out are dense.
     """
-    echelons = boundary_echelons(C)
-    counts = _class_counts(C, {q: len(E.rows()) for q, E in echelons.items()})
+    quotients = {q: Subquotient.of_lows(C.dim(q), lows) for q, lows in _boundary_lows(C)}
+    counts = _class_counts(C, {q: len(E.rows()) for q, E in quotients.items()})
     out = {}
-    for q, quotient in echelons.items():
+    for q, quotient in sorted(quotients.items()):
         n = C.dim(q)
         if counts[q]:
-            quotient.extend(row_reduce(C.d(q)).kernel(), stop=counts[q])
+            quotient.extend(row_reduce(C.d(q)).relations(), stop=counts[q])
         out[q] = DegreeHomology(
             dim=quotient.dim,
             representatives=[dense(z, n) for z in quotient.representatives],

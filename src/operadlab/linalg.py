@@ -1,22 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Two eliminations.  Every vector handed out comes from the incremental
-sparse forward reduction of :class:`Subquotient`, behind homology's
-classes, quotients and the spectral-sequence pairing.  A count with no
-vector comes from :func:`lowest_rows`, the persistence reduction, which
-keeps no coordinates: ``rank`` and ``complexes.homology_dims`` count its
-lowest rows.  :meth:`Subquotient.extend` appends cycles to an echelon
-already built, so homology grows the quotient of a degree with a class
-out of the plain echelon of its boundaries, stopping at dim H.
-``row_reduce`` is the reduction of a matrix's columns with coordinates,
-for what hands out a vector: ``solve_particular`` reads its answer off the
-pivot columns, and :meth:`Subquotient.kernel` is the one readout of an
-echelon's kernel, sparse, which ``kernel_basis``, homology and the pages
-share.  :func:`assemble` builds every matrix from per-label images, and
-:meth:`RationalMatrix.apply` is the one sparse product.  A matrix is
-stored as its sparse ``{row: value}`` columns, which both eliminations
-take with no conversion, and vectors are reduced as sparse maps, so the
-large-but-sparse coboundary matrices stay cheap.
+Two eliminations.  :func:`lowest_rows`, the persistence reduction, keeps
+no coordinates: ``rank`` and ``complexes.homology_dims`` count its lowest
+rows, and homology seeds the boundaries of each degree with its kept
+columns (:meth:`Subquotient.of_lows`).  Every vector handed out comes from
+the incremental sparse forward reduction of :class:`Subquotient`, behind
+homology's classes, quotients and the spectral-sequence pairing.  Its
+cycles go in only as they are read, so homology extends a degree's
+boundaries by the relations of ``row_reduce(d_q)`` one at a time and stops
+at dim H.  ``solve_particular`` reads its answer off the pivot columns, and
+:meth:`Subquotient.kernel` is the one readout of an echelon's kernel,
+sparse.  :func:`assemble` builds every matrix from per-label images, and
+:meth:`RationalMatrix.apply` is the one sparse product.  Matrices are
+stored as sparse ``{row: value}`` columns, which both eliminations take
+with no conversion, and vectors are reduced as sparse maps.
 
 Inside both eliminations and in a stored column a value is a plain ``int``
 whenever it is integral; a ``Fraction`` appears only where a non-unit
@@ -37,9 +34,9 @@ Pivoting is deterministic: vectors go in the given order.  A
 :class:`Subquotient` remainder's pivot is a unit entry where it has one,
 at the coordinate that the fewest input vectors touch (Markowitz),
 smallest index on ties, and inside the smallest block it touches when
-coordinates come in blocks.  Only the stored rows depend on that choice;
-every readout depends on the insertion order and the spans alone, so
-bases are reproducible.  :func:`lowest_rows` pivots at the lowest row.
+coordinates come in blocks; a seeded row's pivot is its low.  Only the
+stored rows depend on that choice; every readout depends on the insertion
+order and the spans alone, so bases are reproducible.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Vector = list[Fraction]
 
@@ -174,7 +171,10 @@ class RationalMatrix:
 
 def row_reduce(M: RationalMatrix) -> "Subquotient":
     """The echelon form of M: its columns fed, in order, into a
-    :class:`Subquotient` with no boundaries.
+    :class:`Subquotient` with no boundaries, whose pivot counts cover all of
+    M.  ``relations()`` inserts a column only when the relation after the
+    last one read is asked for, so a reader that stops early leaves the rest
+    of M unreduced; every other reader reduces all of M first.
 
     ``pivot_columns`` are the reduced row-echelon pivot columns, and
     ``dependent[f]`` holds the coordinates of column f over them, which
@@ -269,6 +269,9 @@ class Subquotient:
     ``coords`` hands out Fractions.  A vector is reduced against the pivot
     rows in insertion order; each row is zero at every earlier row's pivot,
     so the remainder is zero at all pivots.
+    The cycles go in as they are read: :meth:`relations` inserts them one
+    at a time, and every other reader first inserts the rest.  The pivot
+    counts are taken over every vector up front, so no reader can tell.
     """
 
     def __init__(
@@ -277,9 +280,9 @@ class Subquotient:
     ):
         self.ambient_dim = ambient_dim
         self._block = block
-        self.representatives: list = []
-        self.pivot_columns: list[int] = []
-        self.dependent: dict[int, dict] = {}
+        self._reps: list = []
+        self._pivots: list[int] = []
+        self._dependent: dict[int, dict] = {}
         # (pivot column, row with a 1 there, row's coordinates over the reps)
         # in insertion order, and each pivot column's place in that list
         self._rows: list[tuple[int, dict, dict]] = []
@@ -290,8 +293,24 @@ class Subquotient:
         self._count = Counter(chain.from_iterable(bs + zs))
         for w in bs:
             self._insert(w, None)
-        for z, w in zip(cycles, zs):
-            self._add_cycle(z, w)
+        self._pending = zip(cycles, zs)
+
+    @classmethod
+    def of_lows(cls, ambient_dim: int, lows: Mapping) -> "Subquotient":
+        """Some columns' span modulo itself, from their ``lowest_rows`` and
+        with no elimination: each kept column, divided by its entry at its
+        low, is the pivot row there, in decreasing low order.  Every entry
+        of a kept column lies at or below its low, so each row is zero at
+        every earlier (larger) row's pivot: the invariant above.  The kept
+        columns become the rows."""
+        sq = cls(ambient_dim, ())
+        for low in sorted(lows, reverse=True):
+            p, row = lows[low]
+            row = row if p == 1 else {r: _div(x, p) for r, x in row.items()}
+            row[low] = 1
+            sq._rank[low] = len(sq._rows)
+            sq._rows.append((low, row, {}))
+        return sq
 
     def extend(self, cycles: Iterable, stop: int | None = None) -> None:
         """Insert more cycles after everything inserted so far, in the given
@@ -307,14 +326,35 @@ class Subquotient:
             self._count.update(w.keys())
             self._add_cycle(z, w)
 
-    def _add_cycle(self, z, w: dict) -> None:
-        """Insert the cycle z, sparse as w, under the next cycle index."""
-        i = len(self.pivot_columns) + len(self.dependent)
+    def _add_cycle(self, z, w: dict) -> int:
+        """Insert the cycle z, sparse as w, under the next cycle index; return it."""
+        i = len(self._pivots) + len(self._dependent)
         coords = self._insert(w, z)
         if coords is None:
-            self.pivot_columns.append(i)
+            self._pivots.append(i)
         else:
-            self.dependent[i] = {k: _exact(x) for k, x in coords.items() if x}
+            self._dependent[i] = {k: _exact(x) for k, x in coords.items() if x}
+        return i
+
+    def relations(self) -> Iterator[dict]:
+        """The ``kernel`` relation of each cycle not yet inserted, yielded as
+        soon as that cycle turns dependent: the cycles go in one at a time,
+        and only as far as the relations are read."""
+        for z, w in self._pending:
+            f = self._add_cycle(z, w)
+            if f in self._dependent:
+                yield self._relation(f)
+
+    def _inserted(self) -> "Subquotient":
+        """self, once every pending cycle is in: how each reader but
+        ``relations`` starts."""
+        for z, w in self._pending:
+            self._add_cycle(z, w)
+        return self
+
+    representatives = property(lambda self: self._inserted()._reps)
+    pivot_columns = property(lambda self: self._inserted()._pivots)
+    dependent = property(lambda self: self._inserted()._dependent)
 
     @property
     def dim(self) -> int:
@@ -322,13 +362,13 @@ class Subquotient:
 
     def rows(self) -> list[dict]:
         """The pivot rows in insertion order, a basis of the span."""
-        return [row for _, row, _ in self._rows]
+        return [row for _, row, _ in self.pivot_rows()]
 
     def pivot_rows(self) -> list[tuple[int, dict, dict]]:
         """(pivot, row, the row's coordinates over the representatives) per
         pivot row, in insertion order; the row is that combination of the
         representatives modulo span(boundaries)."""
-        return list(self._rows)
+        return list(self._inserted()._rows)
 
     def kernel(self) -> list[dict]:
         """One relation e_f - sum_k c_k e_{pivot_k} per dependent cycle f
@@ -336,10 +376,10 @@ class Subquotient:
         value}`` map with no zeros, ints where integral: a basis of the
         combinations of cycles in span(boundaries), so of ker M for
         ``row_reduce(M)``."""
-        return [
-            {f: 1, **{self.pivot_columns[k]: -c for k, c in cs.items()}}
-            for f, cs in self.dependent.items()
-        ]
+        return [self._relation(f) for f in self.dependent]
+
+    def _relation(self, f: int) -> dict:
+        return {f: 1, **{self._pivots[k]: -c for k, c in self._dependent[f].items()}}
 
     def coords(self, v) -> Vector:
         """c with v - sum_k c_k reps_k in span(boundaries); NoSolution when
@@ -349,7 +389,7 @@ class Subquotient:
     def sparse_coords(self, v) -> dict:
         """``coords`` as a ``{k: c}`` map with no zeros, ints where integral."""
         w = self._sparse(v)
-        coords = self._reduce(w)
+        coords = self._inserted()._reduce(w)
         if w:
             raise NoSolution("vector outside span(cycles) + span(boundaries)")
         return {k: _exact(c) for k, c in coords.items() if c}
@@ -409,8 +449,8 @@ class Subquotient:
         p = w[lead]
         row_coords = {k: _div(-x, p) for k, x in coords.items()}
         if rep is not None:
-            row_coords[self.dim] = _div(1, p)
-            self.representatives.append(rep)
+            row_coords[len(self._reps)] = _div(1, p)
+            self._reps.append(rep)
         row = w if p == 1 else {c: _div(x, p) for c, x in w.items()}
         self._rank[lead] = len(self._rows)
         self._rows.append((lead, row, row_coords))

@@ -7,6 +7,7 @@ the dense Gauss-Jordan oracle ``conftest.rref``.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,48 @@ def test_solve_particular_equals_the_oracle(problem):
         assert solve_particular(M, rhs) == x
 
 
+def _inserted(E: Subquotient) -> int:
+    """How many cycles E holds, read without inserting the pending ones."""
+    return len(E._pivots) + len(E._dependent)
+
+
+def _coords_or_none(E: Subquotient, v):
+    try:
+        return E.sparse_coords(v)
+    except NoSolution:
+        return None
+
+
+@given(sparse_problems(), st.integers(0, 6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_a_partial_read_of_the_relations_changes_no_readout(problem, k, read_on_lazily):
+    """``row_reduce(M).relations()`` is ``kernel()`` read lazily: after k
+    relations, M's columns are in up to the k-th dependent one.  Read on,
+    by the rest of the relations or at once by another reader, every
+    readout equals that of an echelon read whole at once.  ``kernel_basis``
+    and ``solve_particular`` meet the dense oracle on the same problems
+    above."""
+    rows, b, coeffs = problem
+    M = mat(rows)
+    eager = row_reduce(M)
+    kernel = eager.kernel()
+    lazy = row_reduce(M)
+    first = list(islice(lazy.relations(), k))
+    assert first == kernel[:k]
+    if len(first) < k:  # the relations ran out, so every column is in
+        assert _inserted(lazy) == M.cols
+    else:
+        assert _inserted(lazy) == (max(first[-1]) + 1 if first else 0)
+    if read_on_lazily:
+        assert first + list(lazy.relations()) == kernel
+    assert lazy.pivot_columns == eager.pivot_columns
+    assert lazy.dependent == eager.dependent
+    assert lazy.kernel() == kernel
+    assert lazy.pivot_rows() == eager.pivot_rows()
+    for rhs in (b, M.matvec(coeffs)):
+        assert _coords_or_none(lazy, rhs) == _coords_or_none(eager, rhs)
+
+
 def _stored_values(sq):
     """Every value the elimination keeps: pivot rows, their coordinates
     and the dependent coordinates."""
@@ -253,7 +296,7 @@ def test_integer_rows_inside_fractions_at_the_boundary():
 
 def test_a_fraction_appears_only_where_a_non_unit_pivot_divides():
     E = row_reduce(mat([[2, 1, 4]]))
-    lead, row, row_coords = E._rows[0]
+    lead, row, row_coords = E.pivot_rows()[0]
     assert lead == 0
     assert row == {0: 1} and type(row[0]) is int
     assert row_coords == {0: Fraction(1, 2)}

@@ -1,8 +1,11 @@
 """The exact homology dims against two oracles, on every reliable cell of
 the cobar and Hochschild rows the tier-1 windows build: an independent
-rank count mod 2^61 - 1 (``mod_p_homology_dims``), and the ranks of the
-class path, read off the Markowitz echelons of ``boundary_echelons``,
-which pivot by another rule than ``homology_dims``'s lowest rows."""
+rank count mod 2^61 - 1 (``mod_p_homology_dims``), and the ranks read
+off the Markowitz echelons of ``boundary_echelons``, which pivot by
+another rule than ``homology_dims``'s lowest rows.  No module reads
+``boundary_echelons`` since ``homology`` seeds its quotients from those
+lowest rows too; it stays in ``complexes`` as this oracle and as the
+class oracle of ``tests/test_class_oracle.py``."""
 
 import random
 from fractions import Fraction
@@ -84,7 +87,7 @@ def test_a_non_integral_entry_is_refused():
 
 def markowitz_dims(C: ChainComplexWindow) -> dict:
     """The reliable part of ``_class_counts`` on the ranks read off the rows
-    of ``boundary_echelons``: the counts of the class path."""
+    of ``boundary_echelons``: the counts of the Markowitz route."""
     ranks = {q: len(E.rows()) for q, E in boundary_echelons(C).items()}
     return {q: k for q, k in _class_counts(C, ranks).items() if C.reliable(q)}
 
