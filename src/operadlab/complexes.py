@@ -215,9 +215,11 @@ class HomologyResult:
 
 
 def boundary_echelons(C: ChainComplexWindow) -> dict:
-    """q -> the plain Markowitz echelon of d_{q+1}, whose rows are a basis
-    of the boundaries of degree q; empty at the top.  Nothing here reads it:
-    it is the tests' oracle for ``homology`` and ``homology_dims``.
+    """q -> the plain ``Subquotient`` echelon of d_{q+1}, whose rows are a
+    basis of the boundaries of degree q; empty at the top.  Nothing here
+    reads it: the tests hold its ranks, read off an elimination with
+    coordinates, to those of ``homology_dims``, which pivots by the same
+    lowest-row rule but keeps none.
 
     Built from the top degree down with clearing: the echelon of d_{q+1}
     takes only the columns outside the pivot coordinates of the echelon

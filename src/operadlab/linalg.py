@@ -30,21 +30,18 @@ where a dense vector is made, only for what is handed out: class queries
 reduce sparse maps, and of their vectors only ``HochschildClass.vector``
 and ``DegreeHomology.representatives`` are dense.
 
-Pivoting is deterministic: vectors go in the given order.  A
-:class:`Subquotient` remainder's pivot is a unit entry where it has one,
-at the coordinate that the fewest input vectors touch (Markowitz),
-smallest index on ties, and inside the smallest block it touches when
-coordinates come in blocks; a seeded row's pivot is its low.  Only the
-stored rows depend on that choice; every readout depends on the insertion
-order and the spans alone, so bases are reproducible.
+Pivoting is deterministic, by one rule: vectors go in the given order,
+and each pivots at its lowest row, its largest index, taken inside the
+smallest block it touches when coordinates come in blocks.  A seeded
+row's pivot is its low by the same rule.  Only the stored rows depend on
+that rule; every readout depends on the insertion order and the spans
+alone, so bases are reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Vector = list[Fraction]
@@ -170,17 +167,17 @@ class RationalMatrix:
 
 
 def row_reduce(M: RationalMatrix) -> "Subquotient":
-    """The echelon form of M: its columns fed, in order, into a
-    :class:`Subquotient` with no boundaries, whose pivot counts cover all of
-    M.  ``relations()`` inserts a column only when the relation after the
-    last one read is asked for, so a reader that stops early leaves the rest
-    of M unreduced; every other reader reduces all of M first.
+    """The echelon form of M: its columns handed, in order and one at a
+    time, to a :class:`Subquotient` with no boundaries.  ``relations()``
+    inserts a column only when the relation after the last one read is
+    asked for, so a reader that stops early leaves the rest of M untouched;
+    every other reader reduces all of M first.
 
     ``pivot_columns`` are the reduced row-echelon pivot columns, and
     ``dependent[f]`` holds the coordinates of column f over them, which
     are the echelon entries ``R[i, f]``.
     """
-    return Subquotient(M.rows, M.columns())
+    return Subquotient(M.rows, map(dict, M._columns))
 
 
 def lowest_rows(columns: Iterable[dict]) -> dict:
@@ -262,20 +259,21 @@ class Subquotient:
     sparse coordinates).  Every pivot row records its coordinates over the
     representatives (boundaries count as zero), so ``coords`` is one
     forward reduction with no new elimination.
-    With ``block`` (coordinate -> int), each pivot lies in the smallest
-    block its remainder touches, and reducing never reaches a smaller one.
+    Each remainder pivots at its lowest row, its largest index; with
+    ``block`` (coordinate -> int), at the lowest row inside the smallest
+    block it touches, and reducing never reaches a smaller block.
     Vectors are dense sequences or sparse ``{index: value}`` maps.  Pivot
     rows and the ``dependent`` coordinates hold ints where integral;
     ``coords`` hands out Fractions.  A vector is reduced against the pivot
     rows in insertion order; each row is zero at every earlier row's pivot,
     so the remainder is zero at all pivots.
     The cycles go in as they are read: :meth:`relations` inserts them one
-    at a time, and every other reader first inserts the rest.  The pivot
-    counts are taken over every vector up front, so no reader can tell.
+    at a time, and every other reader first inserts the rest.  A pivot
+    depends on its own remainder alone, so no reader can tell.
     """
 
     def __init__(
-        self, ambient_dim: int, cycles: Sequence, boundaries: Sequence = (),
+        self, ambient_dim: int, cycles: Iterable, boundaries: Sequence = (),
         block: Callable[[int], int] | None = None,
     ):
         self.ambient_dim = ambient_dim
@@ -287,13 +285,9 @@ class Subquotient:
         # in insertion order, and each pivot column's place in that list
         self._rows: list[tuple[int, dict, dict]] = []
         self._rank: dict[int, int] = {}
-        bs = [self._sparse(b) for b in boundaries]
-        zs = [self._sparse(z) for z in cycles]
-        # how many inserted vectors touch each coordinate, for the pivot rule
-        self._count = Counter(chain.from_iterable(bs + zs))
-        for w in bs:
-            self._insert(w, None)
-        self._pending = zip(cycles, zs)
+        for b in boundaries:
+            self._insert(self._sparse(b), None)
+        self._pending = iter(cycles)
 
     @classmethod
     def of_lows(cls, ambient_dim: int, lows: Mapping) -> "Subquotient":
@@ -306,7 +300,10 @@ class Subquotient:
         sq = cls(ambient_dim, ())
         for low in sorted(lows, reverse=True):
             p, row = lows[low]
-            row = row if p == 1 else {r: _div(x, p) for r, x in row.items()}
+            if p == -1:
+                row = {r: -x if type(x) is int else _exact(-x) for r, x in row.items()}
+            elif p != 1:
+                row = {r: _div(x, p) for r, x in row.items()}
             row[low] = 1
             sq._rank[low] = len(sq._rows)
             sq._rows.append((low, row, {}))
@@ -322,14 +319,12 @@ class Subquotient:
         for z in cycles:
             if self.dim == stop:
                 return
-            w = self._sparse(z)
-            self._count.update(w.keys())
-            self._add_cycle(z, w)
+            self._add_cycle(z)
 
-    def _add_cycle(self, z, w: dict) -> int:
-        """Insert the cycle z, sparse as w, under the next cycle index; return it."""
+    def _add_cycle(self, z) -> int:
+        """Insert the cycle z under the next cycle index; return it."""
         i = len(self._pivots) + len(self._dependent)
-        coords = self._insert(w, z)
+        coords = self._insert(self._sparse(z), z)
         if coords is None:
             self._pivots.append(i)
         else:
@@ -340,16 +335,16 @@ class Subquotient:
         """The ``kernel`` relation of each cycle not yet inserted, yielded as
         soon as that cycle turns dependent: the cycles go in one at a time,
         and only as far as the relations are read."""
-        for z, w in self._pending:
-            f = self._add_cycle(z, w)
+        for z in self._pending:
+            f = self._add_cycle(z)
             if f in self._dependent:
                 yield self._relation(f)
 
     def _inserted(self) -> "Subquotient":
         """self, once every pending cycle is in: how each reader but
         ``relations`` starts."""
-        for z, w in self._pending:
-            self._add_cycle(z, w)
+        for z in self._pending:
+            self._add_cycle(z)
         return self
 
     representatives = property(lambda self: self._inserted()._reps)
@@ -436,14 +431,9 @@ class Subquotient:
         coords = self._reduce(w)
         if not w:
             return coords
-        block, lows = self._block, w
-        if block is not None:
-            low = min(map(block, w))
-            lows = [c for c in w if block(c) == low]
-        # Markowitz: a unit entry first, then the fewest touches, then the index
-        count = self._count
-        units = [c for c in lows if w[c] in (1, -1)]
-        lead = min([(count[c], c) for c in units or lows])[1]
+        # the lowest row, inside the smallest block
+        block = self._block
+        lead = max(w) if block is None else max(w, key=lambda c: (-block(c), c))
         # w = v - (reduced rows) is congruent to [rep] - coords mod boundaries;
         # the row is w / w[lead] and its coordinates (rep - coords) / w[lead]
         p = w[lead]

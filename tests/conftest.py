@@ -8,6 +8,11 @@ only; it shares no code with the sparse incremental elimination in
 :func:`mod_p_homology_dims` is a second oracle, for windows too large
 for dense Fractions: a sparse rank count mod 2^61 - 1, by the pivot rule
 of ``linalg.lowest_rows`` but over another field and in its own code.
+:class:`SmallestIndexSubquotient` is a sparse elimination by another
+pivot rule, each vector at its smallest index, and
+:func:`smallest_index_echelons` builds a complex's boundary echelons
+with it: the rank and class oracle whose pivots are not the lowest rows
+that every elimination in ``operadlab.linalg`` pivots at.
 
 A complex is assembled from elementary pieces — an identity two-term
 complex contributes nothing to homology, a lone generator contributes
@@ -65,10 +70,12 @@ sparse_entries = st.one_of(
 
 
 class SmallestIndexSubquotient:
-    """The elimination ``Subquotient`` replaced, kept as an oracle: each
+    """An elimination by another pivot rule, kept as an oracle: each
     vector is reduced only until its smallest remaining index is not a
-    pivot, and that index becomes its pivot.  ``Subquotient`` picks pivots
-    by unit value and sparsity instead; every readout must agree."""
+    pivot, and that index becomes its pivot.  ``Subquotient`` pivots at
+    the lowest row instead; every readout must agree.  ``extend`` appends
+    cycles and stops at ``stop`` representatives, as ``Subquotient``'s
+    does."""
 
     def __init__(self, ambient_dim: int, cycles, boundaries=()):
         self.ambient_dim = ambient_dim
@@ -78,7 +85,13 @@ class SmallestIndexSubquotient:
         self._pivots: dict = {}  # leading column -> (row, row's rep coordinates)
         for b in boundaries:
             self._insert(b, None)
-        for i, z in enumerate(cycles):
+        self.extend(cycles)
+
+    def extend(self, cycles, stop=None) -> None:
+        for z in cycles:
+            if self.dim == stop:
+                return
+            i = len(self.pivot_columns) + len(self.dependent)
             coords = self._insert(z, z)
             if coords is None:
                 self.pivot_columns.append(i)
@@ -143,6 +156,21 @@ class SmallestIndexSubquotient:
             self.representatives.append(rep)
         self._pivots[lead] = ({c: _div(x, p) for c, x in w.items()}, row_coords)
         return None
+
+
+def smallest_index_echelons(C: ChainComplexWindow) -> dict:
+    """q -> the :class:`SmallestIndexSubquotient` of the columns of d_{q+1},
+    whose rows are a basis of the boundaries of degree q; empty at the top.
+    Built as ``complexes.boundary_echelons`` builds its echelons, from the
+    top degree down, skipping the columns of d_{q+1} at the pivots one
+    degree up, but by the other pivot rule and in code of its own."""
+    lo, hi = C.window
+    out = {hi: SmallestIndexSubquotient(C.dim(hi), ())}
+    for q in range(hi - 1, lo - 1, -1):
+        cleared = out[q + 1]._pivots
+        columns = [col for j, col in enumerate(C.d(q + 1).columns()) if j not in cleared]
+        out[q] = SmallestIndexSubquotient(C.dim(q), (), columns)
+    return dict(sorted(out.items()))
 
 
 def dense_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:

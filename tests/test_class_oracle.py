@@ -1,29 +1,30 @@
-"""``homology``'s classes against the Markowitz class route as oracle.
+"""``homology``'s classes against the smallest-index class route as oracle.
 
 ``homology`` seeds each degree's boundaries from the lowest-row reduction
 of ``homology_dims`` and reads the relations of d_q only until the
-quotient is full.  The oracle is the route it replaced: the Markowitz
-echelons of ``boundary_echelons``, extended at a degree with a class by
-the whole kernel of ``row_reduce(d_q)``.  The two pivot by different rules,
-so only spans and column order are shared; representatives and class
-coordinates must still agree exactly: on every row of sphere d=5 n <= 8
-q <= 16 and framed d=5 n <= 6 q <= 16, on the witness and padded-witness
-arity and total complexes, and on the random complexes of
-``test_rank_oracle`` (60, as they are and rescaled to non-integral
-entries, each with either edge open).
+quotient is full.  The oracle eliminates by another pivot rule and in code
+of its own: the smallest-index echelons of
+``conftest.smallest_index_echelons``, extended at a degree with a class
+by the whole kernel of ``row_reduce(d_q)``.  The two routes share only
+spans and column order; representatives and class coordinates must still
+agree exactly: on every row of sphere d=5 n <= 8 q <= 16 and framed d=5
+n <= 6 q <= 16, on the witness and padded-witness arity and total
+complexes, and on the random complexes of ``test_rank_oracle`` (60, as
+they are and rescaled to non-integral entries, each with either edge
+open).
 """
 
 import random
 from itertools import islice
 
 import pytest
+from conftest import smallest_index_echelons
 from test_rank_oracle import hochschild_rows, random_cases
 
 from operadlab import complexes
 from operadlab.complexes import (
     ChainComplexWindow,
     _class_counts,
-    boundary_echelons,
     homology,
 )
 from operadlab.cosimplicial import HochschildComplex, mcclure_smith
@@ -37,11 +38,11 @@ from operadlab.instances import (
 from operadlab.linalg import NoSolution, Subquotient, _div, dense, rank, row_reduce
 
 
-def markowitz_quotients(C: ChainComplexWindow) -> dict:
-    """q -> the quotient of the Markowitz route: the echelon of
-    ``boundary_echelons``, extended at a degree with a class by the kernel
-    of d_q, read whole, until it holds dim H_q representatives."""
-    echelons = boundary_echelons(C)
+def smallest_index_quotients(C: ChainComplexWindow) -> dict:
+    """q -> the quotient of the smallest-index route: the echelon of
+    ``smallest_index_echelons``, extended at a degree with a class by the
+    kernel of d_q, read whole, until it holds dim H_q representatives."""
+    echelons = smallest_index_echelons(C)
     counts = _class_counts(C, {q: len(E.rows()) for q, E in echelons.items()})
     for q, E in echelons.items():
         if counts[q]:
@@ -79,7 +80,7 @@ def assert_classes_match_the_oracle(C: ChainComplexWindow, rng: random.Random) -
     each representative, of random cycles plus boundaries (found at every
     reliable degree) and of random vectors (NoSolution on both sides off
     the cycles, and at an unreliable degree off the quotient)."""
-    H, oracle = homology(C), markowitz_quotients(C)
+    H, oracle = homology(C), smallest_index_quotients(C)
     assert H.degrees() == sorted(oracle)
     hi = C.window[1]
     for q, E in oracle.items():
@@ -124,7 +125,7 @@ WINDOWS = {
 
 
 @pytest.mark.parametrize("window", list(WINDOWS))
-def test_classes_equal_the_markowitz_route(window):
+def test_classes_equal_the_smallest_index_route(window):
     rng = random.Random(4903)
     rows = WINDOWS[window]()
     for C in rows:
@@ -173,12 +174,12 @@ def test_a_wrongly_seeded_quotient_fails_the_oracle(seed, monkeypatch):
 
 def test_the_saving_in_counts(monkeypatch):
     """On sphere d=5, n <= 8, q <= 16, ``homology`` inserts no vector into
-    a Markowitz boundary echelon and seeds each quotient with rank d_{q+1}
+    an echelon of boundaries and seeds each quotient with rank d_{q+1}
     rows (481 in all).  At its 8 degrees with a class it inserts 65 of the
     473 columns of d_q; only the degrees of 1, 1 and 3 columns need them
     all."""
     rows = WINDOWS["sphere-d5"]()
-    seeded, reductions, markowitz = [], [], []
+    seeded, reductions, boundaries = [], [], []
     of_lows, insert = Subquotient.of_lows, Subquotient._insert
 
     def counting_of_lows(ambient_dim, lows):
@@ -193,7 +194,7 @@ def test_the_saving_in_counts(monkeypatch):
 
     def counting_insert(self, w, rep):
         if rep is None:
-            markowitz.append(w)
+            boundaries.append(w)
         return insert(self, w, rep)
 
     monkeypatch.setattr(Subquotient, "of_lows", staticmethod(counting_of_lows))
@@ -204,7 +205,7 @@ def test_the_saving_in_counts(monkeypatch):
         homology(C)
         lo, hi = C.window
         ranks += [rank(C.d(q + 1)) if q < hi else 0 for q in range(hi, lo - 1, -1)]
-    assert markowitz == [] and seeded == ranks and sum(ranks) == 481
+    assert boundaries == [] and seeded == ranks and sum(ranks) == 481
     # columns inserted, read without inserting the rest
     inserted = [(len(E._pivots) + len(E._dependent), M.cols) for M, E in reductions]
     assert inserted == [(1, 1), (1, 1), (2, 3), (3, 3), (2, 15), (12, 30), (2, 105), (42, 315)]

@@ -2,15 +2,15 @@
 
 The readouts of the two eliminations, ``rank`` off the lowest-row
 reduction and ``row_reduce``, ``kernel``, ``kernel_basis`` and
-``solve_particular`` off the Markowitz echelon, are compared exactly with
-the dense Gauss-Jordan oracle ``conftest.rref``.
+``solve_particular`` off the ``Subquotient`` echelon, are compared exactly
+with the dense Gauss-Jordan oracle ``conftest.rref``.
 """
 
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rref, sparse_entries
@@ -19,6 +19,7 @@ from operadlab.linalg import (
     QuotientSpace,
     RationalMatrix,
     Subquotient,
+    _div,
     assemble,
     dense,
     is_zero_vec,
@@ -200,6 +201,29 @@ def test_rank_counts_the_lowest_rows(problem):
 
 
 @given(sparse_problems())
+# column 1 reduced by column 0 keeps 3/2 - 1/2 over its low of -1
+@example(([[Fraction(1, 2), Fraction(3, 2)], [0, -1], [1, 1]], [0, 0, 0], [0, 0]))
+@settings(max_examples=100, deadline=None)
+def test_a_seeded_row_is_its_kept_column_divided_at_its_low(problem):
+    """``Subquotient.of_lows`` makes each kept column, divided by its entry
+    at its low, the pivot row there, in decreasing low order: a column
+    with a low of 1 is taken as it is, and every other entry has the value
+    and the type that ``_div`` gives it, a low of -1 too."""
+    rows, _, _ = problem
+    M = mat(rows)
+    lows = lowest_rows(M.columns())
+    want = [
+        (low, {**(rest if p == 1 else {r: _div(x, p) for r, x in rest.items()}), low: 1})
+        for low, (p, rest) in sorted(lows.items(), reverse=True)
+    ]
+    got = [(low, row) for low, row, _ in Subquotient.of_lows(M.rows, lows).pivot_rows()]
+    assert got == want
+    assert [list(map(type, row.values())) for _, row in got] == [
+        list(map(type, row.values())) for _, row in want
+    ]
+
+
+@given(sparse_problems())
 @settings(max_examples=150, deadline=None)
 def test_solve_particular_equals_the_oracle(problem):
     rows, b, coeffs = problem
@@ -257,6 +281,28 @@ def test_a_partial_read_of_the_relations_changes_no_readout(problem, k, read_on_
     assert lazy.pivot_rows() == eager.pivot_rows()
     for rhs in (b, M.matvec(coeffs)):
         assert _coords_or_none(lazy, rhs) == _coords_or_none(eager, rhs)
+
+
+@given(sparse_problems(), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_reading_k_relations_touches_only_the_columns_inserted(problem, k):
+    """``row_reduce(M)`` hands its columns over one at a time: after k
+    relations, ``Subquotient._sparse`` has run on M's columns up to the
+    k-th dependent one, in order, and on no other vector."""
+    rows, _, _ = problem
+    M = mat(rows)
+    seen = []
+    sparse = Subquotient._sparse
+
+    def counting(self, v):
+        seen.append(dict(v))
+        return sparse(self, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subquotient, "_sparse", counting)
+        first = list(islice(row_reduce(M).relations(), k))
+    read = max(first[-1]) + 1 if len(first) == k else M.cols
+    assert seen == M.columns()[:read]
 
 
 def _stored_values(sq):

@@ -1,17 +1,18 @@
-"""The exact homology dims against two oracles, on every reliable cell of
-the cobar and Hochschild rows the tier-1 windows build: an independent
-rank count mod 2^61 - 1 (``mod_p_homology_dims``), and the ranks read
-off the Markowitz echelons of ``boundary_echelons``, which pivot by
-another rule than ``homology_dims``'s lowest rows.  No module reads
-``boundary_echelons`` since ``homology`` seeds its quotients from those
-lowest rows too; it stays in ``complexes`` as this oracle and as the
-class oracle of ``tests/test_class_oracle.py``."""
+"""The exact homology dims against three oracles, on every reliable cell
+of the cobar and Hochschild rows the tier-1 windows build: an independent
+rank count mod 2^61 - 1 (``mod_p_homology_dims``), which pivots by the
+lowest-row rule of ``homology_dims`` but over another field; the ranks of
+the smallest-index echelons of ``conftest.smallest_index_echelons``, which
+pivot by another rule; and the ranks of ``boundary_echelons``, the
+incremental ``Subquotient`` elimination with coordinates.  No module reads
+``boundary_echelons`` since ``homology`` seeds its quotients from the
+lowest rows; it stays in ``complexes`` as this oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import COBAR_GRID, mod_p_homology_dims, random_complex
+from conftest import COBAR_GRID, mod_p_homology_dims, random_complex, smallest_index_echelons
 
 from operadlab import linalg
 from operadlab.complexes import (
@@ -85,11 +86,16 @@ def test_a_non_integral_entry_is_refused():
         mod_p_homology_dims(C)
 
 
-def markowitz_dims(C: ChainComplexWindow) -> dict:
+def echelon_dims(C: ChainComplexWindow, echelons: dict) -> dict:
     """The reliable part of ``_class_counts`` on the ranks read off the rows
-    of ``boundary_echelons``: the counts of the Markowitz route."""
-    ranks = {q: len(E.rows()) for q, E in boundary_echelons(C).items()}
+    of ``echelons`` (q -> an echelon of the boundaries of degree q)."""
+    ranks = {q: len(E.rows()) for q, E in echelons.items()}
     return {q: k for q, k in _class_counts(C, ranks).items() if C.reliable(q)}
+
+
+def smallest_index_dims(C: ChainComplexWindow) -> dict:
+    """The counts of the smallest-index route."""
+    return echelon_dims(C, smallest_index_echelons(C))
 
 
 def rescaled(C: ChainComplexWindow, rng: random.Random) -> ChainComplexWindow:
@@ -132,14 +138,16 @@ ORACLE_WINDOWS = {**WINDOWS, "padded-witness-total": padded_witness_total, "rand
 
 
 @pytest.mark.parametrize("window", list(ORACLE_WINDOWS))
-def test_lowest_row_dims_equal_the_markowitz_dims(window):
+def test_lowest_row_dims_equal_the_smallest_index_dims(window):
     rows = ORACLE_WINDOWS[window]()
-    assert [homology_dims(C) for C in rows] == [markowitz_dims(C) for C in rows]
+    exact = [homology_dims(C) for C in rows]
+    assert [smallest_index_dims(C) for C in rows] == exact
+    assert [echelon_dims(C, boundary_echelons(C)) for C in rows] == exact
 
 
 def test_the_random_cases_reach_what_the_mod_p_oracle_refuses():
     """The rescaled cases hold non-integral entries, which only the
-    Markowitz oracle takes."""
+    echelon oracles take."""
     cases = random_cases()
     refused = 0
     for C in cases:
@@ -165,7 +173,7 @@ def _dims_cleared_two_degrees_up(C: ChainComplexWindow) -> dict:
 
 def test_clearing_with_the_wrong_lows_fails_the_oracle():
     cases = random_cases()
-    assert any(_dims_cleared_two_degrees_up(C) != markowitz_dims(C) for C in cases)
+    assert any(_dims_cleared_two_degrees_up(C) != smallest_index_dims(C) for C in cases)
 
 
 def test_a_non_unit_pivot_taken_as_a_unit_fails_the_oracle(monkeypatch):
@@ -173,7 +181,7 @@ def test_a_non_unit_pivot_taken_as_a_unit_fails_the_oracle(monkeypatch):
     multiplying: a step leaves a wrong multiple wherever a pivot is not
     +-1, and the dims move."""
     cases = random_cases()
-    want = [markowitz_dims(C) for C in cases]
+    want = [smallest_index_dims(C) for C in cases]
     monkeypatch.setattr(linalg, "_div", lambda x, p: linalg._exact(x * p))
     assert [homology_dims(C) for C in cases] != want
 

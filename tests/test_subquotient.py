@@ -130,17 +130,24 @@ def mixed_problems(draw):
     return n, cycles, boundaries, probes
 
 
+def assert_lowest_row_pivots(sq: Subquotient, block=None) -> None:
+    """Every stored row is 1 at its pivot and has no entry past it inside
+    its block, and none in a smaller block."""
+    key = (lambda c: (0, c)) if block is None else (lambda c: (-block(c), c))
+    for lead, row, _ in sq.pivot_rows():
+        assert row[lead] == 1 and max(row, key=key) == lead
+
+
 @given(mixed_problems())
 @settings(max_examples=100, deadline=None)
 def test_pivot_choice_changes_no_readout(problem):
-    """Markowitz pivots, free or kept inside the smallest block a remainder
-    touches, give the readouts of smallest-index pivots."""
+    """Lowest-row pivots, free or kept inside the smallest block a
+    remainder touches, give the readouts of smallest-index pivots."""
     n, cycles, boundaries, probes = problem
     ref = SmallestIndexSubquotient(n, cycles, boundaries)
     for block in (None, lambda c: 2 * c % 3):
         sq = Subquotient(n, cycles, boundaries, block=block)
-        if block is not None:  # each pivot lies in the smallest block its row touches
-            assert all(block(lead) == min(map(block, row)) for lead, row, _ in sq.pivot_rows())
+        assert_lowest_row_pivots(sq, block)
         assert sq.pivot_columns == ref.pivot_columns
         assert len(sq.representatives) == len(ref.representatives)
         assert all(a is b for a, b in zip(sq.representatives, ref.representatives))
@@ -166,21 +173,28 @@ def test_pivot_choice_changes_no_readout(problem):
             assert sq.coords(v) == ref.coords(v)
 
 
-def test_pivot_is_a_unit_at_the_least_touched_coordinate():
-    """A unit beats a non-unit, fewer touching inputs beat more, and the
-    smallest index breaks ties."""
+def test_pivot_is_the_lowest_row_inside_the_smallest_block():
+    """A remainder pivots at its largest index, inside the smallest block
+    it touches when coordinates come in blocks, whatever its value there;
+    the smallest-index pivots of the oracle are listed beside."""
+    def halves(c):
+        return c // 2
+
     cases = [
-        ([[2, 1, 0]], [1], [0]),  # the only unit
-        ([[Fraction(1, 2), 0, -1]], [2], [0]),
-        ([[1, 1, 0], [0, 1, 1]], [0, 2], [0, 1]),  # 1 is touched twice
-        ([[2, 1, 1], [0, 1, 0], [0, 1, 0]], [2, 1], [0, 1]),  # unit first
-        ([[0, 1, 1]], [1], [1]),  # a tie: the smallest index
-        ([[3, 2, 0]], [0], [0]),  # no unit
+        (None, [[2, 1, 0, 0]], [1], [0]),
+        (None, [[Fraction(1, 2), 0, -1, 0]], [2], [0]),
+        (None, [[1, 1, 0, 0], [0, 1, 1, 0]], [1, 2], [0, 1]),  # reduced at 1 first
+        (None, [[2, 1, 1, 0], [0, 1, 0, 0], [0, 1, 0, 0]], [2, 1], [0, 1]),
+        (None, [[1, 0, 0, 3]], [3], [0]),  # not the unit
+        (halves, [[1, 1, 1, 1]], [1], [0]),  # block 0 before the larger 3
+        (halves, [[0, 0, 2, 1], [1, 0, 1, 0]], [3, 0], [2, 0]),
+        (halves, [[1, 2, 0, 0], [1, 0, 0, 5]], [1, 0], [0, 1]),
     ]
-    for vectors, leads, smallest in cases:
-        sq = Subquotient(3, (), vectors)
-        assert [lead for lead, _, _ in sq._rows] == leads
-        assert list(SmallestIndexSubquotient(3, (), vectors)._pivots) == smallest
+    for block, vectors, leads, smallest in cases:
+        sq = Subquotient(4, (), vectors, block=block)
+        assert [lead for lead, _, _ in sq.pivot_rows()] == leads
+        assert_lowest_row_pivots(sq, block)
+        assert list(SmallestIndexSubquotient(4, (), vectors)._pivots) == smallest
 
 
 @given(mixed_problems())
