@@ -10,6 +10,7 @@
   <= 3, with the inclusion into the sphere operad.
 * :class:`FramedOperad` — tensor with tuples of exterior-Hopf monomials;
   composition pushes the slot-i Hopf factor through the iterated diagonal.
+  Both hosts' normalized δ is one rule, :func:`delta_by_splits`.
 * :func:`witness_operad` — the finite free chain operad on nu, g, h used
   as the obstruction testbed, with padded variants.
 * :func:`homology_operad` — homology of a chain operad, as a TableOperad
@@ -60,6 +61,26 @@ def _covering(pairs, left: int, bare: frozenset, start: int = 0, chosen: tuple =
             break
         if 2 * left > len(bare) or {a, b} <= bare:
             yield from _covering(pairs, left - 1, bare - {a, b}, idx + 1, chosen + (pair,))
+
+
+def delta_by_splits(sphere, label, words, split):
+    """Both hosts' normalized coboundary, as ``(i, (left, right), sign,
+    labels)`` groups: the terms of delta of ``mu()`` on a sphere ``label``
+    with a word per slot, every slot covered (reached by a pair or holding
+    a nonempty word), that cover all n+1 slots.  Such labels span the
+    codegeneracy kernels, which delta keeps, so the other terms cancel;
+    outer cofaces leave slot 1 or n+1 bare.  Coface i splits the pairs at i
+    by ``sphere.split_vertex``, its first term sending all to i and its last
+    all to i+1, and the word at i into the ``((left, right), c)`` of
+    ``split``: a bare left drops the last term, a bare right the first, and
+    each kept one has sign (-1)^i c.  A slot with fewer than two pair ends
+    and generators leaves i or i+1 bare in every term, so it is skipped."""
+    ends = [v for p in label for v in p]
+    for i, mon in enumerate(words, 1):
+        if ends.count(i) + len(mon) > 1:
+            bases = sphere.split_vertex(label, i)
+            for (left, right), c in split(mon):
+                yield i, (left, right), -c if i & 1 else c, bases[not right:len(bases) - (not left)]
 
 
 class SphereOperad(Operad):
@@ -134,7 +155,7 @@ class SphereOperad(Operad):
         every such pair to i and the last every one to i+1; into a point
         (n = 0) it has no target, so a pair at slot i ends the call before
         anything is built.  Pair sets never collide, so every term has
-        coefficient one.  The normalized delta reads ``split_vertex``.
+        coefficient one.  :func:`delta_by_splits` reads ``split_vertex``.
         """
         if not n:  # a point at a covered vertex
             for a, b in xl:
@@ -170,17 +191,9 @@ class SphereOperad(Operad):
         return [t[:lo] + tuple(sorted(t[lo:hi])) + t[hi:] for t in terms]
 
     def normal_delta(self, n: int, label) -> list:
-        """The unsummed ``(label, +-1)`` terms of delta of ``mu()`` on a label
-        covering all n vertices, restricted to the labels covering all n+1
-        (the rest cancels): outer cofaces add no term, coface i only the
-        vertex splits whose two or more pairs at i reach i and i+1, which
-        are all but the first and the last."""
-        ends = [v for p in label for v in p]
-        return [
-            (l, (-1) ** i)
-            for i in sorted({v for v in ends if ends.count(v) > 1})
-            for l in self.split_vertex(label, i)[1:-1]
-        ]
+        """:func:`delta_by_splits` on empty words, whose one split is ((), ()), coefficient 1."""
+        groups = delta_by_splits(self, label, ((),) * n, lambda _: ((((), ()), 1),))
+        return [(l, c) for _, _, c, kept in groups for l in kept]
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ())
@@ -407,27 +420,12 @@ class FramedOperad(Operad):
         return self._empty[n, q]
 
     def normal_delta(self, n: int, label) -> list:
-        """The unsummed terms of delta of ``mu()`` on a normalized label,
-        restricted to the normalized labels, as on the sphere: slot i or
-        i+1 of a term counts as covered when a pair reaches it or its Hopf
-        factor is nonempty.  The base's split of vertex i is built once and
-        each Hopf split of slot i takes the slice of it that covers its bare
-        slots; a slot with fewer than two pairs and generators between them
-        covers at most one of i and i+1, so it is skipped."""
-        bl, gs = label
-        units = (self.hopf.unit,) * 2
-        ends = [v for p in bl for v in p]
-        terms = []
-        for i in range(1, n + 1):
-            if ends.count(i) + len(gs[i - 1]) < 2:
-                continue
-            bases = self.base.split_vertex(bl, i)
-            for (left, right), c in self._split(gs[i - 1], 2, units):
-                word = gs[: i - 1] + (left, right) + gs[i:]
-                # a bare slot i drops the last base term, a bare i+1 the first
-                kept = bases[not right:len(bases) - (not left)]
-                terms += [((b, word), (-1) ** i * c) for b in kept]
-        return terms
+        """:func:`delta_by_splits` on the base label and its Hopf words."""
+        (bl, gs), units = label, (self.hopf.unit,) * 2
+        groups = delta_by_splits(self.base, bl, gs, lambda mon: self._split(mon, 2, units))
+        return [
+            ((b, gs[: i - 1] + halves + gs[i:]), c) for i, halves, c, kept in groups for b in kept
+        ]
 
     def mu(self) -> OpElement:
         return OpElement.basis(2, ((), (self.hopf.unit,) * 2))

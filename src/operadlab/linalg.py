@@ -184,8 +184,8 @@ def lowest_rows(columns: Iterable[dict]) -> dict:
     """The persistence reduction of sparse columns, in order and in place:
     each is reduced only until its lowest nonzero row is no earlier
     column's, and kept there if nonzero, as ``{low row: (its entry there,
-    the rest of the column)}``, so rank-many.  A step subtracts a kept
-    column (scaled by ``_div``) and drops the low outright."""
+    the rest of the column)}``, so rank-many.  A step subtracts a kept column
+    (scaled by ``_div``), drops the low and keeps ints where integral."""
     lows: dict = {}
     for w in columns:
         while w and (low := max(w)) in lows:
@@ -194,7 +194,7 @@ def lowest_rows(columns: Iterable[dict]) -> dict:
             for r, x in rest.items():
                 v = w.get(r, 0) - f * x
                 if v:
-                    w[r] = v
+                    w[r] = v if type(v) is int else _exact(v)
                 else:
                     del w[r]
         if w:

@@ -141,7 +141,8 @@ class Operad:
 
     max_arity: int
     degree_cap: int | None = None
-    # (n, label) -> unsummed (label, +-1) terms of delta of mu() on normalized labels
+    # (n, label) -> unsummed (label, +-1) delta of mu() on normalized labels, by one rule
+    # on the sphere and framed hosts: instances.delta_by_splits
     normal_delta = None
     normalized_exact = False  # True: normalized_basis is the codegeneracy filter, unconfirmed
 

@@ -224,6 +224,18 @@ def test_a_seeded_row_is_its_kept_column_divided_at_its_low(problem):
 
 
 @given(sparse_problems())
+# column 1 reduced by column 0 keeps 3/2 - 1/2 = 1 under its low
+@example(([[Fraction(1, 2), Fraction(3, 2)], [0, -1], [1, 1]], [0, 0, 0], [0, 0]))
+@settings(max_examples=100, deadline=None)
+def test_lowest_rows_stores_an_int_wherever_a_value_is_integral(problem):
+    """Every value ``lowest_rows`` keeps, at a low and in the rest of its
+    column, is nonzero and an int exactly when it is integral."""
+    rows, _, _ = problem
+    lows = lowest_rows(mat(rows).columns())
+    assert all(_exact_values({low: p, **rest}) for low, (p, rest) in lows.items())
+
+
+@given(sparse_problems())
 @settings(max_examples=150, deadline=None)
 def test_solve_particular_equals_the_oracle(problem):
     rows, b, coeffs = problem
