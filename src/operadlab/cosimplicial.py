@@ -233,7 +233,7 @@ class HochschildComplex:
         self.n_max = X.n_max
         self.normalized = X.codegeneracy is not None
         self._labels: dict = {}
-        self._index: dict = {}
+        self._index: dict = {}  # (n, q) -> label -> row, built by index() on first use
         host = X.host
         for n in range(self.n_max + 1):
             column = host.normalized_basis(n, q_max) if self.normalized else host.basis_by_degree(n)
@@ -242,7 +242,6 @@ class HochschildComplex:
                     l for l in column[q] if X.is_normal_label(n, l))
                 if labels:
                     self._labels[(n, q)] = labels
-                    self._index[(n, q)] = {l: k for k, l in enumerate(labels)}
         self._columns: dict = {}  # n -> column n's chain complex under d
         self._ss: SpectralSequence | None = None
 
@@ -256,7 +255,9 @@ class HochschildComplex:
         return self._labels.get((n, q), ())
 
     def index(self, n: int, q: int) -> dict:  # label -> position in (n, q)
-        return self._index.get((n, q), {})
+        if (n, q) not in self._index:
+            self._index[n, q] = {l: k for k, l in enumerate(self.labels(n, q))}
+        return self._index[n, q]
 
     def dim(self, n: int, q: int) -> int:
         return len(self.labels(n, q))

@@ -330,6 +330,20 @@ def apply_inclusion(incl: dict, x: OpElement) -> OpElement:
 # -- framed tensor construction ----------------------------------------------
 
 
+class _LastLabelSplits:
+    """A base's ``split_vertex`` that keeps the splits of the last label asked."""
+
+    def __init__(self, base: Operad):
+        self.base, self.label, self.splits = base, None, {}
+
+    def split_vertex(self, label, i: int) -> list:
+        if label != self.label:
+            self.label, self.splits = label, {}
+        if i not in self.splits:
+            self.splits[i] = self.base.split_vertex(label, i)
+        return self.splits[i]
+
+
 class FramedOperad(Operad):
     """Tensor of a zero-differential operad with Hopf-monomial tuples.
 
@@ -343,11 +357,13 @@ class FramedOperad(Operad):
     The Hopf part of a composite is the split of the slot-i monomial into
     the inserted words, spliced between the prefix and the tail of x's
     word, so each split is computed once per slot monomial and inserted
-    words.  Hopf words are built slot by slot and dropped as soon as their
-    degree leaves no room under the degree cap, which is the base's; a
-    normalized label's bare slots take only nonempty monomials, so the raw
-    basis is never listed for it; that map is exact, so no codegeneracy
-    confirms it (the sphere's still is: ``bench/test_bench.py`` asserts those calls).
+    words, each base composite once per ``(m, bx, i, n, by)``, and δ reads
+    the base's vertex splits through :class:`_LastLabelSplits`; all three
+    memos live as long as the host instance.  Hopf words are built slot by
+    slot and dropped once their degree leaves no room under the degree cap,
+    which is the base's; a normalized label's bare slots take only nonempty
+    monomials, so the raw basis is never listed for it; that map is exact,
+    so no codegeneracy confirms it (the sphere's is: ``bench/test_bench.py`` asserts those calls).
     """
     normalized_exact = True
 
@@ -360,6 +376,8 @@ class FramedOperad(Operad):
         self.degree_cap = base.degree_cap
         self._basis_cache: dict = {}  # (n, top, normal) -> degree -> labels
         self._hopf_cache: dict = {}
+        self._base_cache: dict = {}  # (m, bx, i, n, by) -> base composite, never handed out
+        self._last_splits = _LastLabelSplits(base)
         self._empty: dict = {}  # (n, q) -> column_vanishes(n, q)
 
     def basis_by_degree(self, n: int) -> dict:
@@ -422,7 +440,7 @@ class FramedOperad(Operad):
     def normal_delta(self, n: int, label) -> list:
         """:func:`delta_by_splits` on the base label and its Hopf words."""
         (bl, gs), units = label, (self.hopf.unit,) * 2
-        groups = delta_by_splits(self.base, bl, gs, lambda mon: self._split(mon, 2, units))
+        groups = delta_by_splits(self._last_splits, bl, gs, lambda mon: self._split(mon, 2, units))
         return [
             ((b, gs[: i - 1] + halves + gs[i:]), c) for i, halves, c, kept in groups for b in kept
         ]
@@ -439,9 +457,10 @@ class FramedOperad(Operad):
         not read as zero; an empty split or base composite (a point at a
         covered slot) ends the call."""
         (bx, gs), (by, hs) = xl, yl
-        splits = self._split(gs[i - 1], n, hs)
-        base_terms = self.base.compose_basis(m, bx, i, n, by) if splits else {}
-        if not base_terms:
+        splits, key = self._split(gs[i - 1], n, hs), (m, bx, i, n, by)
+        if splits and key not in self._base_cache:
+            self._base_cache[key] = self.base.compose_basis(*key)
+        if not (base_terms := splits and self._base_cache[key]):
             return {}
         head, tail = gs[: i - 1], gs[i:]
         sign = -1 if sum(map(len, tail)) * sum(map(len, hs)) % 2 else 1

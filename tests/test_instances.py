@@ -1,6 +1,7 @@
 """Concrete operads: sphere pair-classes, Poisson table, framed, witness."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -243,6 +244,33 @@ class TestFramed:
                                 got.clear()
                                 assert op.compose_basis(m, xl, i, n, yl) == want
         assert calls > 5_000 and nonempty > 1_000 and hopf_y > 100 and three_way > 10
+
+    def test_compose_in_any_order_reads_each_base_composite_once(self, monkeypatch):
+        """On a fresh host, every x o_i y with x in arity 1..3 and y in arity
+        0..2, in seeded random order, equals the per-split formula, also
+        when the caller writes into a returned dict, empty or not, before
+        asking again; and the base composes once per distinct (m, bx, i, n,
+        by) whose Hopf split is nonempty, whatever the Hopf words."""
+        op = framed_multiplicative(5, 4, 16).operad
+        labels = {n: [l for ls in op.basis_by_degree(n).values() for l in ls] for n in range(4)}
+        keys = [(m, xl, i, n, yl) for m in (1, 2, 3) for xl in labels[m]
+                for i in range(1, m + 1) for n in range(3) for yl in labels[n]]
+        random.Random(5202).shuffle(keys)
+        want = [reference_framed_compose(op, *key) for key in keys]
+        calls = []
+        compose = op.base.compose_basis
+        monkeypatch.setattr(op.base, "compose_basis", lambda *a: calls.append(a) or compose(*a))
+        for key, terms in zip(keys, want):
+            got = op.compose_basis(*key)
+            assert got == terms, key
+            if got:
+                got.clear()
+            else:
+                got[((), ())] = 1
+            assert op.compose_basis(*key) == terms, key
+        base_keys = {(m, x[0], i, n, y[0]) for m, x, i, n, y in keys if op._split(x[1][i - 1], n, y[1])}
+        assert len(calls) == len(set(calls)) == len(base_keys) == 116
+        assert len(keys) > 10 * len(base_keys) and sum(map(bool, want)) > 1_000
 
     def test_a_composite_past_the_cap_is_computed(self):
         """Like its sphere base, the framed host is a window into the
