@@ -393,6 +393,8 @@ def hochschild_homology(M: MultiplicativeStructure, n_max: int, q_max: int) -> H
         homs[q] = hom
         classes += [HochschildClass.of(H, -p, q, z, v) for p, h in hom.per_degree.items()
                     if h.reliable for z, v in zip(h.quotient.representatives, h.representatives)]
+    for n, q in H.positions():  # every label index, so no class query builds one
+        H.index(n, q)
     return HochschildHomology(H, homs, bigraded_dims(homs), classes)
 
 

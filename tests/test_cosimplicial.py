@@ -490,6 +490,15 @@ def test_label_index_is_built_on_first_use(monkeypatch):
     assert H.index(H.n_max + 1, 0) == H.index(0, H.q_max + 1) == {}
 
 
+def test_hochschild_homology_builds_every_label_index():
+    """The class queries read the label index of their cells, so
+    hochschild_homology hands them a complex with every cell's built."""
+    H = hochschild_homology(sphere_multiplicative(5, 4, 8), 4, 8).complex
+    assert H.positions() and sorted(H._index) == H.positions()
+    for n, q in H.positions():
+        assert H._index[n, q] == {l: k for k, l in enumerate(H.labels(n, q))}
+
+
 @pytest.mark.parametrize("d", [5, 7])
 def test_the_inclusion_of_the_sphere_into_the_framed_host_is_a_chain_map(d):
     """Attaching empty Hopf words, l -> (l, ((),) * n), commutes with the
